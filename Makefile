@@ -1,4 +1,4 @@
-.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke bench-pin perf-compare check clean
+.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare check clean
 
 all: build
 
@@ -66,39 +66,28 @@ trace-smoke:
 	dune exec bin/dvmctl.exe -- flight --out _build/trace-smoke/flight
 	dune exec bin/dvmctl.exe -- slo --json
 
-# Perf trajectory pin: re-run the seeded bench phases that write
-# BENCH_<phase>.json and fail if the output drifts from the committed
-# baselines. Every number in those files except wall_ms (host time,
-# ignored by the diff) is a function of the virtual clock and the
-# pinned seeds, so a diff is either a real behaviour change (recommit
-# the baseline, explain it in the PR) or nondeterminism leaking in (a
-# bug).
-bench-pin:
-	dune exec bench/main.exe -- faults
-	dune exec bench/main.exe -- farm
-	dune exec bench/main.exe -- chaos
-	dune exec bench/main.exe -- control
-	dune exec bench/main.exe -- elide
-	dune exec bench/main.exe -- certify
-	git diff -I '"wall_ms"' --exit-code BENCH_faults.json BENCH_farm.json BENCH_chaos.json BENCH_control.json BENCH_elide.json BENCH_certify.json
-	git checkout -- BENCH_faults.json BENCH_farm.json BENCH_chaos.json BENCH_control.json BENCH_elide.json BENCH_certify.json
-
-# Perf compare: the bench perf phase re-runs the pinned phases, exits
-# non-zero if any served byte, digest or metric drifts from the
-# committed baselines, and prints baseline-vs-now wall-clock per phase
-# (the speed trajectory the wall_ms field records). The trailing git
+# Perf trajectory pin: the bench perf phase re-runs the seeded phases
+# that write BENCH_<phase>.json, exits non-zero if any served byte,
+# digest or metric drifts from the committed baselines, and prints
+# baseline-vs-now wall-clock per phase (the speed trajectory the
+# wall_ms field records). Every number in those files except wall_ms
+# is a function of the virtual clock and the pinned seeds, so a diff
+# is either a real behaviour change (recommit the baseline and say
+# why) or nondeterminism leaking in (a bug). The trailing git
 # diff is a second, independent net over the same files.
+BENCH_PINS = BENCH_faults.json BENCH_farm.json BENCH_chaos.json BENCH_control.json BENCH_elide.json BENCH_certify.json BENCH_paper.json
+
 perf-compare:
 	dune exec bench/main.exe -- perf
-	git diff -I '"wall_ms"' --exit-code BENCH_faults.json BENCH_farm.json BENCH_chaos.json BENCH_control.json BENCH_elide.json BENCH_certify.json
-	git checkout -- BENCH_faults.json BENCH_farm.json BENCH_chaos.json BENCH_control.json BENCH_elide.json BENCH_certify.json
+	git diff -I '"wall_ms"' --exit-code $(BENCH_PINS)
+	git checkout -- $(BENCH_PINS)
 
 # The gate a PR must pass: everything builds, every test is green, and
 # no build artifacts are tracked or dirtying the tree.
 check:
 	dune build @all
 	dune runtest
-	dune exec bin/dvmctl.exe -- lint
+	$(MAKE) lint
 	$(MAKE) certify-smoke
 	$(MAKE) farm-smoke
 	$(MAKE) chaos-smoke

@@ -7,7 +7,7 @@
      dune exec bench/main.exe            runs everything
      dune exec bench/main.exe fig6       runs one experiment
      (fig5 fig6 fig7 fig8 fig9 applets fig10 fig11 fig12 ablations elide
-      faults farm chaos micro perf)
+      certify faults farm chaos control paper micro perf)
 *)
 
 let section title =
@@ -41,6 +41,17 @@ let telemetry_wanted =
    [perf] phase reports the wall_ms columns as the speed record. *)
 let bench_summary : (string * string) list ref = ref []
 let bench_put k v = bench_summary := !bench_summary @ [ (k, v) ]
+
+let json_obj kvs =
+  "{"
+  ^ String.concat ","
+      (List.map
+         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Telemetry.json_escape k) v)
+         kvs)
+  ^ "}"
+
+let json_list items = "[" ^ String.concat "," items ^ "]"
+
 let write_bench ?(hists = true) ~wall_ms name =
   (* The virtual/wall ratio gauge is the one wall-clock-derived metric;
      zero it so the file stays byte-stable across runs. *)
@@ -52,7 +63,7 @@ let write_bench ?(hists = true) ~wall_ms name =
   let path = Printf.sprintf "BENCH_%s.json" name in
   let oc = open_out path in
   (* wall_ms is host time and varies run to run; every diff of these
-     files (make bench-pin / perf-compare, the perf phase itself)
+     files (make perf-compare, the perf phase itself)
      ignores that one line, so the rest stays a byte-stable pin while
      the trajectory still records speed. *)
   Printf.fprintf oc
@@ -167,6 +178,18 @@ let fig6 () =
     (Lazy.force fig6_results);
   Printf.printf "\nAverage uncached overhead: %+.1f%% (paper: ~+11%%)\n"
     (!total_ovhd /. 5.0);
+  bench_put "fig6"
+    (json_obj
+       (List.map
+          (fun (name, results) ->
+            let w arch = (List.assoc arch results).Dvm.Experiment.r_wall_us in
+            ( name,
+              Printf.sprintf
+                {|{"monolithic_us":%Ld,"dvm_us":%Ld,"dvm_cached_us":%Ld}|}
+                (w Dvm.Experiment.Monolithic)
+                (w (Dvm.Experiment.Dvm { cached = false }))
+                (w (Dvm.Experiment.Dvm { cached = true })) ))
+          (Lazy.force fig6_results)));
   List.iter
     (fun (name, results) ->
       let outs =
@@ -218,14 +241,21 @@ let fig8 () =
     ]
   in
   Printf.printf "%-11s %22s %22s\n" "App" "Static checks" "Dynamic checks";
-  List.iter
-    (fun (name, results) ->
-      let dvm = List.assoc (Dvm.Experiment.Dvm { cached = false }) results in
-      let ps, pd = List.assoc name paper in
-      Printf.printf "%-11s %10d (%8d) %10d (%8d)\n" name
-        dvm.Dvm.Experiment.r_static_checks ps
-        dvm.Dvm.Experiment.r_dynamic_checks pd)
-    (Lazy.force fig6_results)
+  let counts =
+    List.map
+      (fun (name, results) ->
+        let dvm = List.assoc (Dvm.Experiment.Dvm { cached = false }) results in
+        let ps, pd = List.assoc name paper in
+        Printf.printf "%-11s %10d (%8d) %10d (%8d)\n" name
+          dvm.Dvm.Experiment.r_static_checks ps
+          dvm.Dvm.Experiment.r_dynamic_checks pd;
+        ( name,
+          Printf.sprintf {|{"static":%d,"dynamic":%d}|}
+            dvm.Dvm.Experiment.r_static_checks
+            dvm.Dvm.Experiment.r_dynamic_checks ))
+      (Lazy.force fig6_results)
+  in
+  bench_put "fig8" (json_obj counts)
 
 (* --- Figure 9: security microbenchmarks. --- *)
 
@@ -397,14 +427,28 @@ let fig10 () =
     \ roughly constant at 1.0-1.2 s/kB in the linear range)\n\n";
   Printf.printf "%8s %16s %14s %12s %10s\n" "Clients" "Throughput(B/s)"
     "Latency(ms)" "s/kB" "CPU util";
+  let pts =
+    List.map
+      (fun clients -> Dvm.Scaling.run_farm ~duration_s:40 ~shards:1 ~clients ())
+      [ 10; 25; 50; 100; 150; 200; 250; 270; 290; 310 ]
+  in
   List.iter
     (fun p ->
-      Printf.printf "%8d %16.0f %14.0f %12.2f %10.2f\n" p.Dvm.Scaling.clients
-        p.Dvm.Scaling.throughput_bytes_per_s
-        (p.Dvm.Scaling.mean_latency_us /. 1000.0)
-        p.Dvm.Scaling.mean_latency_s_per_kb p.Dvm.Scaling.proxy_utilization)
-    (Dvm.Scaling.sweep ~duration_s:40
-       [ 10; 25; 50; 100; 150; 200; 250; 270; 290; 310 ])
+      Printf.printf "%8d %16.0f %14.0f %12.2f %10.2f\n" p.Dvm.Scaling.f_clients
+        p.Dvm.Scaling.f_throughput_bytes_per_s
+        (p.Dvm.Scaling.f_mean_latency_us /. 1000.0)
+        p.Dvm.Scaling.f_mean_latency_s_per_kb p.Dvm.Scaling.f_utilization)
+    pts;
+  bench_put "fig10"
+    (json_list
+       (List.map
+          (fun p ->
+            Printf.sprintf
+              {|{"clients":%d,"throughput_bps":%.1f,"mean_latency_us":%.1f,"s_per_kb":%.4f,"utilization":%.4f}|}
+              p.Dvm.Scaling.f_clients p.Dvm.Scaling.f_throughput_bytes_per_s
+              p.Dvm.Scaling.f_mean_latency_us
+              p.Dvm.Scaling.f_mean_latency_s_per_kb p.Dvm.Scaling.f_utilization)
+          pts))
 
 (* --- Figures 11 and 12: startup vs bandwidth; repartitioning. --- *)
 
@@ -447,16 +491,28 @@ let fig12 () =
     (fun bw -> Printf.printf "%9.0f" (Float.of_int bw /. 8.0 /. 1000.0))
     bandwidths;
   print_newline ();
-  List.iter
-    (fun m ->
-      Printf.printf "%-15s" m.Opt.Startup.app_name;
-      List.iter
-        (fun bw ->
-          Printf.printf "%8.1f%%"
-            (Opt.Startup.improvement_percent m ~bandwidth_bps:bw ~latency_us))
-        bandwidths;
-      print_newline ())
-    Workloads.Applets.startup_apps;
+  let rows =
+    List.map
+      (fun m ->
+        Printf.printf "%-15s" m.Opt.Startup.app_name;
+        let pcts =
+          List.map
+            (fun bw ->
+              let pct =
+                Opt.Startup.improvement_percent m ~bandwidth_bps:bw ~latency_us
+              in
+              Printf.printf "%8.1f%%" pct;
+              Printf.sprintf "%.2f" pct)
+            bandwidths
+        in
+        print_newline ();
+        (m.Opt.Startup.app_name, json_list pcts))
+      Workloads.Applets.startup_apps
+  in
+  bench_put "fig12"
+    (json_obj
+       (("bandwidth_bps", json_list (List.map string_of_int bandwidths))
+       :: rows));
   subsection "measured on a generated app (real split, real profile)";
   let app = Workloads.Apps.build_small Workloads.Apps.jlex in
   let instrumented =
@@ -677,31 +733,35 @@ let ablations () =
   Printf.printf
     "oracle over %d pizza classes: full parse %.1fms, reflect attribute %.1fms (%.1fx)\n"
     (List.length names) (slow *. 1000.0) (fast *. 1000.0) (slow /. fast);
-  subsection "7. replicated proxies (section 2): moving the Figure-10 knee";
-  List.iter
-    (fun proxies ->
-      let pts =
-        Dvm.Scaling.sweep ~duration_s:20 ~proxies [ 250; 310; 500 ]
-      in
-      Printf.printf "%d proxy(ies):" proxies;
-      List.iter
-        (fun p ->
-          Printf.printf "  %d clients -> %.0f B/s" p.Dvm.Scaling.clients
-            p.Dvm.Scaling.throughput_bytes_per_s)
-        pts;
-      print_newline ())
-    [ 1; 2 ];
+  (* Ablation 7, replicated proxies moving the Figure-10 knee, is the
+     farm phase's pinned shard sweep. *)
   subsection "8. proxy caching under load (the paper's other mitigation)";
-  let worst = Dvm.Scaling.run ~duration_s:20 ~clients:250 () in
-  let cached =
-    Dvm.Scaling.run ~duration_s:20 ~clients:250
-      ~cache_capacity:(48 * 1024 * 1024) ()
+  let run ?cache_capacity () =
+    Dvm.Scaling.run_farm ~duration_s:20 ~shards:1 ~clients:250 ?cache_capacity
+      ()
   in
+  let worst = run () and cached = run ~cache_capacity:(48 * 1024 * 1024) () in
   Printf.printf
     "250 clients: cache disabled %.0f B/s (util %.2f); cache enabled %.0f B/s (util %.2f)\n"
-    worst.Dvm.Scaling.throughput_bytes_per_s worst.Dvm.Scaling.proxy_utilization
-    cached.Dvm.Scaling.throughput_bytes_per_s
-    cached.Dvm.Scaling.proxy_utilization
+    worst.Dvm.Scaling.f_throughput_bytes_per_s worst.Dvm.Scaling.f_utilization
+    cached.Dvm.Scaling.f_throughput_bytes_per_s
+    cached.Dvm.Scaling.f_utilization
+
+(* --- Paper: the reproduced figures, pinned. ---
+
+   Figures 6, 8, 10 and 12 in one phase, so their series land in
+   BENCH_paper.json: per-app virtual times, check counts, the
+   Figure-10 scaling curve and the repartitioning model. Every value
+   is a function of the virtual clock or the cost model, so a refactor
+   that bends a reproduced shape fails the pin. The runs also record
+   host-clock histograms; the phase writes with hists:false to leave
+   them out. *)
+
+let paper () =
+  fig6 ();
+  fig8 ();
+  fig10 ();
+  fig12 ()
 
 (* --- Bechamel microbenchmarks. --- *)
 
@@ -867,55 +927,16 @@ let certify () =
   section "Certify: translation-validated rewriting + mutation kills";
   let rep = Dvm.Certification.certify_workloads () in
   let nfail = List.length rep.Dvm.Certification.rp_failures in
-  Printf.printf
-    "%d apps, %d classes, %d methods: %d protected sites\n\
-    \  %d guarded by live checks, %d certificate-backed (%d hoists), \
-     %d failure(s)\n"
-    rep.Dvm.Certification.rp_apps rep.Dvm.Certification.rp_classes
-    rep.Dvm.Certification.rp_methods rep.Dvm.Certification.rp_sites
-    rep.Dvm.Certification.rp_live rep.Dvm.Certification.rp_certified
-    rep.Dvm.Certification.rp_hoists nfail;
-  List.iter
-    (fun (cls, why) -> Printf.printf "  FAIL %s: %s\n" cls why)
-    rep.Dvm.Certification.rp_failures;
-  bench_put "certify"
-    (Printf.sprintf
-       {|{"classes":%d,"methods":%d,"sites":%d,"live":%d,"certified":%d,"hoists":%d,"cert_entries":%d,"elided":%d,"failures":%d}|}
-       rep.Dvm.Certification.rp_classes rep.Dvm.Certification.rp_methods
-       rep.Dvm.Certification.rp_sites rep.Dvm.Certification.rp_live
-       rep.Dvm.Certification.rp_certified rep.Dvm.Certification.rp_hoists
-       rep.Dvm.Certification.rp_cert_entries rep.Dvm.Certification.rp_elided
-       nfail);
+  print_string (Dvm.Certification.report_text rep);
+  bench_put "certify" (Dvm.Certification.report_json rep);
   let m =
     Dvm.Certification.mutation_run ~small:true ~seed:certify_seed
       ~count:certify_mutants_per_class ()
   in
   let rate = Dvm.Certification.kill_rate m in
-  Printf.printf
-    "\nmutation: seed %Ld, %d mutants: %d killed by verifier, %d by \
-     certifier,\n%d survived (kill rate %.1f%%, bar %.0f%%)\n"
-    m.Dvm.Certification.mt_seed m.Dvm.Certification.mt_mutants
-    m.Dvm.Certification.mt_killed_verifier
-    m.Dvm.Certification.mt_killed_certifier
-    (List.length m.Dvm.Certification.mt_survivors)
-    (100. *. rate) (100. *. certify_kill_bar);
-  List.iter
-    (fun (r : Dvm.Certification.mutation_result) ->
-      Printf.printf "  survivor: %s: %s\n" r.Dvm.Certification.mu_class
-        r.Dvm.Certification.mu_desc)
-    m.Dvm.Certification.mt_survivors;
-  bench_put "mutation"
-    (Printf.sprintf
-       {|{"seed":%Ld,"mutants":%d,"killed_verifier":%d,"killed_certifier":%d,"kill_rate":%.4f,"survivors":[%s]}|}
-       m.Dvm.Certification.mt_seed m.Dvm.Certification.mt_mutants
-       m.Dvm.Certification.mt_killed_verifier
-       m.Dvm.Certification.mt_killed_certifier rate
-       (String.concat ","
-          (List.map
-             (fun (r : Dvm.Certification.mutation_result) ->
-               Printf.sprintf {|"%s: %s"|} r.Dvm.Certification.mu_class
-                 r.Dvm.Certification.mu_desc)
-             m.Dvm.Certification.mt_survivors)));
+  print_string
+    ("\n" ^ Dvm.Certification.mutation_text ~bar:certify_kill_bar m);
+  bench_put "mutation" (Dvm.Certification.mutation_json m);
   if nfail > 0 || rate < certify_kill_bar then begin
     Printf.eprintf "certify: FAILED (failures=%d, kill rate %.3f)\n" nfail rate;
     exit 1
@@ -924,10 +945,10 @@ let certify () =
 (* --- Faults: availability under injected faults. ---
 
    The experiment §5's replication argument calls for but the paper
-   never runs: startup latency through the proxy as the client's LAN
-   loses packets, and the cost of a primary crash with and without a
-   second replica to fail over to. Deterministic for the scenario
-   seed: rerunning prints byte-identical tables. *)
+   never runs: startup latency through the proxy farm as the client's
+   LAN loses packets, and the cost of a shard crash with and without a
+   second shard to fail over to. Deterministic for the scenario seed:
+   rerunning prints byte-identical tables. *)
 
 let faults () =
   section "Faults: availability vs loss rate (jlex startup, seeded faults)";
@@ -964,7 +985,7 @@ let faults () =
   in
   Dvm.Availability.print_table loss;
   bench_put "loss_sweep" (av_points_json loss);
-  subsection "primary crash at t=400ms (down 2.5s, cache-cold restart)";
+  subsection "shard 0 crash at t=400ms (down 2.5s, cache-cold restart)";
   let crash =
     Dvm.Availability.(
       sweep ~scenario:crash_scenario ~loss_pcts:[ 1.0 ]
@@ -976,8 +997,7 @@ let faults () =
     (fun p ->
       if p.Dvm.Availability.av_degraded > 0 then
         Printf.printf
-          "  %d replica(s): %d classes degraded to the error-propagation \
-           replacement\n"
+          "  %d replica(s): %d classes degraded (retry budget exhausted)\n"
           p.Dvm.Availability.av_replicas p.Dvm.Availability.av_degraded
       else
         Printf.printf "  %d replica(s): all classes served (%d failovers)\n"
@@ -1071,28 +1091,8 @@ let farm () =
 let chaos () =
   section "Chaos: overload control under faults and a 3x load spike";
   let cfg = Dvm.Chaos.default_config in
-  Printf.printf
-    "%d shards, %d clients (x%d flash crowd at %d..%ds), %d crash windows,\n\
-     %.1f%% LAN loss, %.0f ms deadline budget, seed %d\n\n"
-    cfg.Dvm.Chaos.ch_shards cfg.Dvm.Chaos.ch_clients
-    cfg.Dvm.Chaos.ch_spike_factor cfg.Dvm.Chaos.ch_spike_start_s
-    (cfg.Dvm.Chaos.ch_spike_start_s + cfg.Dvm.Chaos.ch_spike_len_s)
-    cfg.Dvm.Chaos.ch_crashes cfg.Dvm.Chaos.ch_loss_pct
-    (Int64.to_float cfg.Dvm.Chaos.ch_budget_us /. 1e3)
-    cfg.Dvm.Chaos.ch_seed;
+  print_endline (Dvm.Chaos.config_banner cfg);
   subsection "overload control on vs off (same spike, same seed)";
-  let outcome_json o =
-    Printf.sprintf
-      "{\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d,\"hedges\":%d,\"hedge_wins\":%d,\"retries\":%d,\"breaker_trips\":%d,\"deadline_violations\":%d,\"goodput_bps\":%.1f,\"p50_us\":%Ld,\"p95_us\":%Ld,\"p99_us\":%Ld,\"trace_digest\":\"%s\",\"slo\":%s}"
-      o.Dvm.Chaos.co_fetches o.Dvm.Chaos.co_served o.Dvm.Chaos.co_stale_served
-      o.Dvm.Chaos.co_failed o.Dvm.Chaos.co_shed o.Dvm.Chaos.co_hedges
-      o.Dvm.Chaos.co_hedge_wins o.Dvm.Chaos.co_retries
-      o.Dvm.Chaos.co_breaker_trips o.Dvm.Chaos.co_deadline_violations
-      o.Dvm.Chaos.co_goodput_bps o.Dvm.Chaos.co_p50_us o.Dvm.Chaos.co_p95_us
-      o.Dvm.Chaos.co_p99_us
-      (Dsig.Md5.to_hex o.Dvm.Chaos.co_trace_digest)
-      (Telemetry.Slo.report_json o.Dvm.Chaos.co_slo)
-  in
   let cmp = Dvm.Chaos.spike_comparison cfg in
   Dvm.Chaos.print_outcome ~label:"control" cmp.Dvm.Chaos.cmp_control;
   Dvm.Chaos.print_outcome ~label:"baseline" cmp.Dvm.Chaos.cmp_baseline;
@@ -1100,23 +1100,17 @@ let chaos () =
     "\ngoodput (in-deadline bytes/s) with control = %.2fx baseline (bar: \
      >= 2x)\n"
     cmp.Dvm.Chaos.cmp_goodput_ratio;
-  bench_put "control" (outcome_json cmp.Dvm.Chaos.cmp_control);
-  bench_put "baseline" (outcome_json cmp.Dvm.Chaos.cmp_baseline);
+  bench_put "control" (Dvm.Chaos.outcome_json cmp.Dvm.Chaos.cmp_control);
+  bench_put "baseline" (Dvm.Chaos.outcome_json cmp.Dvm.Chaos.cmp_baseline);
   bench_put "goodput_ratio"
     (Printf.sprintf "%.2f" cmp.Dvm.Chaos.cmp_goodput_ratio);
   subsection "invariants vs the fault-free reference run";
   let v = Dvm.Chaos.verify cfg in
   Dvm.Chaos.print_outcome ~label:"reference" v.Dvm.Chaos.v_reference;
   Dvm.Chaos.print_outcome ~label:"chaotic" v.Dvm.Chaos.v_chaotic;
-  Printf.printf
-    "\nserved bytes digest-identical: %b\n\
-     zero serves past deadline:     %b\n\
-     steady-state recovery:         %b (tail serves %d vs reference %d)\n"
-    v.Dvm.Chaos.v_digests_ok v.Dvm.Chaos.v_no_late_serves
-    v.Dvm.Chaos.v_recovered v.Dvm.Chaos.v_chaotic.Dvm.Chaos.co_tail_served
-    v.Dvm.Chaos.v_reference.Dvm.Chaos.co_tail_served;
-  bench_put "reference" (outcome_json v.Dvm.Chaos.v_reference);
-  bench_put "chaotic" (outcome_json v.Dvm.Chaos.v_chaotic);
+  print_string ("\n" ^ Dvm.Chaos.verdict_text v);
+  bench_put "reference" (Dvm.Chaos.outcome_json v.Dvm.Chaos.v_reference);
+  bench_put "chaotic" (Dvm.Chaos.outcome_json v.Dvm.Chaos.v_chaotic);
   bench_put "invariants"
     (Printf.sprintf
        "{\"digests_ok\":%b,\"no_late_serves\":%b,\"recovered\":%b}"
@@ -1132,82 +1126,16 @@ let chaos () =
 let control () =
   section "Control plane: policy bump under partition and split brain";
   let cfg = Dvm.Chaos.default_control_config in
-  Printf.printf
-    "%d shards, %d clients, %d applets, bump at %ds, %d control-link \
-     partition\n\
-     windows of %ds (the first spans the bump), restart %s, leader crash \
-     %s,\n\
-     leader partition %s, churn every %ds, snapshot every %d, %.0f ms \
-     lease, seed %d\n\n"
-    cfg.Dvm.Chaos.cc_shards cfg.Dvm.Chaos.cc_clients cfg.Dvm.Chaos.cc_applets
-    cfg.Dvm.Chaos.cc_bump_at_s cfg.Dvm.Chaos.cc_partitions
-    cfg.Dvm.Chaos.cc_partition_len_s
-    (if cfg.Dvm.Chaos.cc_restart_shard then "on" else "off")
-    (if cfg.Dvm.Chaos.cc_leader_crash then "on" else "off")
-    (if cfg.Dvm.Chaos.cc_leader_partition then "on" else "off")
-    cfg.Dvm.Chaos.cc_churn_s cfg.Dvm.Chaos.cc_snapshot_every
-    (Int64.to_float cfg.Dvm.Chaos.cc_lease_us /. 1e3)
-    cfg.Dvm.Chaos.cc_seed;
-  let outcome_json o =
-    Printf.sprintf
-      "{\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d,\"base_version\":%d,\"new_version\":%d,\"commit_us\":%Ld,\"revoked_serves\":%d,\"inflight_exempt\":%d,\"fence_rejects\":%d,\"resyncs\":%d,\"stale_drops\":%d,\"invalidations\":%d,\"heartbeats\":%d,\"commits\":%d,\"term\":%d,\"member_terms\":[%s],\"elections\":%d,\"leader_changes\":%d,\"stepdowns\":%d,\"redrives\":%d,\"compactions\":%d,\"snapshot_installs\":%d,\"max_leased\":%d,\"term_regressions\":%d,\"replay_ok\":%b,\"converged\":%b,\"changed_applets\":[%s],\"digests\":{%s},\"trace_digest\":\"%s\"}"
-      o.Dvm.Chaos.cn_fetches o.Dvm.Chaos.cn_served o.Dvm.Chaos.cn_stale_served
-      o.Dvm.Chaos.cn_failed o.Dvm.Chaos.cn_shed o.Dvm.Chaos.cn_base_version
-      o.Dvm.Chaos.cn_new_version o.Dvm.Chaos.cn_commit_us
-      o.Dvm.Chaos.cn_revoked_serves o.Dvm.Chaos.cn_inflight_exempt
-      o.Dvm.Chaos.cn_fence_rejects o.Dvm.Chaos.cn_resyncs
-      o.Dvm.Chaos.cn_stale_drops o.Dvm.Chaos.cn_invalidations
-      o.Dvm.Chaos.cn_heartbeats o.Dvm.Chaos.cn_commits o.Dvm.Chaos.cn_term
-      (String.concat ","
-         (List.map string_of_int o.Dvm.Chaos.cn_member_terms))
-      o.Dvm.Chaos.cn_elections o.Dvm.Chaos.cn_leader_changes
-      o.Dvm.Chaos.cn_stepdowns o.Dvm.Chaos.cn_redrives
-      o.Dvm.Chaos.cn_compactions o.Dvm.Chaos.cn_snapshot_installs
-      o.Dvm.Chaos.cn_max_leased o.Dvm.Chaos.cn_term_regressions
-      o.Dvm.Chaos.cn_replay_ok o.Dvm.Chaos.cn_converged
-      (String.concat ","
-         (List.map
-            (fun a -> Printf.sprintf "\"%s\"" a)
-            o.Dvm.Chaos.cn_changed_applets))
-      (String.concat ","
-         (List.map
-            (fun (k, ds) ->
-              Printf.sprintf "\"%s\":[%s]" k
-                (String.concat ","
-                   (List.map
-                      (fun d -> Printf.sprintf "\"%s\"" (Dsig.Md5.to_hex d))
-                      ds)))
-            o.Dvm.Chaos.cn_digests))
-      (Dsig.Md5.to_hex o.Dvm.Chaos.cn_trace_digest)
-  in
+  print_endline (Dvm.Chaos.control_config_banner cfg);
   subsection "invariants vs the partition-free reference run";
   let w = Dvm.Chaos.verify_control cfg in
   Dvm.Chaos.print_control_outcome ~label:"reference" w.Dvm.Chaos.w_reference;
   Dvm.Chaos.print_control_outcome ~label:"chaotic" w.Dvm.Chaos.w_chaotic;
   let c = w.Dvm.Chaos.w_chaotic in
-  Printf.printf
-    "\nbump v%d -> v%d; %d applets change bytes\n\
-     no serves under revoked version: %b (in-flight exempt: %d)\n\
-     at most one leased leader:      %b (max sampled %d, term regressions \
-     %d)\n\
-     snapshot catch-up = replay:     %b (%d compactions, %d installs)\n\
-     every shard converged:          %b\n\
-     unaffected digests identical:   %b\n"
-    c.Dvm.Chaos.cn_base_version c.Dvm.Chaos.cn_new_version
-    (List.length c.Dvm.Chaos.cn_changed_applets)
-    w.Dvm.Chaos.w_no_revoked_serves c.Dvm.Chaos.cn_inflight_exempt
-    w.Dvm.Chaos.w_single_leader c.Dvm.Chaos.cn_max_leased
-    c.Dvm.Chaos.cn_term_regressions w.Dvm.Chaos.w_replay_ok
-    c.Dvm.Chaos.cn_compactions c.Dvm.Chaos.cn_snapshot_installs
-    w.Dvm.Chaos.w_converged w.Dvm.Chaos.w_digests_ok;
-  bench_put "reference" (outcome_json w.Dvm.Chaos.w_reference);
-  bench_put "chaotic" (outcome_json c);
-  bench_put "invariants"
-    (Printf.sprintf
-       "{\"no_revoked_serves\":%b,\"single_leader\":%b,\"replay_ok\":%b,\"converged\":%b,\"digests_ok\":%b}"
-       w.Dvm.Chaos.w_no_revoked_serves w.Dvm.Chaos.w_single_leader
-       w.Dvm.Chaos.w_replay_ok w.Dvm.Chaos.w_converged
-       w.Dvm.Chaos.w_digests_ok);
+  print_string ("\n" ^ Dvm.Chaos.control_verdict_text w);
+  bench_put "reference" (Dvm.Chaos.control_outcome_json w.Dvm.Chaos.w_reference);
+  bench_put "chaotic" (Dvm.Chaos.control_outcome_json c);
+  bench_put "invariants" (Dvm.Chaos.control_invariants_json w);
   subsection "injected-fault trace (replayable from the seed)";
   List.iter (Printf.printf "  %s\n") c.Dvm.Chaos.cn_fault_trace;
   if not (Dvm.Chaos.control_ok w) then begin
@@ -1217,11 +1145,12 @@ let control () =
 
 (* --- Perf: wall-clock trajectory against the pinned baselines. ---
 
-   Re-runs the three phases that write BENCH_<phase>.json, then diffs
-   each fresh file against the baseline that was on disk (i.e. the
-   committed one, in a clean tree) — ignoring only the wall_ms line,
-   which is host time. Any other difference is digest/metric drift:
-   an optimization changed behaviour, and the phase exits non-zero.
+   Re-runs every phase in [pinned], each writing BENCH_<phase>.json,
+   then diffs each fresh file against the baseline that was on disk
+   (i.e. the committed one, in a clean tree) — ignoring only the
+   wall_ms line, which is host time. Any other difference is
+   digest/metric drift: an optimization changed behaviour, and the
+   phase exits non-zero.
    When the pin holds, the wall_ms columns show the speed trajectory:
    baseline milliseconds vs this run, per phase. *)
 
@@ -1259,12 +1188,13 @@ let perf () =
   (* elide runs on the host clock (no simnet engine), so its latency
      histograms are wall time and not pinnable — hists:false. Same for
      control: its offline digest cross-check replays the pipeline
-     outside the sim clock, so filter_us histograms carry wall time. *)
+     outside the sim clock, so filter_us histograms carry wall time;
+     and for paper, whose Figure-6/12 app runs use no engine. *)
   let pinned =
     [
       ("faults", faults, true); ("farm", farm, true); ("chaos", chaos, true);
       ("control", control, false); ("elide", elide, false);
-      ("certify", certify, true);
+      ("certify", certify, true); ("paper", paper, false);
     ]
   in
   let baselines =
@@ -1308,21 +1238,19 @@ let perf () =
       "\n\
        perf: BENCH baseline drift — served bytes, digests or metrics \
        changed.\n\
-       Inspect with: git diff -I '\"wall_ms\"' BENCH_faults.json \
-       BENCH_farm.json BENCH_chaos.json BENCH_control.json\n";
+       Inspect with: git diff -I '\"wall_ms\"' %s\n"
+      (String.concat " "
+         (List.map (fun (n, _, _) -> Printf.sprintf "BENCH_%s.json" n) pinned));
     exit 1
   end
 
 let all () =
   with_phase "fig5" fig5;
-  with_phase "fig6" fig6;
+  with_phase ~json:true ~hists:false "paper" paper;
   with_phase "fig7" fig7;
-  with_phase "fig8" fig8;
   with_phase "fig9" fig9;
   with_phase "applets" applets;
-  with_phase "fig10" fig10;
   with_phase "fig11" fig11;
-  with_phase "fig12" fig12;
   with_phase "ablations" ablations;
   with_phase ~json:true ~hists:false "elide" elide;
   with_phase ~json:true "certify" certify;
@@ -1351,12 +1279,13 @@ let () =
   | "farm" -> with_phase ~json:true "farm" farm
   | "chaos" -> with_phase ~json:true "chaos" chaos
   | "control" -> with_phase ~json:true ~hists:false "control" control
+  | "paper" -> with_phase ~json:true ~hists:false "paper" paper
   | "micro" -> micro ()
   | "perf" -> perf ()
   | "all" -> all ()
   | other ->
     Printf.eprintf
       "unknown target %S (expected fig5..fig12, applets, ablations, elide, \
-       certify, faults, farm, chaos, control, micro, perf, all)\n"
+       certify, faults, farm, chaos, control, paper, micro, perf, all)\n"
       other;
     exit 1

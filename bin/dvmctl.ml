@@ -343,25 +343,20 @@ let lint json =
             cf.Bytecode.Classfile.methods)
         app.Workloads.Appgen.classes)
     Workloads.Apps.all_specs;
-  (if json then
-     let escape s =
-       String.concat ""
-         (List.map
-            (function
-              | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-              | c -> String.make 1 c)
-            (List.init (String.length s) (String.get s)))
-     in
-     Printf.printf
-       {|{"classes":%d,"methods":%d,"blocks":%d,"failures":%d,"failed":[%s]}|}
-       !classes !methods !blocks !failures
-       (String.concat ","
-          (List.rev_map (fun f -> Printf.sprintf {|"%s"|} (escape f)) !failed));
-     print_newline ()
-   else
-     Printf.printf
-       "lint: %d classes, %d methods, %d blocks analyzed, %d failure(s)\n"
-       !classes !methods !blocks !failures);
+  if json then begin
+    Printf.printf
+      {|{"classes":%d,"methods":%d,"blocks":%d,"failures":%d,"failed":[%s]}|}
+      !classes !methods !blocks !failures
+      (String.concat ","
+         (List.rev_map
+            (fun f -> Printf.sprintf {|"%s"|} (Telemetry.json_escape f))
+            !failed));
+    print_newline ()
+  end
+  else
+    Printf.printf
+      "lint: %d classes, %d methods, %d blocks analyzed, %d failure(s)\n"
+      !classes !methods !blocks !failures;
   if !failures > 0 then 1 else 0
 
 (* --- certify: rewrite every bundled workload under the covering
@@ -371,14 +366,6 @@ let lint json =
    bar. --- *)
 
 let certify json mutate seed count min_kill small =
-  let escape s =
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
   let rep = Dvm.Certification.certify_workloads ~small () in
   let mrep =
     if mutate then
@@ -387,78 +374,33 @@ let certify json mutate seed count min_kill small =
            ~count ())
     else None
   in
-  let nfail = List.length rep.Dvm.Certification.rp_failures in
   if json then begin
-    let mutation_json =
-      match mrep with
-      | None -> ""
-      | Some m ->
-        Printf.sprintf
-          {|,"mutation":{"seed":%Ld,"mutants":%d,"killed_verifier":%d,"killed_certifier":%d,"kill_rate":%.4f,"survivors":[%s]}|}
-          m.Dvm.Certification.mt_seed m.Dvm.Certification.mt_mutants
-          m.Dvm.Certification.mt_killed_verifier
-          m.Dvm.Certification.mt_killed_certifier
-          (Dvm.Certification.kill_rate m)
-          (String.concat ","
-             (List.map
-                (fun (r : Dvm.Certification.mutation_result) ->
-                  Printf.sprintf {|"%s: %s"|} (escape r.Dvm.Certification.mu_class)
-                    (escape r.Dvm.Certification.mu_desc))
-                m.Dvm.Certification.mt_survivors))
-    in
-    Printf.printf
-      {|{"apps":%d,"classes":%d,"methods":%d,"sites":%d,"live":%d,"certified":%d,"hoists":%d,"cert_entries":%d,"elided":%d,"failures":%d,"failed":[%s]%s}|}
-      rep.Dvm.Certification.rp_apps rep.Dvm.Certification.rp_classes
-      rep.Dvm.Certification.rp_methods rep.Dvm.Certification.rp_sites
-      rep.Dvm.Certification.rp_live rep.Dvm.Certification.rp_certified
-      rep.Dvm.Certification.rp_hoists rep.Dvm.Certification.rp_cert_entries
-      rep.Dvm.Certification.rp_elided nfail
+    Printf.printf {|{"apps":%d,"certify":%s,"failed":[%s]%s}|}
+      rep.Dvm.Certification.rp_apps
+      (Dvm.Certification.report_json rep)
       (String.concat ","
          (List.map
             (fun (cls, why) ->
-              Printf.sprintf {|"%s: %s"|} (escape cls) (escape why))
+              Printf.sprintf {|"%s"|}
+                (Telemetry.json_escape (cls ^ ": " ^ why)))
             rep.Dvm.Certification.rp_failures))
-      mutation_json;
+      (match mrep with
+      | None -> ""
+      | Some m -> {|,"mutation":|} ^ Dvm.Certification.mutation_json m);
     print_newline ()
   end
   else begin
-    Printf.printf
-      "certify: %d apps, %d classes, %d methods\n\
-      \  %d protected sites: %d live checks, %d certificate-backed (%d hoists)\n\
-      \  %d certificate entries emitted, %d checks elided by the rewriter\n\
-      \  %d failure(s)\n"
-      rep.Dvm.Certification.rp_apps rep.Dvm.Certification.rp_classes
-      rep.Dvm.Certification.rp_methods rep.Dvm.Certification.rp_sites
-      rep.Dvm.Certification.rp_live rep.Dvm.Certification.rp_certified
-      rep.Dvm.Certification.rp_hoists rep.Dvm.Certification.rp_cert_entries
-      rep.Dvm.Certification.rp_elided nfail;
-    List.iter
-      (fun (cls, why) -> Printf.eprintf "certify: %s: %s\n" cls why)
-      rep.Dvm.Certification.rp_failures;
-    match mrep with
-    | None -> ()
-    | Some m ->
-      Printf.printf
-        "mutation: seed %Ld, %d mutants: %d killed by verifier, %d by \
-         certifier, %d survived (kill rate %.1f%%, bar %.0f%%)\n"
-        m.Dvm.Certification.mt_seed m.Dvm.Certification.mt_mutants
-        m.Dvm.Certification.mt_killed_verifier
-        m.Dvm.Certification.mt_killed_certifier
-        (List.length m.Dvm.Certification.mt_survivors)
-        (100. *. Dvm.Certification.kill_rate m)
-        (100. *. min_kill);
-      List.iter
-        (fun (r : Dvm.Certification.mutation_result) ->
-          Printf.printf "  survivor: %s: %s\n" r.Dvm.Certification.mu_class
-            r.Dvm.Certification.mu_desc)
-        m.Dvm.Certification.mt_survivors
+    print_string ("certify: " ^ Dvm.Certification.report_text rep);
+    Option.iter
+      (fun m -> print_string (Dvm.Certification.mutation_text ~bar:min_kill m))
+      mrep
   end;
   let kill_ok =
     match mrep with
     | None -> true
     | Some m -> Dvm.Certification.kill_rate m >= min_kill
   in
-  if nfail > 0 || not kill_ok then 1 else 0
+  if rep.Dvm.Certification.rp_failures <> [] || not kill_ok then 1 else 0
 
 (* --- trace / metrics: run an instrumented workload and export
    telemetry (spans in Chrome trace_event form for Perfetto, or a
@@ -727,16 +669,7 @@ let chaos seed shards clients duration spike spike_start spike_len crashes
       ch_trace = true;
     }
   in
-  Printf.printf
-    "chaos: %d shards, %d clients (x%d flash crowd at %d..%ds), %d crash \
-     windows,\n\
-     %.1f%% LAN loss, %d ms deadline budget, overload control %s, seed %d\n\n"
-    cfg.Dvm.Chaos.ch_shards cfg.Dvm.Chaos.ch_clients
-    cfg.Dvm.Chaos.ch_spike_factor cfg.Dvm.Chaos.ch_spike_start_s
-    (cfg.Dvm.Chaos.ch_spike_start_s + cfg.Dvm.Chaos.ch_spike_len_s)
-    cfg.Dvm.Chaos.ch_crashes cfg.Dvm.Chaos.ch_loss_pct budget_ms
-    (if cfg.Dvm.Chaos.ch_control then "on" else "OFF")
-    cfg.Dvm.Chaos.ch_seed;
+  print_endline ("chaos: " ^ Dvm.Chaos.config_banner cfg);
   if compare then begin
     let cmp = Dvm.Chaos.spike_comparison cfg in
     Dvm.Chaos.print_outcome ~label:"control" cmp.Dvm.Chaos.cmp_control;
@@ -748,13 +681,7 @@ let chaos seed shards clients duration spike spike_start spike_len crashes
   if compare then print_newline ();
   Dvm.Chaos.print_outcome ~label:"reference" v.Dvm.Chaos.v_reference;
   Dvm.Chaos.print_outcome ~label:"chaotic" v.Dvm.Chaos.v_chaotic;
-  Printf.printf
-    "\nserved bytes digest-identical: %b\n\
-     zero serves past deadline:     %b\n\
-     steady-state recovery:         %b (tail serves %d vs reference %d)\n"
-    v.Dvm.Chaos.v_digests_ok v.Dvm.Chaos.v_no_late_serves
-    v.Dvm.Chaos.v_recovered v.Dvm.Chaos.v_chaotic.Dvm.Chaos.co_tail_served
-    v.Dvm.Chaos.v_reference.Dvm.Chaos.co_tail_served;
+  print_string ("\n" ^ Dvm.Chaos.verdict_text v);
   if trace then begin
     Printf.printf "\ninjected-fault trace (replayable from seed %d):\n" seed;
     match v.Dvm.Chaos.v_chaotic.Dvm.Chaos.co_fault_trace with
@@ -795,81 +722,25 @@ let control seed shards clients duration applets partitions partition_len
     }
   in
   if not json then
-    Printf.printf
-      "control: %d shards, %d clients, %d applets, policy bump at %ds,\n\
-       %d control-link partition windows of %ds (first spans the bump), \
-       restart %s,\n\
-       leader crash %s, leader partition %s, churn every %ds, snapshot \
-       every %d,\n\
-       %d ms lease, seed %d\n\n"
-      cfg.Dvm.Chaos.cc_shards cfg.Dvm.Chaos.cc_clients cfg.Dvm.Chaos.cc_applets
-      cfg.Dvm.Chaos.cc_bump_at_s cfg.Dvm.Chaos.cc_partitions
-      cfg.Dvm.Chaos.cc_partition_len_s
-      (if cfg.Dvm.Chaos.cc_restart_shard then "on" else "off")
-      (if cfg.Dvm.Chaos.cc_leader_crash then "on" else "off")
-      (if cfg.Dvm.Chaos.cc_leader_partition then "on" else "off")
-      cfg.Dvm.Chaos.cc_churn_s cfg.Dvm.Chaos.cc_snapshot_every lease_ms
-      cfg.Dvm.Chaos.cc_seed;
+    print_endline ("control: " ^ Dvm.Chaos.control_config_banner cfg);
   let w = Dvm.Chaos.verify_control cfg in
   let c = w.Dvm.Chaos.w_chaotic in
   let ok = Dvm.Chaos.control_ok w in
   if json then begin
-    let escape s =
-      String.concat ""
-        (List.map
-           (function
-             | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    in
-    let slist l =
-      String.concat "," (List.map (fun s -> Printf.sprintf {|"%s"|} (escape s)) l)
-    in
-    let ilist l = String.concat "," (List.map string_of_int l) in
     Printf.printf
-      {|{"seed":%d,"shards":%d,"fetches":%d,"served":%d,"failed":%d,"commit_us":%Ld,"term":%d,"member_terms":[%s],"elections":%d,"leader_changes":%d,"stepdowns":%d,"redrives":%d,"compactions":%d,"snapshot_installs":%d,"max_leased":%d,"term_regressions":%d,"resyncs":%d,"fence_rejects":%d,"invalidations":%d,"revoked_serves":%d,"member_versions":[%s],"changed_applets":[%s],"invariants":{"no_revoked_serves":%b,"single_leader":%b,"replay_ok":%b,"converged":%b,"digests_ok":%b,"ok":%b}}|}
-      c.Dvm.Chaos.cn_seed cfg.Dvm.Chaos.cc_shards c.Dvm.Chaos.cn_fetches
-      c.Dvm.Chaos.cn_served c.Dvm.Chaos.cn_failed c.Dvm.Chaos.cn_commit_us
-      c.Dvm.Chaos.cn_term
-      (ilist c.Dvm.Chaos.cn_member_terms)
-      c.Dvm.Chaos.cn_elections c.Dvm.Chaos.cn_leader_changes
-      c.Dvm.Chaos.cn_stepdowns c.Dvm.Chaos.cn_redrives
-      c.Dvm.Chaos.cn_compactions c.Dvm.Chaos.cn_snapshot_installs
-      c.Dvm.Chaos.cn_max_leased c.Dvm.Chaos.cn_term_regressions
-      c.Dvm.Chaos.cn_resyncs c.Dvm.Chaos.cn_fence_rejects
-      c.Dvm.Chaos.cn_invalidations c.Dvm.Chaos.cn_revoked_serves
-      (ilist c.Dvm.Chaos.cn_member_versions)
-      (slist c.Dvm.Chaos.cn_changed_applets)
-      w.Dvm.Chaos.w_no_revoked_serves w.Dvm.Chaos.w_single_leader
-      w.Dvm.Chaos.w_replay_ok w.Dvm.Chaos.w_converged
-      w.Dvm.Chaos.w_digests_ok ok;
+      {|{"seed":%d,"shards":%d,"member_versions":[%s],"chaotic":%s,"invariants":%s,"ok":%b}|}
+      c.Dvm.Chaos.cn_seed cfg.Dvm.Chaos.cc_shards
+      (String.concat ","
+         (List.map string_of_int c.Dvm.Chaos.cn_member_versions))
+      (Dvm.Chaos.control_outcome_json c)
+      (Dvm.Chaos.control_invariants_json w)
+      ok;
     print_newline ()
   end
   else begin
     Dvm.Chaos.print_control_outcome ~label:"reference" w.Dvm.Chaos.w_reference;
     Dvm.Chaos.print_control_outcome ~label:"chaotic" w.Dvm.Chaos.w_chaotic;
-    Printf.printf
-      "\nbump v%d -> v%d committed at %Ld us; %d applets change bytes: %s\n"
-      c.Dvm.Chaos.cn_base_version c.Dvm.Chaos.cn_new_version
-      c.Dvm.Chaos.cn_commit_us
-      (List.length c.Dvm.Chaos.cn_changed_applets)
-      (String.concat ", " c.Dvm.Chaos.cn_changed_applets);
-    Printf.printf
-      "\nno serves under revoked version: %b (in-flight exempt: %d)\n\
-       at most one leased leader:      %b (max sampled %d, term \
-       regressions %d)\n\
-       snapshot catch-up = replay:     %b (%d compactions, %d installs)\n\
-       every shard converged:          %b (versions %s, terms %s)\n\
-       unaffected digests identical:   %b\n"
-      w.Dvm.Chaos.w_no_revoked_serves c.Dvm.Chaos.cn_inflight_exempt
-      w.Dvm.Chaos.w_single_leader c.Dvm.Chaos.cn_max_leased
-      c.Dvm.Chaos.cn_term_regressions w.Dvm.Chaos.w_replay_ok
-      c.Dvm.Chaos.cn_compactions c.Dvm.Chaos.cn_snapshot_installs
-      w.Dvm.Chaos.w_converged
-      (String.concat " "
-         (List.map string_of_int c.Dvm.Chaos.cn_member_versions))
-      (String.concat " " (List.map string_of_int c.Dvm.Chaos.cn_member_terms))
-      w.Dvm.Chaos.w_digests_ok;
+    print_string ("\n" ^ Dvm.Chaos.control_verdict_text w);
     if trace then begin
       Printf.printf "\ninjected-fault trace (replayable from seed %d):\n" seed;
       match c.Dvm.Chaos.cn_fault_trace with
@@ -1126,8 +997,7 @@ let faults_cmd =
   let crash =
     Arg.(value & flag
          & info [ "crash" ]
-             ~doc:"crash the primary proxy at t=400ms for 2.5s (cache-cold \
-                   restart)")
+             ~doc:"crash shard 0 at t=400ms for 2.5s (cache-cold restart)")
   in
   let losses =
     Arg.(value & opt (list float) [ 0.0; 1.0; 5.0; 10.0 ]
@@ -1137,7 +1007,8 @@ let faults_cmd =
   let replicas =
     Arg.(value & opt (list int) [ 1; 2 ]
          & info [ "replicas" ] ~docv:"NS"
-             ~doc:"comma-separated proxy replica counts")
+             ~doc:"comma-separated replica counts (shards in the proxy \
+                   farm)")
   in
   let trace =
     Arg.(value & flag

@@ -91,47 +91,3 @@ let entry_to_string e =
   Printf.sprintf "site @%d: %s, %s" e.ce_site
     (fact_to_string e.ce_fact)
     (kind_to_string e.ce_kind)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let fact_json = function
-  | Available_check p ->
-    Printf.sprintf {|{"kind":"available_check","permission":"%s"}|}
-      (json_escape p)
-  | Nonnull_stack d -> Printf.sprintf {|{"kind":"nonnull_stack","depth":%d}|} d
-  | Int_range { slot; lo; hi } ->
-    Printf.sprintf {|{"kind":"int_range","slot":%d,"lo":%d,"hi":%d}|} slot lo hi
-
-let kind_json = function
-  | Elided { support } ->
-    Printf.sprintf {|{"kind":"elided","support":[%s]}|}
-      (String.concat "," (List.map string_of_int support))
-  | Hoisted { check_site; header } ->
-    Printf.sprintf {|{"kind":"hoisted","check_site":%d,"header":%d}|}
-      check_site header
-
-let entry_json e =
-  Printf.sprintf {|{"site":%d,"fact":%s,"by":%s}|} e.ce_site
-    (fact_json e.ce_fact) (kind_json e.ce_kind)
-
-let to_json (cc : class_cert) =
-  Printf.sprintf {|{"class":"%s","methods":[%s]}|} (json_escape cc.cc_name)
-    (String.concat ","
-       (List.map
-          (fun mc ->
-            Printf.sprintf {|{"method":"%s","desc":"%s","entries":[%s]}|}
-              (json_escape mc.mc_name) (json_escape mc.mc_desc)
-              (String.concat "," (List.map entry_json mc.mc_entries)))
-          cc.cc_methods))

@@ -50,4 +50,3 @@ val entry_count : class_cert -> int
 
 val fact_to_string : fact -> string
 val entry_to_string : entry -> string
-val to_json : class_cert -> string

@@ -1,16 +1,18 @@
 (* The availability experiment the paper's §5 replication argument
    calls for but never runs: application startup through the proxy
    under injected faults — link loss and jitter on the client's LAN,
-   and a primary-proxy crash mid-startup — at 1 and 2 replicas.
+   and a shard crash mid-startup — with N replicas, i.e. an N-shard
+   Proxy.Farm.
 
    A single client fetches every class of a workload application
-   sequentially through a replica facade. Each fetch runs under a
-   timeout with bounded exponential-backoff retry; when the retry
-   budget for a class is exhausted the client gives up on it (in the
-   real client the error-propagation replacement class is served —
-   see Dvm.Client.resilient_provider) and moves on. Everything is
-   driven by one seeded fault plan, so a run is a pure function of
-   (seed, loss, replicas, scenario): byte-identical across repeats. *)
+   sequentially through the farm. Each fetch runs under a per-attempt
+   timeout with bounded exponential-backoff retry — the client's own
+   loop, since Client.Session retries only shed requests and this
+   experiment measures what retrying a lost or refused fetch costs.
+   When the retry budget for a class is exhausted the client gives up
+   on it (the class degrades) and moves on. Everything is driven by
+   one seeded fault plan, so a run is a pure function of (seed, loss,
+   replicas, scenario): byte-identical across repeats. *)
 
 type scenario = {
   sc_seed : int;
@@ -20,7 +22,7 @@ type scenario = {
   sc_base_backoff_us : int;
   sc_max_backoff_us : int;
   sc_jitter_max_us : int;
-  (* Crash the primary at [fst] for [snd] µs; None = no crash. *)
+  (* Crash shard 0 at [fst] for [snd] µs; None = no crash. *)
   sc_crash_primary : (Simnet.Engine.time * Simnet.Engine.time) option;
   (* Fraction of the crashed proxy's cache that survives the restart. *)
   sc_cache_retained : float;
@@ -55,7 +57,7 @@ type point = {
   av_requests : int; (* attempts issued *)
   av_retries : int;
   av_drops : int; (* transfers lost on the client LAN *)
-  av_failovers : int; (* requests served by a non-primary *)
+  av_failovers : int; (* requests served by a non-owner shard *)
   av_degraded : int; (* classes that exhausted the retry budget *)
   av_trace : string list; (* the fault plan's injected-fault trace *)
 }
@@ -81,21 +83,21 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
       (Jvm.Bootlib.boot_classes () @ app.Workloads.Appgen.classes)
   in
   let pool =
-    Array.init replicas (fun _ ->
+    Array.init replicas (fun i ->
         let services = Experiment.standard_services ~oracle () in
-        Proxy.create engine
+        Proxy.create engine ~host_name:(Scaling.shard_name i)
           ~origin:(Workloads.Appgen.origin app)
           ~origin_latency:(fun _ -> sc.sc_wan_latency)
           ~filters:services.Experiment.filters ())
   in
-  let facade = Proxy.Replica.create engine pool in
+  let farm = Proxy.Farm.create engine pool in
   (match sc.sc_crash_primary with
   | None -> ()
   | Some (at, down_for) ->
     Simnet.Fault.schedule_host_faults plan pool.(0).Proxy.host
       ~on_restart:(fun () ->
-        (* The restarted primary comes back cache-cold (or nearly):
-           the measurable price of failing back. *)
+        (* The restarted shard comes back cache-cold (or nearly): the
+           measurable price of failing back. *)
         Proxy.Cache.drop_fraction pool.(0).Proxy.cache
           ~fraction:(1.0 -. sc.sc_cache_retained))
       ~schedule:[ (at, down_for) ]
@@ -135,7 +137,7 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
             end
           end
         in
-        Proxy.Replica.request facade ~cls (fun reply ->
+        Proxy.Farm.request farm ~cls (fun reply ->
             match reply with
             | Proxy.Bytes b ->
               (* The response crosses the client's (lossy) LAN; a drop
@@ -171,7 +173,7 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
     av_requests = !requests;
     av_retries = !retries;
     av_drops = lan.Simnet.Link.drops;
-    av_failovers = facade.Proxy.Replica.failovers;
+    av_failovers = farm.Proxy.Farm.failovers;
     av_degraded = !degraded;
     av_trace = Simnet.Fault.trace plan;
   }

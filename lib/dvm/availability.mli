@@ -1,6 +1,6 @@
 (** Availability under injected faults (§5's replication argument,
-    evaluated): application startup through 1..N replicated proxies
-    with link loss, latency jitter, and an optional primary crash
+    evaluated): application startup through an N-shard {!Proxy.Farm}
+    with link loss, latency jitter, and an optional shard crash
     mid-startup. Fully deterministic for a fixed scenario seed. *)
 
 type scenario = {
@@ -12,7 +12,7 @@ type scenario = {
   sc_max_backoff_us : int;
   sc_jitter_max_us : int;
   sc_crash_primary : (Simnet.Engine.time * Simnet.Engine.time) option;
-      (** crash the primary at [fst] for [snd] µs *)
+      (** crash shard 0 at [fst] for [snd] µs *)
   sc_cache_retained : float;
       (** fraction of the crashed proxy's cache surviving restart *)
   sc_wan_latency : Simnet.Engine.time;
@@ -23,18 +23,18 @@ val default_scenario : scenario
     backoff, 5 ms jitter, no crash. *)
 
 val crash_scenario : scenario
-(** [default_scenario] plus a primary crash at t=400 ms lasting
+(** [default_scenario] plus a crash of shard 0 at t=400 ms lasting
     2.5 s with a cold-cache restart. *)
 
 type point = {
   av_loss_pct : float;
-  av_replicas : int;
+  av_replicas : int;  (** farm shards *)
   av_classes : int;
   av_startup_us : int64;  (** virtual time to fetch every class *)
   av_requests : int;  (** attempts issued *)
   av_retries : int;
   av_drops : int;  (** transfers lost on the client LAN *)
-  av_failovers : int;  (** requests served by a non-primary *)
+  av_failovers : int;  (** requests served by a non-owner shard *)
   av_degraded : int;  (** classes that exhausted the retry budget *)
   av_trace : string list;  (** the fault plan's injected-fault trace *)
 }

@@ -73,6 +73,28 @@ type report = {
   rp_failures : (string * string) list;  (* class, reason *)
 }
 
+(* The pinned counts (BENCH_certify.json's "certify" object). *)
+let report_json rp =
+  Printf.sprintf
+    {|{"classes":%d,"methods":%d,"sites":%d,"live":%d,"certified":%d,"hoists":%d,"cert_entries":%d,"elided":%d,"failures":%d}|}
+    rp.rp_classes rp.rp_methods rp.rp_sites rp.rp_live rp.rp_certified
+    rp.rp_hoists rp.rp_cert_entries rp.rp_elided
+    (List.length rp.rp_failures)
+
+let report_text rp =
+  Printf.sprintf
+    "%d apps, %d classes, %d methods\n\
+    \  %d protected sites: %d live checks, %d certificate-backed (%d hoists)\n\
+    \  %d certificate entries emitted, %d checks elided by the rewriter\n\
+    \  %d failure(s)\n"
+    rp.rp_apps rp.rp_classes rp.rp_methods rp.rp_sites rp.rp_live
+    rp.rp_certified rp.rp_hoists rp.rp_cert_entries rp.rp_elided
+    (List.length rp.rp_failures)
+  ^ String.concat ""
+      (List.map
+         (fun (cls, why) -> Printf.sprintf "  FAIL %s: %s\n" cls why)
+         rp.rp_failures)
+
 let certify_app ~small spec =
   let app =
     if small then Workloads.Apps.build_small spec else Workloads.Apps.build spec
@@ -172,6 +194,29 @@ let kill_rate r =
   else
     float_of_int (r.mt_killed_verifier + r.mt_killed_certifier)
     /. float_of_int r.mt_mutants
+
+let survivor_line r = r.mu_class ^ ": " ^ r.mu_desc
+
+(* The pinned mutation run (BENCH_certify.json's "mutation" object). *)
+let mutation_json r =
+  Printf.sprintf
+    {|{"seed":%Ld,"mutants":%d,"killed_verifier":%d,"killed_certifier":%d,"kill_rate":%.4f,"survivors":[%s]}|}
+    r.mt_seed r.mt_mutants r.mt_killed_verifier r.mt_killed_certifier
+    (kill_rate r)
+    (String.concat ","
+       (List.map
+          (fun m -> "\"" ^ Telemetry.json_escape (survivor_line m) ^ "\"")
+          r.mt_survivors))
+
+let mutation_text ~bar r =
+  Printf.sprintf
+    "mutation: seed %Ld, %d mutants: %d killed by verifier, %d by \
+     certifier, %d survived (kill rate %.1f%%, bar %.0f%%)\n"
+    r.mt_seed r.mt_mutants r.mt_killed_verifier r.mt_killed_certifier
+    (List.length r.mt_survivors)
+    (100. *. kill_rate r) (100. *. bar)
+  ^ String.concat ""
+      (List.map (fun m -> "  survivor: " ^ survivor_line m ^ "\n") r.mt_survivors)
 
 (* Per-class budget [count]; the per-class seed is derived from the
    run seed and a running class index so the mutant set is a pure

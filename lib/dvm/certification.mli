@@ -29,6 +29,13 @@ type report = {
   rp_failures : (string * string) list;  (** class, reason *)
 }
 
+val report_json : report -> string
+(** The counts as one JSON object (pinned in [BENCH_certify.json]). *)
+
+val report_text : report -> string
+(** The counts, then one ["  FAIL <class>: <reason>"] line per
+    failure. *)
+
 val certify_workloads : ?small:bool -> unit -> report
 (** Rewrite + certify every class of every bundled workload
     ([small:false], the default, uses the full 401-class builds). *)
@@ -51,6 +58,15 @@ type mutation_report = {
 }
 
 val kill_rate : mutation_report -> float
+
+val mutation_json : mutation_report -> string
+(** Seed, counts, kill rate and survivors (["<class>: <desc>"],
+    escaped with {!Telemetry.json_escape}) as one JSON object (pinned
+    in [BENCH_certify.json]). *)
+
+val mutation_text : bar:float -> mutation_report -> string
+(** The summary line against kill-rate [bar], then one
+    ["  survivor: <class>: <desc>"] line per survivor. *)
 
 val mutation_run :
   ?small:bool -> seed:int64 -> count:int -> unit -> mutation_report

@@ -119,14 +119,7 @@ let run (cfg : config) : outcome =
     Telemetry.Trace.reset ();
     Telemetry.Trace.enable ()
   end;
-  let engine = Simnet.Engine.create () in
-  Simnet.Engine.set_tracing engine true;
-  (* Chaos runs are long and every observable event lands in the trace;
-     bound the buffer so a runaway experiment degrades to a dropped-
-     records count instead of unbounded memory. The cap is far above
-     what any pinned seed produces — acceptance traces see every
-     record. *)
-  Simnet.Engine.set_trace_cap engine (Some 1_000_000);
+  let engine = Scaling.traced_engine () in
   let plan = Simnet.Fault.create ~seed:cfg.ch_seed in
   let origin, _wan = Scaling.applet_workload ~applet_count:cfg.ch_applets ~seed:cfg.ch_seed in
   (* Intranet deployment: the origin is the organization's file store a
@@ -146,18 +139,10 @@ let run (cfg : config) : outcome =
   let pool =
     Array.init cfg.ch_shards (fun i ->
         Proxy.create engine ~cache_capacity:0 ~memo
-          ~host_name:(Printf.sprintf "shard%d" i)
-          ~origin ~origin_latency ~filters ())
+          ~host_name:(Scaling.shard_name i) ~origin ~origin_latency ~filters ())
   in
   let farm = Proxy.Farm.create engine pool in
-  Array.iteri
-    (fun i p ->
-      let share =
-        (cfg.ch_clients / cfg.ch_shards)
-        + (if i < cfg.ch_clients mod cfg.ch_shards then 1 else 0)
-      in
-      Simnet.Host.allocate p.Proxy.host (share * Scaling.per_client_state_bytes))
-    pool;
+  Scaling.spread_client_state pool ~clients:cfg.ch_clients;
   let lan = Simnet.Link.ethernet_10mb engine in
   if cfg.ch_loss_pct > 0.0 || cfg.ch_jitter_us > 0 then
     Simnet.Link.set_faults lan ~plan ~drop_prob:(cfg.ch_loss_pct /. 100.0)
@@ -213,8 +198,6 @@ let run (cfg : config) : outcome =
           ~deliver:(fun ~bytes k -> Simnet.Link.transfer lan ~bytes k)
           ~slo ~stale_key engine farm)
   in
-  (* Per-applet digest of fresh serves; divergence inside one run is a
-     single-flight/caching bug and fatal. *)
   let served : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let latencies = ref [] in
   let tail_start = Int64.sub horizon (Int64.div horizon 4L) in
@@ -233,11 +216,7 @@ let run (cfg : config) : outcome =
           | Client.Session.Fresh b ->
             Simnet.Engine.record engine
               (Printf.sprintf "serve %s -> c%d" name id);
-            let digest = Dsig.Md5.digest b in
-            (match Hashtbl.find_opt served applet_key with
-            | Some d when not (String.equal d digest) ->
-              failwith ("Chaos.run: divergent bytes for " ^ applet_key)
-            | _ -> Hashtbl.replace served applet_key digest);
+            Scaling.note_served served applet_key b;
             latencies := Int64.sub now started :: !latencies;
             if Int64.compare now tail_start >= 0 then incr tail_served
           | Client.Session.Stale _ | Client.Session.Failed -> ());
@@ -284,17 +263,9 @@ let run (cfg : config) : outcome =
     co_deadline_violations =
       sum (fun s -> s.Client.Session.deadline_violations);
     co_tail_served = !tail_served;
-    co_digests =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) served []);
+    co_digests = Scaling.served_digests served;
     co_fault_trace = Simnet.Fault.trace plan;
-    co_trace_digest =
-      Dsig.Md5.digest
-        (String.concat "\n"
-           (List.map
-              (fun (t, l) -> Printf.sprintf "%Ld %s" t l)
-              (Simnet.Engine.trace engine)));
+    co_trace_digest = Scaling.trace_digest engine;
     co_p50_us = exact_quantile lat 0.50;
     co_p95_us = exact_quantile lat 0.95;
     co_p99_us = exact_quantile lat 0.99;
@@ -478,9 +449,7 @@ let run_control (cfg : control_config) : control_outcome =
     Telemetry.Trace.reset ();
     Telemetry.Trace.enable ()
   end;
-  let engine = Simnet.Engine.create () in
-  Simnet.Engine.set_tracing engine true;
-  Simnet.Engine.set_trace_cap engine (Some 1_000_000);
+  let engine = Scaling.traced_engine () in
   let plan = Simnet.Fault.create ~seed:cfg.cc_seed in
   let origin, _wan =
     Scaling.applet_workload ~applet_count:cfg.cc_applets ~seed:cfg.cc_seed
@@ -519,20 +488,12 @@ let run_control (cfg : control_config) : control_outcome =
     Array.init cfg.cc_shards (fun i ->
         Proxy.create engine
           ~cache_capacity:(cfg.cc_cache_mb * 1024 * 1024)
-          ~l2
-          ~host_name:(Printf.sprintf "shard%d" i)
-          ~origin ~origin_latency ~filters:stack_v1 ())
+          ~l2 ~host_name:(Scaling.shard_name i) ~origin ~origin_latency
+          ~filters:stack_v1 ())
   in
   Array.iter (fun p -> p.Proxy.policy_version <- v1) pool;
   let farm = Proxy.Farm.create engine pool in
-  Array.iteri
-    (fun i p ->
-      let share =
-        (cfg.cc_clients / cfg.cc_shards)
-        + (if i < cfg.cc_clients mod cfg.cc_shards then 1 else 0)
-      in
-      Simnet.Host.allocate p.Proxy.host (share * Scaling.per_client_state_bytes))
-    pool;
+  Scaling.spread_client_state pool ~clients:cfg.cc_clients;
   let horizon = Simnet.Engine.sec cfg.cc_duration_s in
   (* The control plane: per-member heartbeat/ack links over the farm
      LAN fabric. Applying an entry swaps the shard's filter stack and
@@ -884,12 +845,7 @@ let run_control (cfg : control_config) : control_outcome =
     cn_changed_applets = changed;
     cn_digests = digests;
     cn_fault_trace = Simnet.Fault.trace plan;
-    cn_trace_digest =
-      Dsig.Md5.digest
-        (String.concat "\n"
-           (List.map
-              (fun (t, l) -> Printf.sprintf "%Ld %s" t l)
-              (Simnet.Engine.trace engine)));
+    cn_trace_digest = Scaling.trace_digest engine;
   }
 
 (* Control-plane invariants: the chaotic run against its partition-free
@@ -974,3 +930,99 @@ let print_outcome ?(label = "chaos") o =
     o.co_shed o.co_retries o.co_hedge_wins o.co_hedges o.co_breaker_trips
     o.co_deadline_violations o.co_tail_served o.co_goodput_bps o.co_p50_us
     o.co_p95_us o.co_p99_us
+
+(* --- Reports: the one rendering of each outcome, banner and verdict
+   that the bench pins and dvmctl prints. Strings reach JSON only
+   through [Telemetry.json_escape]. --- *)
+
+let json_string s = "\"" ^ Telemetry.json_escape s ^ "\""
+let json_list f l = "[" ^ String.concat "," (List.map f l) ^ "]"
+let hex_string d = json_string (Dsig.Md5.to_hex d)
+
+let outcome_json o =
+  Printf.sprintf
+    "{\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d,\"hedges\":%d,\"hedge_wins\":%d,\"retries\":%d,\"breaker_trips\":%d,\"deadline_violations\":%d,\"goodput_bps\":%.1f,\"p50_us\":%Ld,\"p95_us\":%Ld,\"p99_us\":%Ld,\"trace_digest\":%s,\"slo\":%s}"
+    o.co_fetches o.co_served o.co_stale_served o.co_failed o.co_shed
+    o.co_hedges o.co_hedge_wins o.co_retries o.co_breaker_trips
+    o.co_deadline_violations o.co_goodput_bps o.co_p50_us o.co_p95_us
+    o.co_p99_us (hex_string o.co_trace_digest)
+    (Telemetry.Slo.report_json o.co_slo)
+
+let config_banner cfg =
+  Printf.sprintf
+    "%d shards, %d clients (x%d flash crowd at %d..%ds), %d crash windows,\n\
+     %.1f%% LAN loss, %.0f ms deadline budget, overload control %s, seed %d\n"
+    cfg.ch_shards cfg.ch_clients cfg.ch_spike_factor cfg.ch_spike_start_s
+    (cfg.ch_spike_start_s + cfg.ch_spike_len_s)
+    cfg.ch_crashes cfg.ch_loss_pct
+    (Int64.to_float cfg.ch_budget_us /. 1e3)
+    (if cfg.ch_control then "on" else "OFF")
+    cfg.ch_seed
+
+let verdict_text v =
+  Printf.sprintf
+    "served bytes digest-identical: %b\n\
+     zero serves past deadline:     %b\n\
+     steady-state recovery:         %b (tail serves %d vs reference %d)\n"
+    v.v_digests_ok v.v_no_late_serves v.v_recovered v.v_chaotic.co_tail_served
+    v.v_reference.co_tail_served
+
+let control_outcome_json o =
+  Printf.sprintf
+    "{\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d,\"base_version\":%d,\"new_version\":%d,\"commit_us\":%Ld,\"revoked_serves\":%d,\"inflight_exempt\":%d,\"fence_rejects\":%d,\"resyncs\":%d,\"stale_drops\":%d,\"invalidations\":%d,\"heartbeats\":%d,\"commits\":%d,\"term\":%d,\"member_terms\":%s,\"elections\":%d,\"leader_changes\":%d,\"stepdowns\":%d,\"redrives\":%d,\"compactions\":%d,\"snapshot_installs\":%d,\"max_leased\":%d,\"term_regressions\":%d,\"replay_ok\":%b,\"converged\":%b,\"changed_applets\":%s,\"digests\":{%s},\"trace_digest\":%s}"
+    o.cn_fetches o.cn_served o.cn_stale_served o.cn_failed o.cn_shed
+    o.cn_base_version o.cn_new_version o.cn_commit_us o.cn_revoked_serves
+    o.cn_inflight_exempt o.cn_fence_rejects o.cn_resyncs o.cn_stale_drops
+    o.cn_invalidations o.cn_heartbeats o.cn_commits o.cn_term
+    (json_list string_of_int o.cn_member_terms)
+    o.cn_elections o.cn_leader_changes o.cn_stepdowns o.cn_redrives
+    o.cn_compactions o.cn_snapshot_installs o.cn_max_leased
+    o.cn_term_regressions o.cn_replay_ok o.cn_converged
+    (json_list json_string o.cn_changed_applets)
+    (String.concat ","
+       (List.map
+          (fun (k, ds) -> json_string k ^ ":" ^ json_list hex_string ds)
+          o.cn_digests))
+    (hex_string o.cn_trace_digest)
+
+let control_invariants_json w =
+  Printf.sprintf
+    "{\"no_revoked_serves\":%b,\"single_leader\":%b,\"replay_ok\":%b,\"converged\":%b,\"digests_ok\":%b}"
+    w.w_no_revoked_serves w.w_single_leader w.w_replay_ok w.w_converged
+    w.w_digests_ok
+
+let control_config_banner cfg =
+  Printf.sprintf
+    "%d shards, %d clients, %d applets, policy bump at %ds,\n\
+     %d control-link partition windows of %ds (first spans the bump), \
+     restart %s,\n\
+     leader crash %s, leader partition %s, churn every %ds, snapshot \
+     every %d,\n\
+     %.0f ms lease, seed %d\n"
+    cfg.cc_shards cfg.cc_clients cfg.cc_applets cfg.cc_bump_at_s
+    cfg.cc_partitions cfg.cc_partition_len_s
+    (if cfg.cc_restart_shard then "on" else "off")
+    (if cfg.cc_leader_crash then "on" else "off")
+    (if cfg.cc_leader_partition then "on" else "off")
+    cfg.cc_churn_s cfg.cc_snapshot_every
+    (Int64.to_float cfg.cc_lease_us /. 1e3)
+    cfg.cc_seed
+
+let control_verdict_text w =
+  let c = w.w_chaotic in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf
+    "bump v%d -> v%d committed at %Ld us; %d applets change bytes: %s\n\n\
+     no serves under revoked version: %b (in-flight exempt: %d)\n\
+     at most one leased leader:      %b (max sampled %d, term regressions \
+     %d)\n\
+     snapshot catch-up = replay:     %b (%d compactions, %d installs)\n\
+     every shard converged:          %b (versions %s, terms %s)\n\
+     unaffected digests identical:   %b\n"
+    c.cn_base_version c.cn_new_version c.cn_commit_us
+    (List.length c.cn_changed_applets)
+    (String.concat ", " c.cn_changed_applets)
+    w.w_no_revoked_serves c.cn_inflight_exempt w.w_single_leader
+    c.cn_max_leased c.cn_term_regressions w.w_replay_ok c.cn_compactions
+    c.cn_snapshot_installs w.w_converged (ints c.cn_member_versions)
+    (ints c.cn_member_terms) w.w_digests_ok

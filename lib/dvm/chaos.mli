@@ -267,3 +267,28 @@ val verify_control : control_config -> control_verdict
 (** Run [partition_free config] and [config], check the invariants. *)
 
 val print_control_outcome : ?label:string -> control_outcome -> unit
+
+(** {1 Reports}
+
+    The one rendering of each outcome, configuration banner and
+    verdict: the bench pins the JSON in [BENCH_chaos.json] /
+    [BENCH_control.json] and [dvmctl] prints the same strings. JSON
+    strings are escaped with {!Telemetry.json_escape}; digests render
+    as hex. *)
+
+val outcome_json : outcome -> string
+val config_banner : config -> string
+
+val verdict_text : verdict -> string
+(** The three invariant lines, each with its evidence. *)
+
+val control_outcome_json : control_outcome -> string
+
+val control_invariants_json : control_verdict -> string
+(** The five control-plane invariants as one JSON object. *)
+
+val control_config_banner : control_config -> string
+
+val control_verdict_text : control_verdict -> string
+(** The committed bump, then one line per invariant with its
+    evidence. *)

@@ -40,74 +40,6 @@ let traced_provider (provider : Jvm.Classreg.provider) : Jvm.Classreg.provider
           r
         | None -> None)
 
-(* --- Fetch resilience: timeout-equivalent retry with graceful
-   degradation. ---
-
-   The synchronous provider the VM loads through can fail
-   transiently — the proxy down, the response lost. A resilient
-   provider retries with bounded exponential backoff and, once the
-   retry budget for a class is exhausted, degrades gracefully: it
-   serves the paper's error-propagation replacement class (§3.1), so
-   an unreachable service surfaces to the application as an ordinary
-   Java exception at class-initialization time instead of a hang. *)
-
-type fetch = Fetched of string | Fetch_unavailable | Fetch_absent
-
-type retry_policy = {
-  rp_attempts : int; (* total tries per class, >= 1 *)
-  rp_base_backoff_us : int; (* backoff before the 2nd try; doubles *)
-  rp_max_backoff_us : int;
-}
-
-let default_retry_policy =
-  { rp_attempts = 4; rp_base_backoff_us = 50_000; rp_max_backoff_us = 800_000 }
-
-let backoff_us policy ~attempt =
-  (* attempt is 1-based: the backoff taken after attempt n fails. *)
-  let b = policy.rp_base_backoff_us * (1 lsl min 20 (attempt - 1)) in
-  min b policy.rp_max_backoff_us
-
-let degraded_class_bytes ~cls ~attempts =
-  Bytecode.Encode.class_to_bytes
-    (Verifier.Error_class.build ~name:cls
-       ~message:
-         (Printf.sprintf "service unavailable after %d attempts" attempts))
-
-let resilient_provider ?(policy = default_retry_policy) ?budget ?on_backoff
-    (fetch : string -> fetch) : Jvm.Classreg.provider =
- fun cls ->
-  let rec attempt n =
-    match fetch cls with
-    | Fetched b -> Some b
-    | Fetch_absent -> None
-    | Fetch_unavailable ->
-      (* Per-class attempts are bounded by the policy; the optional
-         [budget] bounds retries across the whole session, so N
-         classes failing at once cannot multiply into N × attempts of
-         extra load on an already-sick service — retry amplification
-         is exactly how overload feeds itself. An exhausted budget
-         degrades immediately. *)
-      let budget_spent =
-        match budget with Some b -> !b <= 0 | None -> false
-      in
-      if n >= policy.rp_attempts || budget_spent then begin
-        Telemetry.Global.incr "client.degraded";
-        Some (degraded_class_bytes ~cls ~attempts:n)
-      end
-      else begin
-        (match budget with Some b -> decr b | None -> ());
-        let backoff = backoff_us policy ~attempt:n in
-        Telemetry.Global.incr "client.retries";
-        Telemetry.Global.observe "client.retry_backoff_us"
-          (Int64.of_int backoff);
-        (match on_backoff with
-        | Some f -> f (Int64.of_int backoff)
-        | None -> ());
-        attempt (n + 1)
-      end
-  in
-  attempt 1
-
 (* --- Overload-aware farm sessions. ---
 
    The simulated-time client side of the overload-control story. Every

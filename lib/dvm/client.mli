@@ -18,45 +18,6 @@ type t = {
   mutable local_verify_errors : int;
 }
 
-(** {1 Fetch resilience} *)
-
-type fetch = Fetched of string | Fetch_unavailable | Fetch_absent
-(** Outcome of one provider try: served, transiently failed (proxy
-    down, response lost — worth retrying), or definitively absent. *)
-
-type retry_policy = {
-  rp_attempts : int;  (** total tries per class, >= 1 *)
-  rp_base_backoff_us : int;  (** backoff before the 2nd try; doubles *)
-  rp_max_backoff_us : int;
-}
-
-val default_retry_policy : retry_policy
-(** 4 attempts, 50 ms base backoff, 800 ms cap. *)
-
-val backoff_us : retry_policy -> attempt:int -> int
-(** Bounded exponential backoff after 1-based [attempt] fails. *)
-
-val degraded_class_bytes : cls:string -> attempts:int -> string
-(** The error-propagation replacement class (§3.1) served when the
-    retry budget is exhausted: same name, raises at initialization. *)
-
-val resilient_provider :
-  ?policy:retry_policy ->
-  ?budget:int ref ->
-  ?on_backoff:(int64 -> unit) ->
-  (string -> fetch) ->
-  Jvm.Classreg.provider
-(** Wrap a flaky fetch in bounded exponential-backoff retry; when the
-    budget is exhausted the provider degrades gracefully to
-    {!degraded_class_bytes} instead of hanging or failing the load.
-    [budget] is a {e session-wide} retry-token pool shared by every
-    class this provider loads (each retry decrements it; empty ⇒
-    degrade immediately), so a burst of failing classes cannot
-    multiply retries into an overload amplifier. [on_backoff] is
-    called with each backoff (µs) so callers can charge the wait to a
-    clock. Counters: [client.retries], [client.degraded]; histogram
-    [client.retry_backoff_us]. *)
-
 (** {1 Overload-aware farm sessions}
 
     The simulated-time client side of overload control: deadlines on

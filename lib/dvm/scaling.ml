@@ -10,15 +10,6 @@
    share exclusive state. Past it, the host pages and all service work
    slows down: the knee the paper reports at its 64 MB. *)
 
-type point = {
-  clients : int;
-  throughput_bytes_per_s : float;
-  mean_latency_us : float;
-  mean_latency_s_per_kb : float;
-  requests_completed : int;
-  proxy_utilization : float;
-}
-
 (* Per-connected-client proxy footprint: 256 KB of connection and
    service state. 250 clients saturate the 64 MB proxy. *)
 let per_client_state_bytes = 256 * 1024
@@ -65,110 +56,64 @@ let filters_for policy =
 
 let standard_filters () = filters_for Experiment.standard_policy
 
-let run ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
-    ?(mem_capacity = 64 * 1024 * 1024) ?(proxies = 1)
-    ?(cache_capacity = 0) ~clients () : point =
-  let engine = Simnet.Engine.create () in
-  let origin, origin_latency = applet_workload ~applet_count ~seed in
-  let filters = standard_filters () in
-  (* Replicated server implementations (§2): clients spread round-robin
-     over the proxy pool, each proxy holding its own share of
-     per-client state. *)
-  (* The standard stack is effect-free apart from telemetry, so the
-     pool shares one host-CPU outcome memo: identical applet bytes are
-     verified and rewritten once, replayed thereafter. The simulated
-     cost model still charges every fetch the full pipeline price. *)
-  let memo = Proxy.Pipeline.Memo.create () in
-  let pool =
-    Array.init proxies (fun _ ->
-        Proxy.create engine ~cache_capacity ~mem_capacity ~memo ~origin
-          ~origin_latency ~filters ())
-  in
-  Array.iteri
-    (fun i proxy ->
-      let share = (clients / proxies) + (if i < clients mod proxies then 1 else 0) in
-      Simnet.Host.allocate proxy.Proxy.host (share * per_client_state_bytes))
-    pool;
-  let lan = Simnet.Link.ethernet_10mb engine in
-  let horizon = Simnet.Engine.sec duration_s in
-  let completed = ref 0 in
-  let bytes_delivered = ref 0 in
-  let latency_sum = ref 0L in
-  let latency_weighted_kb = ref 0.0 in
-  let rec client_loop id iter =
-    (* With the cache disabled every request is unique (the paper's
-       worst case); with it enabled, clients share the popular applet
-       set and the cache can work. *)
-    let k = (id + (iter * 37)) mod applet_count in
-    let name =
-      if cache_capacity > 0 then Printf.sprintf "a%d/pop" k
-      else Printf.sprintf "a%d/c%d-i%d" k id iter
-    in
-    let started = Simnet.Engine.now engine in
-    let proxy = pool.(id mod proxies) in
-    Proxy.request proxy ~cls:name (fun reply ->
-        match reply with
-        | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded -> ()
-        | Proxy.Bytes b ->
-          Simnet.Link.transfer lan ~bytes:(String.length b) (fun () ->
-              let now = Simnet.Engine.now engine in
-              if Int64.compare now horizon <= 0 then begin
-                incr completed;
-                bytes_delivered := !bytes_delivered + String.length b;
-                let lat = Int64.sub now started in
-                Telemetry.Global.observe "client.request_us" lat;
-                latency_sum := Int64.add !latency_sum lat;
-                latency_weighted_kb :=
-                  !latency_weighted_kb
-                  +. (Int64.to_float lat /. 1_000_000.0)
-                     /. (Float.of_int (String.length b) /. 1024.0);
-                Simnet.Engine.schedule engine ~delay:think_time (fun () ->
-                    client_loop id (iter + 1))
-              end))
-  in
-  for id = 0 to clients - 1 do
-    (* Stagger arrivals over the first second. *)
-    Simnet.Engine.schedule_at engine
-      (Int64.of_int (id * 1_000_000 / max 1 clients))
-      (fun () -> client_loop id 0)
-  done;
-  Simnet.Engine.run ~until:horizon engine;
-  let dur = Simnet.Engine.to_sec horizon in
-  {
-    clients;
-    throughput_bytes_per_s = Float.of_int !bytes_delivered /. dur;
-    mean_latency_us =
-      (if !completed = 0 then 0.0
-       else Int64.to_float !latency_sum /. Float.of_int !completed);
-    mean_latency_s_per_kb =
-      (if !completed = 0 then 0.0
-       else !latency_weighted_kb /. Float.of_int !completed);
-    requests_completed = !completed;
-    proxy_utilization =
-      (Array.fold_left
-         (fun a p -> a +. Simnet.Host.utilization p.Proxy.host)
-         0.0 pool
-      /. Float.of_int proxies);
-  }
+(* Setup every multi-shard experiment shares (this farm experiment,
+   the chaos and control-plane scenarios, the availability sweep), so
+   one shard is named, loaded and fingerprinted the same way
+   everywhere. *)
 
-let sweep ?duration_s ?seed ?applet_count ?mem_capacity ?proxies
-    ?cache_capacity counts =
-  List.map
-    (fun clients ->
-      run ?duration_s ?seed ?applet_count ?mem_capacity ?proxies
-        ?cache_capacity ~clients ())
-    counts
+let shard_name i = Printf.sprintf "shard%d" i
+
+(* Connected-client service state spreads evenly over the shard hosts —
+   the whole point of sharding for Figure 10. *)
+let spread_client_state pool ~clients =
+  let shards = Array.length pool in
+  Array.iteri
+    (fun i p ->
+      let share = (clients / shards) + (if i < clients mod shards then 1 else 0) in
+      Simnet.Host.allocate p.Proxy.host (share * per_client_state_bytes))
+    pool
+
+(* An engine recording its (time, label) event trace. The cap sits far
+   above anything a pinned seed produces, so memory stays bounded
+   (a runaway run degrades to a dropped-records count) without losing
+   a record in practice. *)
+let traced_engine () =
+  let engine = Simnet.Engine.create () in
+  Simnet.Engine.set_tracing engine true;
+  Simnet.Engine.set_trace_cap engine (Some 1_000_000);
+  engine
+
+let trace_digest engine =
+  Dsig.Md5.digest
+    (String.concat "\n"
+       (List.map
+          (fun (at, label) -> Printf.sprintf "%Ld %s" at label)
+          (Simnet.Engine.trace engine)))
+
+(* Applet key -> digest of the rewritten bytes served for it. The
+   pipeline is pure, so within one run any divergence is a
+   single-flight or cache corruption bug: fatal, not recorded. *)
+let note_served served key bytes =
+  let digest = Dsig.Md5.digest bytes in
+  match Hashtbl.find_opt served key with
+  | Some d when not (String.equal d digest) ->
+    failwith ("divergent served bytes for " ^ key)
+  | _ -> Hashtbl.replace served key digest
+
+let served_digests served =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k d acc -> (k, d) :: acc) served [])
 
 (* --- The farm experiment ---------------------------------------------
 
-   Same workload and client model as [run], but the pool is a
-   consistent-hash farm rather than round-robin replicas: each shard
+   Clients fetch applets through a consistent-hash farm: each shard
    owns a stable slice of the key space, holds its share of the
-   per-client state, and misses coalesce per shard. The sweep
-   regenerates the Figure-10-style curve once per shard count — the
-   knee moves right as shards divide the memory load, which is where
-   the ≥3× aggregate throughput from 1→4 shards comes from once a
-   single proxy is past its knee.
+   per-client state, and misses coalesce per shard. At one shard this
+   is the single proxy of Figure 10; the sweep regenerates the curve
+   once per shard count — the knee moves right as shards divide the
+   memory load, which is where the ≥3× aggregate throughput from 1→4
+   shards comes from once a single proxy is past its knee.
 
    Every run also produces two fingerprints:
    - [f_served]: per-applet MD5 of the served bytes (sorted assoc).
@@ -183,6 +128,7 @@ type farm_point = {
   f_clients : int;
   f_throughput_bytes_per_s : float;
   f_mean_latency_us : float;
+  f_mean_latency_s_per_kb : float;
   f_requests_completed : int;
   f_pipeline_runs : int;
   f_coalesced : int;
@@ -203,49 +149,38 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
     | None -> ()
     | Some s -> Telemetry.Slo.record s ~now_us outcome
   in
-  let engine = Simnet.Engine.create () in
-  Simnet.Engine.set_tracing engine true;
-  (* Same rationale as the chaos harness: cap the deterministic event
-     trace well above anything a pinned seed produces, so memory stays
-     bounded without losing a record in practice. *)
-  Simnet.Engine.set_trace_cap engine (Some 1_000_000);
+  let engine = traced_engine () in
   let origin, origin_latency = applet_workload ~applet_count ~seed in
   let filters = standard_filters () in
   let l2 =
     if l2_capacity > 0 then Some (Proxy.Cache.create ~capacity:l2_capacity)
     else None
   in
-  (* One outcome memo for the farm, same rationale as [run]. *)
+  (* The standard stack is effect-free apart from telemetry, so the
+     farm shares one host-CPU outcome memo: identical applet bytes are
+     verified and rewritten once, replayed thereafter. The simulated
+     cost model still charges every fetch the full pipeline price. *)
   let memo = Proxy.Pipeline.Memo.create () in
   let pool =
     Array.init shards (fun i ->
         Proxy.create engine ~cache_capacity ~mem_capacity ?l2 ~memo
-          ~host_name:(Printf.sprintf "shard%d" i)
-          ~origin ~origin_latency ~filters ())
+          ~host_name:(shard_name i) ~origin ~origin_latency ~filters ())
   in
   let farm = Proxy.Farm.create ~vnodes engine pool in
-  (* Connected-client service state spreads evenly over the shard
-     hosts — the whole point of sharding for Figure 10. *)
-  Array.iteri
-    (fun i p ->
-      let share = (clients / shards) + (if i < clients mod shards then 1 else 0) in
-      Simnet.Host.allocate p.Proxy.host (share * per_client_state_bytes))
-    pool;
+  spread_client_state pool ~clients;
   let lan = Simnet.Link.ethernet_10mb engine in
   let horizon = Simnet.Engine.sec duration_s in
   let completed = ref 0 in
   let bytes_delivered = ref 0 in
   let latency_sum = ref 0L in
-  (* applet key ("a<k>") -> digest of the rewritten bytes served for
-     it. Within one run, any divergence is a single-flight or cache
-     corruption bug, so it is fatal rather than recorded. *)
+  let latency_weighted_kb = ref 0.0 in
   let served : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let rec client_loop id iter =
     let k = (id + (iter * 37)) mod applet_count in
     let applet_key = Printf.sprintf "a%d" k in
-    (* Cache off: every request unique (the worst case). Any cache
-       tier on: clients share the popular set so hits and coalescing
-       can happen. *)
+    (* Cache off: every request unique (the paper's worst case). Any
+       cache tier on: clients share the popular set so hits and
+       coalescing can happen (the paper's stated mitigation). *)
     let name =
       if cache_capacity > 0 || l2_capacity > 0 then applet_key ^ "/pop"
       else Printf.sprintf "%s/c%d-i%d" applet_key id iter
@@ -261,47 +196,38 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
               if Int64.compare now horizon <= 0 then begin
                 incr completed;
                 slo_record (Telemetry.Slo.Fresh (String.length b)) now;
-                Telemetry.Global.observe "client.request_us"
-                  (Int64.sub now started);
+                let lat = Int64.sub now started in
+                Telemetry.Global.observe "client.request_us" lat;
                 Simnet.Engine.record engine
                   (Printf.sprintf "serve %s -> c%d" name id);
-                let digest = Dsig.Md5.digest b in
-                (match Hashtbl.find_opt served applet_key with
-                | Some d when not (String.equal d digest) ->
-                  failwith ("run_farm: divergent bytes for " ^ applet_key)
-                | _ -> Hashtbl.replace served applet_key digest);
+                note_served served applet_key b;
                 bytes_delivered := !bytes_delivered + String.length b;
-                latency_sum := Int64.add !latency_sum (Int64.sub now started);
+                latency_sum := Int64.add !latency_sum lat;
+                latency_weighted_kb :=
+                  !latency_weighted_kb
+                  +. (Int64.to_float lat /. 1_000_000.0)
+                     /. (Float.of_int (String.length b) /. 1024.0);
                 Simnet.Engine.schedule engine ~delay:think_time (fun () ->
                     client_loop id (iter + 1))
               end))
   in
   for id = 0 to clients - 1 do
+    (* Stagger arrivals over the first second. *)
     Simnet.Engine.schedule_at engine
       (Int64.of_int (id * 1_000_000 / max 1 clients))
       (fun () -> client_loop id 0)
   done;
   Simnet.Engine.run ~until:horizon engine;
   let dur = Simnet.Engine.to_sec horizon in
-  let f_served =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun k d acc -> (k, d) :: acc) served [])
-  in
-  let f_trace_digest =
-    Dsig.Md5.digest
-      (String.concat "\n"
-         (List.map
-            (fun (at, label) -> Printf.sprintf "%Ld %s" at label)
-            (Simnet.Engine.trace engine)))
+  let per_completion x =
+    if !completed = 0 then 0.0 else x /. Float.of_int !completed
   in
   {
     f_shards = shards;
     f_clients = clients;
     f_throughput_bytes_per_s = Float.of_int !bytes_delivered /. dur;
-    f_mean_latency_us =
-      (if !completed = 0 then 0.0
-       else Int64.to_float !latency_sum /. Float.of_int !completed);
+    f_mean_latency_us = per_completion (Int64.to_float !latency_sum);
+    f_mean_latency_s_per_kb = per_completion !latency_weighted_kb;
     f_requests_completed = !completed;
     f_pipeline_runs = Proxy.Farm.pipeline_runs farm;
     f_coalesced = Proxy.Farm.coalesced farm;
@@ -312,8 +238,8 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
         (fun a p -> a +. Simnet.Host.utilization p.Proxy.host)
         0.0 pool
       /. Float.of_int shards;
-    f_served;
-    f_trace_digest;
+    f_served = served_digests served;
+    f_trace_digest = trace_digest engine;
   }
 
 let farm_sweep ?slo ?duration_s ?seed ?applet_count ?mem_capacity

@@ -1,16 +1,8 @@
 (** The scaling experiment of §4.2 (Figure 10): hundreds of clients
-    fetch different applets through one proxy with caching disabled.
-    See the implementation header for the resource model behind the
-    64 MB knee. *)
-
-type point = {
-  clients : int;
-  throughput_bytes_per_s : float;
-  mean_latency_us : float;
-  mean_latency_s_per_kb : float;
-  requests_completed : int;
-  proxy_utilization : float;
-}
+    fetch different applets through the proxy farm with caching
+    disabled — at one shard, the paper's single proxy. See the
+    implementation header for the resource model behind the 64 MB
+    knee. *)
 
 val per_client_state_bytes : int
 val think_time : Simnet.Engine.time
@@ -32,44 +24,51 @@ val standard_filters : unit -> Rewrite.Filter.t list
 (** [filters_for Experiment.standard_policy] — the stack every
     experiment runs. *)
 
-val run :
-  ?duration_s:int ->
-  ?seed:int ->
-  ?applet_count:int ->
-  ?mem_capacity:int ->
-  ?proxies:int ->
-  ?cache_capacity:int ->
-  clients:int ->
-  unit ->
-  point
-(** [proxies] > 1 models the replicated-server deployment of §2:
-    clients spread round-robin over the pool. [cache_capacity] > 0
-    enables the proxy cache and makes clients share the popular applet
-    set (the paper's stated mitigations). *)
+(** {1 Shared scenario setup}
 
-val sweep :
-  ?duration_s:int ->
-  ?seed:int ->
-  ?applet_count:int ->
-  ?mem_capacity:int ->
-  ?proxies:int ->
-  ?cache_capacity:int ->
-  int list ->
-  point list
+    What every multi-shard experiment (the farm experiment,
+    {!Chaos.run}, {!Chaos.run_control}, {!Availability.run}) builds the
+    same way. *)
+
+val shard_name : int -> string
+(** Host name of shard [i]: ["shard<i>"]. *)
+
+val spread_client_state : Proxy.t array -> clients:int -> unit
+(** Allocate [clients × per_client_state_bytes] of connected-client
+    service state, split as evenly as possible over the shard hosts
+    (lower indices take the remainder). *)
+
+val traced_engine : unit -> Simnet.Engine.t
+(** A fresh engine recording its event trace, capped at one million
+    records. *)
+
+val trace_digest : Simnet.Engine.t -> string
+(** MD5 over the engine's trace, one ["<time> <label>"] line per
+    record. *)
+
+val note_served : (string, string) Hashtbl.t -> string -> string -> unit
+(** [note_served tbl key bytes] records the MD5 of bytes served for
+    applet [key]; raises [Failure] if the key was already served
+    different bytes in this run. *)
+
+val served_digests : (string, string) Hashtbl.t -> (string * string) list
+(** The table's [(key, digest)] pairs, sorted by key. *)
 
 (** {1 The farm experiment}
 
-    Same workload and client model, but the pool is a consistent-hash
-    {!Proxy.Farm} rather than round-robin replicas: each shard owns a
-    stable slice of the key space and its share of the per-client
-    memory load, so the Figure-10 knee moves right with shard
-    count. *)
+    Clients fetch through a consistent-hash {!Proxy.Farm}: each shard
+    owns a stable slice of the key space and its share of the
+    per-client memory load, so the Figure-10 knee moves right with
+    shard count. One shard is Figure 10 itself. *)
 
 type farm_point = {
   f_shards : int;
   f_clients : int;
   f_throughput_bytes_per_s : float;
   f_mean_latency_us : float;
+  f_mean_latency_s_per_kb : float;
+      (** mean over completions of latency (s) per kB served — the
+          paper's Figure-10 latency unit *)
   f_requests_completed : int;
   f_pipeline_runs : int;
   f_coalesced : int;
@@ -102,7 +101,7 @@ val run_farm :
     request unique — the worst case); [l2_capacity] > 0 adds one
     shared L2 instance across all shards. With any cache tier on,
     clients share the popular applet set so hits and single-flight
-    coalescing can happen. [slo] receives one outcome per settled
+    coalescing can happen (the paper's stated mitigation). [slo] receives one outcome per settled
     request (in-horizon serves as fresh, farm refusals as failed) on
     the run's virtual clock. *)
 

@@ -8,8 +8,7 @@
    virtual nodes so key ownership stays balanced at small shard
    counts, and failover walks the ring clockwise to the next distinct
    live shard — exactly the preference order consistent hashing gives
-   for free — reusing the per-request [on_fail] health machinery the
-   replica facade introduced.
+   for free — driven by each node request's [on_fail] hook.
 
    Determinism: ownership is a pure function of (key, shard count,
    vnodes), dispatch does no random choice and touches no hash-table

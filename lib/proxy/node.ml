@@ -175,7 +175,7 @@ let l2_transfer_cost t ~bytes =
    simulated time, when the proxy has the response ready to put on the
    client's wire (the caller models the client-side link). [on_fail]
    fires instead if the proxy host is down or crashes while the
-   request is in flight — the hook the replica facade fails over on.
+   request is in flight — the hook the farm fails over on.
 
    Misses are single-flight: the first request for a key becomes the
    leader and runs the pipeline; concurrent requests for the same key
@@ -455,75 +455,3 @@ let provider t : Jvm.Classreg.provider =
   match request_sync t ~cls with
   | Bytes b -> Some b
   | Not_found | Unavailable | Overloaded -> None
-
-type proxy = t
-
-(* Replicated proxies behind one facade (§5's availability answer to
-   the single-point-of-failure critique): requests prefer the primary
-   (replica 0) and fail over, in order, to the first live secondary
-   when the preferred replica is down at dispatch or crashes with the
-   request in flight. Health is probed against the replica host at
-   every dispatch, so a restarted primary takes traffic back
-   immediately — but cache-cold, which is the measurable price of
-   failover the paper's §5 argument predicts. *)
-module Replica = struct
-  type t = {
-    engine : Simnet.Engine.t;
-    pool : proxy array;
-    health : bool array; (* last observed state, for the console *)
-    mutable requests : int;
-    mutable failovers : int; (* requests served by a non-primary *)
-    mutable unavailable : int; (* requests no replica could serve *)
-  }
-
-  let create engine pool =
-    if Array.length pool = 0 then invalid_arg "Replica.create: empty pool";
-    {
-      engine;
-      pool;
-      health = Array.map (fun p -> Simnet.Host.is_up p.host) pool;
-      requests = 0;
-      failovers = 0;
-      unavailable = 0;
-    }
-
-  let size t = Array.length t.pool
-  let replica t i = t.pool.(i)
-
-  let health t =
-    Array.iteri (fun i p -> t.health.(i) <- Simnet.Host.is_up p.host) t.pool;
-    Array.copy t.health
-
-  let request t ~cls k =
-    t.requests <- t.requests + 1;
-    let n = Array.length t.pool in
-    (* Try replicas starting from the primary; [idx] is the next
-       candidate. A failed candidate is marked unhealthy and the next
-       one pays the failover. *)
-    let rec dispatch idx =
-      if idx >= n then begin
-        t.unavailable <- t.unavailable + 1;
-        Telemetry.Global.incr "proxy.unavailable";
-        Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Unavailable)
-      end
-      else begin
-        let p = t.pool.(idx) in
-        if not (Simnet.Host.is_up p.host) then begin
-          t.health.(idx) <- false;
-          dispatch (idx + 1)
-        end
-        else begin
-          t.health.(idx) <- true;
-          if idx > 0 then begin
-            t.failovers <- t.failovers + 1;
-            Telemetry.Global.incr "proxy.failovers"
-          end;
-          request p ~cls k ~on_fail:(fun () ->
-              (* Crashed with the request in flight: fail over. *)
-              t.health.(idx) <- false;
-              dispatch (idx + 1))
-        end
-      end
-    in
-    dispatch 0
-end

@@ -9,8 +9,7 @@
 
     The single-node implementation lives in [Node] and is re-exported
     here; {!Farm} shards class keys across several nodes by consistent
-    hashing, and {!Replica} runs identical nodes behind a primary /
-    failover facade. *)
+    hashing and fails over along the ring — the replication of §2/§5. *)
 
 module Cache : module type of Cache
 module Pipeline : module type of Pipeline
@@ -144,39 +143,6 @@ val request_sync : t -> cls:string -> reply
 val provider : t -> Jvm.Classreg.provider
 (** A classloading provider backed by the synchronous path — what a
     DVM client plugs into its registry. *)
-
-type proxy = t
-
-(** Replicated proxies behind one facade (§5's availability answer to
-    the single-point-of-failure critique). Requests prefer the
-    primary (replica 0) and fail over in order to the first live
-    secondary when the preferred replica is down at dispatch or
-    crashes mid-request; health is probed at every dispatch, so a
-    restarted primary takes traffic back immediately — cache-cold.
-    Counters: [proxy.failovers], [proxy.unavailable]. *)
-module Replica : sig
-  type t = {
-    engine : Simnet.Engine.t;
-    pool : proxy array;
-    health : bool array;  (** last observed per-replica state *)
-    mutable requests : int;
-    mutable failovers : int;  (** requests served by a non-primary *)
-    mutable unavailable : int;  (** requests no replica could serve *)
-  }
-
-  val create : Simnet.Engine.t -> proxy array -> t
-  (** The pool must be non-empty; replica 0 is the primary. *)
-
-  val size : t -> int
-  val replica : t -> int -> proxy
-
-  val health : t -> bool array
-  (** Probe every replica host and return the refreshed view. *)
-
-  val request : t -> cls:string -> (reply -> unit) -> unit
-  (** Dispatch with failover; replies [Unavailable] (after one
-      simulated-time hop) when every replica is down. *)
-end
 
 module Farm : module type of Farm
 (** Sharded proxy farm: consistent-hash routing over independent

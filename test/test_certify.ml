@@ -250,6 +250,28 @@ let test_mutation_deterministic_and_killed () =
   check Alcotest.bool "kill rate meets the bar" true
     (Dvm.Certification.kill_rate r1 >= 0.9)
 
+let test_mutation_json_escapes_survivors () =
+  let survivor =
+    {
+      Dvm.Certification.mu_class = "pkg/A";
+      mu_desc = "swap \"x\" \\ y\001";
+      mu_kill = Dvm.Certification.Survived;
+    }
+  in
+  let r =
+    {
+      Dvm.Certification.mt_seed = 7L;
+      mt_mutants = 1;
+      mt_killed_verifier = 0;
+      mt_killed_certifier = 0;
+      mt_survivors = [ survivor ];
+      mt_results = [ survivor ];
+    }
+  in
+  check Alcotest.string "quote, backslash and control byte escaped"
+    {|{"seed":7,"mutants":1,"killed_verifier":0,"killed_certifier":0,"kill_rate":0.0000,"survivors":["pkg/A: swap \"x\" \\ y\u0001"]}|}
+    (Dvm.Certification.mutation_json r)
+
 let () =
   Alcotest.run "certify"
     [
@@ -282,5 +304,7 @@ let () =
             test_workloads_certify;
           Alcotest.test_case "seeded harness deterministic, kill rate pinned"
             `Slow test_mutation_deterministic_and_killed;
+          Alcotest.test_case "mutation JSON escapes survivors" `Quick
+            test_mutation_json_escapes_survivors;
         ] );
     ]

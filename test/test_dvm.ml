@@ -150,19 +150,21 @@ let test_fig9_check_costs () =
 
 let test_fig10_shape () =
   let pts =
-    Dvm.Scaling.sweep ~duration_s:15 [ 50; 150; 250; 300 ]
+    List.map
+      (fun clients -> Dvm.Scaling.run_farm ~duration_s:15 ~shards:1 ~clients ())
+      [ 50; 150; 250; 300 ]
   in
   match pts with
   | [ p50; p150; p250; p300 ] ->
-    let t p = p.Dvm.Scaling.throughput_bytes_per_s in
+    let t p = p.Dvm.Scaling.f_throughput_bytes_per_s in
     check Alcotest.bool "throughput grows to 250" true
       (t p50 < t p150 && t p150 < t p250);
     check Alcotest.bool "roughly linear to 150" true
       (t p150 > 2.0 *. t p50);
     check Alcotest.bool "degrades past 250" true (t p300 < t p250);
     check Alcotest.bool "latency per KB roughly constant in range" true
-      (p150.Dvm.Scaling.mean_latency_s_per_kb
-       /. p50.Dvm.Scaling.mean_latency_s_per_kb
+      (p150.Dvm.Scaling.f_mean_latency_s_per_kb
+       /. p50.Dvm.Scaling.f_mean_latency_s_per_kb
       < 2.0)
   | _ -> fail "sweep size"
 

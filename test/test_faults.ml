@@ -1,14 +1,10 @@
 (* Tests for the fault-injection subsystem: deterministic fault
-   plans, link loss and jitter, host crash/restart semantics, proxy
-   replica failover, the client's resilient provider, and the
-   availability experiment built from all of them. *)
-
-module B = Bytecode.Builder
-module CF = Bytecode.Classfile
+   plans, link loss and jitter, host crash/restart semantics, and the
+   availability experiment built from them on the proxy farm (whose
+   own failover is tested in test_farm). *)
 
 let check = Alcotest.check
 let fail = Alcotest.fail
-let static = [ CF.Public; CF.Static ]
 
 (* --- Fault plans. --- *)
 
@@ -157,124 +153,6 @@ let test_fault_schedule () =
   check Alcotest.int "both faults in the trace" 2
     (List.length (Simnet.Fault.trace plan))
 
-(* --- Replica failover. --- *)
-
-let hello =
-  B.class_ "Hello" [ B.meth ~flags:static "main" "()V" [ B.Return ] ]
-
-let boot_oracle = Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes ())
-
-let origin_for classes =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun cf ->
-      Hashtbl.replace tbl cf.CF.name (Bytecode.Encode.class_to_bytes cf))
-    classes;
-  fun name -> Hashtbl.find_opt tbl name
-
-let mk_pool engine ~latency n =
-  Array.init n (fun _ ->
-      Proxy.create engine
-        ~origin:(origin_for [ hello ])
-        ~origin_latency:(fun _ -> latency)
-        ~filters:[ Verifier.Static_verifier.filter ~oracle:boot_oracle () ]
-        ())
-
-let test_replica_failover_and_exhaustion () =
-  let e = Simnet.Engine.create () in
-  let pool = mk_pool e ~latency:0L 2 in
-  let r = Proxy.Replica.create e pool in
-  Simnet.Host.crash pool.(0).Proxy.host;
-  let reply = ref None in
-  Proxy.Replica.request r ~cls:"Hello" (fun x -> reply := Some x);
-  Simnet.Engine.run e;
-  (match !reply with
-  | Some (Proxy.Bytes _) -> ()
-  | _ -> fail "secondary did not serve");
-  check Alcotest.int "failover counted" 1 r.Proxy.Replica.failovers;
-  check Alcotest.bool "primary marked unhealthy" false
-    r.Proxy.Replica.health.(0);
-  (* every replica down: Unavailable, after a simulated hop *)
-  Simnet.Host.crash pool.(1).Proxy.host;
-  let reply2 = ref None in
-  Proxy.Replica.request r ~cls:"Hello" (fun x -> reply2 := Some x);
-  Simnet.Engine.run e;
-  (match !reply2 with
-  | Some Proxy.Unavailable -> ()
-  | _ -> fail "expected Unavailable with every replica down");
-  check Alcotest.int "unavailable counted" 1 r.Proxy.Replica.unavailable;
-  (* a restarted primary takes traffic back: no new failover *)
-  Simnet.Host.restart pool.(0).Proxy.host;
-  let reply3 = ref None in
-  Proxy.Replica.request r ~cls:"Hello" (fun x -> reply3 := Some x);
-  Simnet.Engine.run e;
-  (match !reply3 with
-  | Some (Proxy.Bytes _) -> ()
-  | _ -> fail "restarted primary did not serve");
-  check Alcotest.int "fail-back: no new failover" 1 r.Proxy.Replica.failovers
-
-let test_replica_failover_inflight () =
-  (* The primary crashes while a request is in flight; the facade's
-     on_fail hook re-dispatches it to the live secondary. *)
-  let e = Simnet.Engine.create () in
-  let pool = mk_pool e ~latency:(Simnet.Engine.ms 100) 2 in
-  let r = Proxy.Replica.create e pool in
-  let served = ref None in
-  Proxy.Replica.request r ~cls:"Hello" (fun reply -> served := Some reply);
-  Simnet.Engine.schedule_at e (Simnet.Engine.ms 50) (fun () ->
-      Simnet.Host.crash pool.(0).Proxy.host);
-  Simnet.Engine.run e;
-  (match !served with
-  | Some (Proxy.Bytes _) -> ()
-  | _ -> fail "in-flight crash not failed over");
-  check Alcotest.int "failover counted" 1 r.Proxy.Replica.failovers;
-  check Alcotest.int "secondary fetched from origin" 1
-    pool.(1).Proxy.origin_fetches
-
-(* --- The client's resilient provider. --- *)
-
-let test_resilient_provider_retries () =
-  let tries = ref 0 in
-  let fetch _cls =
-    incr tries;
-    if !tries < 3 then Dvm.Client.Fetch_unavailable
-    else Dvm.Client.Fetched "bytes"
-  in
-  let p = Dvm.Client.resilient_provider fetch in
-  check Alcotest.(option string) "served after transient failures"
-    (Some "bytes") (p "A");
-  check Alcotest.int "retried until it worked" 3 !tries;
-  let p_absent = Dvm.Client.resilient_provider (fun _ -> Dvm.Client.Fetch_absent) in
-  check Alcotest.(option string) "absence is not retried" None
-    (p_absent "Nowhere")
-
-let test_resilient_provider_degrades () =
-  let backoffs = ref [] in
-  let p =
-    Dvm.Client.resilient_provider
-      ~on_backoff:(fun b -> backoffs := b :: !backoffs)
-      (fun _ -> Dvm.Client.Fetch_unavailable)
-  in
-  match p "pkg/Gone" with
-  | None -> fail "exhausted retries must degrade, not vanish"
-  | Some bytes ->
-    (* bounded exponential backoff between the 4 default attempts *)
-    check
-      Alcotest.(list int64)
-      "bounded exponential backoffs"
-      [ 50_000L; 100_000L; 200_000L ]
-      (List.rev !backoffs);
-    (* the degraded bytes are the error-propagation replacement class:
-       same name, raises at initialization *)
-    let cf = Bytecode.Decode.class_of_bytes bytes in
-    check Alcotest.string "replacement keeps the class name" "pkg/Gone"
-      cf.CF.name;
-    let vm = Jvm.Bootlib.fresh_vm () in
-    Jvm.Classreg.register vm.Jvm.Vmstate.reg cf;
-    (match Jvm.Interp.ensure_initialized vm "pkg/Gone" with
-    | _ -> fail "degraded class must raise at initialization"
-    | exception Jvm.Vmstate.Throw _ -> ())
-
 (* --- The availability experiment. --- *)
 
 (* --- Seed determinism as a property, not an example. ---
@@ -331,10 +209,27 @@ let test_availability_loss_slows_startup () =
   check Alcotest.bool "5% loss slower than lossless" true (s5 > s0);
   check Alcotest.bool "10% loss no faster than 5%" true (s10 >= s5)
 
+let counter name =
+  Option.value ~default:0L
+    (List.assoc_opt name (Telemetry.counters Telemetry.default))
+
 let test_availability_crash_recovery () =
   let scenario = Dvm.Availability.crash_scenario in
   let one = Dvm.Availability.run ~scenario ~loss_pct:0.0 ~replicas:1 () in
-  let two = Dvm.Availability.run ~scenario ~loss_pct:0.0 ~replicas:2 () in
+  Telemetry.enable Telemetry.default;
+  let before = counter "farm.failovers" in
+  let two =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.disable Telemetry.default)
+      (fun () -> Dvm.Availability.run ~scenario ~loss_pct:0.0 ~replicas:2 ())
+  in
+  (* One failover path: the farm counts every failover, under its own
+     name, and nothing else does. *)
+  check Alcotest.int64 "farm.failovers grows by the run's failovers"
+    (Int64.of_int two.Dvm.Availability.av_failovers)
+    (Int64.sub (counter "farm.failovers") before);
+  check Alcotest.bool "no proxy.failovers counter" false
+    (List.mem_assoc "proxy.failovers" (Telemetry.counters Telemetry.default));
   check Alcotest.bool "a lone crashed proxy degrades classes" true
     (one.Dvm.Availability.av_degraded > 0);
   check Alcotest.int "a second replica recovers every class" 0
@@ -349,7 +244,7 @@ let test_availability_crash_recovery () =
         match String.index_opt line ' ' with
         | Some i ->
           String.sub line (i + 1) (String.length line - i - 1)
-          = kind ^ " proxy"
+          = kind ^ " shard0"
         | None -> false)
       one.Dvm.Availability.av_trace
   in
@@ -377,19 +272,6 @@ let () =
           Alcotest.test_case "crash semantics" `Quick
             test_host_crash_semantics;
           Alcotest.test_case "fault schedule" `Quick test_fault_schedule;
-        ] );
-      ( "replica",
-        [
-          Alcotest.test_case "failover + exhaustion" `Quick
-            test_replica_failover_and_exhaustion;
-          Alcotest.test_case "in-flight crash" `Quick
-            test_replica_failover_inflight;
-        ] );
-      ( "client",
-        [
-          Alcotest.test_case "retries" `Quick test_resilient_provider_retries;
-          Alcotest.test_case "graceful degradation" `Quick
-            test_resilient_provider_degrades;
         ] );
       ( "availability",
         [
