@@ -1,4 +1,4 @@
-.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare check clean
+.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest check clean
 
 all: build
 
@@ -82,6 +82,14 @@ perf-compare:
 	git diff -I '"wall_ms"' --exit-code $(BENCH_PINS)
 	git checkout -- $(BENCH_PINS)
 
+# Benchmark determinism: two runs of each perfbench workload with one
+# seed must agree exactly on virtual latencies, the served ratio, the
+# heap peak and every per-layer count, and another seed must draw other
+# inputs. Nondeterminism leaking into the system (a cache keyed on
+# something a run does not fix, say) fails here, not at the benchmark.
+perfbench-selftest:
+	python3 perfbench/selftest.py
+
 # The gate a PR must pass: everything builds, every test is green, and
 # no build artifacts are tracked or dirtying the tree.
 check:
@@ -94,6 +102,7 @@ check:
 	$(MAKE) control-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) perf-compare
+	$(MAKE) perfbench-selftest
 	@if git ls-files | grep -q '^_build/'; then \
 	  echo "check: _build/ files are tracked in git" >&2; exit 1; fi
 	@if git status --porcelain | grep -q '_build'; then \

@@ -511,6 +511,16 @@ let register_natives vm =
           Vmstate.throw vm ~cls:Vmstate.c_io ~message:("unopened: " ^ path))
       | v -> Vmstate.fault "read on %s" (Value.to_string v))
 
+(* Java's decimal syntax: an optional sign, then ASCII digits, in int32
+   range. [Int32.of_string] alone would also take OCaml literals such as
+   0x10, 0b101, 0o17 and 1_000. *)
+let parse_int s =
+  let n = String.length s in
+  let digits = if n > 0 && (s.[0] = '-' || s.[0] = '+') then String.sub s 1 (n - 1) else s in
+  if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits then
+    Int32.of_string_opt s
+  else None
+
 let register_extra_natives vm =
   let reg = Vmstate.register_native vm in
   reg ~cls:"java/lang/Math" ~name:"min" ~desc:"(II)I" (fun _ args ->
@@ -524,7 +534,7 @@ let register_extra_natives vm =
   reg ~cls:"java/lang/Integer" ~name:"parseInt" ~desc:"(Ljava/lang/String;)I"
     (fun vm args ->
       let s = str_arg vm 0 args in
-      match Int32.of_string_opt (String.trim s) with
+      match parse_int (String.trim s) with
       | Some n -> Some (Value.Int n)
       | None ->
         Vmstate.throw vm ~cls:"java/lang/NumberFormatException" ~message:s)

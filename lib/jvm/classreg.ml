@@ -9,6 +9,26 @@ type loaded = {
   statics : (string, Value.t) Hashtbl.t;
   mutable init_state : init_state;
   wire_bytes : int; (* encoded size when fetched; 0 for boot classes *)
+  sites : site option array;
+      (* per constant-pool index, filled by the interpreter; per VM, never
+         on the shared [cf] *)
+}
+
+and site = Field_site of Bytecode.Cp.member_ref | Method_site of call_site
+
+and call_site = {
+  member : Bytecode.Cp.member_ref;
+  mutable params : int; (* parameter count; -1 until first parsed *)
+  mutable target : target option;
+}
+
+and target = {
+  gen : int;
+  native_gen : int;
+  receiver : string;
+  owner : loaded;
+  meth : Bytecode.Classfile.meth;
+  native : (Value.t list -> Value.t option) option;
 }
 
 type provider = string -> string option
@@ -23,6 +43,7 @@ type t = {
   mutable classes_fetched : int;
   mutable bytes_fetched : int;
   mutable load_order : string list; (* most recent first *)
+  mutable generation : int; (* bumped whenever the memos below are flushed *)
   (* Hierarchy-query memos. Interpretation hits [resolve_method],
      [resolve_field], [is_subclass] and [all_instance_fields] on every
      invoke / field access / checkcast / new, and each is a chain walk
@@ -45,6 +66,7 @@ let create ?(provider = fun _ -> None) () =
     classes_fetched = 0;
     bytes_fetched = 0;
     load_order = [];
+    generation = 0;
     method_cache = Hashtbl.create 64;
     field_cache = Hashtbl.create 64;
     subtype_cache = Hashtbl.create 64;
@@ -52,6 +74,7 @@ let create ?(provider = fun _ -> None) () =
   }
 
 let flush_query_caches t =
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.method_cache;
   Hashtbl.reset t.field_cache;
   Hashtbl.reset t.subtype_cache;
@@ -68,7 +91,13 @@ let make_loaded ?(wire_bytes = 0) cf =
         Hashtbl.replace statics f.Bytecode.Classfile.f_name
           (Value.default_of_descriptor f.Bytecode.Classfile.f_desc))
     cf.Bytecode.Classfile.fields;
-  { cf; statics; init_state = Not_initialized; wire_bytes }
+  {
+    cf;
+    statics;
+    init_state = Not_initialized;
+    wire_bytes;
+    sites = Array.make (Array.length cf.Bytecode.Classfile.pool) None;
+  }
 
 let register t cf =
   flush_query_caches t;
@@ -165,7 +194,7 @@ let rec subclass_walk t missed ~sub ~super =
   if String.equal sub super then true
   else if String.equal sub "<null>" then true (* null widens to any ref *)
   else if String.length sub > 0 && sub.[0] = '[' then
-    (* arrays: [X <= Object; [LA; <= [LB; when A <= B *)
+    (* arrays: [X <= Object, and [X <= [Y when element X <= element Y *)
     String.equal super Bytecode.Classfile.java_lang_object
     ||
     if String.length super > 0 && super.[0] = '[' then
@@ -181,6 +210,7 @@ and array_elem name =
   if String.length name >= 2 && name.[0] = '[' then
     if name.[1] = 'L' && name.[String.length name - 1] = ';' then
       Some (String.sub name 2 (String.length name - 3))
+    else if name.[1] = '[' then Some (String.sub name 1 (String.length name - 1))
     else if String.equal name "[I" then Some "I"
     else None
   else None

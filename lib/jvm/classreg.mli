@@ -9,6 +9,37 @@ type loaded = {
   statics : (string, Value.t) Hashtbl.t;
   mutable init_state : init_state;
   wire_bytes : int;  (** encoded size when fetched; 0 for boot classes *)
+  sites : site option array;
+      (** The interpreter's cache of this class's member references,
+          indexed by constant-pool index and filled on first execution.
+          It belongs to this VM's [loaded] record, never to the shared
+          [cf]. *)
+}
+
+(** A member reference the interpreter has executed, with its
+    constant-pool kind. *)
+and site = Field_site of Bytecode.Cp.member_ref | Method_site of call_site
+
+and call_site = {
+  member : Bytecode.Cp.member_ref;
+  mutable params : int;  (** parameter count; -1 until first parsed *)
+  mutable target : target option;  (** the last resolution *)
+}
+
+(** A resolved invocation target. It is valid only while [gen] (read
+    before resolving) equals the registry's {!t.generation} and
+    [native_gen] the VM's native-table generation, and only for calls
+    resolved from [receiver]. *)
+and target = {
+  gen : int;
+  native_gen : int;
+  receiver : string;
+      (** the class the call was resolved for: the receiver's dynamic
+          class for virtual calls, the named class otherwise *)
+  owner : loaded;  (** the class defining [meth] *)
+  meth : Bytecode.Classfile.meth;
+  native : (Value.t list -> Value.t option) option;
+      (** the native implementation of a code-less [meth], bound to its VM *)
 }
 
 type provider = string -> string option
@@ -24,6 +55,8 @@ type t = {
   mutable classes_fetched : int;
   mutable bytes_fetched : int;
   mutable load_order : string list;  (** most recently loaded first *)
+  mutable generation : int;
+      (** bumped whenever [classes] changes and the memos are flushed *)
   method_cache :
     (string * string * string, (loaded * Bytecode.Classfile.meth) option) Hashtbl.t;
       (** memoized [resolve_method]; flushed whenever [classes] changes *)
@@ -58,6 +91,8 @@ val is_subclass : t -> sub:string -> super:string -> bool
     (transitive) interfaces. *)
 
 val array_elem : string -> string option
+(** Element name of an array class name: ["\[I"] gives ["I"],
+    ["\[Lfoo;"] gives ["foo"], ["\[\[I"] gives ["\[I"]. *)
 
 val resolve_method :
   t -> string -> string -> string -> (loaded * Bytecode.Classfile.meth) option

@@ -22,6 +22,11 @@ and ref_array = { rid : int; relem : string; refs : t array }
 
 let string_class = "java/lang/String"
 
+(* Array names are descriptors: an array of [int[]] is "[[I", not
+   "[L[I;". *)
+let array_class elem =
+  if String.length elem > 0 && elem.[0] = '[' then "[" ^ elem else "[L" ^ elem ^ ";"
+
 (* The dynamic class name of a value, as used by instanceof. *)
 let class_of = function
   | Int _ -> "I"
@@ -29,7 +34,7 @@ let class_of = function
   | Str _ -> string_class
   | Obj o -> o.cls
   | Arr_int _ -> "[I"
-  | Arr_ref a -> "[L" ^ a.relem ^ ";"
+  | Arr_ref a -> array_class a.relem
   | Retaddr _ -> "<retaddr>"
 
 let is_reference = function

@@ -18,9 +18,13 @@ and ref_array = { rid : int; relem : string; refs : t array }
 
 val string_class : string
 
+val array_class : string -> string
+(** [array_class elem] names an array whose elements are named [elem]:
+    ["\[Lfoo;"] for ["foo"], ["\[\[I"] for ["\[I"]. *)
+
 val class_of : t -> string
-(** Dynamic class name as [instanceof] sees it; arrays are ["\[I"] and
-    ["\[Lelem;"]. *)
+(** Dynamic class name as [instanceof] sees it; arrays are named by
+    descriptor: ["\[I"], ["\[Lelem;"], ["\[\[I"]. *)
 
 val is_reference : t -> bool
 val default_of_descriptor : string -> t

@@ -7,6 +7,7 @@ type t = {
   heap : Heap.t;
   reg : Classreg.t;
   natives : (string * string * string, native) Hashtbl.t; (* key: (cls, name, desc) *)
+  mutable native_gen : int; (* bumped by every [register_native] *)
   out : Buffer.t;
   props : (string, string) Hashtbl.t;
   files : (string, string) Hashtbl.t;
@@ -51,6 +52,7 @@ let create ?budget ?provider () =
     heap = Heap.create ();
     reg = Classreg.create ?provider ();
     natives = Hashtbl.create 64;
+    native_gen = 0;
     out = Buffer.create 256;
     props = Hashtbl.create 16;
     files = Hashtbl.create 16;
@@ -68,6 +70,7 @@ let create ?budget ?provider () =
    scheme paid on every native dispatch (two audit probes per
    instrumented method call). *)
 let register_native t ~cls ~name ~desc impl =
+  t.native_gen <- t.native_gen + 1;
   Hashtbl.replace t.natives (cls, name, desc) impl
 
 let find_native t ~cls ~name ~desc = Hashtbl.find_opt t.natives (cls, name, desc)

@@ -5,7 +5,9 @@
 type t = {
   heap : Heap.t;
   reg : Classreg.t;
-  natives : (string * string * string, native) Hashtbl.t;  (** key: (cls, name, desc) *)
+  natives : (string * string * string, native) Hashtbl.t;
+      (** key: (cls, name, desc); change it only through {!register_native} *)
+  mutable native_gen : int;  (** bumped by every {!register_native} *)
   out : Buffer.t;  (** console output *)
   props : (string, string) Hashtbl.t;  (** system properties *)
   files : (string, string) Hashtbl.t;  (** simulated file store *)
@@ -37,6 +39,8 @@ exception Budget_exhausted
 val fault : ('a, Format.formatter, unit, 'b) format4 -> 'a
 val create : ?budget:int64 -> ?provider:Classreg.provider -> unit -> t
 val register_native : t -> cls:string -> name:string -> desc:string -> native -> unit
+(** Add or replace a native; invalidates natives the interpreter cached. *)
+
 val find_native : t -> cls:string -> name:string -> desc:string -> native option
 val add_cost : t -> int64 -> unit
 

@@ -424,7 +424,7 @@ let step ctx ~method_sig (code : CF.code) ~jsr_sites idx frame =
     | I.Anewarray k ->
       let elem = class_at k in
       pop_int ();
-      push (V.Ref ("[L" ^ elem ^ ";"));
+      push (V.Ref (Jvm.Value.array_class elem));
       fall
     | I.Arraylength ->
       (match pop_ref () with

@@ -520,10 +520,14 @@ let test_exception_unwinds_frames () =
 let test_div_by_zero_uncaught () =
   let cls =
     B.class_ "Dz"
-      [ B.meth ~flags:static "f" "()I" [ B.Const 1; B.Const 0; B.Div; B.Ireturn ] ]
+      [
+        B.meth ~flags:static "f" "()I" [ B.Const 1; B.Const 0; B.Div; B.Ireturn ];
+        B.meth ~flags:static "g" "()I" [ B.Const 1; B.Const 0; B.Rem; B.Ireturn ];
+      ]
   in
   let vm = vm_with [ cls ] in
-  expect_throw vm "Dz" "f" "()I" [] "java/lang/ArithmeticException"
+  expect_throw vm "Dz" "f" "()I" [] "java/lang/ArithmeticException";
+  expect_throw vm "Dz" "g" "()I" [] "java/lang/ArithmeticException"
 
 let test_checkcast_instanceof () =
   let vm = vm_with animal_classes in
@@ -913,6 +917,170 @@ let test_gc_after_workload () =
   check Alcotest.bool "most of the heap was garbage" true
     (st.Jvm.Gc.collected_objects > allocated / 2)
 
+(* An array of int arrays is named "[[I" by the interpreter and the
+   verifier alike, so a cast the verifier accepts also succeeds at run
+   time. *)
+let test_nested_array_names () =
+  let cls =
+    B.class_ "Nested"
+      [
+        B.meth ~flags:static "f" "()I"
+          [
+            B.Const 2;
+            B.Anewarray "[I";
+            B.Checkcast "[[I";
+            B.Instanceof "[[I";
+            B.Ireturn;
+          ];
+      ]
+  in
+  let oracle = Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes ()) in
+  (match Verifier.Static_verifier.verify ~oracle cls with
+  | Verifier.Static_verifier.Verified _ -> ()
+  | Verifier.Static_verifier.Rejected (errs, _) ->
+    fail (String.concat "; " (List.map Verifier.Verror.to_string errs)));
+  let vm = vm_with [ cls ] in
+  match call_static vm "Nested" "f" "()I" [] with
+  | Some (V.Int 1l) -> ()
+  | Some v -> fail ("instanceof [[I gave " ^ V.to_string v)
+  | None -> fail "no result"
+
+(* Integer.parseInt takes Java's decimal syntax only, never OCaml's
+   literal forms. *)
+let test_parse_int_java_syntax () =
+  let cls =
+    B.class_ "Parse"
+      [
+        B.meth ~flags:static "p" "(Ljava/lang/String;)I"
+          [
+            B.Aload 0;
+            B.Invokestatic ("java/lang/Integer", "parseInt", "(Ljava/lang/String;)I");
+            B.Ireturn;
+          ];
+      ]
+  in
+  let vm = vm_with [ cls ] in
+  let desc = "(Ljava/lang/String;)I" in
+  List.iter
+    (fun (s, want) ->
+      match call_static vm "Parse" "p" desc [ V.Str s ] with
+      | Some (V.Int n) -> check Alcotest.int32 s want n
+      | _ -> fail ("parseInt " ^ s))
+    [ ("-2147483648", Int32.min_int); ("+7", 7l); ("007", 7l); (" 42 ", 42l) ];
+  List.iter
+    (fun s ->
+      expect_throw vm "Parse" "p" desc [ V.Str s ] "java/lang/NumberFormatException")
+    [ "0x10"; "0b101"; "0o17"; "1_000"; "0xFFFFFFFF"; "2147483648"; "-"; "" ]
+
+(* --- Unboxed int frames. --- *)
+
+(* Every int bytecode against its Int32 counterpart. [None] is an
+   ArithmeticException. *)
+let int32_binops =
+  let shift f a b = f a (Int32.to_int b land 31) in
+  let div f a b = if Int32.equal b 0l then None else Some (f a b) in
+  [
+    ("add", B.Add, fun a b -> Some (Int32.add a b));
+    ("sub", B.Sub, fun a b -> Some (Int32.sub a b));
+    ("mul", B.Mul, fun a b -> Some (Int32.mul a b));
+    ("div", B.Div, div Int32.div);
+    ("rem", B.Rem, div Int32.rem);
+    ("shl", B.Shl, fun a b -> Some (shift Int32.shift_left a b));
+    ("shr", B.Shr, fun a b -> Some (shift Int32.shift_right a b));
+    ("and", B.And, fun a b -> Some (Int32.logand a b));
+    ("or", B.Or, fun a b -> Some (Int32.logor a b));
+    ("xor", B.Xor, fun a b -> Some (Int32.logxor a b));
+  ]
+
+let switch_width = 3
+
+(* [sw(I)I] returns the taken case, or -1 for the default. *)
+let switch_meth low =
+  B.meth ~flags:static "sw" "(I)I"
+    ([ B.Iload 0; B.Switch (Int32.to_int low, [ "c0"; "c1"; "c2" ], "d") ]
+    @ List.concat
+        (List.init switch_width (fun k ->
+             [ B.Label (Printf.sprintf "c%d" k); B.Const k; B.Ireturn ]))
+    @ [ B.Label "d"; B.Const (-1); B.Ireturn ])
+
+let int32_edge = [ Int32.min_int; Int32.max_int; -1l; 0l; 1l; 31l; 32l; 33l ]
+
+let gen_int32 =
+  QCheck.Gen.(frequency [ (1, oneofl int32_edge); (3, int32) ])
+
+let gen_low =
+  QCheck.Gen.(
+    oneofl
+      [
+        Int32.min_int;
+        Int32.add Int32.min_int 1l;
+        Int32.sub Int32.max_int 2l;
+        Int32.sub Int32.max_int 1l;
+        Int32.max_int;
+        0l;
+      ])
+
+let prop_int_ops_match_int32 =
+  let gen =
+    QCheck.Gen.(
+      quad gen_int32 gen_int32 gen_low (int_range (-40000) 40000)
+      >>= fun (a, b, low, d) ->
+      (* Switch keys near [low], and across the wrap from its far side. *)
+      map
+        (fun v -> (a, b, low, d, v))
+        (frequency
+           [
+             (2, map (fun k -> Int32.add low (Int32.of_int k)) (int_range (-2) 4));
+             (1, gen_int32);
+           ]))
+  in
+  let print (a, b, low, d, v) =
+    Printf.sprintf "a=%ld b=%ld low=%ld d=%d v=%ld" a b low d v
+  in
+  QCheck.Test.make ~name:"int bytecodes match Int32" ~count:400
+    (QCheck.make gen ~print) (fun (a, b, low, d, v) ->
+      (* Each result is returned, and separately tested against zero:
+         [ireturn] alone would re-wrap a result left unwrapped. *)
+      let both name desc body =
+        [
+          B.meth ~flags:static name desc (body @ [ B.Ireturn ]);
+          B.meth ~flags:static (name ^ "Neg") desc
+            (body
+            @ [ B.If_z (I.Lt, "n"); B.Const 0; B.Ireturn; B.Label "n"; B.Const 1; B.Ireturn ]);
+        ]
+      in
+      let cls =
+        B.class_ "Ops"
+          (switch_meth low
+          :: both "neg" "(I)I" [ B.Iload 0; B.Neg ]
+          @ both "inc" "(I)I" [ B.Inc (0, d); B.Iload 0 ]
+          @ List.concat_map
+              (fun (op, ins, _) -> both op "(II)I" [ B.Iload 0; B.Iload 1; ins ])
+              int32_binops)
+      in
+      let vm = vm_with [ cls ] in
+      let run meth desc args =
+        match call_static vm "Ops" meth desc (List.map (fun n -> V.Int n) args) with
+        | Some (V.Int r) -> Some r
+        | _ -> QCheck.Test.fail_reportf "%s returned no int" meth
+        | exception Jvm.Vmstate.Throw e
+          when String.equal (V.class_of e) Jvm.Vmstate.c_arith ->
+          None
+      in
+      let agrees name desc args want =
+        run name desc args = want
+        && run (name ^ "Neg") desc args
+           = Option.map (fun r -> if Int32.compare r 0l < 0 then 1l else 0l) want
+      in
+      let k = Int32.to_int (Int32.sub v low) in
+      let want_sw = if k >= 0 && k < switch_width then k else -1 in
+      List.for_all
+        (fun (op, _, model) -> agrees op "(II)I" [ a; b ] (model a b))
+        int32_binops
+      && agrees "neg" "(I)I" [ a ] (Some (Int32.neg a))
+      && agrees "inc" "(I)I" [ a ] (Some (Int32.add a (Int32.of_int d)))
+      && run "sw" "(I)I" [ v ] = Some (Int32.of_int want_sw))
+
 (* --- Faults on unverifiable code. --- *)
 
 let expect_fault vm cls name desc args =
@@ -979,6 +1147,207 @@ let test_instr_count_accumulates () =
   ignore (call_static vm "Gcd" "gcd" "(II)I" [ V.Int 252l; V.Int 105l ]);
   check Alcotest.bool "instructions counted" true
     (vm.Jvm.Vmstate.instr_count > before)
+
+let expect_fault_msg vm cls name desc args msg =
+  match Jvm.Interp.invoke vm ~cls ~name ~desc args with
+  | _ -> fail ("expected Runtime_fault: " ^ msg)
+  | exception Jvm.Vmstate.Runtime_fault m -> check Alcotest.string name msg m
+
+(* A kind fault names the kind it expected and prints the slot's value,
+   whichever frame array holds it. *)
+let test_fault_kind_parity () =
+  let cls =
+    B.class_ "Kinds"
+      [
+        B.meth ~flags:static "iloadRef" "()I"
+          [ B.Push_str "s"; B.Astore 0; B.Iload 0; B.Ireturn ];
+        B.meth ~flags:static "aloadInt" "(I)Ljava/lang/Object;" [ B.Aload 0; B.Areturn ];
+        B.meth ~flags:static "ireturnRef" "()I" [ B.Push_str "x"; B.Ireturn ];
+        B.meth ~flags:static "istoreAload" "()Ljava/lang/Object;"
+          [ B.Const 7; B.Istore 1; B.Aload 1; B.Areturn ];
+        B.meth ~flags:static "retInt" "()V" [ B.Const 3; B.Istore 0; B.Ret 0 ];
+      ]
+  in
+  let vm = vm_with [ cls ] in
+  let expect name desc args msg = expect_fault_msg vm "Kinds" name desc args msg in
+  expect "iloadRef" "()I" [] "expected int, got \"s\"";
+  expect "aloadInt" "(I)Ljava/lang/Object;" [ V.Int 5l ] "expected reference, got 5";
+  expect "ireturnRef" "()I" [] "expected int, got \"x\"";
+  expect "istoreAload" "()Ljava/lang/Object;" [] "expected reference, got 7";
+  expect "retInt" "()V" [] "expected return address, got 3"
+
+(* swap and dup_x1 over an int and a reference move each value with
+   its kind. *)
+let test_stack_moves_keep_kinds () =
+  let int_m name body = B.meth ~flags:static name "()I" (body @ [ B.Ireturn ]) in
+  let ref_m name body =
+    B.meth ~flags:static name "()Ljava/lang/Object;" (body @ [ B.Areturn ])
+  in
+  let cls =
+    B.class_ "Moves"
+      [
+        ref_m "swapTop" [ B.Push_str "r"; B.Const 5; B.Swap ];
+        int_m "swapUnder" [ B.Push_str "r"; B.Const 5; B.Swap; B.Pop ];
+        ref_m "dupx1Top" [ B.Const 5; B.Push_str "r"; B.Dup_x1 ];
+        int_m "dupx1Mid" [ B.Const 5; B.Push_str "r"; B.Dup_x1; B.Pop ];
+        ref_m "dupx1Under" [ B.Const 5; B.Push_str "r"; B.Dup_x1; B.Pop; B.Pop ];
+        int_m "dupx1IntTop" [ B.Push_str "r"; B.Const 5; B.Dup_x1 ];
+        ref_m "dupx1RefMid" [ B.Push_str "r"; B.Const 5; B.Dup_x1; B.Pop ];
+      ]
+  in
+  let vm = vm_with [ cls ] in
+  List.iter
+    (fun (name, want) ->
+      let desc = match want with V.Int _ -> "()I" | _ -> "()Ljava/lang/Object;" in
+      match call_static vm "Moves" name desc [] with
+      | Some v -> check Alcotest.string name (V.to_string want) (V.to_string v)
+      | None -> fail name)
+    [
+      ("swapTop", V.Str "r");
+      ("swapUnder", V.Int 5l);
+      ("dupx1Top", V.Str "r");
+      ("dupx1Mid", V.Int 5l);
+      ("dupx1Under", V.Str "r");
+      ("dupx1IntTop", V.Int 5l);
+      ("dupx1RefMid", V.Str "r");
+    ]
+
+(* --- Constant-pool site caches. --- *)
+
+let int_of = function
+  | Some (V.Int n) -> Int32.to_int n
+  | Some v -> fail ("not an int: " ^ V.to_string v)
+  | None -> fail "no result"
+
+(* A constant-pool index first executed as a fieldref still faults when
+   an invoke names it. *)
+let test_site_keeps_cp_kind () =
+  let base =
+    B.class_ "Mixed"
+      ~fields:[ B.field ~flags:static "x" "I" ]
+      [
+        B.meth ~flags:static "f" "()V"
+          [ B.Getstatic ("Mixed", "x", "I"); B.Pop; B.Return ];
+      ]
+  in
+  let f = List.find (fun m -> m.CF.m_name = "f") base.CF.methods in
+  let idx =
+    match f.CF.m_code with
+    | Some { CF.instrs = [| I.Getstatic i; _; _ |]; _ } -> i
+    | _ -> fail "unexpected code shape"
+  in
+  let code =
+    {
+      CF.max_stack = 1;
+      max_locals = 0;
+      instrs = [| I.Getstatic idx; I.Pop; I.Invokestatic idx; I.Return |];
+      handlers = [];
+    }
+  in
+  let cls = { base with CF.methods = [ { f with CF.m_code = Some code } ] } in
+  let vm = vm_with [ cls ] in
+  expect_fault_msg vm "Mixed" "f" "()V" [] (Printf.sprintf "bad methodref index %d" idx)
+
+let target_cls k =
+  B.class_ "Target" [ B.meth ~flags:static "g" "()I" [ B.Const k; B.Ireturn ] ]
+
+let nat_cls =
+  B.class_ "Nat" [ B.native_meth ~flags:[ CF.Public; CF.Static; CF.Native ] "h" "()I" ]
+
+let set_nat vm k =
+  Jvm.Vmstate.register_native vm ~cls:"Nat" ~name:"h" ~desc:"()I" (fun _ _ ->
+      Some (V.Int (Int32.of_int k)))
+
+(* [Calls.f() = Nat.h() + Target.g()]: one native and one bytecode
+   target, each through its own invoke site. *)
+let calls_cls =
+  B.class_ "Calls"
+    [
+      B.meth ~flags:static "f" "()I"
+        [
+          B.Invokestatic ("Nat", "h", "()I");
+          B.Invokestatic ("Target", "g", "()I");
+          B.Add;
+          B.Ireturn;
+        ];
+    ]
+
+let calls vm = int_of (call_static vm "Calls" "f" "()I" [])
+
+let test_site_sees_replaced_class () =
+  let vm = vm_with [ nat_cls; target_cls 10; calls_cls ] in
+  set_nat vm 1;
+  check Alcotest.int "first" 11 (calls vm);
+  check Alcotest.int "cached" 11 (calls vm);
+  Jvm.Classreg.register vm.Jvm.Vmstate.reg (target_cls 20);
+  check Alcotest.int "after register" 21 (calls vm)
+
+let test_site_sees_replaced_native () =
+  let vm = vm_with [ nat_cls; target_cls 10; calls_cls ] in
+  set_nat vm 1;
+  check Alcotest.int "first" 11 (calls vm);
+  check Alcotest.int "cached" 11 (calls vm);
+  set_nat vm 2;
+  check Alcotest.int "after register_native" 12 (calls vm)
+
+let test_site_alternating_receivers () =
+  let shape k = [ B.meth "sides" "()I" [ B.Const k; B.Ireturn ] ] in
+  let classes =
+    [
+      B.class_ "Shape" (shape 0);
+      B.class_ ~super:"Shape" "Tri" (shape 3);
+      B.class_ ~super:"Shape" "Sq" (shape 4);
+      B.class_ "Count"
+        [
+          B.meth ~flags:static "sides" "(LShape;)I"
+            [ B.Aload 0; B.Invokevirtual ("Shape", "sides", "()I"); B.Ireturn ];
+        ];
+    ]
+  in
+  let vm = vm_with classes in
+  let obj cls = V.Obj (Jvm.Heap.alloc_obj vm.Jvm.Vmstate.heap ~cls ~field_descs:[]) in
+  List.iter
+    (fun (cls, want) ->
+      let got = call_static vm "Count" "sides" "(LShape;)I" [ obj cls ] in
+      check Alcotest.int cls want (int_of got))
+    [ ("Tri", 3); ("Sq", 4); ("Tri", 3); ("Shape", 0); ("Sq", 4); ("Sq", 4); ("Tri", 3) ]
+
+(* A resolution that consulted the provider and failed is not cached:
+   each execution consults it again, as the uncached lookup did. *)
+let test_site_replays_provider_misses () =
+  let consults = ref 0 in
+  let provider name =
+    if String.equal name "Gone" then incr consults;
+    None
+  in
+  let vm = Jvm.Bootlib.fresh_vm ~provider () in
+  List.iter (Jvm.Classreg.register vm.Jvm.Vmstate.reg)
+    [
+      B.class_ ~super:"Gone" "Orphan" [];
+      B.class_ "Poke"
+        [
+          B.meth ~flags:static "f" "(LOrphan;)V"
+            [ B.Aload 0; B.Invokevirtual ("Orphan", "m", "()V"); B.Return ];
+        ];
+    ];
+  let o = V.Obj (Jvm.Heap.alloc_obj vm.Jvm.Vmstate.heap ~cls:"Orphan" ~field_descs:[]) in
+  for k = 1 to 3 do
+    expect_throw vm "Poke" "f" "(LOrphan;)V" [ o ] "java/lang/NoSuchMethodError";
+    check Alcotest.int "provider consulted again" k !consults
+  done
+
+(* Two VMs registering the same [Classfile.t] keep separate caches. *)
+let test_site_cache_per_vm () =
+  let vm_for nat target =
+    let vm = vm_with [ nat_cls; target_cls target; calls_cls ] in
+    set_nat vm nat;
+    vm
+  in
+  let vm1 = vm_for 1 10 and vm2 = vm_for 2 20 in
+  for _ = 1 to 2 do
+    check Alcotest.int "vm1" 11 (calls vm1);
+    check Alcotest.int "vm2" 22 (calls vm2)
+  done
 
 let () =
   Alcotest.run "jvm"
@@ -1055,5 +1424,26 @@ let () =
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "instruction counting" `Quick
             test_instr_count_accumulates;
+          Alcotest.test_case "kind faults keep their messages" `Quick
+            test_fault_kind_parity;
+        ] );
+      ( "frames",
+        [
+          QCheck_alcotest.to_alcotest prop_int_ops_match_int32;
+          Alcotest.test_case "stack moves keep kinds" `Quick
+            test_stack_moves_keep_kinds;
+          Alcotest.test_case "nested array names" `Quick test_nested_array_names;
+          Alcotest.test_case "parseInt java syntax" `Quick test_parse_int_java_syntax;
+        ] );
+      ( "sites",
+        [
+          Alcotest.test_case "cp kind kept" `Quick test_site_keeps_cp_kind;
+          Alcotest.test_case "replaced class" `Quick test_site_sees_replaced_class;
+          Alcotest.test_case "replaced native" `Quick test_site_sees_replaced_native;
+          Alcotest.test_case "alternating receivers" `Quick
+            test_site_alternating_receivers;
+          Alcotest.test_case "provider misses replay" `Quick
+            test_site_replays_provider_misses;
+          Alcotest.test_case "cache per vm" `Quick test_site_cache_per_vm;
         ] );
     ]
