@@ -78,9 +78,9 @@ let write_bench ?(hists = true) ~wall_ms name =
     name wall_ms summary
     (if hists then Telemetry.metrics_json Telemetry.default
      else begin
-       (* Phases that run on the host clock (no simnet engine) have
-          wall-time histograms that drift run to run; pin only the
-          deterministic counters and gauges for those. *)
+       (* Phases with host-clock spans have wall-time histograms
+          that drift run to run; pin only the deterministic counters
+          and gauges for those. *)
        let kv (k, v) =
          Printf.sprintf "\"%s\":%Ld" (Telemetry.json_escape k) v
        in
@@ -581,9 +581,11 @@ let fig12 () =
 
 (* --- Ablations. --- *)
 
-let ablations () =
-  section "Ablations (design choices called out in DESIGN.md)";
-  let app = Workloads.Apps.build_small Workloads.Apps.jlex in
+(* Ablations 1-3 drive the proxy's serve path (parse once vs per
+   service, filter order through [Proxy.provider], signing), so the
+   paper phase pins their totals and output digest in BENCH_paper.json
+   as well as printing them here. *)
+let pipeline_ablations app =
   let oracle =
     Verifier.Oracle.of_classes
       (Jvm.Bootlib.boot_classes () @ app.Workloads.Appgen.classes)
@@ -612,6 +614,12 @@ let ablations () =
     "proxy CPU, parse-once: %.2fs  parse-per-service: %.2fs (%.1fx)\n"
     (s_of_us once) (s_of_us per)
     (Int64.to_float per /. Int64.to_float once);
+  bench_put "ablation1"
+    (json_obj
+       [
+         ("parse_once_us", Int64.to_string once);
+         ("parse_per_service_us", Int64.to_string per);
+       ]);
   subsection "2. pipeline order invariance (behaviour)";
   let run_order filters =
     let engine = Simnet.Engine.create () in
@@ -636,6 +644,12 @@ let ablations () =
   Printf.printf
     "verify->security->audit output = audit->security->verify: %b\n"
     (String.equal o1 o2);
+  bench_put "ablation2"
+    (json_obj
+       [
+         ("order_invariant", string_of_bool (String.equal o1 o2));
+         ("output_md5", Printf.sprintf "%S" (Dsig.Md5.hex_digest o1));
+       ]);
   subsection "3. signing cost";
   let key = Dsig.Sign.make_key ~key_id:"org" ~secret:"k" in
   let unsigned = total true in
@@ -657,6 +671,17 @@ let ablations () =
     (100.0
     *. (Int64.to_float signed -. Int64.to_float unsigned)
     /. Int64.to_float unsigned);
+  bench_put "ablation3"
+    (json_obj
+       [
+         ("unsigned_us", Int64.to_string unsigned);
+         ("signed_us", Int64.to_string signed);
+       ])
+
+let ablations () =
+  section "Ablations (design choices called out in DESIGN.md)";
+  let app = Workloads.Apps.build_small Workloads.Apps.jlex in
+  pipeline_ablations app;
   subsection "4. enforcement-manager result cache";
   let policy = Dvm.Experiment.standard_policy in
   let server = Security.Server.create policy in
@@ -751,17 +776,18 @@ let ablations () =
 
    Figures 6, 8, 10 and 12 in one phase, so their series land in
    BENCH_paper.json: per-app virtual times, check counts, the
-   Figure-10 scaling curve and the repartitioning model. Every value
-   is a function of the virtual clock or the cost model, so a refactor
-   that bends a reproduced shape fails the pin. The runs also record
-   host-clock histograms; the phase writes with hists:false to leave
-   them out. *)
+   Figure-10 scaling curve and the repartitioning model, plus the
+   pipeline ablations 1-3. Every value is a function of the virtual
+   clock or the cost model, so a refactor that bends a reproduced
+   shape fails the pin. The runs also record host-clock histograms;
+   the phase writes with hists:false to leave them out. *)
 
 let paper () =
   fig6 ();
   fig8 ();
   fig10 ();
-  fig12 ()
+  fig12 ();
+  pipeline_ablations (Workloads.Apps.build_small Workloads.Apps.jlex)
 
 (* --- Bechamel microbenchmarks. --- *)
 
@@ -1183,13 +1209,32 @@ let wall_ms_of text =
            |> String.of_seq |> int_of_string_opt
          else None)
 
+(* Each summary series and the metrics object sit on their own line
+   of a BENCH file, keyed by the line's first quoted string; a drift
+   names the keys whose lines differ, so "series identical, counters
+   moved" reads as a drift in [metrics] alone. *)
+let drifted_keys base now =
+  let keyed text =
+    String.split_on_char '\n' (strip_wall_ms text)
+    |> List.filter_map (fun l ->
+           match String.split_on_char '"' l with
+           | _ :: key :: _ -> Some (key, l)
+           | _ -> None)
+  in
+  let b = keyed base and n = keyed now in
+  List.fold_left
+    (fun acc (k, _) -> if List.mem k acc then acc else k :: acc)
+    [] (b @ n)
+  |> List.rev
+  |> List.filter (fun k -> List.assoc_opt k b <> List.assoc_opt k n)
+
 let perf () =
   section "Perf: wall-clock vs pinned BENCH baselines";
-  (* elide runs on the host clock (no simnet engine), so its latency
-     histograms are wall time and not pinnable — hists:false. Same for
-     control: its offline digest cross-check replays the pipeline
-     outside the sim clock, so filter_us histograms carry wall time;
-     and for paper, whose Figure-6/12 app runs use no engine. *)
+  (* hists:false pins counters and gauges only. elide and paper need
+     it: their DVM clients run apps on the host between request_sync
+     drains, so client.fetch_us and jvm.class_load_us time wall-clock
+     spans. control's histograms are all virtual-clock or model cost;
+     it keeps the flag so its pinned file keeps its shape. *)
   let pinned =
     [
       ("faults", faults, true); ("farm", farm, true); ("chaos", chaos, true);
@@ -1231,7 +1276,8 @@ let perf () =
           (fmt_ms (wall_ms_of base))
           (fmt_ms (wall_ms_of now))
           speedup
-          (if pinned_ok then "ok" else "DRIFT"))
+          (if pinned_ok then "ok"
+           else "DRIFT: " ^ String.concat ", " (drifted_keys base now)))
     baselines;
   if !drift then begin
     Printf.eprintf

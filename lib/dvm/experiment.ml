@@ -178,11 +178,7 @@ let run_arch ?elide ~policy ~arch (app : Workloads.Appgen.app) : result =
            ignore (Proxy.request_sync proxy ~cls:cf.Bytecode.Classfile.name))
          app.Workloads.Appgen.classes);
     let proxy_cpu_before = proxy.Proxy.cpu_us in
-    let provider name =
-      match Proxy.request_sync proxy ~cls:name with
-      | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded -> None
-      | Proxy.Bytes b -> Some b
-    in
+    let provider = Proxy.provider proxy in
     (* The console shares the simulation's clock, so its audit trail
        lines up with telemetry spans captured during the run. *)
     let console =

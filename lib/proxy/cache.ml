@@ -110,7 +110,7 @@ let find ?(version = 0) t key =
   else if not (Telemetry.Global.on ()) then find_raw t ~version key
   else
     Telemetry.Global.with_span ~cat:"cache" ~args:[ ("class", key) ]
-      ~observe_hist:"cache.find_us" "cache.find" (fun () ->
+      "cache.find" (fun () ->
         match find_raw t ~version key with
         | Some _ as hit ->
           Telemetry.Global.incr "cache.hits";

@@ -50,8 +50,11 @@ type t = {
   working_set_factor : int;
   (* Single-flight: concurrent misses for the same key join the run
      already in flight instead of re-parsing. The table maps keys with
-     a pipeline run in flight to the requests that joined it. *)
-  inflight : (string, waiter list ref) Hashtbl.t;
+     a pipeline run in flight to the requests that joined it. A key is
+     (class, policy version), the key L1 and L2 use: a request that
+     arrives after a bump leads its own run instead of joining one that
+     may rewrite under the revoked stack. *)
+  inflight : (string * int, waiter list ref) Hashtbl.t;
   admission : Admission.t;
   mutable requests : int;
   mutable rejections : int;
@@ -242,7 +245,7 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
     let admit_at = Simnet.Engine.now t.engine in
     let backlog = Simnet.Host.backlog_us t.host in
     let is_hit = Cache.mem ~version:t.policy_version t.cache cls in
-    let is_join = Hashtbl.mem t.inflight cls in
+    let is_join = Hashtbl.mem t.inflight (cls, t.policy_version) in
     let est_us =
       Int64.add backlog
         (if is_hit then 2000L else Admission.estimate_us t.admission)
@@ -307,7 +310,8 @@ and request_admitted ?on_fail ~trace t ~cls k =
           log t "proxy.cache_hit" cls;
           k (Bytes bytes))
     | None -> (
-      match Hashtbl.find_opt t.inflight cls with
+      let key = (cls, t.policy_version) in
+      match Hashtbl.find_opt t.inflight key with
       | Some waiters ->
         (* Join the pipeline run already in flight for this key. *)
         t.coalesced <- t.coalesced + 1;
@@ -345,9 +349,9 @@ and request_admitted ?on_fail ~trace t ~cls k =
           | Some bytes ->
             (* Become the leader of a single-flight run. *)
             let waiters : waiter list ref = ref [] in
-            Hashtbl.replace t.inflight cls waiters;
+            Hashtbl.replace t.inflight key waiters;
             let settle reply =
-              Hashtbl.remove t.inflight cls;
+              Hashtbl.remove t.inflight key;
               let joined = List.rev !waiters in
               let deliver () =
                 k reply;
@@ -364,7 +368,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
                   "proxy.coalesce.fanout" deliver
             in
             let settle_fail () =
-              Hashtbl.remove t.inflight cls;
+              Hashtbl.remove t.inflight key;
               let joined = List.rev !waiters in
               (match on_fail with Some f -> f () | None -> ());
               List.iter
@@ -386,67 +390,17 @@ and request_admitted ?on_fail ~trace t ~cls k =
                 transform_and_reply ~on_fail:settle_fail ~trace t ~cls bytes
                   settle))))
 
-(* Synchronous variant for non-simulated use (unit tests, CLI): runs
-   the pipeline immediately and returns the bytes. *)
-let request_sync_raw t ~cls =
-  t.requests <- t.requests + 1;
-  match Cache.find ~version:t.policy_version t.cache cls with
-  | Some bytes ->
-    t.cpu_us <- Int64.add t.cpu_us 2000L;
-    t.bytes_served <- t.bytes_served + String.length bytes;
-    Bytes bytes
-  | None -> (
-    match
-      match t.l2 with
-      | None -> None
-      | Some l2 -> Cache.find ~version:t.policy_version l2 cls
-    with
-    | Some bytes ->
-      t.l2_hits <- t.l2_hits + 1;
-      if Telemetry.Global.on () then Telemetry.Global.incr "proxy.l2_hits";
-      t.cpu_us <-
-        Int64.add t.cpu_us (l2_transfer_cost t ~bytes:(String.length bytes));
-      Cache.store ~version:t.policy_version t.cache cls bytes;
-      t.bytes_served <- t.bytes_served + String.length bytes;
-      Bytes bytes
-    | None -> (
-      match t.origin cls with
-      | None -> Not_found
-      | Some bytes ->
-        t.origin_fetches <- t.origin_fetches + 1;
-        Telemetry.Global.incr "proxy.origin_fetches";
-        t.pipeline_runs <- t.pipeline_runs + 1;
-        let outcome =
-          Pipeline.run ~policy_version:t.policy_version ?memo:t.memo
-            ?signer:t.signer t.filters bytes
-        in
-        t.cpu_us <- Int64.add t.cpu_us (Pipeline.total_cost outcome);
-        (match outcome.Pipeline.rejected with
-        | Some _ -> t.rejections <- t.rejections + 1
-        | None -> ());
-        let version = outcome.Pipeline.out_version in
-        Cache.store ~version t.cache cls outcome.Pipeline.out_bytes;
-        (match t.l2 with
-        | None -> ()
-        | Some l2 -> Cache.store ~version l2 cls outcome.Pipeline.out_bytes);
-        t.bytes_served <-
-          t.bytes_served + String.length outcome.Pipeline.out_bytes;
-        Bytes outcome.Pipeline.out_bytes))
-
+(* Synchronous entry for callers outside a simulation (unit tests, the
+   CLI, a DVM client's classloader): the simulated [request], run to
+   completion on the node's own engine, so cache, version, fence,
+   admission, audit and single-flight rules are the farm's. Draining
+   the engine makes it only for engines nothing else is driving. A
+   refusal (fence down, host crashed) replies [Unavailable]. *)
 let request_sync t ~cls =
-  if not (Telemetry.Global.on ()) then request_sync_raw t ~cls
-  else
-    Telemetry.Global.with_span ~cat:"proxy" ~args:[ ("class", cls) ]
-      ~observe_hist:"proxy.request_us" "proxy.request" (fun () ->
-        Telemetry.Global.incr "proxy.requests";
-        let reply = request_sync_raw t ~cls in
-        (match reply with
-        | Bytes b ->
-          Telemetry.Global.add "proxy.bytes_served" (Int64.of_int (String.length b))
-        | Not_found -> Telemetry.Global.incr "proxy.not_found"
-        | Unavailable -> Telemetry.Global.incr "proxy.unavailable"
-        | Overloaded -> Telemetry.Global.incr "proxy.overloaded");
-        reply)
+  let reply = ref Unavailable in
+  request t ~cls (fun r -> reply := r);
+  Simnet.Engine.run t.engine;
+  !reply
 
 (* A classloading provider backed by the synchronous path — what a DVM
    client plugs into its registry. *)

@@ -61,16 +61,10 @@ let record_outcome (o : outcome) =
 let apply_filter f cf =
   if not (Telemetry.Global.on ()) then Rewrite.Filter.apply f cf
   else
-    let name = f.Rewrite.Filter.name in
     Telemetry.Global.with_span ~cat:"pipeline"
       ~args:[ ("class", cf.Bytecode.Classfile.name) ]
-      ~observe_hist:("pipeline.filter_us." ^ name)
-      ("pipeline.filter:" ^ name)
-      (fun () ->
-        Telemetry.Global.observe
-          ("pipeline.filter_model_us." ^ name)
-          (transform_cost_of cf);
-        Rewrite.Filter.apply f cf)
+      ("pipeline.filter:" ^ f.Rewrite.Filter.name)
+      (fun () -> Rewrite.Filter.apply f cf)
 
 let parse_traced bytes =
   Telemetry.Global.with_span ~cat:"pipeline" "pipeline.parse" (fun () ->
@@ -103,27 +97,44 @@ let apply_gate g cf =
 let run_uncached ?(policy_version = 0) ?signer ?gate filters (bytes : string) :
     outcome =
   let parse_cost = parse_cost_of bytes in
-  match parse_traced bytes with
-  | exception Bytecode.Decode.Format_error reason ->
-    (* Undecodable input: substitute the error class outright. *)
-    let name = "malformed/Input" in
-    let repl = Verifier.Error_class.build ~name ~message:reason in
-    let out = Bytecode.Encode.class_to_bytes repl in
+  let transform_cost = ref 0L in
+  let sign cf =
+    match signer with
+    | None -> cf
+    | Some key ->
+      Telemetry.Global.with_span ~cat:"pipeline" "pipeline.sign" (fun () ->
+          Dsig.Sign.sign key cf)
+  in
+  let finish ?rejected out =
     let o =
       {
         out_bytes = out;
         out_version = policy_version;
-        rejected = Some ("decode", reason);
+        rejected;
         parse_cost;
-        transform_cost = 0L;
+        transform_cost = !transform_cost;
         generate_cost = generate_cost_of out;
         parses = 1;
       }
     in
     record_outcome o;
     o
+  in
+  (* §3.1: whichever stage refuses the class, the client gets an
+     error-propagation replacement under the refused class's name, so
+     the client's load of it raises the error ("malformed/Input" when
+     the input never decoded). It is signed like any class the proxy
+     serves, since clients redirect unsigned code back to the proxy,
+     and generating it is proxy work too. *)
+  let reject ~filter ~name reason =
+    finish ~rejected:(filter, reason)
+      (Bytecode.Encode.class_to_bytes
+         (sign (Verifier.Error_class.build ~name ~message:reason)))
+  in
+  match parse_traced bytes with
+  | exception Bytecode.Decode.Format_error reason ->
+    reject ~filter:"decode" ~name:"malformed/Input" reason
   | cf -> (
-    let transform_cost = ref 0L in
     match
       List.fold_left
         (fun acc f ->
@@ -131,106 +142,21 @@ let run_uncached ?(policy_version = 0) ?signer ?gate filters (bytes : string) :
           apply_filter f acc)
         cf filters
     with
-    | transformed -> (
-      let gate_rejection =
-        match gate with
-        | None -> None
-        | Some g ->
-          Option.map
-            (fun reason -> (transformed.Bytecode.Classfile.name, reason))
-            (apply_gate g transformed)
-      in
-      match gate_rejection with
-      | Some (cls, reason) ->
-        (* The certifier refused the transformed class: same §3.1
-           conversion as a filter rejection. *)
-        let repl = Verifier.Error_class.build ~name:cls ~message:reason in
-        let repl =
-          match signer with None -> repl | Some key -> Dsig.Sign.sign key repl
-        in
-        let out = Bytecode.Encode.class_to_bytes repl in
-        let o =
-          {
-            out_bytes = out;
-            out_version = policy_version;
-            rejected = Some ("certify", reason);
-            parse_cost;
-            transform_cost = !transform_cost;
-            generate_cost = generate_cost_of out;
-            parses = 1;
-          }
-        in
-        record_outcome o;
-        o
-      | None -> (
-      let transformed =
-        match signer with
-        | None -> transformed
-        | Some key ->
-          Telemetry.Global.with_span ~cat:"pipeline" "pipeline.sign"
-            (fun () -> Dsig.Sign.sign key transformed)
-      in
-      match generate_traced transformed with
-      | out ->
-        let o =
-          {
-            out_bytes = out;
-            out_version = policy_version;
-            rejected = None;
-            parse_cost;
-            transform_cost = !transform_cost;
-            generate_cost = generate_cost_of out;
-            parses = 1;
-          }
-        in
-        record_outcome o;
-        o
-      | exception Bytecode.Io.Overflow reason ->
-        (* A filter inflated the class past a classfile encoding limit
-           (a 16-bit length or index field). That is a rejection like
-           any other (§3.1): the client gets an error-propagation
-           replacement class naming the oversized field, not a
-           truncated or silently-masked image. *)
-        let repl =
-          Verifier.Error_class.build
-            ~name:transformed.Bytecode.Classfile.name ~message:reason
-        in
-        let repl =
-          match signer with None -> repl | Some key -> Dsig.Sign.sign key repl
-        in
-        let out = Bytecode.Encode.class_to_bytes repl in
-        let o =
-          {
-            out_bytes = out;
-            out_version = policy_version;
-            rejected = Some ("encode", reason);
-            parse_cost;
-            transform_cost = !transform_cost;
-            generate_cost = generate_cost_of out;
-            parses = 1;
-          }
-        in
-        record_outcome o;
-        o))
     | exception Rewrite.Filter.Rejected { filter; cls; reason } ->
-      let repl = Verifier.Error_class.build ~name:cls ~message:reason in
-      let repl =
-        match signer with None -> repl | Some key -> Dsig.Sign.sign key repl
-      in
-      let out = Bytecode.Encode.class_to_bytes repl in
-      let o =
-        {
-          out_bytes = out;
-          out_version = policy_version;
-          rejected = Some (filter, reason);
-          parse_cost;
-          transform_cost = !transform_cost;
-          generate_cost = generate_cost_of out;
-          parses = 1;
-        }
-      in
-      record_outcome o;
-      o)
+      reject ~filter ~name:cls reason
+    | transformed -> (
+      let name = transformed.Bytecode.Classfile.name in
+      match Option.bind gate (fun g -> apply_gate g transformed) with
+      | Some reason -> reject ~filter:"certify" ~name reason
+      | None -> (
+        match generate_traced (sign transformed) with
+        | out -> finish out
+        | exception Bytecode.Io.Overflow reason ->
+          (* A filter inflated the class past a classfile encoding
+             limit (a 16-bit length or index field): the replacement's
+             message names the oversized field, instead of a truncated
+             or silently-masked image. *)
+          reject ~filter:"encode" ~name reason)))
 
 (* --- Host-CPU memoization. ---
 
@@ -349,76 +275,26 @@ let run ?(policy_version = 0) ?memo ?signer ?gate filters (bytes : string) :
 (* Ablation: the naive structure that re-parses and re-generates
    between every pair of services, as if each were an independent
    proxy. Same output, multiplied parse/generate cost. *)
-let run_parse_per_service ?(policy_version = 0) ?signer ?gate filters bytes :
-    outcome =
-  (* A rejection carries the name the replacement class must take —
-     the rejected class's own name (so the client's load of it raises
-     the error), or the fixed "malformed/Input" when the input never
-     decoded. [run] follows the same rule; the ablation must produce
-     the same output, only at multiplied cost. *)
-  let rec go bytes acc_parse acc_transform acc_generate parses = function
-    | [] -> (bytes, acc_parse, acc_transform, acc_generate, parses, None)
-    | f :: rest -> (
-      let parse = parse_cost_of bytes in
-      match Bytecode.Decode.class_of_bytes bytes with
-      | exception Bytecode.Decode.Format_error reason ->
-        (bytes, Int64.add acc_parse parse, acc_transform, acc_generate, parses + 1,
-         Some ("decode", reason, "malformed/Input"))
-      | cf -> (
-        let tc = transform_cost_of cf in
-        match Rewrite.Filter.apply f cf with
-        | cf' -> (
-          (* Same §3.1 conversion as [run]: an encoding-limit overflow
-             is a rejection naming the oversized field. *)
-          match Bytecode.Encode.class_to_bytes cf' with
-          | out ->
-            go out (Int64.add acc_parse parse) (Int64.add acc_transform tc)
-              (Int64.add acc_generate (generate_cost_of out))
-              (parses + 1) rest
-          | exception Bytecode.Io.Overflow reason ->
-            (bytes, Int64.add acc_parse parse, Int64.add acc_transform tc,
-             acc_generate, parses + 1,
-             Some ("encode", reason, cf'.Bytecode.Classfile.name)))
-        | exception Rewrite.Filter.Rejected { filter; cls; reason } ->
-          (bytes, Int64.add acc_parse parse, Int64.add acc_transform tc,
-           acc_generate, parses + 1, Some (filter, reason, cls))))
-  in
-  let out, parse_cost, transform_cost, generate_cost, parses, rejected =
-    go bytes 0L 0L 0L 0 filters
-  in
-  (* The gate sees the final parsed image — the ablation re-parses for
-     it like it does between services (same output as [run], more
-     parse cost). *)
-  let parse_cost, rejected =
-    match (rejected, gate) with
-    | Some _, _ | None, None -> (parse_cost, rejected)
-    | None, Some g -> (
-      let parse_cost = Int64.add parse_cost (parse_cost_of out) in
-      match Bytecode.Decode.class_of_bytes out with
-      | exception Bytecode.Decode.Format_error reason ->
-        (parse_cost, Some ("decode", reason, "malformed/Input"))
-      | cf -> (
-        match apply_gate g cf with
-        | None -> (parse_cost, None)
-        | Some reason ->
-          (parse_cost, Some ("certify", reason, cf.Bytecode.Classfile.name))))
-  in
-  let out_bytes, rejected, generate_cost =
-    match rejected with
-    | None -> (out, None, generate_cost)
-    | Some (filter, reason, repl_name) ->
-      let repl = Verifier.Error_class.build ~name:repl_name ~message:reason in
-      let out = Bytecode.Encode.class_to_bytes repl in
-      (* Generating the replacement is proxy work too, exactly as in
-         [run]. *)
-      (out, Some (filter, reason), Int64.add generate_cost (generate_cost_of out))
-  in
-  let out_bytes =
-    match signer with
-    | None -> out_bytes
-    | Some key ->
-      Bytecode.Encode.class_to_bytes
-        (Dsig.Sign.sign key (Bytecode.Decode.class_of_bytes out_bytes))
-  in
-  { out_bytes; out_version = policy_version; rejected; parse_cost;
-    transform_cost; generate_cost; parses }
+let run_parse_per_service filters bytes : outcome =
+  List.fold_left
+    (fun (acc : outcome) f ->
+      if acc.rejected <> None then acc
+      else
+        let o = run_uncached [ f ] acc.out_bytes in
+        {
+          o with
+          parse_cost = Int64.add acc.parse_cost o.parse_cost;
+          transform_cost = Int64.add acc.transform_cost o.transform_cost;
+          generate_cost = Int64.add acc.generate_cost o.generate_cost;
+          parses = acc.parses + o.parses;
+        })
+    {
+      out_bytes = bytes;
+      out_version = 0;
+      rejected = None;
+      parse_cost = 0L;
+      transform_cost = 0L;
+      generate_cost = 0L;
+      parses = 0;
+    }
+    filters

@@ -74,15 +74,16 @@ val run :
   Rewrite.Filter.t list ->
   string ->
   outcome
-(** A memo pins itself to the first (filters, signer, gate) triple it
-    serves — all compared physically — and falls back to real runs for
-    any other. [policy_version] (default 0 = unversioned) is stamped
+(** With [signer], every class returned is signed, §3.1 replacements
+    included — whether decode, a filter, the gate or encoding refused
+    the input. A memo pins itself to the first (filters, signer, gate)
+    triple it serves — all compared physically — and falls back to
+    real runs for any other. [policy_version] (default 0 = unversioned) is stamped
     into [out_version] and keys the memo alongside the input bytes, so
     outcomes computed under different policy versions never alias. *)
 
-val run_parse_per_service :
-  ?policy_version:int ->
-  ?signer:Dsig.Sign.key -> ?gate:gate -> Rewrite.Filter.t list -> string -> outcome
+val run_parse_per_service : Rewrite.Filter.t list -> string -> outcome
 (** Ablation: re-parse and re-generate between every pair of services
-    (same output, multiplied cost — including one more parse for the
-    gate, which in {!run} reuses the in-memory image). *)
+    — one single-filter {!run} pass per service (unversioned, unsigned,
+    ungated, unmemoized), stopping at the first rejection. Same output
+    as {!run}, costs summed over the passes; [parses] counts them. *)

@@ -66,8 +66,11 @@ type t = Node.t = {
   memo : Pipeline.Memo.t option;  (** optional host-CPU outcome memo *)
   audit : Monitor.Audit.t option;
   working_set_factor : int;
-  inflight : (string, waiter list ref) Hashtbl.t;
-      (** keys with a pipeline run in flight → requests that joined it *)
+  inflight : (string * int, waiter list ref) Hashtbl.t;
+      (** (class, policy version) with a pipeline run in flight →
+          requests that joined it. The version is part of the key, as
+          in L1 and L2: a request arriving after a bump leads its own
+          run rather than joining one under the revoked stack. *)
   admission : Admission.t;
   mutable requests : int;
   mutable rejections : int;
@@ -131,18 +134,25 @@ val request :
     zero-delay hop, before any work is scheduled. Without a deadline,
     admission is passive bookkeeping.
 
-    Misses are single-flight: the first request for a key leads and
-    runs the pipeline; concurrent requests for the same key join it
-    (counter [coalesced]) and settle — success or failure — with the
-    leader. A crash mid-flight fails every joined request at once,
+    Misses are single-flight: the first request for a (class, policy
+    version) key leads and runs the pipeline; concurrent requests for
+    the same key join it (counter [coalesced]) and settle — success or
+    failure — with the leader, even if the node bumps its version
+    meanwhile. A crash mid-flight fails every joined request at once,
     each through its own [on_fail]. *)
 
 val request_sync : t -> cls:string -> reply
-(** Synchronous variant for unit tests and the CLI. *)
+(** {!request} run to completion: it drains the node's engine
+    ([Simnet.Engine.run]), so use it only on an engine nothing else is
+    driving — unit tests, the CLI, a classloader. Cache, version,
+    fence, admission, audit and single-flight rules are those of
+    {!request}. A refusal (fence down, host crashed) returns
+    [Unavailable]. *)
 
 val provider : t -> Jvm.Classreg.provider
-(** A classloading provider backed by the synchronous path — what a
-    DVM client plugs into its registry. *)
+(** A classloading provider backed by {!request_sync} — what a DVM
+    client plugs into its registry; it drains the engine the same way.
+    Anything but [Bytes] is a missing class. *)
 
 module Farm : module type of Farm
 (** Sharded proxy farm: consistent-hash routing over independent

@@ -268,6 +268,31 @@ let test_control_invariants_hold () =
         (if changed then List.length ds = 2 else List.length ds = 1))
     c.Dvm.Chaos.cn_digests
 
+let test_control_no_revoked_serves_uncached () =
+  (* With caches off every fetch is a pipeline run, so a flight is
+     almost always open when a shard applies the bump. While flights
+     were keyed by class alone, a request arriving after the bump
+     joined the revoked run: these seeds served revoked bytes in the
+     partition-free reference run. *)
+  List.iter
+    (fun (seed, bump_at) ->
+      let w =
+        Dvm.Chaos.verify_control
+          {
+            Dvm.Chaos.default_control_config with
+            Dvm.Chaos.cc_seed = seed;
+            cc_cache_mb = 0;
+            cc_bump_at_s = bump_at;
+          }
+      in
+      let what = Printf.sprintf "seed %d" seed in
+      check Alcotest.int (what ^ ": reference run") 0
+        w.Dvm.Chaos.w_reference.Dvm.Chaos.cn_revoked_serves;
+      check Alcotest.int (what ^ ": chaotic run") 0
+        w.Dvm.Chaos.w_chaotic.Dvm.Chaos.cn_revoked_serves;
+      check Alcotest.bool (what ^ ": verdict") true (Dvm.Chaos.control_ok w))
+    [ (9, Dvm.Chaos.default_control_config.Dvm.Chaos.cc_bump_at_s); (3, 8) ]
+
 let test_control_seed_replayable () =
   let a = Dvm.Chaos.run_control small_control
   and b = Dvm.Chaos.run_control small_control in
@@ -298,6 +323,8 @@ let () =
         [
           Alcotest.test_case "invariants hold" `Quick
             test_control_invariants_hold;
+          Alcotest.test_case "no revoked serve with caches off" `Quick
+            test_control_no_revoked_serves_uncached;
           Alcotest.test_case "seed determinism" `Quick
             test_control_seed_replayable;
         ] );

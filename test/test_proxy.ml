@@ -180,7 +180,28 @@ let test_parse_per_service_rejection_parity () =
   check Alcotest.string "malformed: identical replacement bytes"
     s2.Proxy.Pipeline.out_bytes n2.Proxy.Pipeline.out_bytes;
   check Alcotest.int64 "malformed: identical total cost"
-    (Proxy.Pipeline.total_cost s2) (Proxy.Pipeline.total_cost n2)
+    (Proxy.Pipeline.total_cost s2) (Proxy.Pipeline.total_cost n2);
+  (* A rejection by the last filter: the ablation has re-parsed and
+     re-generated before each earlier service, so it costs more, but
+     the replacement is the same. *)
+  let refuse =
+    Rewrite.Filter.make ~name:"last" (fun cf ->
+        Rewrite.Filter.reject ~filter:"last" ~cls:cf.CF.name "refused")
+  in
+  let hello_bytes = Bytecode.Encode.class_to_bytes hello in
+  let s3 = Proxy.Pipeline.run (filters () @ [ refuse ]) hello_bytes in
+  let n3 =
+    Proxy.Pipeline.run_parse_per_service (filters () @ [ refuse ]) hello_bytes
+  in
+  (match (s3.Proxy.Pipeline.rejected, n3.Proxy.Pipeline.rejected) with
+  | Some ("last", _), Some ("last", _) -> ()
+  | _ -> fail "both structures must reject via the last filter");
+  check Alcotest.string "last filter: identical replacement bytes"
+    s3.Proxy.Pipeline.out_bytes n3.Proxy.Pipeline.out_bytes;
+  check Alcotest.int "last filter: one parse per service" 3
+    n3.Proxy.Pipeline.parses;
+  check Alcotest.bool "last filter: naive costs more" true
+    (Proxy.Pipeline.total_cost n3 > Proxy.Pipeline.total_cost s3)
 
 let test_parse_per_service_ablation () =
   let bytes = Bytecode.Encode.class_to_bytes hello in
@@ -194,12 +215,36 @@ let test_parse_per_service_ablation () =
     (Proxy.Pipeline.total_cost naive > Proxy.Pipeline.total_cost shared)
 
 let test_pipeline_signs () =
+  (* Every class the proxy serves is signed, a §3.1 replacement too,
+     whichever stage refused the input: clients redirect unsigned code
+     back to the proxy. *)
   let key = Dsig.Sign.make_key ~key_id:"org" ~secret:"k" in
-  let bytes = Bytecode.Encode.class_to_bytes hello in
-  let out = Proxy.Pipeline.run ~signer:key (filters ()) bytes in
-  let cf = Bytecode.Decode.class_of_bytes out.Proxy.Pipeline.out_bytes in
-  check Alcotest.bool "signature valid" true
-    (Dsig.Sign.verify [ key ] cf = Dsig.Sign.Valid)
+  let bad =
+    B.class_ "Bad" [ B.meth ~flags:static "f" "()I" [ B.Add; B.Ireturn ] ]
+  in
+  let hello_bytes = Bytecode.Encode.class_to_bytes hello in
+  List.iter
+    (fun (what, stage, gate, bytes) ->
+      let out = Proxy.Pipeline.run ~signer:key ?gate (filters ()) bytes in
+      check
+        Alcotest.(option string)
+        (what ^ ": rejecting stage") stage
+        (Option.map fst out.Proxy.Pipeline.rejected);
+      let cf = Bytecode.Decode.class_of_bytes out.Proxy.Pipeline.out_bytes in
+      check Alcotest.bool (what ^ ": signature valid") true
+        (Dsig.Sign.verify [ key ] cf = Dsig.Sign.Valid))
+    [
+      ("accepted", None, None, hello_bytes);
+      ("undecodable", Some "decode", None, "garbage not a class");
+      ( "verifier reject",
+        Some "verifier",
+        None,
+        Bytecode.Encode.class_to_bytes bad );
+      ( "certify reject",
+        Some "certify",
+        Some (fun _ -> Some "refused"),
+        hello_bytes );
+    ]
 
 let test_pipeline_encode_overflow_rejects () =
   (* Regression: an encoding-limit overflow inside code generation used
@@ -1075,6 +1120,46 @@ let test_request_sync_and_cache () =
   | Proxy.Not_found -> ()
   | Proxy.Bytes _ | Proxy.Unavailable | Proxy.Overloaded -> fail "phantom class"
 
+let test_request_sync_is_simulated_path () =
+  (* [request_sync] is [request] run to completion: it obeys the fence
+     and the host's state, and charges what [request] charges,
+     signing included. *)
+  let node ?signer () =
+    Proxy.create (Simnet.Engine.create ()) ?signer
+      ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> 0L)
+      ~filters:(filters ()) ()
+  in
+  let refused what p =
+    match Proxy.request_sync p ~cls:"Hello" with
+    | Proxy.Unavailable -> ()
+    | Proxy.Bytes _ -> fail (what ^ ": served")
+    | Proxy.Not_found | Proxy.Overloaded -> fail (what ^ ": wrong refusal")
+  in
+  let fenced = node () in
+  fenced.Proxy.serving_allowed <- (fun () -> false);
+  refused "fenced node" fenced;
+  check Alcotest.int "fence counted" 1 fenced.Proxy.fenced_rejects;
+  let crashed = node () in
+  Simnet.Host.crash crashed.Proxy.host;
+  refused "crashed host" crashed;
+  let key = Dsig.Sign.make_key ~key_id:"org" ~secret:"k" in
+  let signed = node ~signer:key () in
+  (match Proxy.request_sync signed ~cls:"Hello" with
+  | Proxy.Bytes _ -> ()
+  | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded ->
+    fail "signed node did not serve");
+  let o =
+    Proxy.Pipeline.run ~signer:key (filters ())
+      (Bytecode.Encode.class_to_bytes hello)
+  in
+  let sign_cost =
+    Dsig.Sign.sign_cost_us ~bytes:(String.length o.Proxy.Pipeline.out_bytes)
+  in
+  check Alcotest.int64 "a miss charges the pipeline and the signature"
+    (Int64.add (Proxy.Pipeline.total_cost o) (Int64.of_int sign_cost))
+    signed.Proxy.cpu_us
+
 let test_request_async_timing () =
   let engine = Simnet.Engine.create () in
   let proxy =
@@ -1229,6 +1314,58 @@ let test_single_flight_crash_fails_all_waiters () =
   Simnet.Engine.run engine;
   check Alcotest.bool "retry after restart served" true !ok
 
+let test_single_flight_respects_policy_version () =
+  (* Regression: the in-flight table was keyed by class alone, so a
+     request arriving after a bump, while the pre-bump run was still
+     on the CPU, joined that run and was served bytes rewritten under
+     the revoked version. A request that joined before the bump still
+     settles with the run it joined. *)
+  let engine = Simnet.Engine.create () in
+  let mark name =
+    Rewrite.Filter.make ~name (fun cf ->
+        { cf with CF.fields = B.field name "I" :: cf.CF.fields })
+  in
+  let v1 = [ mark "v1" ] and v2 = [ mark "v2" ] in
+  let proxy =
+    Proxy.create engine
+      ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> Simnet.Engine.ms 100)
+      ~filters:v1 ()
+  in
+  proxy.Proxy.policy_version <- 1;
+  let replies = Array.make 3 None in
+  let issue i =
+    Proxy.request proxy ~cls:"Hello" (fun r -> replies.(i) <- Some r)
+  in
+  issue 0;
+  issue 1;
+  (* the v1 run is on the CPU at 100.5 ms when the node applies v2 *)
+  Simnet.Engine.schedule engine ~delay:100_500L (fun () ->
+      check Alcotest.int "v1 run in flight" 1
+        (Hashtbl.length proxy.Proxy.inflight);
+      proxy.Proxy.filters <- v2;
+      proxy.Proxy.policy_version <- 2;
+      issue 2);
+  Simnet.Engine.run engine;
+  let expect filters policy_version =
+    (Proxy.Pipeline.run ~policy_version filters
+       (Bytecode.Encode.class_to_bytes hello))
+      .Proxy.Pipeline.out_bytes
+  in
+  List.iteri
+    (fun i (what, bytes) ->
+      match replies.(i) with
+      | Some (Proxy.Bytes b) -> check Alcotest.string what bytes b
+      | _ -> fail (what ^ ": not served"))
+    [
+      ("leader gets its v1 run", expect v1 1);
+      ("pre-bump joiner settles with the v1 run", expect v1 1);
+      ("post-bump request gets v2 bytes", expect v2 2);
+    ];
+  check Alcotest.int "only the pre-bump request joined" 1
+    proxy.Proxy.coalesced;
+  check Alcotest.int "one run per version" 2 proxy.Proxy.pipeline_runs
+
 let test_shared_l2_rewarm () =
   (* Two shards share one L2: the second shard serves the class from
      its peer's pipeline output (no pipeline run, no origin fetch),
@@ -1372,6 +1509,8 @@ let () =
       ( "requests",
         [
           Alcotest.test_case "sync + cache" `Quick test_request_sync_and_cache;
+          Alcotest.test_case "sync is the simulated path" `Quick
+            test_request_sync_is_simulated_path;
           Alcotest.test_case "async timing" `Quick test_request_async_timing;
           Alcotest.test_case "provider feeds client" `Quick
             test_provider_feeds_client;
@@ -1385,6 +1524,8 @@ let () =
             test_single_flight_coalesces;
           Alcotest.test_case "crash fails all waiters" `Quick
             test_single_flight_crash_fails_all_waiters;
+          Alcotest.test_case "keyed by policy version" `Quick
+            test_single_flight_respects_policy_version;
           Alcotest.test_case "shared L2 rewarm" `Quick test_shared_l2_rewarm;
         ] );
     ]
