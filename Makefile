@@ -26,10 +26,12 @@ certify-smoke:
 
 # Smoke-scale run of the proxy-farm experiment: a quick shard sweep
 # with caching off (the scaling curve) and one cached run exercising
-# single-flight coalescing and the shared L2.
+# single-flight coalescing and the shared L2. The last line checks that
+# a zero count is a usage error (Cmdliner's exit code 124), not a crash.
 farm-smoke:
 	dune exec bin/dvmctl.exe -- farm --clients 24 --shards 1,2 --duration 5 --applets 8
 	dune exec bin/dvmctl.exe -- farm --clients 24 --shards 2 --duration 5 --applets 4 --cache 16 --l2 32
+	dune exec bin/dvmctl.exe -- farm --applets 0 2>/dev/null; test $$? -eq 124
 
 # Smoke-scale chaos run: a short seeded schedule (one crash window,
 # LAN loss, a flash-crowd spike) against the overload controls.

@@ -7,7 +7,7 @@
      dune exec bench/main.exe            runs everything
      dune exec bench/main.exe fig6       runs one experiment
      (fig5 fig6 fig7 fig8 fig9 applets fig10 fig11 fig12 ablations elide
-      certify faults farm chaos control paper micro perf)
+      certify faults farm chaos control paper perf)
 *)
 
 let section title =
@@ -20,9 +20,7 @@ let s_of_us us = Int64.to_float us /. 1_000_000.0
 (* Each benchmark phase runs with telemetry enabled and emits a metrics
    snapshot next to its results, so a figure's numbers come with the
    counters and latency distributions that produced them. Set
-   DVM_TELEMETRY=0 to opt out (e.g. when shaving wall-clock noise).
-   [micro] is exempt: its Bechamel loops are wall-clock-sensitive and
-   run with telemetry disabled, the default. *)
+   DVM_TELEMETRY=0 to opt out (e.g. when shaving wall-clock noise). *)
 let telemetry_wanted =
   match Sys.getenv_opt "DVM_TELEMETRY" with
   | Some ("0" | "false" | "off") -> false
@@ -201,7 +199,12 @@ let fig6 () =
           name)
     (Lazy.force fig6_results)
 
-(* --- Figure 7: client-side verification overhead. --- *)
+(* --- Figure 7: client-side verification overhead. ---
+
+   Each column is what the simulation charged the client: the
+   monolithic VM pays [monolithic_verify_us_per_check] per static check
+   at load time, the DVM client [Rt_verifier.check_cost] per deferred
+   link check. Reuses Figure 6's runs. *)
 
 let fig7 () =
   section "Figure 7: client-side verification work (seconds of client time)";
@@ -209,19 +212,27 @@ let fig7 () =
     "(monolithic clients verify everything at load time; DVM clients run\n\
     \ only the deferred link checks injected by the static verifier)\n\n";
   Printf.printf "%-11s %16s %16s\n" "App" "Monolithic" "DVM client";
-  List.iter
-    (fun (name, results) ->
-      let mono = List.assoc Dvm.Experiment.Monolithic results in
-      let dvm = List.assoc (Dvm.Experiment.Dvm { cached = false }) results in
-      let mono_s =
-        Dvm.Costs.monolithic_verify_us_per_check
-        *. Float.of_int mono.Dvm.Experiment.r_static_checks /. 1e6
-      in
-      let dvm_s =
-        Float.of_int dvm.Dvm.Experiment.r_dynamic_checks *. 10.0 /. 1e6
-      in
-      Printf.printf "%-11s %15.3fs %15.5fs\n" name mono_s dvm_s)
-    (Lazy.force fig6_results)
+  let rows =
+    List.map
+      (fun (name, results) ->
+        let mono = List.assoc Dvm.Experiment.Monolithic results in
+        let dvm = List.assoc (Dvm.Experiment.Dvm { cached = false }) results in
+        let mono_us =
+          Dvm.Costs.monolithic_verify_us_per_check
+          *. Float.of_int mono.Dvm.Experiment.r_static_checks
+        in
+        let dvm_us =
+          Int64.mul Verifier.Rt_verifier.check_cost
+            (Int64.of_int dvm.Dvm.Experiment.r_dynamic_checks)
+        in
+        Printf.printf "%-11s %15.3fs %15.6fs\n" name (mono_us /. 1e6)
+          (s_of_us dvm_us);
+        ( name,
+          Printf.sprintf {|{"monolithic_us":%.0f,"dvm_us":%Ld}|} mono_us dvm_us
+        ))
+      (Lazy.force fig6_results)
+  in
+  bench_put "fig7" (json_obj rows)
 
 (* --- Figure 8: static vs dynamic check counts. --- *)
 
@@ -439,16 +450,7 @@ let fig10 () =
         (p.Dvm.Scaling.f_mean_latency_us /. 1000.0)
         p.Dvm.Scaling.f_mean_latency_s_per_kb p.Dvm.Scaling.f_utilization)
     pts;
-  bench_put "fig10"
-    (json_list
-       (List.map
-          (fun p ->
-            Printf.sprintf
-              {|{"clients":%d,"throughput_bps":%.1f,"mean_latency_us":%.1f,"s_per_kb":%.4f,"utilization":%.4f}|}
-              p.Dvm.Scaling.f_clients p.Dvm.Scaling.f_throughput_bytes_per_s
-              p.Dvm.Scaling.f_mean_latency_us
-              p.Dvm.Scaling.f_mean_latency_s_per_kb p.Dvm.Scaling.f_utilization)
-          pts))
+  bench_put "fig10" (Dvm.Scaling.fig10_json pts)
 
 (* --- Figures 11 and 12: startup vs bandwidth; repartitioning. --- *)
 
@@ -678,6 +680,34 @@ let pipeline_ablations app =
          ("signed_us", Int64.to_string signed);
        ])
 
+(* Ablation 8 runs the Figure-10 farm at its 250-client knee, so the
+   paper phase pins it next to the figure. *)
+let cache_ablation () =
+  subsection "8. proxy caching under load (the paper's other mitigation)";
+  let run ?cache_capacity () =
+    Dvm.Scaling.run_farm ~duration_s:20 ~shards:1 ~clients:250 ?cache_capacity
+      ()
+  in
+  let worst = run () and cached = run ~cache_capacity:(48 * 1024 * 1024) () in
+  Printf.printf
+    "250 clients: cache disabled %.0f B/s (util %.2f); cache enabled %.0f B/s (util %.2f)\n"
+    worst.Dvm.Scaling.f_throughput_bytes_per_s worst.Dvm.Scaling.f_utilization
+    cached.Dvm.Scaling.f_throughput_bytes_per_s
+    cached.Dvm.Scaling.f_utilization;
+  let point p =
+    json_obj
+      [
+        ( "throughput_bps",
+          Printf.sprintf "%.1f" p.Dvm.Scaling.f_throughput_bytes_per_s );
+        ("utilization", Printf.sprintf "%.4f" p.Dvm.Scaling.f_utilization);
+        ("completed", string_of_int p.Dvm.Scaling.f_requests_completed);
+        ( "trace_digest",
+          Printf.sprintf "%S" (Dsig.Md5.to_hex p.Dvm.Scaling.f_trace_digest) );
+      ]
+  in
+  bench_put "ablation8"
+    (json_obj [ ("cache_off", point worst); ("cache_on", point cached) ])
+
 let ablations () =
   section "Ablations (design choices called out in DESIGN.md)";
   let app = Workloads.Apps.build_small Workloads.Apps.jlex in
@@ -760,117 +790,27 @@ let ablations () =
     (List.length names) (slow *. 1000.0) (fast *. 1000.0) (slow /. fast);
   (* Ablation 7, replicated proxies moving the Figure-10 knee, is the
      farm phase's pinned shard sweep. *)
-  subsection "8. proxy caching under load (the paper's other mitigation)";
-  let run ?cache_capacity () =
-    Dvm.Scaling.run_farm ~duration_s:20 ~shards:1 ~clients:250 ?cache_capacity
-      ()
-  in
-  let worst = run () and cached = run ~cache_capacity:(48 * 1024 * 1024) () in
-  Printf.printf
-    "250 clients: cache disabled %.0f B/s (util %.2f); cache enabled %.0f B/s (util %.2f)\n"
-    worst.Dvm.Scaling.f_throughput_bytes_per_s worst.Dvm.Scaling.f_utilization
-    cached.Dvm.Scaling.f_throughput_bytes_per_s
-    cached.Dvm.Scaling.f_utilization
+  cache_ablation ()
 
 (* --- Paper: the reproduced figures, pinned. ---
 
-   Figures 6, 8, 10 and 12 in one phase, so their series land in
-   BENCH_paper.json: per-app virtual times, check counts, the
-   Figure-10 scaling curve and the repartitioning model, plus the
-   pipeline ablations 1-3. Every value is a function of the virtual
+   Figures 6, 7, 8, 10 and 12 in one phase, so their series land in
+   BENCH_paper.json: per-app virtual times, client verification
+   charges, check counts, the Figure-10 scaling curve and the
+   repartitioning model, plus the pipeline ablations 1-3 and the
+   caching ablation 8. Every value is a function of the virtual
    clock or the cost model, so a refactor that bends a reproduced
    shape fails the pin. The runs also record host-clock histograms;
    the phase writes with hists:false to leave them out. *)
 
 let paper () =
   fig6 ();
+  fig7 ();
   fig8 ();
   fig10 ();
   fig12 ();
-  pipeline_ablations (Workloads.Apps.build_small Workloads.Apps.jlex)
-
-(* --- Bechamel microbenchmarks. --- *)
-
-let micro () =
-  section "Microbenchmarks (wall clock, via Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let app = lazy (Workloads.Apps.build_small Workloads.Apps.jlex) in
-  let sample_cls = lazy (List.hd (Lazy.force app).Workloads.Appgen.classes) in
-  let sample_bytes =
-    lazy (Bytecode.Encode.class_to_bytes (Lazy.force sample_cls))
-  in
-  let oracle =
-    lazy (Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes ()))
-  in
-  let payload = String.make 4096 'x' in
-  let spin_cls =
-    lazy
-      (Bytecode.Builder.class_ "Spin"
-         [
-           Bytecode.Builder.meth
-             ~flags:[ Bytecode.Classfile.Public; Bytecode.Classfile.Static ]
-             "f" "()I"
-             [
-               Bytecode.Builder.Const 10000;
-               Bytecode.Builder.Istore 0;
-               Bytecode.Builder.Label "l";
-               Bytecode.Builder.Iload 0;
-               Bytecode.Builder.If_z (Bytecode.Instr.Le, "d");
-               Bytecode.Builder.Inc (0, -1);
-               Bytecode.Builder.Goto "l";
-               Bytecode.Builder.Label "d";
-               Bytecode.Builder.Iload 0;
-               Bytecode.Builder.Ireturn;
-             ];
-         ])
-  in
-  let tests =
-    [
-      Test.make ~name:"md5 4KB"
-        (Staged.stage (fun () -> Dsig.Md5.digest payload));
-      Test.make ~name:"encode class"
-        (Staged.stage (fun () ->
-             Bytecode.Encode.class_to_bytes (Lazy.force sample_cls)));
-      Test.make ~name:"decode class"
-        (Staged.stage (fun () ->
-             Bytecode.Decode.class_of_bytes (Lazy.force sample_bytes)));
-      Test.make ~name:"verify class"
-        (Staged.stage (fun () ->
-             Verifier.Static_verifier.verify ~oracle:(Lazy.force oracle)
-               (Lazy.force sample_cls)));
-      Test.make ~name:"audit-rewrite class"
-        (Staged.stage (fun () ->
-             Monitor.Instrument.instrument_class
-               ~runtime_class:Monitor.Profiler.profiler_class
-               (Lazy.force sample_cls)));
-      Test.make ~name:"interp 30k bytecodes"
-        (Staged.stage (fun () ->
-             let vm = Jvm.Bootlib.fresh_vm () in
-             Jvm.Classreg.register vm.Jvm.Vmstate.reg (Lazy.force spin_cls);
-             Jvm.Interp.invoke vm ~cls:"Spin" ~name:"f" ~desc:"()I" []));
-    ]
-  in
-  let test = Test.make_grouped ~name:"dvm" ~fmt:"%s %s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> Printf.printf "%-28s %12.1f ns/run\n" name t
-          | Some [] | None -> Printf.printf "%-28s (no estimate)\n" name)
-        tbl)
-    results
+  pipeline_ablations (Workloads.Apps.build_small Workloads.Apps.jlex);
+  cache_ablation ()
 
 (* --- Elision: redundant-check elision via proxy-side dataflow. ---
 
@@ -980,45 +920,25 @@ let faults () =
   section "Faults: availability vs loss rate (jlex startup, seeded faults)";
   Printf.printf
     "Per-attempt timeout %.0f ms, %d attempts, backoff %.0f..%.0f ms, seed %d\n"
-    (float_of_int Dvm.Availability.default_scenario.Dvm.Availability.sc_timeout_us
-    /. 1e3)
-    Dvm.Availability.default_scenario.Dvm.Availability.sc_max_attempts
-    (float_of_int
-       Dvm.Availability.default_scenario.Dvm.Availability.sc_base_backoff_us
-    /. 1e3)
-    (float_of_int
-       Dvm.Availability.default_scenario.Dvm.Availability.sc_max_backoff_us
-    /. 1e3)
-    Dvm.Availability.default_scenario.Dvm.Availability.sc_seed;
+    (float_of_int Dvm.Availability.timeout_us /. 1e3)
+    Dvm.Availability.max_attempts
+    (float_of_int Dvm.Availability.base_backoff_us /. 1e3)
+    (float_of_int Dvm.Availability.max_backoff_us /. 1e3)
+    Dvm.Availability.default_seed;
   subsection "loss sweep";
-  let av_points_json ps =
-    "["
-    ^ String.concat ","
-        (List.map
-           (fun p ->
-             Printf.sprintf
-               "{\"loss_pct\":%.1f,\"replicas\":%d,\"startup_us\":%Ld,\"requests\":%d,\"retries\":%d,\"drops\":%d,\"failovers\":%d,\"degraded\":%d}"
-               p.Dvm.Availability.av_loss_pct p.Dvm.Availability.av_replicas
-               p.Dvm.Availability.av_startup_us p.Dvm.Availability.av_requests
-               p.Dvm.Availability.av_retries p.Dvm.Availability.av_drops
-               p.Dvm.Availability.av_failovers p.Dvm.Availability.av_degraded)
-           ps)
-    ^ "]"
-  in
   let loss =
-    Dvm.Availability.(
-      sweep ~loss_pcts:[ 0.0; 1.0; 5.0; 10.0 ] ~replica_counts:[ 1; 2 ] ())
+    Dvm.Availability.sweep ~loss_pcts:[ 0.0; 1.0; 5.0; 10.0 ]
+      ~replica_counts:[ 1; 2 ] ()
   in
   Dvm.Availability.print_table loss;
-  bench_put "loss_sweep" (av_points_json loss);
+  bench_put "loss_sweep" (Dvm.Availability.points_json loss);
   subsection "shard 0 crash at t=400ms (down 2.5s, cache-cold restart)";
   let crash =
-    Dvm.Availability.(
-      sweep ~scenario:crash_scenario ~loss_pcts:[ 1.0 ]
-        ~replica_counts:[ 1; 2 ] ())
+    Dvm.Availability.sweep ~crash:true ~loss_pcts:[ 1.0 ]
+      ~replica_counts:[ 1; 2 ] ()
   in
   Dvm.Availability.print_table crash;
-  bench_put "crash_sweep" (av_points_json crash);
+  bench_put "crash_sweep" (Dvm.Availability.points_json crash);
   List.iter
     (fun p ->
       if p.Dvm.Availability.av_degraded > 0 then
@@ -1035,8 +955,7 @@ let faults () =
   subsection "SLO monitor (crash scenario, 2 replicas, 1% loss)";
   let slo = Telemetry.Slo.create ~window_s:60 ~objective:0.99 () in
   let sp =
-    Dvm.Availability.(
-      run ~slo ~scenario:crash_scenario ~loss_pct:1.0 ~replicas:2 ())
+    Dvm.Availability.run ~slo ~crash:true ~loss_pct:1.0 ~replicas:2 ()
   in
   let rep = Telemetry.Slo.report slo ~now_us:sp.Dvm.Availability.av_startup_us in
   print_string (Telemetry.Slo.report_text rep);
@@ -1053,7 +972,10 @@ let farm () =
   Printf.printf "%7s %16s %12s %10s %9s\n" "Shards" "Throughput(B/s)"
     "Latency(ms)" "Completed" "CPU util";
   let worst =
-    Dvm.Scaling.farm_sweep ~duration_s:20 ~clients:400 [ 1; 2; 4; 8 ]
+    List.map
+      (fun shards ->
+        Dvm.Scaling.run_farm ~duration_s:20 ~clients:400 ~shards ())
+      [ 1; 2; 4; 8 ]
   in
   List.iter
     (fun p ->
@@ -1062,19 +984,7 @@ let farm () =
         (p.Dvm.Scaling.f_mean_latency_us /. 1000.0)
         p.Dvm.Scaling.f_requests_completed p.Dvm.Scaling.f_utilization)
     worst;
-  bench_put "shard_sweep"
-    ("["
-    ^ String.concat ","
-        (List.map
-           (fun p ->
-             Printf.sprintf
-               "{\"shards\":%d,\"throughput_bps\":%.1f,\"mean_latency_us\":%.1f,\"completed\":%d,\"utilization\":%.3f,\"trace_digest\":\"%s\"}"
-               p.Dvm.Scaling.f_shards p.Dvm.Scaling.f_throughput_bytes_per_s
-               p.Dvm.Scaling.f_mean_latency_us
-               p.Dvm.Scaling.f_requests_completed p.Dvm.Scaling.f_utilization
-               (Dsig.Md5.to_hex p.Dvm.Scaling.f_trace_digest))
-           worst)
-    ^ "]");
+  bench_put "shard_sweep" (Dvm.Scaling.shard_sweep_json worst);
   (match worst with
   | one :: _ ->
     let four = List.nth worst 2 in
@@ -1094,19 +1004,7 @@ let farm () =
      pipeline runs (%d requests coalesced into in-flight runs, %d L2 hits)\n"
     cached.Dvm.Scaling.f_requests_completed cached.Dvm.Scaling.f_pipeline_runs
     cached.Dvm.Scaling.f_coalesced cached.Dvm.Scaling.f_l2_hits;
-  bench_put "coalesce"
-    (Printf.sprintf
-       "{\"completed\":%d,\"pipeline_runs\":%d,\"coalesced\":%d,\"l2_hits\":%d,\"throughput_bps\":%.1f,\"trace_digest\":\"%s\",\"served\":{%s}}"
-       cached.Dvm.Scaling.f_requests_completed
-       cached.Dvm.Scaling.f_pipeline_runs cached.Dvm.Scaling.f_coalesced
-       cached.Dvm.Scaling.f_l2_hits
-       cached.Dvm.Scaling.f_throughput_bytes_per_s
-       (Dsig.Md5.to_hex cached.Dvm.Scaling.f_trace_digest)
-       (String.concat ","
-          (List.map
-             (fun (k, d) ->
-               Printf.sprintf "\"%s\":\"%s\"" k (Dsig.Md5.to_hex d))
-             cached.Dvm.Scaling.f_served)));
+  bench_put "coalesce" (Dvm.Scaling.coalesce_json cached);
   let rep = Telemetry.Slo.report slo ~now_us:(Simnet.Engine.sec 20) in
   subsection "SLO monitor (coalescing run)";
   print_string (Telemetry.Slo.report_text rep);
@@ -1137,11 +1035,7 @@ let chaos () =
   print_string ("\n" ^ Dvm.Chaos.verdict_text v);
   bench_put "reference" (Dvm.Chaos.outcome_json v.Dvm.Chaos.v_reference);
   bench_put "chaotic" (Dvm.Chaos.outcome_json v.Dvm.Chaos.v_chaotic);
-  bench_put "invariants"
-    (Printf.sprintf
-       "{\"digests_ok\":%b,\"no_late_serves\":%b,\"recovered\":%b}"
-       v.Dvm.Chaos.v_digests_ok v.Dvm.Chaos.v_no_late_serves
-       v.Dvm.Chaos.v_recovered);
+  bench_put "invariants" (Dvm.Chaos.invariants_json v);
   subsection "injected-fault trace (replayable from the seed)";
   List.iter (Printf.printf "  %s\n")
     v.Dvm.Chaos.v_chaotic.Dvm.Chaos.co_fault_trace
@@ -1293,7 +1187,6 @@ let perf () =
 let all () =
   with_phase "fig5" fig5;
   with_phase ~json:true ~hists:false "paper" paper;
-  with_phase "fig7" fig7;
   with_phase "fig9" fig9;
   with_phase "applets" applets;
   with_phase "fig11" fig11;
@@ -1303,8 +1196,7 @@ let all () =
   with_phase ~json:true "faults" faults;
   with_phase ~json:true "farm" farm;
   with_phase ~json:true "chaos" chaos;
-  with_phase ~json:true ~hists:false "control" control;
-  micro ()
+  with_phase ~json:true ~hists:false "control" control
 
 let () =
   let target = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -1326,12 +1218,11 @@ let () =
   | "chaos" -> with_phase ~json:true "chaos" chaos
   | "control" -> with_phase ~json:true ~hists:false "control" control
   | "paper" -> with_phase ~json:true ~hists:false "paper" paper
-  | "micro" -> micro ()
   | "perf" -> perf ()
   | "all" -> all ()
   | other ->
     Printf.eprintf
       "unknown target %S (expected fig5..fig12, applets, ablations, elide, \
-       certify, faults, farm, chaos, control, paper, micro, perf, all)\n"
+       certify, faults, farm, chaos, control, paper, perf, all)\n"
       other;
     exit 1

@@ -508,12 +508,12 @@ let flight seed duration out =
       ch_trace = true;
     }
   in
-  let o = Dvm.Chaos.run cfg in
+  let t = (Dvm.Chaos.run cfg).Dvm.Chaos.co_clients in
   Printf.printf
     "chaos run (seed %d, %ds): %d fetches, %d served, %d shed, %d stale\n\
      collected %d spans and %d events across %d traces (%d dropped)\n\n"
-    seed duration o.Dvm.Chaos.co_fetches o.Dvm.Chaos.co_served
-    o.Dvm.Chaos.co_shed o.Dvm.Chaos.co_stale_served
+    seed duration t.Dvm.Client.Session.tl_fetches t.tl_served
+    t.tl_overloaded_seen t.tl_stale_served
     (Telemetry.Trace.span_count ())
     (Telemetry.Trace.event_count ())
     (List.length (Telemetry.Trace.trace_ids ()))
@@ -559,25 +559,26 @@ let slo seed duration json =
   let o = Dvm.Chaos.run cfg in
   if json then print_endline (Telemetry.Slo.report_json o.Dvm.Chaos.co_slo)
   else begin
+    let t = o.Dvm.Chaos.co_clients in
     Printf.printf
       "chaos run (seed %d, %ds): %d fetches, %d fresh, %d stale, %d failed, \
        %d shed\n\n"
-      seed duration o.Dvm.Chaos.co_fetches o.Dvm.Chaos.co_served
-      o.Dvm.Chaos.co_stale_served o.Dvm.Chaos.co_failed o.Dvm.Chaos.co_shed;
+      seed duration t.Dvm.Client.Session.tl_fetches t.tl_served
+      t.tl_stale_served t.tl_failed t.tl_overloaded_seen;
     print_string (Telemetry.Slo.report_text o.Dvm.Chaos.co_slo)
   end;
   0
 
+(* An injected-fault trace under its header. *)
+let print_fault_trace header lines =
+  print_endline header;
+  match lines with
+  | [] -> print_endline "  (no faults injected)"
+  | lines -> List.iter (Printf.printf "  %s\n") lines
+
 let faults seed crash losses replicas trace =
-  let scenario =
-    let base =
-      if crash then Dvm.Availability.crash_scenario
-      else Dvm.Availability.default_scenario
-    in
-    { base with Dvm.Availability.sc_seed = seed }
-  in
   let points =
-    Dvm.Availability.sweep ~scenario ~loss_pcts:losses
+    Dvm.Availability.sweep ~seed ~crash ~loss_pcts:losses
       ~replica_counts:replicas ()
   in
   Dvm.Availability.print_table points;
@@ -585,11 +586,10 @@ let faults seed crash losses replicas trace =
     print_newline ();
     List.iter
       (fun p ->
-        Printf.printf "fault trace (loss %.1f%%, %d replica(s)):\n"
-          p.Dvm.Availability.av_loss_pct p.Dvm.Availability.av_replicas;
-        match p.Dvm.Availability.av_trace with
-        | [] -> print_endline "  (no faults injected)"
-        | lines -> List.iter (Printf.printf "  %s\n") lines)
+        print_fault_trace
+          (Printf.sprintf "fault trace (loss %.1f%%, %d replica(s)):"
+             p.Dvm.Availability.av_loss_pct p.Dvm.Availability.av_replicas)
+          p.Dvm.Availability.av_trace)
       points
   end;
   0
@@ -609,8 +609,11 @@ let farm clients shard_counts duration applets cache_mb l2_mb seed =
     "Throughput(B/s)" "Latency(ms)" "Completed" "Pipeline" "Coalesced"
     "L2 hits" "CPU util";
   let points =
-    Dvm.Scaling.farm_sweep ~duration_s:duration ~seed ~applet_count:applets
-      ~cache_capacity ~l2_capacity ~clients shard_counts
+    List.map
+      (fun shards ->
+        Dvm.Scaling.run_farm ~duration_s:duration ~seed ~applet_count:applets
+          ~cache_capacity ~l2_capacity ~shards ~clients ())
+      shard_counts
   in
   List.iter
     (fun p ->
@@ -682,12 +685,10 @@ let chaos seed shards clients duration spike spike_start spike_len crashes
   Dvm.Chaos.print_outcome ~label:"reference" v.Dvm.Chaos.v_reference;
   Dvm.Chaos.print_outcome ~label:"chaotic" v.Dvm.Chaos.v_chaotic;
   print_string ("\n" ^ Dvm.Chaos.verdict_text v);
-  if trace then begin
-    Printf.printf "\ninjected-fault trace (replayable from seed %d):\n" seed;
-    match v.Dvm.Chaos.v_chaotic.Dvm.Chaos.co_fault_trace with
-    | [] -> print_endline "  (no faults injected)"
-    | lines -> List.iter (Printf.printf "  %s\n") lines
-  end;
+  if trace then
+    print_fault_trace
+      (Printf.sprintf "\ninjected-fault trace (replayable from seed %d):" seed)
+      v.Dvm.Chaos.v_chaotic.Dvm.Chaos.co_fault_trace;
   if Dvm.Chaos.ok v then 0
   else begin
     (* Invariant violation: dump the per-node flight recorders (the
@@ -741,12 +742,11 @@ let control seed shards clients duration applets partitions partition_len
     Dvm.Chaos.print_control_outcome ~label:"reference" w.Dvm.Chaos.w_reference;
     Dvm.Chaos.print_control_outcome ~label:"chaotic" w.Dvm.Chaos.w_chaotic;
     print_string ("\n" ^ Dvm.Chaos.control_verdict_text w);
-    if trace then begin
-      Printf.printf "\ninjected-fault trace (replayable from seed %d):\n" seed;
-      match c.Dvm.Chaos.cn_fault_trace with
-      | [] -> print_endline "  (no faults injected)"
-      | lines -> List.iter (Printf.printf "  %s\n") lines
-    end
+    if trace then
+      print_fault_trace
+        (Printf.sprintf "\ninjected-fault trace (replayable from seed %d):"
+           seed)
+        c.Dvm.Chaos.cn_fault_trace
   end;
   if ok then 0
   else begin
@@ -755,6 +755,16 @@ let control seed shards clients duration applets partitions partition_len
   end
 
 (* --- Cmdliner plumbing. --- *)
+
+(* Shard, replica and applet counts and durations must be at least 1:
+   a bad value is a usage error naming its flag, not a crash. *)
+let pos_int =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s)),
+      Format.pp_print_int )
 
 let gen_cmd =
   let app_arg =
@@ -940,7 +950,7 @@ let flight_cmd =
   in
   let duration =
     Arg.(
-      value & opt int 16
+      value & opt pos_int 16
       & info [ "duration" ] ~docv:"S"
           ~doc:
             "simulated seconds (long enough at the default seed for both a \
@@ -972,7 +982,7 @@ let slo_cmd =
   let duration =
     Arg.(
       value
-      & opt int Dvm.Chaos.default_config.Dvm.Chaos.ch_duration_s
+      & opt pos_int Dvm.Chaos.default_config.Dvm.Chaos.ch_duration_s
       & info [ "duration" ] ~docv:"S" ~doc:"simulated seconds")
   in
   let json =
@@ -990,7 +1000,7 @@ let slo_cmd =
 
 let faults_cmd =
   let seed =
-    Arg.(value & opt int Dvm.Availability.default_scenario.Dvm.Availability.sc_seed
+    Arg.(value & opt int Dvm.Availability.default_seed
          & info [ "seed" ] ~docv:"N"
              ~doc:"fault-plan seed; the run is a pure function of it")
   in
@@ -1005,7 +1015,7 @@ let faults_cmd =
              ~doc:"comma-separated packet-loss percentages for the client LAN")
   in
   let replicas =
-    Arg.(value & opt (list int) [ 1; 2 ]
+    Arg.(value & opt (list pos_int) [ 1; 2 ]
          & info [ "replicas" ] ~docv:"NS"
              ~doc:"comma-separated replica counts (shards in the proxy \
                    farm)")
@@ -1029,16 +1039,16 @@ let farm_cmd =
          & info [ "clients" ] ~docv:"N" ~doc:"concurrent browsing clients")
   in
   let shards =
-    Arg.(value & opt (list int) [ 1; 2; 4; 8 ]
+    Arg.(value & opt (list pos_int) [ 1; 2; 4; 8 ]
          & info [ "shards" ] ~docv:"NS"
              ~doc:"comma-separated shard counts to sweep")
   in
   let duration =
-    Arg.(value & opt int 20
+    Arg.(value & opt pos_int 20
          & info [ "duration" ] ~docv:"S" ~doc:"simulated seconds per point")
   in
   let applets =
-    Arg.(value & opt int 64
+    Arg.(value & opt pos_int 64
          & info [ "applets" ] ~docv:"N" ~doc:"distinct applets in the workload")
   in
   let cache =
@@ -1075,7 +1085,7 @@ let chaos_cmd =
              ~doc:"chaos-schedule seed; the run is a pure function of it")
   in
   let shards =
-    Arg.(value & opt int d.Dvm.Chaos.ch_shards
+    Arg.(value & opt pos_int d.Dvm.Chaos.ch_shards
          & info [ "shards" ] ~docv:"N" ~doc:"farm shard count")
   in
   let clients =
@@ -1083,7 +1093,7 @@ let chaos_cmd =
          & info [ "clients" ] ~docv:"N" ~doc:"steady-state browsing clients")
   in
   let duration =
-    Arg.(value & opt int d.Dvm.Chaos.ch_duration_s
+    Arg.(value & opt pos_int d.Dvm.Chaos.ch_duration_s
          & info [ "duration" ] ~docv:"S" ~doc:"simulated seconds")
   in
   let spike =
@@ -1151,7 +1161,7 @@ let control_cmd =
              ~doc:"fault-schedule seed; the run is a pure function of it")
   in
   let shards =
-    Arg.(value & opt int d.Dvm.Chaos.cc_shards
+    Arg.(value & opt pos_int d.Dvm.Chaos.cc_shards
          & info [ "shards" ] ~docv:"N" ~doc:"farm shard count")
   in
   let clients =
@@ -1159,11 +1169,11 @@ let control_cmd =
          & info [ "clients" ] ~docv:"N" ~doc:"browsing clients")
   in
   let duration =
-    Arg.(value & opt int d.Dvm.Chaos.cc_duration_s
+    Arg.(value & opt pos_int d.Dvm.Chaos.cc_duration_s
          & info [ "duration" ] ~docv:"S" ~doc:"simulated seconds")
   in
   let applets =
-    Arg.(value & opt int d.Dvm.Chaos.cc_applets
+    Arg.(value & opt pos_int d.Dvm.Chaos.cc_applets
          & info [ "applets" ] ~docv:"N" ~doc:"distinct cached applets")
   in
   let partitions =

@@ -18,14 +18,7 @@ let client_request_overhead_ms = 150.0
 
 let run ?(seed = 42) ?(n = 100) () : stats =
   let pop = Workloads.Applets.population ~n ~seed () in
-  let oracle = Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes ()) in
-  let filters =
-    [
-      Verifier.Static_verifier.filter ~oracle ();
-      Security.Rewriter.filter Experiment.standard_policy;
-      Monitor.Instrument.audit_filter ();
-    ]
-  in
+  let filters = Scaling.standard_filters () in
   let lat_ms ap = Float.of_int ap.Workloads.Applets.ap_wan_latency_us /. 1000.0 in
   let mean_internet =
     List.fold_left (fun a ap -> a +. lat_ms ap) 0.0 pop /. Float.of_int n

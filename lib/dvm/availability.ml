@@ -4,50 +4,20 @@
    and a shard crash mid-startup — with N replicas, i.e. an N-shard
    Proxy.Farm.
 
-   A single client fetches every class of a workload application
-   sequentially through the farm. Each fetch runs under a per-attempt
-   timeout with bounded exponential-backoff retry — the client's own
-   loop, since Client.Session retries only shed requests and this
-   experiment measures what retrying a lost or refused fetch costs.
-   When the retry budget for a class is exhausted the client gives up
-   on it (the class degrades) and moves on. Everything is driven by
-   one seeded fault plan, so a run is a pure function of (seed, loss,
-   replicas, scenario): byte-identical across repeats. *)
+   A single client fetches every class of jlex (small build)
+   sequentially through the farm. Each attempt is one Client.Session
+   fetch whose deadline, kept off the wire, is the per-attempt timeout;
+   between attempts the client backs off exponentially — the retry
+   loop whose cost this experiment measures. A class whose attempts run
+   out degrades and the client moves on. Everything is driven by one
+   seeded fault plan, so a run is a pure function of (seed, crash,
+   loss, replicas): byte-identical across repeats. *)
 
-type scenario = {
-  sc_seed : int;
-  sc_spec : Workloads.Appgen.spec;
-  sc_timeout_us : int; (* per-attempt timeout *)
-  sc_max_attempts : int;
-  sc_base_backoff_us : int;
-  sc_max_backoff_us : int;
-  sc_jitter_max_us : int;
-  (* Crash shard 0 at [fst] for [snd] µs; None = no crash. *)
-  sc_crash_primary : (Simnet.Engine.time * Simnet.Engine.time) option;
-  (* Fraction of the crashed proxy's cache that survives the restart. *)
-  sc_cache_retained : float;
-  sc_wan_latency : Simnet.Engine.time;
-}
-
-let default_scenario =
-  {
-    sc_seed = 23;
-    sc_spec = Workloads.Apps.jlex;
-    sc_timeout_us = 500_000;
-    sc_max_attempts = 4;
-    sc_base_backoff_us = 100_000;
-    sc_max_backoff_us = 800_000;
-    sc_jitter_max_us = 5_000;
-    sc_crash_primary = None;
-    sc_cache_retained = 0.0;
-    sc_wan_latency = Simnet.Engine.ms 40;
-  }
-
-let crash_scenario =
-  {
-    default_scenario with
-    sc_crash_primary = Some (Simnet.Engine.ms 400, Simnet.Engine.ms 2500);
-  }
+let default_seed = 23
+let timeout_us = 500_000 (* per attempt *)
+let max_attempts = 4
+let base_backoff_us = 100_000
+let max_backoff_us = 800_000
 
 type point = {
   av_loss_pct : float;
@@ -58,26 +28,25 @@ type point = {
   av_retries : int;
   av_drops : int; (* transfers lost on the client LAN *)
   av_failovers : int; (* requests served by a non-owner shard *)
-  av_degraded : int; (* classes that exhausted the retry budget *)
+  av_degraded : int; (* classes that exhausted their attempts *)
   av_trace : string list; (* the fault plan's injected-fault trace *)
 }
 
-let backoff_us sc ~attempt =
-  min (sc.sc_base_backoff_us * (1 lsl min 20 (attempt - 1))) sc.sc_max_backoff_us
+let backoff_us ~attempt =
+  min (base_backoff_us * (1 lsl min 20 (attempt - 1))) max_backoff_us
 
-let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
-  let sc = scenario in
+let run ?slo ?(seed = default_seed) ?(crash = false) ~loss_pct ~replicas () =
   let slo_record outcome now_us =
     match slo with
     | None -> ()
     | Some s -> Telemetry.Slo.record s ~now_us outcome
   in
-  let app = Workloads.Apps.build_small sc.sc_spec in
+  let app = Workloads.Apps.build_small Workloads.Apps.jlex in
   let engine = Simnet.Engine.create () in
-  let plan = Simnet.Fault.create ~seed:sc.sc_seed in
+  let plan = Simnet.Fault.create ~seed in
   let lan = Simnet.Link.ethernet_10mb engine in
   Simnet.Link.set_faults lan ~plan ~drop_prob:(loss_pct /. 100.0)
-    ~jitter_max_us:sc.sc_jitter_max_us ();
+    ~jitter_max_us:5_000 ();
   let oracle =
     Verifier.Oracle.of_classes
       (Jvm.Bootlib.boot_classes () @ app.Workloads.Appgen.classes)
@@ -87,23 +56,25 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
         let services = Experiment.standard_services ~oracle () in
         Proxy.create engine ~host_name:(Scaling.shard_name i)
           ~origin:(Workloads.Appgen.origin app)
-          ~origin_latency:(fun _ -> sc.sc_wan_latency)
+          ~origin_latency:(fun _ -> Simnet.Engine.ms 40)
           ~filters:services.Experiment.filters ())
   in
   let farm = Proxy.Farm.create engine pool in
-  (match sc.sc_crash_primary with
-  | None -> ()
-  | Some (at, down_for) ->
+  if crash then
     Simnet.Fault.schedule_host_faults plan pool.(0).Proxy.host
       ~on_restart:(fun () ->
-        (* The restarted shard comes back cache-cold (or nearly): the
-           measurable price of failing back. *)
-        Proxy.Cache.drop_fraction pool.(0).Proxy.cache
-          ~fraction:(1.0 -. sc.sc_cache_retained))
-      ~schedule:[ (at, down_for) ]
-      ());
+        (* The restarted shard comes back cache-cold: the measurable
+           price of failing back. *)
+        Proxy.Cache.drop_fraction pool.(0).Proxy.cache ~fraction:1.0)
+      ~schedule:[ (Simnet.Engine.ms 400, Simnet.Engine.ms 2500) ]
+      ();
+  let session =
+    Client.Session.create ~budget_us:(Int64.of_int timeout_us)
+      ~advertise_deadline:false ~retry_budget:0
+      ~deliver:(fun ~bytes k -> Simnet.Link.transfer lan ~bytes k)
+      engine farm
+  in
   let classes = List.map fst (Workloads.Appgen.class_bytes app) in
-  let requests = ref 0 in
   let retries = ref 0 in
   let degraded = ref 0 in
   let finished_at = ref 0L in
@@ -111,16 +82,14 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
     | [] -> finished_at := Simnet.Engine.now engine
     | cls :: rest ->
       let rec attempt n =
-        incr requests;
-        let started = Simnet.Engine.now engine in
-        let settled = ref false in
-        (* One failure path for timeout, loss and Unavailable; the
-           [settled] flag makes late replies and stale timeouts
-           harmless. *)
-        let fail_attempt () =
-          if not !settled then begin
-            settled := true;
-            if n >= sc.sc_max_attempts then begin
+        Client.Session.fetch session ~cls (function
+          | Client.Session.Fresh b ->
+            slo_record
+              (Telemetry.Slo.Fresh (String.length b))
+              (Simnet.Engine.now engine);
+            fetch_next rest
+          | Client.Session.Stale _ | Client.Session.Failed ->
+            if n >= max_attempts then begin
               incr degraded;
               Telemetry.Global.incr "client.degraded";
               slo_record Telemetry.Slo.Failed (Simnet.Engine.now engine);
@@ -129,33 +98,12 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
             else begin
               incr retries;
               Telemetry.Global.incr "client.retries";
-              let b = backoff_us sc ~attempt:n in
+              let b = backoff_us ~attempt:n in
               Telemetry.Global.observe "client.retry_backoff_us"
                 (Int64.of_int b);
               Simnet.Engine.schedule engine ~delay:(Int64.of_int b) (fun () ->
                   attempt (n + 1))
-            end
-          end
-        in
-        Proxy.Farm.request farm ~cls (fun reply ->
-            match reply with
-            | Proxy.Bytes b ->
-              (* The response crosses the client's (lossy) LAN; a drop
-                 is discovered by the timeout. *)
-              Simnet.Link.transfer lan ~bytes:(String.length b) (fun () ->
-                  if not !settled then begin
-                    settled := true;
-                    Telemetry.Global.observe "client.request_us"
-                      (Int64.sub (Simnet.Engine.now engine) started);
-                    slo_record
-                      (Telemetry.Slo.Fresh (String.length b))
-                      (Simnet.Engine.now engine);
-                    fetch_next rest
-                  end)
-            | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded ->
-              fail_attempt ());
-        Simnet.Engine.schedule engine ~delay:(Int64.of_int sc.sc_timeout_us)
-          fail_attempt
+            end)
       in
       attempt 1
   in
@@ -170,7 +118,7 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
     av_replicas = replicas;
     av_classes = List.length classes;
     av_startup_us = !finished_at;
-    av_requests = !requests;
+    av_requests = session.Client.Session.fetches;
     av_retries = !retries;
     av_drops = lan.Simnet.Link.drops;
     av_failovers = farm.Proxy.Farm.failovers;
@@ -178,13 +126,20 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
     av_trace = Simnet.Fault.trace plan;
   }
 
-let sweep ?slo ?scenario ~loss_pcts ~replica_counts () =
+let sweep ?slo ?seed ?crash ~loss_pcts ~replica_counts () =
   List.concat_map
     (fun replicas ->
       List.map
-        (fun loss_pct -> run ?slo ?scenario ~loss_pct ~replicas ())
+        (fun loss_pct -> run ?slo ?seed ?crash ~loss_pct ~replicas ())
         loss_pcts)
     replica_counts
+
+let points_json =
+  Scaling.json_list (fun p ->
+      Printf.sprintf
+        {|{"loss_pct":%.1f,"replicas":%d,"startup_us":%Ld,"requests":%d,"retries":%d,"drops":%d,"failovers":%d,"degraded":%d}|}
+        p.av_loss_pct p.av_replicas p.av_startup_us p.av_requests p.av_retries
+        p.av_drops p.av_failovers p.av_degraded)
 
 (* Render a sweep as the bench/CLI table. *)
 let print_table points =

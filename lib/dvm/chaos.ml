@@ -31,11 +31,7 @@ type config = {
   ch_shards : int;
   ch_clients : int;
   ch_duration_s : int;
-  ch_applets : int;
-  ch_think_us : int64; (* per-client gap between fetches off-spike *)
   ch_budget_us : int64; (* per-fetch deadline budget *)
-  ch_hedge_after_us : int64 option;
-  ch_retry_budget : int; (* per-session retry+hedge token pool *)
   ch_spike_factor : int; (* total offered clients ×this inside the window *)
   ch_spike_start_s : int;
   ch_spike_len_s : int; (* 0 = no spike *)
@@ -58,11 +54,7 @@ let default_config =
     ch_shards = 4;
     ch_clients = 40;
     ch_duration_s = 40;
-    ch_applets = 12;
-    ch_think_us = 1_000_000L;
     ch_budget_us = 800_000L;
-    ch_hedge_after_us = Some 300_000L;
-    ch_retry_budget = 8;
     ch_spike_factor = 3;
     ch_spike_start_s = 6;
     ch_spike_len_s = 22;
@@ -73,20 +65,17 @@ let default_config =
     ch_trace = false;
   }
 
+(* Fixed for every chaos run. *)
+let applets = 12
+let think_us = 1_000_000L (* per-client gap between fetches *)
+let hedge_after_us = 300_000L
+let retry_budget = 8 (* per-session retry+hedge token pool *)
+
 type outcome = {
   co_seed : int;
-  co_fetches : int;
-  co_served : int; (* fresh, in-deadline serves *)
-  co_bytes : int; (* bytes of those serves *)
+  co_clients : Client.Session.tally; (* served = fresh, in-deadline *)
   co_goodput_bps : float; (* in-deadline bytes/s over the whole run *)
-  co_stale_served : int;
-  co_failed : int;
-  co_hedges : int;
-  co_hedge_wins : int;
-  co_retries : int;
-  co_shed : int; (* Overloaded replies clients saw *)
   co_breaker_trips : int;
-  co_deadline_violations : int; (* must be 0 *)
   co_tail_served : int; (* fresh serves in the final quarter *)
   co_digests : (string * string) list; (* applet key -> MD5, sorted *)
   co_fault_trace : string list;
@@ -121,7 +110,7 @@ let run (cfg : config) : outcome =
   end;
   let engine = Scaling.traced_engine () in
   let plan = Simnet.Fault.create ~seed:cfg.ch_seed in
-  let origin, _wan = Scaling.applet_workload ~applet_count:cfg.ch_applets ~seed:cfg.ch_seed in
+  let origin, _wan = Scaling.applet_workload ~applet_count:applets ~seed:cfg.ch_seed in
   (* Intranet deployment: the origin is the organization's file store a
      few ms away, so request latency is dominated by farm queueing and
      pipeline work — the regime overload control governs. The WAN
@@ -170,9 +159,7 @@ let run (cfg : config) : outcome =
     Int64.add spike_start (Simnet.Engine.sec cfg.ch_spike_len_s)
   in
   let in_spike now =
-    cfg.ch_spike_len_s > 0 && cfg.ch_spike_factor > 1
-    && Int64.compare now spike_start >= 0
-    && Int64.compare now spike_end < 0
+    Int64.compare now spike_start >= 0 && Int64.compare now spike_end < 0
   in
   (* The flash crowd: (spike_factor - 1) × clients extra burst
      sessions that fetch only inside the spike window, so offered
@@ -192,9 +179,9 @@ let run (cfg : config) : outcome =
   let sessions =
     Array.init (cfg.ch_clients + burst) (fun _ ->
         Client.Session.create ~budget_us:cfg.ch_budget_us
-          ?hedge_after_us:(if cfg.ch_control then cfg.ch_hedge_after_us else None)
+          ?hedge_after_us:(if cfg.ch_control then Some hedge_after_us else None)
           ~advertise_deadline:cfg.ch_control
-          ~retry_budget:(if cfg.ch_control then cfg.ch_retry_budget else 0)
+          ~retry_budget:(if cfg.ch_control then retry_budget else 0)
           ~deliver:(fun ~bytes k -> Simnet.Link.transfer lan ~bytes k)
           ~slo ~stale_key engine farm)
   in
@@ -202,66 +189,45 @@ let run (cfg : config) : outcome =
   let latencies = ref [] in
   let tail_start = Int64.sub horizon (Int64.div horizon 4L) in
   let tail_served = ref 0 in
-  let rec client_loop ~burst:is_burst id iter =
-    (* Burst clients live only inside the spike window. *)
-    if (not is_burst) || in_spike (Simnet.Engine.now engine) then begin
-      let k = (id + (iter * 37)) mod cfg.ch_applets in
-      let applet_key = Printf.sprintf "a%d" k in
-      (* Unique names: caching off, every fetch is real pipeline work. *)
-      let name = Printf.sprintf "%s/c%d-i%d" applet_key id iter in
-      let started = Simnet.Engine.now engine in
-      Client.Session.fetch sessions.(id) ~cls:name (fun outcome ->
-          let now = Simnet.Engine.now engine in
-          (match outcome with
-          | Client.Session.Fresh b ->
-            Simnet.Engine.record engine
-              (Printf.sprintf "serve %s -> c%d" name id);
-            Scaling.note_served served applet_key b;
-            latencies := Int64.sub now started :: !latencies;
-            if Int64.compare now tail_start >= 0 then incr tail_served
-          | Client.Session.Stale _ | Client.Session.Failed -> ());
-          Simnet.Engine.schedule engine ~delay:cfg.ch_think_us (fun () ->
-              client_loop ~burst:is_burst id (iter + 1)))
-    end
+  let fetch ~id ~iter ~applet next =
+    let applet_key = Printf.sprintf "a%d" applet in
+    (* Unique names: caching off, every fetch is real pipeline work. *)
+    let name = Printf.sprintf "%s/c%d-i%d" applet_key id iter in
+    let started = Simnet.Engine.now engine in
+    Client.Session.fetch sessions.(id) ~cls:name (fun outcome ->
+        let now = Simnet.Engine.now engine in
+        (match outcome with
+        | Client.Session.Fresh b ->
+          Simnet.Engine.record engine
+            (Printf.sprintf "serve %s -> c%d" name id);
+          Scaling.note_served served applet_key b;
+          latencies := Int64.sub now started :: !latencies;
+          if Int64.compare now tail_start >= 0 then incr tail_served
+        | Client.Session.Stale _ | Client.Session.Failed -> ());
+        next ())
   in
-  for id = 0 to cfg.ch_clients - 1 do
-    (* Stagger arrivals over the first second. *)
-    Simnet.Engine.schedule_at engine
-      (Int64.of_int (id * 1_000_000 / max 1 cfg.ch_clients))
-      (fun () -> client_loop ~burst:false id 0)
-  done;
-  for b = 0 to burst - 1 do
-    (* The flash crowd floods in over the spike's first second. *)
-    Simnet.Engine.schedule_at engine
-      (Int64.add spike_start (Int64.of_int (b * 1_000_000 / max 1 burst)))
-      (fun () -> client_loop ~burst:true (cfg.ch_clients + b) 0)
-  done;
+  Scaling.population engine ~clients:cfg.ch_clients ~applets ~think:think_us
+    fetch;
+  (* The flash crowd floods in over the spike's first second and lives
+     only inside the spike window. *)
+  Scaling.population engine ~start:spike_start ~first_id:cfg.ch_clients
+    ~gate:in_spike ~clients:burst ~applets ~think:think_us fetch;
   Simnet.Engine.run ~until:horizon engine;
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 sessions in
-  let bytes = sum (fun s -> s.Client.Session.bytes_served) in
+  let clients = Client.Session.tally sessions in
   let lat = Array.of_list !latencies in
   Array.sort Int64.compare lat;
   {
     co_seed = cfg.ch_seed;
-    co_fetches = sum (fun s -> s.Client.Session.fetches);
-    co_served = sum (fun s -> s.Client.Session.served);
-    co_bytes = bytes;
+    co_clients = clients;
     co_goodput_bps =
-      Float.of_int bytes /. Float.max 1e-9 (Simnet.Engine.to_sec horizon);
-    co_stale_served = sum (fun s -> s.Client.Session.stale_served);
-    co_failed = sum (fun s -> s.Client.Session.failed);
-    co_hedges = sum (fun s -> s.Client.Session.hedges);
-    co_hedge_wins = sum (fun s -> s.Client.Session.hedge_wins);
-    co_retries = sum (fun s -> s.Client.Session.retries);
-    co_shed = sum (fun s -> s.Client.Session.overloaded_seen);
+      Float.of_int clients.Client.Session.tl_bytes_served
+      /. Float.max 1e-9 (Simnet.Engine.to_sec horizon);
     co_breaker_trips =
       (let n = ref 0 in
        for i = 0 to cfg.ch_shards - 1 do
          n := !n + Proxy.Breaker.trips (Proxy.Farm.breaker farm i)
        done;
        !n);
-    co_deadline_violations =
-      sum (fun s -> s.Client.Session.deadline_violations);
     co_tail_served = !tail_served;
     co_digests = Scaling.served_digests served;
     co_fault_trace = Simnet.Fault.trace plan;
@@ -306,8 +272,8 @@ let verify ?(recovery_frac = 0.5) (cfg : config) : verdict =
     v_chaotic = chaotic;
     v_digests_ok = digests_ok;
     v_no_late_serves =
-      chaotic.co_deadline_violations = 0
-      && reference.co_deadline_violations = 0;
+      chaotic.co_clients.Client.Session.tl_deadline_violations = 0
+      && reference.co_clients.Client.Session.tl_deadline_violations = 0;
     v_recovered =
       Float.of_int chaotic.co_tail_served
       >= recovery_frac *. Float.of_int reference.co_tail_served;
@@ -360,17 +326,12 @@ type control_config = {
   cc_clients : int;
   cc_duration_s : int;
   cc_applets : int;
-  cc_think_us : int64;
-  cc_budget_us : int64;
-  cc_retry_budget : int;
   cc_cache_mb : int; (* per-shard L1 and shared L2 capacity *)
   cc_partitions : int; (* control-link partition windows; the first spans the bump *)
   cc_partition_len_s : int;
   cc_bump_at_s : int; (* when the leader proposes the new policy version *)
   cc_restart_shard : bool; (* crash/restart one shard, drawn from the seed *)
   cc_lease_us : int64;
-  cc_hb_interval_us : int64;
-  cc_commit_margin_us : int64;
   cc_churn_s : int; (* propose an invalidation every N s (0 = off) *)
   cc_snapshot_every : int; (* committed entries per snapshot fold *)
   cc_leader_crash : bool; (* crash the leased leader just after the bump *)
@@ -385,17 +346,12 @@ let default_control_config =
     cc_clients = 24;
     cc_duration_s = 30;
     cc_applets = 8;
-    cc_think_us = 500_000L;
-    cc_budget_us = 2_000_000L;
-    cc_retry_budget = 8;
     cc_cache_mb = 16;
     cc_partitions = 2;
     cc_partition_len_s = 3;
     cc_bump_at_s = 12;
     cc_restart_shard = true;
     cc_lease_us = 1_000_000L;
-    cc_hb_interval_us = 250_000L;
-    cc_commit_margin_us = 100_000L;
     cc_churn_s = 1;
     cc_snapshot_every = 4;
     cc_leader_crash = true;
@@ -403,13 +359,15 @@ let default_control_config =
     cc_trace = false;
   }
 
+(* Fixed for every control-plane run. *)
+let control_think_us = 500_000L
+let control_budget_us = 2_000_000L
+let hb_interval_us = 250_000L
+let commit_margin_us = 100_000L
+
 type control_outcome = {
   cn_seed : int;
-  cn_fetches : int;
-  cn_served : int; (* fresh serves *)
-  cn_stale_served : int;
-  cn_failed : int;
-  cn_shed : int;
+  cn_clients : Client.Session.tally; (* served = fresh serves *)
   cn_base_version : int;
   cn_new_version : int;
   cn_commit_us : int64; (* when the bump committed (0 = never) *)
@@ -499,9 +457,8 @@ let run_control (cfg : control_config) : control_outcome =
      LAN fabric. Applying an entry swaps the shard's filter stack and
      version, or drops the named class from its L1 and the shared L2. *)
   let ctl =
-    Proxy.Control.create engine ~lease_us:cfg.cc_lease_us
-      ~hb_interval_us:cfg.cc_hb_interval_us
-      ~commit_margin_us:cfg.cc_commit_margin_us
+    Proxy.Control.create engine ~lease_us:cfg.cc_lease_us ~hb_interval_us
+      ~commit_margin_us
       ~snapshot_threshold:(max 1 cfg.cc_snapshot_every) ~initial_version:v1 ()
   in
   let ctl_links =
@@ -557,16 +514,21 @@ let run_control (cfg : control_config) : control_outcome =
       ~schedule:[ (start, len) ]
       ()
   done;
-  (* One crash/restart window: the shard reboots with its L1 gone and
-     its policy state back at the base version — everything it knows
-     again it must re-learn from the leader's log before the control
-     plane lets it serve. The shared L2 deliberately survives: the
-     version stamps are what keep its old entries from being
-     resurrected. *)
+  (* A restarted shard reboots with its L1 gone and its policy state
+     back at the base version — everything it knows again it must
+     re-learn from the leader's log before the control plane lets it
+     serve. The shared L2 deliberately survives: the version stamps are
+     what keep its old entries from being resurrected. *)
+  let restart_cold i =
+    let p = pool.(i) and _, _, mid = ctl_links.(i) in
+    Proxy.Cache.clear p.Proxy.cache;
+    p.Proxy.filters <- stack_v1;
+    p.Proxy.policy_version <- v1;
+    Proxy.Control.mark_restarted ctl mid
+  in
+  (* One crash/restart window. *)
   if cfg.cc_restart_shard then begin
     let victim = Simnet.Fault.range plan ~max:cfg.cc_shards in
-    let p = pool.(victim) in
-    let _, _, mid = ctl_links.(victim) in
     let crash_at =
       Int64.add mid_start
         (Int64.of_int (Simnet.Fault.range plan ~max:(Int64.to_int mid_len)))
@@ -574,12 +536,8 @@ let run_control (cfg : control_config) : control_outcome =
     let down_for =
       Int64.of_int (1_000_000 + Simnet.Fault.range plan ~max:2_000_000)
     in
-    Simnet.Fault.schedule_host_faults plan p.Proxy.host
-      ~on_restart:(fun () ->
-        Proxy.Cache.clear p.Proxy.cache;
-        p.Proxy.filters <- stack_v1;
-        p.Proxy.policy_version <- v1;
-        Proxy.Control.mark_restarted ctl mid)
+    Simnet.Fault.schedule_host_faults plan pool.(victim).Proxy.host
+      ~on_restart:(fun () -> restart_cold victim)
       ~schedule:[ (crash_at, down_for) ]
       ()
   end;
@@ -645,17 +603,13 @@ let run_control (cfg : control_config) : control_outcome =
         match Proxy.Control.leader ctl with
         | None -> ()
         | Some lid ->
-          let p = pool.(lid) in
-          let _, _, mid = ctl_links.(lid) in
+          let host = pool.(lid).Proxy.host in
           Simnet.Fault.record plan ~at:crash_at
             (Printf.sprintf "leader-crash shard%d for %Ldus" lid down_for);
-          Simnet.Host.crash p.Proxy.host;
+          Simnet.Host.crash host;
           Simnet.Engine.schedule engine ~delay:down_for (fun () ->
-              Simnet.Host.restart p.Proxy.host;
-              Proxy.Cache.clear p.Proxy.cache;
-              p.Proxy.filters <- stack_v1;
-              p.Proxy.policy_version <- v1;
-              Proxy.Control.mark_restarted ctl mid))
+              Simnet.Host.restart host;
+              restart_cold lid))
   end;
   (* Leader partition late in the run: the leased leader is cut off,
      loses its lease, the rest elect over it — and when the window
@@ -702,8 +656,8 @@ let run_control (cfg : control_config) : control_outcome =
   let lan = Simnet.Link.ethernet_10mb engine in
   let sessions =
     Array.init cfg.cc_clients (fun _ ->
-        Client.Session.create ~budget_us:cfg.cc_budget_us
-          ~advertise_deadline:true ~retry_budget:cfg.cc_retry_budget
+        Client.Session.create ~budget_us:control_budget_us
+          ~advertise_deadline:true ~retry_budget
           ~deliver:(fun ~bytes k -> Simnet.Link.transfer lan ~bytes k)
           ~stale_key engine farm)
   in
@@ -711,26 +665,19 @@ let run_control (cfg : control_config) : control_outcome =
      Each fresh serve is recorded with the committed version at issue
      time; the invariant is evaluated offline after the run. *)
   let records = ref [] in
-  let rec client_loop id iter =
-    let k = (id + (iter * 37)) mod cfg.cc_applets in
-    let applet_key = Printf.sprintf "a%d" k in
-    let name = Printf.sprintf "%s/s" applet_key in
-    let v_at_issue = Proxy.Control.committed_version ctl in
-    Client.Session.fetch sessions.(id) ~cls:name (fun outcome ->
-        (match outcome with
-        | Client.Session.Fresh b ->
-          Simnet.Engine.record engine
-            (Printf.sprintf "serve %s @v%d -> c%d" name v_at_issue id);
-          records := (applet_key, Dsig.Md5.digest b, v_at_issue) :: !records
-        | Client.Session.Stale _ | Client.Session.Failed -> ());
-        Simnet.Engine.schedule engine ~delay:cfg.cc_think_us (fun () ->
-            client_loop id (iter + 1)))
-  in
-  for id = 0 to cfg.cc_clients - 1 do
-    Simnet.Engine.schedule_at engine
-      (Int64.of_int (id * 1_000_000 / max 1 cfg.cc_clients))
-      (fun () -> client_loop id 0)
-  done;
+  Scaling.population engine ~clients:cfg.cc_clients ~applets:cfg.cc_applets
+    ~think:control_think_us (fun ~id ~iter:_ ~applet next ->
+      let applet_key = Printf.sprintf "a%d" applet in
+      let name = Printf.sprintf "%s/s" applet_key in
+      let v_at_issue = Proxy.Control.committed_version ctl in
+      Client.Session.fetch sessions.(id) ~cls:name (fun outcome ->
+          (match outcome with
+          | Client.Session.Fresh b ->
+            Simnet.Engine.record engine
+              (Printf.sprintf "serve %s @v%d -> c%d" name v_at_issue id);
+            records := (applet_key, Dsig.Md5.digest b, v_at_issue) :: !records
+          | Client.Session.Stale _ | Client.Session.Failed -> ());
+          next ()));
   Simnet.Engine.run ~until:horizon engine;
   (* Offline invariant check against pure pipeline runs: map each
      applet to its rewritten digest under every version's stack. *)
@@ -772,16 +719,9 @@ let run_control (cfg : control_config) : control_outcome =
          (fun k ds acc -> (k, List.sort String.compare ds) :: acc)
          tbl [])
   in
-  let member_versions =
-    List.init cfg.cc_shards (fun i ->
-        let _, _, mid = ctl_links.(i) in
-        Proxy.Control.member_version ctl mid)
-  in
-  let member_terms =
-    List.init cfg.cc_shards (fun i ->
-        let _, _, mid = ctl_links.(i) in
-        Proxy.Control.member_term ctl mid)
-  in
+  let mids = List.map (fun (_, _, mid) -> mid) (Array.to_list ctl_links) in
+  let member_versions = List.map (Proxy.Control.member_version ctl) mids in
+  let member_terms = List.map (Proxy.Control.member_term ctl) mids in
   let converged =
     Proxy.Control.converged ctl
     && List.for_all (fun v -> v = v2) member_versions
@@ -795,19 +735,12 @@ let run_control (cfg : control_config) : control_outcome =
     &&
     let want = Proxy.Control.replay_digest ctl in
     List.for_all
-      (fun i ->
-        let _, _, mid = ctl_links.(i) in
-        String.equal (Proxy.Control.member_state_digest ctl mid) want)
-      (List.init cfg.cc_shards (fun i -> i))
+      (fun mid -> String.equal (Proxy.Control.member_state_digest ctl mid) want)
+      mids
   in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 sessions in
   {
     cn_seed = cfg.cc_seed;
-    cn_fetches = sum (fun s -> s.Client.Session.fetches);
-    cn_served = sum (fun s -> s.Client.Session.served);
-    cn_stale_served = sum (fun s -> s.Client.Session.stale_served);
-    cn_failed = sum (fun s -> s.Client.Session.failed);
-    cn_shed = sum (fun s -> s.Client.Session.overloaded_seen);
+    cn_clients = Client.Session.tally sessions;
     cn_base_version = v1;
     cn_new_version = v2;
     cn_commit_us =
@@ -905,48 +838,62 @@ let verify_control (cfg : control_config) : control_verdict =
     w_digests_ok = digests_ok;
   }
 
+(* The counters both outcome lines open with. *)
+let tally_text (t : Client.Session.tally) =
+  Printf.sprintf "fetches=%d served=%d stale=%d failed=%d shed=%d"
+    t.tl_fetches t.tl_served t.tl_stale_served t.tl_failed
+    t.tl_overloaded_seen
+
 let print_control_outcome ?(label = "control") o =
   Printf.printf
-    "%-10s seed=%d fetches=%d served=%d stale=%d failed=%d shed=%d \
+    "%-10s seed=%d %s \
      v%d->v%d commit=%Ldus revoked=%d exempt=%d fenced=%d resyncs=%d \
      stale_drops=%d invalidations=%d term=%d elections=%d \
      leader_changes=%d stepdowns=%d redrives=%d compactions=%d \
      snap_installs=%d max_leased=%d term_regr=%d replay_ok=%b \
      converged=%b\n"
-    label o.cn_seed o.cn_fetches o.cn_served o.cn_stale_served o.cn_failed
-    o.cn_shed o.cn_base_version o.cn_new_version o.cn_commit_us
-    o.cn_revoked_serves o.cn_inflight_exempt o.cn_fence_rejects o.cn_resyncs
-    o.cn_stale_drops o.cn_invalidations o.cn_term o.cn_elections
-    o.cn_leader_changes o.cn_stepdowns o.cn_redrives o.cn_compactions
-    o.cn_snapshot_installs o.cn_max_leased o.cn_term_regressions
-    o.cn_replay_ok o.cn_converged
+    label o.cn_seed (tally_text o.cn_clients) o.cn_base_version
+    o.cn_new_version o.cn_commit_us o.cn_revoked_serves o.cn_inflight_exempt
+    o.cn_fence_rejects o.cn_resyncs o.cn_stale_drops o.cn_invalidations
+    o.cn_term o.cn_elections o.cn_leader_changes o.cn_stepdowns o.cn_redrives
+    o.cn_compactions o.cn_snapshot_installs o.cn_max_leased
+    o.cn_term_regressions o.cn_replay_ok o.cn_converged
 
 let print_outcome ?(label = "chaos") o =
+  let t = o.co_clients in
   Printf.printf
-    "%-10s seed=%d fetches=%d served=%d stale=%d failed=%d shed=%d \
+    "%-10s seed=%d %s \
      retries=%d hedges=%d/%d trips=%d late=%d tail=%d goodput=%.0f B/s \
      p50=%Ldus p95=%Ldus p99=%Ldus\n"
-    label o.co_seed o.co_fetches o.co_served o.co_stale_served o.co_failed
-    o.co_shed o.co_retries o.co_hedge_wins o.co_hedges o.co_breaker_trips
-    o.co_deadline_violations o.co_tail_served o.co_goodput_bps o.co_p50_us
-    o.co_p95_us o.co_p99_us
+    label o.co_seed (tally_text t) t.tl_retries t.tl_hedge_wins t.tl_hedges
+    o.co_breaker_trips t.tl_deadline_violations o.co_tail_served
+    o.co_goodput_bps o.co_p50_us o.co_p95_us o.co_p99_us
 
 (* --- Reports: the one rendering of each outcome, banner and verdict
    that the bench pins and dvmctl prints. Strings reach JSON only
    through [Telemetry.json_escape]. --- *)
 
 let json_string s = "\"" ^ Telemetry.json_escape s ^ "\""
-let json_list f l = "[" ^ String.concat "," (List.map f l) ^ "]"
 let hex_string d = json_string (Dsig.Md5.to_hex d)
 
-let outcome_json o =
+(* The keys both outcome objects open with. *)
+let tally_json (t : Client.Session.tally) =
   Printf.sprintf
-    "{\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d,\"hedges\":%d,\"hedge_wins\":%d,\"retries\":%d,\"breaker_trips\":%d,\"deadline_violations\":%d,\"goodput_bps\":%.1f,\"p50_us\":%Ld,\"p95_us\":%Ld,\"p99_us\":%Ld,\"trace_digest\":%s,\"slo\":%s}"
-    o.co_fetches o.co_served o.co_stale_served o.co_failed o.co_shed
-    o.co_hedges o.co_hedge_wins o.co_retries o.co_breaker_trips
-    o.co_deadline_violations o.co_goodput_bps o.co_p50_us o.co_p95_us
+    "\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d"
+    t.tl_fetches t.tl_served t.tl_stale_served t.tl_failed t.tl_overloaded_seen
+
+let outcome_json o =
+  let t = o.co_clients in
+  Printf.sprintf
+    "{%s,\"hedges\":%d,\"hedge_wins\":%d,\"retries\":%d,\"breaker_trips\":%d,\"deadline_violations\":%d,\"goodput_bps\":%.1f,\"p50_us\":%Ld,\"p95_us\":%Ld,\"p99_us\":%Ld,\"trace_digest\":%s,\"slo\":%s}"
+    (tally_json t) t.tl_hedges t.tl_hedge_wins t.tl_retries o.co_breaker_trips
+    t.tl_deadline_violations o.co_goodput_bps o.co_p50_us o.co_p95_us
     o.co_p99_us (hex_string o.co_trace_digest)
     (Telemetry.Slo.report_json o.co_slo)
+
+let invariants_json v =
+  Printf.sprintf "{\"digests_ok\":%b,\"no_late_serves\":%b,\"recovered\":%b}"
+    v.v_digests_ok v.v_no_late_serves v.v_recovered
 
 let config_banner cfg =
   Printf.sprintf
@@ -969,19 +916,20 @@ let verdict_text v =
 
 let control_outcome_json o =
   Printf.sprintf
-    "{\"fetches\":%d,\"served\":%d,\"stale\":%d,\"failed\":%d,\"shed\":%d,\"base_version\":%d,\"new_version\":%d,\"commit_us\":%Ld,\"revoked_serves\":%d,\"inflight_exempt\":%d,\"fence_rejects\":%d,\"resyncs\":%d,\"stale_drops\":%d,\"invalidations\":%d,\"heartbeats\":%d,\"commits\":%d,\"term\":%d,\"member_terms\":%s,\"elections\":%d,\"leader_changes\":%d,\"stepdowns\":%d,\"redrives\":%d,\"compactions\":%d,\"snapshot_installs\":%d,\"max_leased\":%d,\"term_regressions\":%d,\"replay_ok\":%b,\"converged\":%b,\"changed_applets\":%s,\"digests\":{%s},\"trace_digest\":%s}"
-    o.cn_fetches o.cn_served o.cn_stale_served o.cn_failed o.cn_shed
-    o.cn_base_version o.cn_new_version o.cn_commit_us o.cn_revoked_serves
-    o.cn_inflight_exempt o.cn_fence_rejects o.cn_resyncs o.cn_stale_drops
+    "{%s,\"base_version\":%d,\"new_version\":%d,\"commit_us\":%Ld,\"revoked_serves\":%d,\"inflight_exempt\":%d,\"fence_rejects\":%d,\"resyncs\":%d,\"stale_drops\":%d,\"invalidations\":%d,\"heartbeats\":%d,\"commits\":%d,\"term\":%d,\"member_terms\":%s,\"elections\":%d,\"leader_changes\":%d,\"stepdowns\":%d,\"redrives\":%d,\"compactions\":%d,\"snapshot_installs\":%d,\"max_leased\":%d,\"term_regressions\":%d,\"replay_ok\":%b,\"converged\":%b,\"changed_applets\":%s,\"digests\":{%s},\"trace_digest\":%s}"
+    (tally_json o.cn_clients) o.cn_base_version o.cn_new_version
+    o.cn_commit_us o.cn_revoked_serves o.cn_inflight_exempt
+    o.cn_fence_rejects o.cn_resyncs o.cn_stale_drops
     o.cn_invalidations o.cn_heartbeats o.cn_commits o.cn_term
-    (json_list string_of_int o.cn_member_terms)
+    (Scaling.json_list string_of_int o.cn_member_terms)
     o.cn_elections o.cn_leader_changes o.cn_stepdowns o.cn_redrives
     o.cn_compactions o.cn_snapshot_installs o.cn_max_leased
     o.cn_term_regressions o.cn_replay_ok o.cn_converged
-    (json_list json_string o.cn_changed_applets)
+    (Scaling.json_list json_string o.cn_changed_applets)
     (String.concat ","
        (List.map
-          (fun (k, ds) -> json_string k ^ ":" ^ json_list hex_string ds)
+          (fun (k, ds) ->
+            json_string k ^ ":" ^ Scaling.json_list hex_string ds)
           o.cn_digests))
     (hex_string o.cn_trace_digest)
 

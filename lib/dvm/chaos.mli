@@ -14,11 +14,7 @@ type config = {
   ch_shards : int;
   ch_clients : int;
   ch_duration_s : int;
-  ch_applets : int;
-  ch_think_us : int64;  (** per-client gap between fetches off-spike *)
   ch_budget_us : int64;  (** per-fetch deadline budget *)
-  ch_hedge_after_us : int64 option;
-  ch_retry_budget : int;  (** per-session retry+hedge token pool *)
   ch_spike_factor : int;
       (** flash crowd: total offered clients ×this inside the window *)
   ch_spike_start_s : int;
@@ -37,20 +33,23 @@ val default_config : config
     crash windows, 0.5% LAN loss — the bench and [dvmctl chaos]
     defaults. *)
 
+(** Fixed in every chaos run: 12 applets, 1 s between a client's
+    fetches and, with overload controls on, a 300 ms hedge delay and a
+    retry+hedge pool of 8 tokens per session (also every control-plane
+    session's pool). *)
+
+val applets : int
+val think_us : int64
+val hedge_after_us : int64
+val retry_budget : int
+
 type outcome = {
   co_seed : int;
-  co_fetches : int;
-  co_served : int;  (** fresh, in-deadline serves *)
-  co_bytes : int;
+  co_clients : Client.Session.tally;
+      (** [tl_served] counts fresh, in-deadline serves;
+          [tl_deadline_violations] must be 0 *)
   co_goodput_bps : float;  (** in-deadline bytes/s over the whole run *)
-  co_stale_served : int;
-  co_failed : int;
-  co_hedges : int;
-  co_hedge_wins : int;
-  co_retries : int;
-  co_shed : int;  (** [Overloaded] replies clients saw *)
   co_breaker_trips : int;
-  co_deadline_violations : int;  (** must be 0 *)
   co_tail_served : int;  (** fresh serves in the final quarter *)
   co_digests : (string * string) list;
       (** applet key → MD5 of served bytes, sorted; intra-run
@@ -149,9 +148,6 @@ type control_config = {
   cc_clients : int;
   cc_duration_s : int;
   cc_applets : int;
-  cc_think_us : int64;
-  cc_budget_us : int64;
-  cc_retry_budget : int;
   cc_cache_mb : int;  (** per-shard L1 and shared L2 capacity *)
   cc_partitions : int;
       (** control-link partition windows; the first spans the bump *)
@@ -160,8 +156,6 @@ type control_config = {
   cc_restart_shard : bool;
       (** crash/restart one shard, drawn from the seed *)
   cc_lease_us : int64;
-  cc_hb_interval_us : int64;
-  cc_commit_margin_us : int64;
   cc_churn_s : int;
       (** propose a rotating cache invalidation every N seconds (0 =
           off) — keeps the log growing so compaction triggers mid-run *)
@@ -183,13 +177,19 @@ val default_control_config : control_config
     crash and leader partition on — the bench and [dvmctl control]
     defaults. *)
 
+(** Fixed in every control-plane run: 500 ms between a client's
+    fetches, a 2 s deadline budget per fetch, and the
+    {!Proxy.Control} heartbeat interval (250 ms) and commit margin
+    (100 ms). *)
+
+val control_think_us : int64
+val control_budget_us : int64
+val hb_interval_us : int64
+val commit_margin_us : int64
+
 type control_outcome = {
   cn_seed : int;
-  cn_fetches : int;
-  cn_served : int;  (** fresh serves *)
-  cn_stale_served : int;
-  cn_failed : int;
-  cn_shed : int;
+  cn_clients : Client.Session.tally;  (** [tl_served] counts fresh serves *)
   cn_base_version : int;
   cn_new_version : int;
   cn_commit_us : int64;  (** when the bump committed (0 = never) *)
@@ -277,6 +277,10 @@ val print_control_outcome : ?label:string -> control_outcome -> unit
     as hex. *)
 
 val outcome_json : outcome -> string
+
+val invariants_json : verdict -> string
+(** The three chaos invariants as one JSON object. *)
+
 val config_banner : config -> string
 
 val verdict_text : verdict -> string

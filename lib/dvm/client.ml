@@ -69,7 +69,6 @@ module Session = struct
     budget_us : int64; (* per-fetch deadline budget *)
     hedge_after_us : int64 option; (* hedge delay; None disables hedging *)
     advertise_deadline : bool; (* carry Deadline-Us on the wire? *)
-    retry_backoff_us : int64;
     tokens : int ref; (* session-wide retry+hedge pool *)
     deliver : bytes:int -> (unit -> unit) -> unit; (* client-side wire *)
     slo : Telemetry.Slo.t option; (* per-outcome SLO feed *)
@@ -87,17 +86,19 @@ module Session = struct
     mutable deadline_violations : int; (* must stay 0: late serves *)
   }
 
+  (* The pause before re-sending a shed request. *)
+  let retry_backoff_us = 50_000L
+
   let create ?(budget_us = 2_000_000L) ?hedge_after_us
-      ?(advertise_deadline = true) ?(retry_backoff_us = 50_000L)
-      ?(retry_budget = max_int) ?(deliver = fun ~bytes:_ k -> k ()) ?slo
-      ?(stale_key = fun cls -> cls) engine farm =
+      ?(advertise_deadline = true) ?(retry_budget = max_int)
+      ?(deliver = fun ~bytes:_ k -> k ()) ?slo ?(stale_key = fun cls -> cls)
+      engine farm =
     {
       engine;
       farm;
       budget_us;
       hedge_after_us;
       advertise_deadline;
-      retry_backoff_us;
       tokens = ref retry_budget;
       deliver;
       slo;
@@ -247,7 +248,7 @@ module Session = struct
                     ~now_us:(Simnet.Engine.now t.engine)
                 | None -> ());
                 let retry_at =
-                  Int64.add (Simnet.Engine.now t.engine) t.retry_backoff_us
+                  Int64.add (Simnet.Engine.now t.engine) retry_backoff_us
                 in
                 let in_budget =
                   match deadline with
@@ -257,7 +258,7 @@ module Session = struct
                 if in_budget && take_token t then begin
                   t.retries <- t.retries + 1;
                   pending := !pending - 1;
-                  Simnet.Engine.schedule t.engine ~delay:t.retry_backoff_us
+                  Simnet.Engine.schedule t.engine ~delay:retry_backoff_us
                     (fun () ->
                       if !settled then ()
                       else if !pending > 0 then
@@ -299,6 +300,35 @@ module Session = struct
             attempt ~hedged:true ()
           end));
     attempt ~hedged:false ()
+
+  (* A client population's counters, summed. *)
+  type tally = {
+    tl_fetches : int;
+    tl_served : int;
+    tl_bytes_served : int;
+    tl_stale_served : int;
+    tl_hedges : int;
+    tl_hedge_wins : int;
+    tl_retries : int;
+    tl_overloaded_seen : int;
+    tl_failed : int;
+    tl_deadline_violations : int;
+  }
+
+  let tally sessions =
+    let sum f = Array.fold_left (fun acc (s : t) -> acc + f s) 0 sessions in
+    {
+      tl_fetches = sum (fun s -> s.fetches);
+      tl_served = sum (fun s -> s.served);
+      tl_bytes_served = sum (fun s -> s.bytes_served);
+      tl_stale_served = sum (fun s -> s.stale_served);
+      tl_hedges = sum (fun s -> s.hedges);
+      tl_hedge_wins = sum (fun s -> s.hedge_wins);
+      tl_retries = sum (fun s -> s.retries);
+      tl_overloaded_seen = sum (fun s -> s.overloaded_seen);
+      tl_failed = sum (fun s -> s.failed);
+      tl_deadline_violations = sum (fun s -> s.deadline_violations);
+    }
 end
 
 (* The monolithic client verifies everything it loads, locally, at

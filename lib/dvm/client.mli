@@ -38,7 +38,6 @@ module Session : sig
     budget_us : int64;  (** per-fetch deadline budget *)
     hedge_after_us : int64 option;  (** hedge delay; [None] disables *)
     advertise_deadline : bool;  (** carry [Deadline-Us] on the wire? *)
-    retry_backoff_us : int64;
     tokens : int ref;  (** session-wide retry+hedge pool *)
     deliver : bytes:int -> (unit -> unit) -> unit;  (** client-side wire *)
     slo : Telemetry.Slo.t option;  (** per-outcome SLO feed *)
@@ -59,11 +58,13 @@ module Session : sig
             deadline machinery broke *)
   }
 
+  val retry_backoff_us : int64
+  (** The pause before a shed request is re-sent: 50 ms. *)
+
   val create :
     ?budget_us:int64 ->
     ?hedge_after_us:int64 ->
     ?advertise_deadline:bool ->
-    ?retry_backoff_us:int64 ->
     ?retry_budget:int ->
     ?deliver:(bytes:int -> (unit -> unit) -> unit) ->
     ?slo:Telemetry.Slo.t ->
@@ -72,7 +73,7 @@ module Session : sig
     Proxy.Farm.t ->
     t
   (** Defaults: 2 s deadline budget, no hedging, deadline advertised
-      on the wire, 50 ms retry backoff, unbounded token pool,
+      on the wire, unbounded token pool,
       immediate delivery, no SLO feed, identity archive key. [slo]
       receives one outcome per settled fetch (fresh/stale/failed,
       plus shed notes). [advertise_deadline:
@@ -98,6 +99,23 @@ module Session : sig
       deadline expiry. The hedge, when enabled, races a second request
       at ring offset 1 after [hedge_after_us]; first response wins and
       the loser is discarded on arrival. *)
+
+  (** A client population's counters, summed over its sessions; each
+      [tl_x] is the sum of the sessions' [x]. *)
+  type tally = {
+    tl_fetches : int;
+    tl_served : int;
+    tl_bytes_served : int;
+    tl_stale_served : int;
+    tl_hedges : int;
+    tl_hedge_wins : int;
+    tl_retries : int;
+    tl_overloaded_seen : int;
+    tl_failed : int;
+    tl_deadline_violations : int;
+  }
+
+  val tally : t array -> tally
 end
 
 val jdk_security_hook :

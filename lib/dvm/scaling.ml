@@ -73,6 +73,25 @@ let spread_client_state pool ~clients =
       Simnet.Host.allocate p.Proxy.host (share * per_client_state_bytes))
     pool
 
+(* The one client loop (see the interface). First fetches are
+   scheduled in id order and a think event only when [fetch] calls
+   [next], after it has recorded its serve: the pinned event orders. *)
+let population ?(start = 0L) ?(first_id = 0) ?(gate = fun _ -> true) engine
+    ~clients ~applets ~think fetch =
+  if applets <= 0 then
+    invalid_arg "Scaling.population: applets must be positive";
+  let rec loop id iter =
+    if gate (Simnet.Engine.now engine) then
+      fetch ~id ~iter ~applet:((id + (iter * 37)) mod applets) (fun () ->
+          Simnet.Engine.schedule engine ~delay:think (fun () ->
+              loop id (iter + 1)))
+  in
+  for i = 0 to clients - 1 do
+    Simnet.Engine.schedule_at engine
+      (Int64.add start (Int64.of_int (i * 1_000_000 / max 1 clients)))
+      (fun () -> loop (first_id + i) 0)
+  done
+
 (* An engine recording its (time, label) event trace. The cap sits far
    above anything a pinned seed produces, so memory stays bounded
    (a runaway run degrades to a dropped-records count) without losing
@@ -133,16 +152,17 @@ type farm_point = {
   f_pipeline_runs : int;
   f_coalesced : int;
   f_l2_hits : int;
-  f_failovers : int;
   f_utilization : float; (* mean shard CPU utilization *)
   f_served : (string * string) list; (* applet key -> MD5 of served bytes *)
   f_trace_digest : string;
 }
 
+(* Fig. 10's browser has no deadline, no retry and no hedge, so each
+   fetch is a raw farm request: a refused browser stops, as does one
+   whose reply lands past the horizon. *)
 let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
     ?(mem_capacity = 64 * 1024 * 1024) ?(cache_capacity = 0)
-    ?(l2_capacity = 0) ?(vnodes = Proxy.Farm.default_vnodes) ~shards ~clients
-    () : farm_point =
+    ?(l2_capacity = 0) ~shards ~clients () : farm_point =
   if shards <= 0 then invalid_arg "run_farm: shards must be positive";
   let slo_record outcome now_us =
     match slo with
@@ -166,7 +186,7 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
         Proxy.create engine ~cache_capacity ~mem_capacity ?l2 ~memo
           ~host_name:(shard_name i) ~origin ~origin_latency ~filters ())
   in
-  let farm = Proxy.Farm.create ~vnodes engine pool in
+  let farm = Proxy.Farm.create engine pool in
   spread_client_state pool ~clients;
   let lan = Simnet.Link.ethernet_10mb engine in
   let horizon = Simnet.Engine.sec duration_s in
@@ -175,48 +195,40 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
   let latency_sum = ref 0L in
   let latency_weighted_kb = ref 0.0 in
   let served : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  let rec client_loop id iter =
-    let k = (id + (iter * 37)) mod applet_count in
-    let applet_key = Printf.sprintf "a%d" k in
-    (* Cache off: every request unique (the paper's worst case). Any
-       cache tier on: clients share the popular set so hits and
-       coalescing can happen (the paper's stated mitigation). *)
-    let name =
-      if cache_capacity > 0 || l2_capacity > 0 then applet_key ^ "/pop"
-      else Printf.sprintf "%s/c%d-i%d" applet_key id iter
-    in
-    let started = Simnet.Engine.now engine in
-    Proxy.Farm.request farm ~cls:name (fun reply ->
-        match reply with
-        | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded ->
-          slo_record Telemetry.Slo.Failed (Simnet.Engine.now engine)
-        | Proxy.Bytes b ->
-          Simnet.Link.transfer lan ~bytes:(String.length b) (fun () ->
-              let now = Simnet.Engine.now engine in
-              if Int64.compare now horizon <= 0 then begin
-                incr completed;
-                slo_record (Telemetry.Slo.Fresh (String.length b)) now;
-                let lat = Int64.sub now started in
-                Telemetry.Global.observe "client.request_us" lat;
-                Simnet.Engine.record engine
-                  (Printf.sprintf "serve %s -> c%d" name id);
-                note_served served applet_key b;
-                bytes_delivered := !bytes_delivered + String.length b;
-                latency_sum := Int64.add !latency_sum lat;
-                latency_weighted_kb :=
-                  !latency_weighted_kb
-                  +. (Int64.to_float lat /. 1_000_000.0)
-                     /. (Float.of_int (String.length b) /. 1024.0);
-                Simnet.Engine.schedule engine ~delay:think_time (fun () ->
-                    client_loop id (iter + 1))
-              end))
-  in
-  for id = 0 to clients - 1 do
-    (* Stagger arrivals over the first second. *)
-    Simnet.Engine.schedule_at engine
-      (Int64.of_int (id * 1_000_000 / max 1 clients))
-      (fun () -> client_loop id 0)
-  done;
+  population engine ~clients ~applets:applet_count ~think:think_time
+    (fun ~id ~iter ~applet next ->
+      let applet_key = Printf.sprintf "a%d" applet in
+      (* Cache off: every request unique (the paper's worst case). Any
+         cache tier on: clients share the popular set so hits and
+         coalescing can happen (the paper's stated mitigation). *)
+      let name =
+        if cache_capacity > 0 || l2_capacity > 0 then applet_key ^ "/pop"
+        else Printf.sprintf "%s/c%d-i%d" applet_key id iter
+      in
+      let started = Simnet.Engine.now engine in
+      Proxy.Farm.request farm ~cls:name (fun reply ->
+          match reply with
+          | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded ->
+            slo_record Telemetry.Slo.Failed (Simnet.Engine.now engine)
+          | Proxy.Bytes b ->
+            Simnet.Link.transfer lan ~bytes:(String.length b) (fun () ->
+                let now = Simnet.Engine.now engine in
+                if Int64.compare now horizon <= 0 then begin
+                  incr completed;
+                  slo_record (Telemetry.Slo.Fresh (String.length b)) now;
+                  let lat = Int64.sub now started in
+                  Telemetry.Global.observe "client.request_us" lat;
+                  Simnet.Engine.record engine
+                    (Printf.sprintf "serve %s -> c%d" name id);
+                  note_served served applet_key b;
+                  bytes_delivered := !bytes_delivered + String.length b;
+                  latency_sum := Int64.add !latency_sum lat;
+                  latency_weighted_kb :=
+                    !latency_weighted_kb
+                    +. (Int64.to_float lat /. 1_000_000.0)
+                       /. (Float.of_int (String.length b) /. 1024.0);
+                  next ()
+                end)));
   Simnet.Engine.run ~until:horizon engine;
   let dur = Simnet.Engine.to_sec horizon in
   let per_completion x =
@@ -232,7 +244,6 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
     f_pipeline_runs = Proxy.Farm.pipeline_runs farm;
     f_coalesced = Proxy.Farm.coalesced farm;
     f_l2_hits = Proxy.Farm.l2_hits farm;
-    f_failovers = farm.Proxy.Farm.failovers;
     f_utilization =
       Array.fold_left
         (fun a p -> a +. Simnet.Host.utilization p.Proxy.host)
@@ -242,10 +253,31 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
     f_trace_digest = trace_digest engine;
   }
 
-let farm_sweep ?slo ?duration_s ?seed ?applet_count ?mem_capacity
-    ?cache_capacity ?l2_capacity ?vnodes ~clients shard_counts =
-  List.map
-    (fun shards ->
-      run_farm ?slo ?duration_s ?seed ?applet_count ?mem_capacity
-        ?cache_capacity ?l2_capacity ?vnodes ~shards ~clients ())
-    shard_counts
+(* The bench's pinned renderings of farm points. *)
+
+let json_list f l = "[" ^ String.concat "," (List.map f l) ^ "]"
+
+let fig10_json =
+  json_list (fun p ->
+      Printf.sprintf
+        {|{"clients":%d,"throughput_bps":%.1f,"mean_latency_us":%.1f,"s_per_kb":%.4f,"utilization":%.4f}|}
+        p.f_clients p.f_throughput_bytes_per_s p.f_mean_latency_us
+        p.f_mean_latency_s_per_kb p.f_utilization)
+
+let shard_sweep_json =
+  json_list (fun p ->
+      Printf.sprintf
+        {|{"shards":%d,"throughput_bps":%.1f,"mean_latency_us":%.1f,"completed":%d,"utilization":%.3f,"trace_digest":"%s"}|}
+        p.f_shards p.f_throughput_bytes_per_s p.f_mean_latency_us
+        p.f_requests_completed p.f_utilization
+        (Dsig.Md5.to_hex p.f_trace_digest))
+
+let coalesce_json p =
+  Printf.sprintf
+    {|{"completed":%d,"pipeline_runs":%d,"coalesced":%d,"l2_hits":%d,"throughput_bps":%.1f,"trace_digest":"%s","served":{%s}}|}
+    p.f_requests_completed p.f_pipeline_runs p.f_coalesced p.f_l2_hits
+    p.f_throughput_bytes_per_s (Dsig.Md5.to_hex p.f_trace_digest)
+    (String.concat ","
+       (List.map
+          (fun (k, d) -> Printf.sprintf {|"%s":"%s"|} k (Dsig.Md5.to_hex d))
+          p.f_served))

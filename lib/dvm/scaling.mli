@@ -38,6 +38,24 @@ val spread_client_state : Proxy.t array -> clients:int -> unit
     service state, split as evenly as possible over the shard hosts
     (lower indices take the remainder). *)
 
+val population :
+  ?start:Simnet.Engine.time ->
+  ?first_id:int ->
+  ?gate:(Simnet.Engine.time -> bool) ->
+  Simnet.Engine.t ->
+  clients:int ->
+  applets:int ->
+  think:Simnet.Engine.time ->
+  (id:int -> iter:int -> applet:int -> (unit -> unit) -> unit) ->
+  unit
+(** The one client loop of every experiment: [clients] clients, ids
+    from [first_id] (default 0), arrive staggered over one second from
+    [start] (default 0). Client [id]'s [iter]-th fetch is [fetch ~id
+    ~iter ~applet next] with [applet = (id + 37·iter) mod applets];
+    [next ()] fetches again [think] later, not calling it stops the
+    client, and so does a false [gate now] before a fetch. Raises
+    [Invalid_argument] when [applets <= 0]. *)
+
 val traced_engine : unit -> Simnet.Engine.t
 (** A fresh engine recording its event trace, capped at one million
     records. *)
@@ -73,7 +91,6 @@ type farm_point = {
   f_pipeline_runs : int;
   f_coalesced : int;
   f_l2_hits : int;
-  f_failovers : int;
   f_utilization : float;  (** mean shard CPU utilization *)
   f_served : (string * string) list;
       (** applet key → MD5 of the served rewritten bytes, sorted by
@@ -92,7 +109,6 @@ val run_farm :
   ?mem_capacity:int ->
   ?cache_capacity:int ->
   ?l2_capacity:int ->
-  ?vnodes:int ->
   shards:int ->
   clients:int ->
   unit ->
@@ -101,21 +117,18 @@ val run_farm :
     request unique — the worst case); [l2_capacity] > 0 adds one
     shared L2 instance across all shards. With any cache tier on,
     clients share the popular applet set so hits and single-flight
-    coalescing can happen (the paper's stated mitigation). [slo] receives one outcome per settled
+    coalescing can happen (the paper's stated mitigation). Clients
+    send raw farm requests (no deadline, retry or hedge) and a refused
+    one stops. [slo] receives one outcome per settled
     request (in-horizon serves as fresh, farm refusals as failed) on
     the run's virtual clock. *)
 
-val farm_sweep :
-  ?slo:Telemetry.Slo.t ->
-  ?duration_s:int ->
-  ?seed:int ->
-  ?applet_count:int ->
-  ?mem_capacity:int ->
-  ?cache_capacity:int ->
-  ?l2_capacity:int ->
-  ?vnodes:int ->
-  clients:int ->
-  int list ->
-  farm_point list
-(** One {!run_farm} per shard count — a Figure-10-style curve over
-    shards instead of clients. *)
+(** The JSON the bench pins: the Figure-10 series in
+    [BENCH_paper.json], the shard sweep and the coalescing run in
+    [BENCH_farm.json]. [json_list f l] is the JSON array of [f] over
+    [l], for every experiment's renderings. *)
+
+val json_list : ('a -> string) -> 'a list -> string
+val fig10_json : farm_point list -> string
+val shard_sweep_json : farm_point list -> string
+val coalesce_json : farm_point -> string

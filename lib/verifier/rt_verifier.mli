@@ -16,5 +16,9 @@ type stats = {
   mutable failures : int;
 }
 
+val check_cost : int64
+(** Simulated µs each deferred link check charges the client VM: a
+    descriptor lookup and a string compare (Figure 7's DVM column). *)
+
 val install : Jvm.Vmstate.t -> stats
 (** Register the runtime class and its natives in a client VM. *)

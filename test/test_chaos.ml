@@ -27,25 +27,31 @@ let test_goodput_bar () =
   (* the controls actually engaged: shedding, retries and breaker
      trips all fired during the spike *)
   let c = cmp.Dvm.Chaos.cmp_control in
-  check Alcotest.bool "admission shed requests" true (c.Dvm.Chaos.co_shed > 0);
-  check Alcotest.bool "clients retried" true (c.Dvm.Chaos.co_retries > 0);
+  let t = c.Dvm.Chaos.co_clients in
+  check Alcotest.bool "admission shed requests" true
+    (t.Dvm.Client.Session.tl_overloaded_seen > 0);
+  check Alcotest.bool "clients retried" true (t.tl_retries > 0);
   check Alcotest.bool "breakers tripped" true
     (c.Dvm.Chaos.co_breaker_trips > 0);
-  check Alcotest.bool "hedges fired" true (c.Dvm.Chaos.co_hedges > 0);
+  check Alcotest.bool "hedges fired" true (t.tl_hedges > 0);
   (* and the baseline had none of them *)
-  let b = cmp.Dvm.Chaos.cmp_baseline in
-  check Alcotest.int "baseline saw no shedding" 0 b.Dvm.Chaos.co_shed;
-  check Alcotest.int "baseline never retried" 0 b.Dvm.Chaos.co_retries;
-  check Alcotest.int "baseline never hedged" 0 b.Dvm.Chaos.co_hedges
+  let b = cmp.Dvm.Chaos.cmp_baseline.Dvm.Chaos.co_clients in
+  check Alcotest.int "baseline saw no shedding" 0
+    b.Dvm.Client.Session.tl_overloaded_seen;
+  check Alcotest.int "baseline never retried" 0 b.tl_retries;
+  check Alcotest.int "baseline never hedged" 0 b.tl_hedges
 
 let test_no_deadline_violations () =
   let cmp = Lazy.force acceptance in
   (* zero in BOTH arms: the client-side deadline drop is what makes
      "zero late serves" hold by construction, control or not *)
+  let late o =
+    o.Dvm.Chaos.co_clients.Dvm.Client.Session.tl_deadline_violations
+  in
   check Alcotest.int "control never served past a deadline" 0
-    cmp.Dvm.Chaos.cmp_control.Dvm.Chaos.co_deadline_violations;
+    (late cmp.Dvm.Chaos.cmp_control);
   check Alcotest.int "baseline never served past a deadline" 0
-    cmp.Dvm.Chaos.cmp_baseline.Dvm.Chaos.co_deadline_violations
+    (late cmp.Dvm.Chaos.cmp_baseline)
 
 let test_invariants_hold () =
   let v = Lazy.force verdict in

@@ -223,6 +223,86 @@ let test_coalescing_under_shared_load () =
   check Alcotest.bool "completions exceed pipeline runs" true
     (p.Dvm.Scaling.f_requests_completed > p.Dvm.Scaling.f_pipeline_runs)
 
+let raises_invalid_arg f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_zero_applets_rejected () =
+  check Alcotest.bool "run_farm" true
+    (raises_invalid_arg (fun () ->
+         Dvm.Scaling.run_farm ~applet_count:0 ~shards:1 ~clients:1 ()));
+  check Alcotest.bool "run_control" true
+    (raises_invalid_arg (fun () ->
+         Dvm.Chaos.run_control
+           { Dvm.Chaos.default_control_config with Dvm.Chaos.cc_applets = 0 }))
+
+(* --- The client population loop, on a bare engine. --- *)
+
+(* Runs [population] and logs every fetch as (time, id, iter, applet);
+   [continue] decides whether a client thinks and fetches again. *)
+let population_log ?start ?first_id ?gate ~clients ~applets ~think continue =
+  let engine = Simnet.Engine.create () in
+  let log = ref [] in
+  Dvm.Scaling.population ?start ?first_id ?gate engine ~clients ~applets
+    ~think (fun ~id ~iter ~applet next ->
+      log := (Simnet.Engine.now engine, id, iter, applet) :: !log;
+      if continue ~id ~iter then next ());
+  Simnet.Engine.run engine;
+  List.rev !log
+
+let times_of log id =
+  List.filter_map (fun (at, i, _, _) -> if i = id then Some at else None) log
+
+let test_population_arrivals_and_rotation () =
+  (* client 3 stops after its first fetch; the others fetch 3 times *)
+  let log =
+    population_log ~clients:4 ~applets:5 ~think:1_000L (fun ~id ~iter ->
+        id <> 3 && iter < 2)
+  in
+  let firsts = List.filter (fun (_, _, iter, _) -> iter = 0) log in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.int))
+    "first fetches staggered over one second, in id order"
+    [ (0L, 0); (250_000L, 1); (500_000L, 2); (750_000L, 3) ]
+    (List.map (fun (at, id, _, _) -> (at, id)) firsts);
+  List.iter
+    (fun (_, id, iter, applet) ->
+      check Alcotest.int "applet is (id + 37 i) mod applets"
+        ((id + (37 * iter)) mod 5) applet)
+    log;
+  List.iter
+    (fun id ->
+      let t0 = List.hd (times_of log id) in
+      check (Alcotest.list Alcotest.int64) "fetches exactly think apart"
+        [ t0; Int64.add t0 1_000L; Int64.add t0 2_000L ]
+        (times_of log id))
+    [ 0; 1; 2 ];
+  check Alcotest.int "a client that does not continue stops" 1
+    (List.length (times_of log 3))
+
+let test_population_gate_start_first_id () =
+  (* clients 10 and 11 arrive at 5.0 s and 5.5 s and fetch every
+     0.4 s while the gate holds (before 6 s) *)
+  let log =
+    population_log ~start:5_000_000L ~first_id:10
+      ~gate:(fun now -> Int64.compare now 6_000_000L < 0)
+      ~clients:2 ~applets:7 ~think:400_000L (fun ~id:_ ~iter:_ -> true)
+  in
+  check (Alcotest.list Alcotest.int64) "client 10 until the gate closes"
+    [ 5_000_000L; 5_400_000L; 5_800_000L ] (times_of log 10);
+  check (Alcotest.list Alcotest.int64) "client 11 until the gate closes"
+    [ 5_500_000L; 5_900_000L ] (times_of log 11);
+  check Alcotest.int "ids shifted by first_id" 5 (List.length log);
+  check Alcotest.int "first applet follows the shifted id" (10 mod 7)
+    (match log with (_, _, _, applet) :: _ -> applet | [] -> -1);
+  check Alcotest.int "a false gate stops every fetch" 0
+    (List.length
+       (population_log ~gate:(fun _ -> false) ~clients:3 ~applets:2
+          ~think:1_000L (fun ~id:_ ~iter:_ -> true)));
+  check Alcotest.bool "zero applets rejected" true
+    (raises_invalid_arg (fun () ->
+         population_log ~clients:1 ~applets:0 ~think:1_000L
+           (fun ~id:_ ~iter:_ -> false)))
+
 (* --- Flapping: the probe/breaker hysteresis regression. ---
 
    A shard that alternates up/down faster than the probe interval used
@@ -837,6 +917,15 @@ let () =
             test_farm_scaling_past_the_knee;
           Alcotest.test_case "coalescing under shared load" `Quick
             test_coalescing_under_shared_load;
+          Alcotest.test_case "zero applets rejected" `Quick
+            test_zero_applets_rejected;
+        ] );
+      ( "population",
+        [
+          Alcotest.test_case "arrivals and applet rotation" `Quick
+            test_population_arrivals_and_rotation;
+          Alcotest.test_case "gate, start and first id" `Quick
+            test_population_gate_start_first_id;
         ] );
       ( "cache-versioning",
         [

@@ -185,10 +185,7 @@ let prop_availability_deterministic =
     ~count:8
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let scenario =
-        { Dvm.Availability.default_scenario with Dvm.Availability.sc_seed = seed }
-      in
-      let run () = Dvm.Availability.run ~scenario ~loss_pct:5.0 ~replicas:2 () in
+      let run () = Dvm.Availability.run ~seed ~loss_pct:5.0 ~replicas:2 () in
       run () = run ())
 
 let test_availability_deterministic () =
@@ -209,19 +206,45 @@ let test_availability_loss_slows_startup () =
   check Alcotest.bool "5% loss slower than lossless" true (s5 > s0);
   check Alcotest.bool "10% loss no faster than 5%" true (s10 >= s5)
 
+(* Each class settles exactly once: as a serve or as a degradation
+   after its last attempt. *)
+let test_availability_accounting () =
+  List.iter
+    (fun (crash, replicas, loss_pct) ->
+      let p = Dvm.Availability.run ~crash ~loss_pct ~replicas () in
+      let label what =
+        Printf.sprintf "loss %.0f%%, %d replica(s), crash %b: %s" loss_pct
+          replicas crash what
+      in
+      check Alcotest.int
+        (label "every attempt is a class's first or a retry")
+        (p.Dvm.Availability.av_classes + p.Dvm.Availability.av_retries)
+        p.Dvm.Availability.av_requests;
+      check Alcotest.bool
+        (label "each degraded class spent all its retries")
+        true
+        (p.Dvm.Availability.av_degraded * (Dvm.Availability.max_attempts - 1)
+        <= p.Dvm.Availability.av_retries))
+    (List.concat_map
+       (fun crash ->
+         List.concat_map
+           (fun replicas ->
+             List.map (fun loss -> (crash, replicas, loss)) [ 0.0; 5.0; 10.0 ])
+           [ 1; 2 ])
+       [ false; true ])
+
 let counter name =
   Option.value ~default:0L
     (List.assoc_opt name (Telemetry.counters Telemetry.default))
 
 let test_availability_crash_recovery () =
-  let scenario = Dvm.Availability.crash_scenario in
-  let one = Dvm.Availability.run ~scenario ~loss_pct:0.0 ~replicas:1 () in
+  let one = Dvm.Availability.run ~crash:true ~loss_pct:0.0 ~replicas:1 () in
   Telemetry.enable Telemetry.default;
   let before = counter "farm.failovers" in
   let two =
     Fun.protect
       ~finally:(fun () -> Telemetry.disable Telemetry.default)
-      (fun () -> Dvm.Availability.run ~scenario ~loss_pct:0.0 ~replicas:2 ())
+      (fun () -> Dvm.Availability.run ~crash:true ~loss_pct:0.0 ~replicas:2 ())
   in
   (* One failover path: the farm counts every failover, under its own
      name, and nothing else does. *)
@@ -281,6 +304,8 @@ let () =
             test_availability_loss_slows_startup;
           Alcotest.test_case "crash recovery" `Quick
             test_availability_crash_recovery;
+          Alcotest.test_case "attempt accounting" `Quick
+            test_availability_accounting;
         ] );
       ( "seed-properties",
         List.map QCheck_alcotest.to_alcotest
