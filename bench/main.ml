@@ -44,7 +44,7 @@ let json_obj kvs =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Telemetry.json_escape k) v)
+         (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Telemetry.Flight.esc k) v)
          kvs)
   ^ "}"
 
@@ -80,7 +80,7 @@ let write_bench ?(hists = true) ~wall_ms name =
           that drift run to run; pin only the deterministic counters
           and gauges for those. *)
        let kv (k, v) =
-         Printf.sprintf "\"%s\":%Ld" (Telemetry.json_escape k) v
+         Printf.sprintf "\"%s\":%Ld" (Telemetry.Flight.esc k) v
        in
        Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":[]}"
          (String.concat "," (List.map kv (Telemetry.counters Telemetry.default)))

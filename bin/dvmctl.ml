@@ -349,7 +349,7 @@ let lint json =
       !classes !methods !blocks !failures
       (String.concat ","
          (List.rev_map
-            (fun f -> Printf.sprintf {|"%s"|} (Telemetry.json_escape f))
+            (fun f -> Printf.sprintf {|"%s"|} (Telemetry.Flight.esc f))
             !failed));
     print_newline ()
   end
@@ -382,7 +382,7 @@ let certify json mutate seed count min_kill small =
          (List.map
             (fun (cls, why) ->
               Printf.sprintf {|"%s"|}
-                (Telemetry.json_escape (cls ^ ": " ^ why)))
+                (Telemetry.Flight.esc (cls ^ ": " ^ why)))
             rep.Dvm.Certification.rp_failures))
       (match mrep with
       | None -> ""

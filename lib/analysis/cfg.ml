@@ -37,18 +37,30 @@ type t = {
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
-let check_targets (code : CF.code) =
-  let n = Array.length code.CF.instrs in
+let of_code (code : CF.code) : t =
+  let instrs = code.CF.instrs in
+  let n = Array.length instrs in
+  if n = 0 then malformed "empty code array";
+  (* Leaders: entry, branch targets, fall-throughs of branching
+     instructions, and handler boundaries (so exception edges start and
+     stop on block boundaries). Targets are range-checked as they are
+     marked. *)
+  let leader = Array.make n false in
+  leader.(0) <- true;
   Array.iteri
     (fun idx ins ->
+      let ts = I.targets ins in
       List.iter
         (fun t ->
           if t < 0 || t >= n then
-            malformed "branch target @%d out of range at instruction %d" t idx)
-        (I.targets ins);
-      if (not (I.is_terminator ins)) && idx = n - 1 then
-        malformed "control falls off the end of the code array")
-    code.CF.instrs;
+            malformed "branch target @%d out of range at instruction %d" t idx;
+          leader.(t) <- true)
+        ts;
+      let term = I.is_terminator ins in
+      if (not term) && idx = n - 1 then
+        malformed "control falls off the end of the code array";
+      if (ts <> [] || term) && idx + 1 < n then leader.(idx + 1) <- true)
+    instrs;
   List.iter
     (fun h ->
       if
@@ -56,69 +68,66 @@ let check_targets (code : CF.code) =
         || h.CF.h_start >= h.CF.h_end
         || h.CF.h_target < 0 || h.CF.h_target >= n
       then malformed "handler range [%d,%d)->%d invalid" h.CF.h_start h.CF.h_end h.CF.h_target)
-    code.CF.handlers
-
-let of_code (code : CF.code) : t =
-  let n = Array.length code.CF.instrs in
-  if n = 0 then malformed "empty code array";
-  check_targets code;
-  (* Leaders: entry, branch targets, fall-throughs of branching
-     instructions, and handler boundaries (so exception edges start and
-     stop on block boundaries). *)
-  let leader = Array.make n false in
-  leader.(0) <- true;
-  Array.iteri
-    (fun idx ins ->
-      let ts = I.targets ins in
-      List.iter (fun t -> leader.(t) <- true) ts;
-      if (ts <> [] || I.is_terminator ins) && idx + 1 < n then
-        leader.(idx + 1) <- true)
-    code.CF.instrs;
+    code.CF.handlers;
   List.iter
     (fun h ->
       leader.(h.CF.h_start) <- true;
       if h.CF.h_end < n then leader.(h.CF.h_end) <- true;
       leader.(h.CF.h_target) <- true)
     code.CF.handlers;
-  let nblocks = Array.fold_left (fun a l -> if l then a + 1 else a) 0 leader in
-  let blocks =
-    Array.make nblocks { id = 0; first = 0; last = 0; succs = []; preds = [] }
-  in
   let block_of = Array.make n 0 in
-  let bid = ref (-1) in
-  for idx = 0 to n - 1 do
-    if leader.(idx) then begin
-      incr bid;
-      blocks.(!bid) <- { id = !bid; first = idx; last = idx; succs = []; preds = [] }
+  let nblocks = ref 0 in
+  Array.iteri
+    (fun idx l ->
+      if l then incr nblocks;
+      block_of.(idx) <- !nblocks - 1)
+    leader;
+  let blocks =
+    Array.make !nblocks { id = 0; first = 0; last = 0; succs = []; preds = [] }
+  in
+  (* Backwards, so each block ends just before the next one starts. *)
+  let last = ref (n - 1) in
+  for first = n - 1 downto 0 do
+    if leader.(first) then begin
+      let id = block_of.(first) in
+      blocks.(id) <- { id; first; last = !last; succs = []; preds = [] };
+      last := first - 1
     end
-    else blocks.(!bid) <- { (blocks.(!bid)) with last = idx };
-    block_of.(idx) <- !bid
   done;
+  (* Edges are consed and reversed once all are in, which keeps
+     insertion order: edge order decides the solver's join order. *)
   let add_edge u v kind =
-    if not (List.mem (v, kind) blocks.(u).succs) then begin
-      blocks.(u).succs <- blocks.(u).succs @ [ (v, kind) ];
-      blocks.(v).preds <- blocks.(v).preds @ [ (u, kind) ]
+    let bu = blocks.(u) in
+    if not (List.exists (fun (v', k') -> v' = v && k' = kind) bu.succs)
+    then begin
+      bu.succs <- (v, kind) :: bu.succs;
+      blocks.(v).preds <- (u, kind) :: blocks.(v).preds
     end
   in
   Array.iter
     (fun b ->
-      let ins = code.CF.instrs.(b.last) in
+      let ins = instrs.(b.last) in
       List.iter (fun t -> add_edge b.id block_of.(t) Branch) (I.targets ins);
       if (not (I.is_terminator ins)) && b.last + 1 < n then
         add_edge b.id block_of.(b.last + 1) Fall)
     blocks;
+  (* A handler's range starts and ends on block boundaries, so the
+     blocks it covers are a contiguous run of ids. *)
   List.iter
     (fun h ->
       let target = block_of.(h.CF.h_target) in
-      Array.iter
-        (fun b ->
-          if b.first < h.CF.h_end && b.last >= h.CF.h_start then
-            add_edge b.id target Exn)
-        blocks)
+      for b = block_of.(h.CF.h_start) to block_of.(h.CF.h_end - 1) do
+        add_edge b target Exn
+      done)
     code.CF.handlers;
+  Array.iter
+    (fun b ->
+      b.succs <- List.rev b.succs;
+      b.preds <- List.rev b.preds)
+    blocks;
   (* Reachability and reverse postorder from the entry block, over all
      edge kinds. *)
-  let reachable = Array.make nblocks false in
+  let reachable = Array.make (Array.length blocks) false in
   let post = ref [] in
   let rec dfs u =
     if not reachable.(u) then begin

@@ -12,9 +12,6 @@
    Widening at retreating edges guarantees termination. *)
 
 module I = Bytecode.Instr
-module CF = Bytecode.Classfile
-module CP = Bytecode.Cp
-module D = Bytecode.Descriptor
 
 type interval = { lo : int option; hi : int option }
 (* [None] bounds are -inf / +inf. Invariant: lo <= hi when both set. *)
@@ -125,18 +122,6 @@ type av = {
 let unknown = { iv = top_iv; alen = None; origin = None }
 let int_av iv = { iv; alen = None; origin = None }
 
-type state = { locals : av array; stack : av list option }
-
-let join_av a b =
-  {
-    iv = join_iv a.iv b.iv;
-    alen =
-      (match (a.alen, b.alen) with
-      | Some x, Some y -> Some (join_iv x y)
-      | _ -> None);
-    origin = (if a.origin = b.origin then a.origin else None);
-  }
-
 let widen_av old next =
   {
     iv = widen_iv old.iv next.iv;
@@ -147,12 +132,16 @@ let widen_av old next =
     origin = next.origin;
   }
 
-module L = struct
-  type t = state
+let equal_iv a b = a.lo = b.lo && a.hi = b.hi
 
-  let equal_iv a b = a.lo = b.lo && a.hi = b.hi
+module F = Frame.Make (struct
+  type t = av
 
-  let equal_av a b =
+  let unknown = unknown
+  let origin a = a.origin
+  let with_origin a origin = { a with origin }
+
+  let equal a b =
     equal_iv a.iv b.iv && a.origin = b.origin
     &&
     match (a.alen, b.alen) with
@@ -160,107 +149,43 @@ module L = struct
     | Some x, Some y -> equal_iv x y
     | _ -> false
 
-  let equal a b =
-    Array.length a.locals = Array.length b.locals
-    && Array.for_all2 equal_av a.locals b.locals
-    &&
-    match (a.stack, b.stack) with
-    | None, None -> true
-    | Some s1, Some s2 ->
-      List.length s1 = List.length s2 && List.for_all2 equal_av s1 s2
-    | _ -> false
-
   let join a b =
     {
-      locals = Array.map2 join_av a.locals b.locals;
-      stack =
-        (match (a.stack, b.stack) with
-        | Some s1, Some s2 when List.length s1 = List.length s2 ->
-          Some (List.map2 join_av s1 s2)
+      iv = join_iv a.iv b.iv;
+      alen =
+        (match (a.alen, b.alen) with
+        | Some x, Some y -> Some (join_iv x y)
         | _ -> None);
+      origin = (if a.origin = b.origin then a.origin else None);
     }
-end
+end)
 
-let widen (old : state) (next : state) : state =
-  {
-    locals = Array.map2 widen_av old.locals next.locals;
-    stack =
-      (match (old.stack, next.stack) with
-      | Some s1, Some s2 when List.length s1 = List.length s2 ->
-        Some (List.map2 widen_av s1 s2)
-      | _ -> None);
-  }
+type state = F.state = { locals : av array; stack : av list option }
 
-module S = Solver.Make (L)
+let widen = F.combine widen_av
+
+module S = Solver.Make (F)
 
 type result = { before : state option array; iterations : int }
-
-let pop = function
-  | Some (x :: rest) -> (x, Some rest)
-  | Some [] | None -> (unknown, None)
-
-let popn n st =
-  let rec go n st = if n = 0 then st else go (n - 1) (snd (pop st)) in
-  go n st
-
-let push x = function Some s -> Some (x :: s) | None -> None
-
-(* A write to local [n] (store or iinc) makes every remaining stack
-   slot that recorded [n] as its origin stale: the slot still holds the
-   *old* value, so constraining local [n] through it at a branch would
-   narrow the wrong value. Sever the link; the slot's interval stays. *)
-let clear_origin n = function
-  | None -> None
-  | Some s ->
-    Some
-      (List.map
-         (fun a -> if a.origin = Some n then { a with origin = None } else a)
-         s)
-
-let set_local locals n x =
-  if n < Array.length locals then begin
-    let locals = Array.copy locals in
-    locals.(n) <- x;
-    locals
-  end
-  else locals
-
-let degrade st =
-  { locals = Array.map (fun _ -> unknown) st.locals; stack = None }
 
 let binop f a b = int_av (f a.iv b.iv)
 
 let transfer pool ~at:_ ~instr (st : state) : state =
   let { locals; stack } = st in
   match instr with
-  | I.Nop | I.Goto _ | I.Ret _ | I.Return -> st
-  | I.Iconst n -> { st with stack = push (int_av (const_iv (Int32.to_int n))) stack }
-  | I.Ldc_str _ | I.New _ | I.Aconst_null | I.Getstatic _ ->
-    { st with stack = push unknown stack }
-  | I.Iload n | I.Aload n ->
-    let av =
-      if n < Array.length locals then { locals.(n) with origin = Some n }
-      else unknown
-    in
-    { st with stack = push av stack }
-  | I.Istore n | I.Astore n ->
-    let x, stack = pop stack in
-    {
-      locals = set_local locals n { x with origin = Some n };
-      stack = clear_origin n stack;
-    }
+  | I.Iconst n ->
+    { st with stack = F.push (int_av (const_iv (Int32.to_int n))) stack }
   | I.Iinc (n, d) ->
     if n < Array.length locals then
       let x = locals.(n) in
       {
-        locals = set_local locals n { x with iv = add_iv x.iv (const_iv d) };
-        stack = clear_origin n stack;
+        locals = F.set_local locals n { x with iv = add_iv x.iv (const_iv d) };
+        stack = F.clear_origin n stack;
       }
     else st
-  | I.Iadd | I.Isub | I.Imul | I.Irem | I.Iand | I.Idiv | I.Ishl | I.Ishr
-  | I.Ior | I.Ixor ->
-    let b, stack = pop stack in
-    let a, stack = pop stack in
+  | I.Iadd | I.Isub | I.Imul | I.Irem | I.Iand | I.Ishr ->
+    let b, stack = F.pop stack in
+    let a, stack = F.pop stack in
     let res =
       match instr with
       | I.Iadd -> binop add_iv a b
@@ -268,73 +193,34 @@ let transfer pool ~at:_ ~instr (st : state) : state =
       | I.Imul -> binop mul_iv a b
       | I.Irem -> binop rem_iv a b
       | I.Iand -> binop and_iv a b
-      | I.Ishr -> (
+      | _ -> (
         (* x >> c for constant c >= 0 keeps the sign and shrinks
            magnitude: a non-negative x stays within [0, x.hi]. *)
         match (a.iv.lo, b.iv.lo, b.iv.hi) with
         | Some l, Some c, Some c' when l >= 0 && c = c' && c >= 0 ->
           int_av (make (Some 0) a.iv.hi)
         | _ -> int_av top_iv)
-      | _ -> int_av top_iv
     in
-    { st with stack = push res stack }
+    { st with stack = F.push res stack }
   | I.Ineg ->
-    let a, stack = pop stack in
-    { st with stack = push (int_av (neg_iv a.iv)) stack }
-  | I.Dup -> (
-    match stack with
-    | Some (x :: _) -> { st with stack = push x stack }
-    | _ -> { st with stack = None })
-  | I.Dup_x1 -> (
-    match stack with
-    | Some (a :: b :: rest) -> { st with stack = Some (a :: b :: a :: rest) }
-    | _ -> { st with stack = None })
-  | I.Pop -> { st with stack = snd (pop stack) }
-  | I.Swap -> (
-    match stack with
-    | Some (a :: b :: rest) -> { st with stack = Some (b :: a :: rest) }
-    | _ -> { st with stack = None })
-  | I.If_icmp _ -> { st with stack = popn 2 stack }
-  | I.If_z _ | I.Tableswitch _ -> { st with stack = popn 1 stack }
-  | I.If_acmp _ -> { st with stack = popn 2 stack }
-  | I.If_null _ -> { st with stack = popn 1 stack }
-  | I.Jsr _ -> degrade st
-  | I.Ireturn | I.Areturn | I.Athrow -> { st with stack = popn 1 stack }
-  | I.Putstatic _ -> { st with stack = popn 1 stack }
-  | I.Getfield _ -> { st with stack = push unknown (popn 1 stack) }
-  | I.Putfield _ -> { st with stack = popn 2 stack }
-  | I.Invokestatic k | I.Invokevirtual k | I.Invokespecial k
-  | I.Invokeinterface k -> (
-    let virt = match instr with I.Invokestatic _ -> false | _ -> true in
-    match
-      let mr = CP.get_methodref pool k in
-      D.method_sig_of_string mr.CP.ref_desc
-    with
-    | sg ->
-      let stack =
-        popn (List.length sg.D.params + if virt then 1 else 0) stack
-      in
-      let stack =
-        match sg.D.ret with None -> stack | Some _ -> push unknown stack
-      in
-      { st with stack }
-    | exception (CP.Invalid_index _ | CP.Wrong_kind _ | D.Bad_descriptor _) ->
-      degrade st)
+    let a, stack = F.pop stack in
+    { st with stack = F.push (int_av (neg_iv a.iv)) stack }
   | I.Newarray | I.Anewarray _ ->
-    let len, stack = pop stack in
+    let len, stack = F.pop stack in
     let len_iv = meet_iv len.iv (make (Some 0) None) in
-    { st with stack = push { iv = top_iv; alen = Some len_iv; origin = None } stack }
+    {
+      st with
+      stack = F.push { iv = top_iv; alen = Some len_iv; origin = None } stack;
+    }
   | I.Arraylength ->
-    let arr, stack = pop stack in
+    let arr, stack = F.pop stack in
     let iv =
       match arr.alen with Some l -> l | None -> make (Some 0) None
     in
-    { st with stack = push (int_av iv) stack }
-  | I.Iaload | I.Aaload -> { st with stack = push unknown (popn 2 stack) }
-  | I.Iastore | I.Aastore -> { st with stack = popn 3 stack }
-  | I.Checkcast _ -> st
-  | I.Instanceof _ -> { st with stack = push (int_av (of_bounds 0 1)) (popn 1 stack) }
-  | I.Monitorenter | I.Monitorexit -> { st with stack = popn 1 stack }
+    { st with stack = F.push (int_av iv) stack }
+  | I.Instanceof _ ->
+    { st with stack = F.push (int_av (of_bounds 0 1)) (F.popn 1 stack) }
+  | _ -> F.transfer pool instr st
 
 (* Edge refinement for integer comparisons: on the taken (or
    fall-through) edge of `if_icmp`/`ifXX`, narrow the origin locals of
@@ -345,7 +231,7 @@ let constrain post av bound =
     let x = post.locals.(n) in
     {
       post with
-      locals = set_local post.locals n { x with iv = meet_iv x.iv bound };
+      locals = F.set_local post.locals n { x with iv = meet_iv x.iv bound };
     }
   | _ -> post
 
@@ -391,8 +277,6 @@ let refine ~at ~instr ~target ~pre post =
     | _ -> post)
   | _ -> post
 
-let exn_adjust st = { st with stack = Some [ unknown ] }
-
 let analyze pool ~(max_locals : int) ~(param_slots : int) ~(is_static : bool)
     (cfg : Cfg.t) : result =
   ignore param_slots;
@@ -400,7 +284,8 @@ let analyze pool ~(max_locals : int) ~(param_slots : int) ~(is_static : bool)
   let locals = Array.init (max 1 max_locals) (fun _ -> unknown) in
   let init = { locals; stack = Some [] } in
   let r =
-    S.solve cfg ~init ~transfer:(transfer pool) ~refine ~exn_adjust ~widen
+    S.solve cfg ~init ~transfer:(transfer pool) ~refine
+      ~exn_adjust:(F.exn_adjust unknown) ~widen
   in
   { before = r.S.before; iterations = r.S.iterations }
 
@@ -423,20 +308,10 @@ let pp_iv ppf iv =
     (match iv.lo with None -> "-" | Some _ -> "")
     (b iv.lo) (b iv.hi)
 
-let pp_state ppf st =
-  Format.fprintf ppf "locals=[%s] stack=%s"
-    (String.concat " "
-       (Array.to_list
-          (Array.map (fun a -> Format.asprintf "%a" pp_iv a.iv) st.locals)))
-    (match st.stack with
-    | None -> "?"
-    | Some s ->
-      "["
-      ^ String.concat " "
-          (List.map
-             (fun a ->
-               match a.alen with
-               | Some l -> Format.asprintf "arr(len%a)" pp_iv l
-               | None -> Format.asprintf "%a" pp_iv a.iv)
-             s)
-      ^ "]")
+let pp_state =
+  F.pp_state
+    (fun ppf a -> pp_iv ppf a.iv)
+    (fun ppf a ->
+      match a.alen with
+      | Some l -> Format.fprintf ppf "arr(len%a)" pp_iv l
+      | None -> pp_iv ppf a.iv)

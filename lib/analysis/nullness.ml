@@ -6,21 +6,13 @@
    refine the *local* the value was loaded from, not just the consumed
    stack slot. Integers can never be null, so they are tracked as
    [Nonnull]; this loses nothing because guards only ever protect
-   reference uses.
-
-   The stack shape is [None] ("unknown") whenever join partners
-   disagree or the code underflows — analysis must stay total on dead
-   or hostile code; an unknown stack simply elides nothing. *)
+   reference uses. The frame around the values is `Frame`'s. *)
 
 module I = Bytecode.Instr
-module CP = Bytecode.Cp
-module D = Bytecode.Descriptor
 
 type v = Null | Nonnull | Maybe
 
 type av = { v : v; origin : int option }
-
-type state = { locals : av array; stack : av list option }
 
 let unknown = { v = Maybe; origin = None }
 let nonnull = { v = Nonnull; origin = None }
@@ -32,180 +24,45 @@ let join_v a b =
   | Nonnull, Nonnull -> Nonnull
   | _ -> Maybe
 
-let join_av a b =
-  {
-    v = join_v a.v b.v;
-    origin = (if a.origin = b.origin then a.origin else None);
-  }
+module F = Frame.Make (struct
+  type t = av
 
-module L = struct
-  type t = state
-
-  let equal_av a b = a.v = b.v && a.origin = b.origin
-
-  let equal a b =
-    Array.length a.locals = Array.length b.locals
-    && Array.for_all2 equal_av a.locals b.locals
-    &&
-    match (a.stack, b.stack) with
-    | None, None -> true
-    | Some s1, Some s2 ->
-      List.length s1 = List.length s2 && List.for_all2 equal_av s1 s2
-    | _ -> false
+  let unknown = unknown
+  let origin a = a.origin
+  let with_origin a origin = { a with origin }
+  let equal a b = a.v = b.v && a.origin = b.origin
 
   let join a b =
-    let locals = Array.map2 join_av a.locals b.locals in
-    let stack =
-      match (a.stack, b.stack) with
-      | Some s1, Some s2 when List.length s1 = List.length s2 ->
-        Some (List.map2 join_av s1 s2)
-      | _ -> None
-    in
-    { locals; stack }
-end
+    {
+      v = join_v a.v b.v;
+      origin = (if a.origin = b.origin then a.origin else None);
+    }
+end)
 
-module S = Solver.Make (L)
+type state = F.state = { locals : av array; stack : av list option }
+
+module S = Solver.Make (F)
 
 type result = { before : state option array; iterations : int }
 
-let pop = function
-  | Some (x :: rest) -> (x, Some rest)
-  | Some [] | None -> (unknown, None)
-
-let popn n st =
-  let rec go n st = if n = 0 then st else go (n - 1) (snd (pop st)) in
-  go n st
-
-let push x = function Some s -> Some (x :: s) | None -> None
-
 (* A successful dereference proves the receiver non-null afterwards. *)
-let settle_nonnull locals av =
+let settle_nonnull av st =
   match av.origin with
-  | Some n when n < Array.length locals ->
-    let locals = Array.copy locals in
-    locals.(n) <- { locals.(n) with v = Nonnull };
-    locals
-  | _ -> locals
-
-(* A write to local [n] makes every remaining stack slot that recorded
-   [n] as its origin stale: the slot still holds the *old* value, so
-   settling or refining local [n] through it would be unsound
-   (e.g. `aload 1; aconst_null; astore 1; getfield` must not mark
-   local 1 Nonnull). Sever the link; the slot's own verdict stays. *)
-let clear_origin n = function
-  | None -> None
-  | Some s ->
-    Some
-      (List.map
-         (fun a -> if a.origin = Some n then { a with origin = None } else a)
-         s)
-
-let set_local locals n x =
-  if n < Array.length locals then begin
-    let locals = Array.copy locals in
-    locals.(n) <- x;
-    locals
-  end
-  else locals
-
-let degrade st =
-  { locals = Array.map (fun _ -> unknown) st.locals; stack = None }
+  | Some n when n < Array.length st.locals ->
+    let settled = { st.locals.(n) with v = Nonnull } in
+    { st with locals = F.set_local st.locals n settled }
+  | _ -> st
 
 let transfer pool ~at:_ ~instr (st : state) : state =
-  let { locals; stack } = st in
+  let st' = F.transfer ~deref:settle_nonnull pool instr st in
   match instr with
-  | I.Nop | I.Goto _ | I.Ret _ | I.Return -> st
-  | I.Iinc (n, _) -> { st with stack = clear_origin n stack }
-  | I.Iconst _ -> { st with stack = push nonnull stack }
-  | I.Ldc_str _ | I.New _ -> { st with stack = push nonnull stack }
-  | I.Aconst_null -> { st with stack = push null_v stack }
-  | I.Iload n | I.Aload n ->
-    let av =
-      if n < Array.length locals then { locals.(n) with origin = Some n }
-      else unknown
-    in
-    { st with stack = push av stack }
-  | I.Istore n | I.Astore n ->
-    let x, stack = pop stack in
-    {
-      locals = set_local locals n { x with origin = Some n };
-      stack = clear_origin n stack;
-    }
-  | I.Iadd | I.Isub | I.Imul | I.Idiv | I.Irem | I.Ishl | I.Ishr | I.Iand
-  | I.Ior | I.Ixor ->
-    { st with stack = push nonnull (popn 2 stack) }
-  | I.Ineg -> { st with stack = push nonnull (popn 1 stack) }
-  | I.Dup -> (
-    match stack with
-    | Some (x :: _) -> { st with stack = push x stack }
-    | _ -> { st with stack = None })
-  | I.Dup_x1 -> (
-    match stack with
-    | Some (a :: b :: rest) -> { st with stack = Some (a :: b :: a :: rest) }
-    | _ -> { st with stack = None })
-  | I.Pop -> { st with stack = snd (pop stack) }
-  | I.Swap -> (
-    match stack with
-    | Some (a :: b :: rest) -> { st with stack = Some (b :: a :: rest) }
-    | _ -> { st with stack = None })
-  | I.If_icmp _ -> { st with stack = popn 2 stack }
-  | I.If_z _ -> { st with stack = popn 1 stack }
-  | I.If_acmp _ -> { st with stack = popn 2 stack }
-  | I.If_null _ -> { st with stack = popn 1 stack }
-  | I.Jsr _ ->
-    (* Subroutines are outside this analysis's model: degrade. *)
-    degrade st
-  | I.Tableswitch _ -> { st with stack = popn 1 stack }
-  | I.Ireturn | I.Areturn | I.Athrow -> { st with stack = popn 1 stack }
-  | I.Getstatic _ -> { st with stack = push unknown stack }
-  | I.Putstatic _ -> { st with stack = popn 1 stack }
-  | I.Getfield _ ->
-    let obj, stack = pop stack in
-    { locals = settle_nonnull locals obj; stack = push unknown stack }
-  | I.Putfield _ ->
-    let stack = popn 1 stack in
-    let obj, stack = pop stack in
-    { locals = settle_nonnull locals obj; stack }
-  | I.Invokestatic k | I.Invokevirtual k | I.Invokespecial k
-  | I.Invokeinterface k -> (
-    let virt = match instr with I.Invokestatic _ -> false | _ -> true in
-    match
-      let mr = CP.get_methodref pool k in
-      D.method_sig_of_string mr.CP.ref_desc
-    with
-    | sg ->
-      let stack = popn (List.length sg.D.params) stack in
-      let locals, stack =
-        if virt then
-          let recv, stack = pop stack in
-          (settle_nonnull locals recv, stack)
-        else (locals, stack)
-      in
-      let stack =
-        match sg.D.ret with None -> stack | Some _ -> push unknown stack
-      in
-      { locals; stack }
-    | exception (CP.Invalid_index _ | CP.Wrong_kind _ | D.Bad_descriptor _) ->
-      degrade st)
-  | I.Newarray | I.Anewarray _ ->
-    { st with stack = push nonnull (popn 1 stack) }
-  | I.Arraylength ->
-    let arr, stack = pop stack in
-    { locals = settle_nonnull locals arr; stack = push nonnull stack }
-  | I.Iaload | I.Aaload ->
-    let stack = popn 1 stack in
-    let arr, stack = pop stack in
-    let res = match instr with I.Iaload -> nonnull | _ -> unknown in
-    { locals = settle_nonnull locals arr; stack = push res stack }
-  | I.Iastore | I.Aastore ->
-    let stack = popn 2 stack in
-    let arr, stack = pop stack in
-    { locals = settle_nonnull locals arr; stack }
-  | I.Checkcast _ -> st
-  | I.Instanceof _ -> { st with stack = push nonnull (popn 1 stack) }
-  | I.Monitorenter | I.Monitorexit ->
-    let obj, stack = pop stack in
-    { locals = settle_nonnull locals obj; stack }
+  | I.Aconst_null -> F.set_top null_v st'
+  | I.Iconst _ | I.Ldc_str _ | I.New _ | I.Iadd | I.Isub | I.Imul | I.Idiv
+  | I.Irem | I.Ishl | I.Ishr | I.Iand | I.Ior | I.Ixor | I.Ineg | I.Newarray
+  | I.Anewarray _ | I.Arraylength | I.Iaload | I.Instanceof _ ->
+    (* An int, a fresh object or array, or a string constant. *)
+    F.set_top nonnull st'
+  | _ -> st'
 
 (* Branch refinement: `ifnull` / `ifnonnull` tell us the popped
    value's nullness on each outgoing edge; propagate to its origin
@@ -223,14 +80,10 @@ let refine ~at ~instr ~target ~pre post =
     | Some ({ origin = Some n; _ } :: _) when n < Array.length post.locals ->
       {
         post with
-        locals = set_local post.locals n { post.locals.(n) with v = verdict };
+        locals = F.set_local post.locals n { post.locals.(n) with v = verdict };
       }
     | _ -> post)
   | _ -> post
-
-(* A handler receives the locals of the faulting region and exactly
-   the thrown reference on the stack. *)
-let exn_adjust st = { st with stack = Some [ nonnull ] }
 
 let analyze pool ~(max_locals : int) ~(param_slots : int) ~(is_static : bool)
     (cfg : Cfg.t) : result =
@@ -244,7 +97,8 @@ let analyze pool ~(max_locals : int) ~(param_slots : int) ~(is_static : bool)
   in
   let init = { locals; stack = Some [] } in
   let r =
-    S.solve cfg ~init ~transfer:(transfer pool) ~refine ~exn_adjust
+    S.solve cfg ~init ~transfer:(transfer pool) ~refine
+      ~exn_adjust:(F.exn_adjust nonnull)
   in
   { before = r.S.before; iterations = r.S.iterations }
 
@@ -262,14 +116,6 @@ let pp_v ppf = function
   | Nonnull -> Format.pp_print_string ppf "nonnull"
   | Maybe -> Format.pp_print_string ppf "maybe"
 
-let pp_state ppf st =
-  Format.fprintf ppf "locals=[%s] stack=%s"
-    (String.concat " "
-       (Array.to_list
-          (Array.map (fun a -> Format.asprintf "%a" pp_v a.v) st.locals)))
-    (match st.stack with
-    | None -> "?"
-    | Some s ->
-      "["
-      ^ String.concat " " (List.map (fun a -> Format.asprintf "%a" pp_v a.v) s)
-      ^ "]")
+let pp_state =
+  let pp_av ppf a = pp_v ppf a.v in
+  F.pp_state pp_av pp_av

@@ -1,14 +1,20 @@
 (* Generic worklist fixed-point solver, functorized over a
-   join-semilattice. Forward, instruction-granular: facts propagate
-   block-at-a-time, and per-instruction entry facts are materialized
-   once the block facts stabilize.
+   join-semilattice. Forward and block-granular: a FIFO worklist of
+   basic blocks, seeded with the entry block, runs each visited
+   block's transfers once and records every instruction's entry fact
+   on the way. A block is visited again only when its entry fact
+   changes, so the facts recorded at its last visit are the
+   fixpoint's.
 
-   The design mirrors `Verifier.Dataflow`'s worklist (that module is
-   the type-inference instance of the same scheme) but is generic in
-   the lattice, supports optional widening at retreating-edge targets,
-   and lets a domain refine the fact flowing along a specific branch
-   edge — how nullness learns from `ifnull` and ranges learn from
-   `if_icmp`. *)
+   It is generic in the lattice, supports optional widening at
+   retreating-edge targets (the reverse-postorder numbering is used
+   only to place them), and lets a domain refine the fact flowing
+   along a specific branch edge — how nullness learns from `ifnull`
+   and ranges learn from `if_icmp`. A domain may also name the
+   successors of a block's last instruction from its fact: the
+   verifier's type inference (`Verifier.Dataflow`) sends `jsr t` only
+   to [t] and `ret` back past the jsr sites its return address names,
+   which the CFG does not model. *)
 
 module I = Bytecode.Instr
 module CF = Bytecode.Classfile
@@ -32,34 +38,43 @@ module Make (L : LATTICE) = struct
   let solve ?widen
       ?(refine =
         fun ~at:_ ~instr:_ ~target:_ ~pre:_ post -> post)
-      ?(exn_adjust = fun f -> f) (cfg : Cfg.t) ~(init : L.t)
+      ?(exn_adjust = fun _ f -> f) ?(succs = fun ~at:_ ~instr:_ _ -> None)
+      (cfg : Cfg.t) ~(init : L.t)
       ~(transfer : at:int -> instr:I.t -> L.t -> L.t) : result =
     let nblocks = Cfg.block_count cfg in
     let code = cfg.Cfg.code in
-    let rpo_num = Array.make nblocks max_int in
-    Array.iteri (fun i b -> rpo_num.(b) <- i) cfg.Cfg.rpo;
     (* Widening points: targets of retreating edges in the rpo
        numbering (a superset of natural-loop headers). *)
-    let widen_point = Array.make nblocks false in
-    Array.iter
-      (fun b ->
-        List.iter
-          (fun (v, _) -> if rpo_num.(v) <= rpo_num.(b.Cfg.id) then widen_point.(v) <- true)
-          b.Cfg.succs)
-      cfg.Cfg.blocks;
-    (* Handlers covering each block, as handler-target block ids. *)
-    let handlers_of = Array.make nblocks [] in
-    List.iter
-      (fun h ->
+    let widen_point =
+      match widen with
+      | None -> [||]
+      | Some _ ->
+        let rpo_num = Array.make nblocks max_int in
+        Array.iteri (fun i b -> rpo_num.(b) <- i) cfg.Cfg.rpo;
+        let widen_point = Array.make nblocks false in
         Array.iter
           (fun b ->
-            if b.Cfg.first < h.CF.h_end && b.Cfg.last >= h.CF.h_start then
-              handlers_of.(b.Cfg.id) <-
-                (h.CF.h_start, h.CF.h_end, cfg.Cfg.block_of.(h.CF.h_target))
-                :: handlers_of.(b.Cfg.id))
-          cfg.Cfg.blocks)
+            List.iter
+              (fun (v, _) ->
+                if rpo_num.(v) <= rpo_num.(b.Cfg.id) then
+                  widen_point.(v) <- true)
+              b.Cfg.succs)
+          cfg.Cfg.blocks;
+        widen_point
+    in
+    (* Handlers covering each block, with their target block ids; a
+       handler covers a contiguous run of blocks. *)
+    let handlers_of = Array.make nblocks [] in
+    let block_of = cfg.Cfg.block_of in
+    List.iter
+      (fun h ->
+        let target = block_of.(h.CF.h_target) in
+        for b = block_of.(h.CF.h_start) to block_of.(h.CF.h_end - 1) do
+          handlers_of.(b) <- (h, target) :: handlers_of.(b)
+        done)
       code.CF.handlers;
     let block_in : L.t option array = Array.make nblocks None in
+    let before = Array.make (Array.length code.CF.instrs) None in
     let in_queue = Array.make nblocks false in
     let queue = Queue.create () in
     let enqueue b =
@@ -101,11 +116,13 @@ module Make (L : LATTICE) = struct
       let b = Cfg.block cfg bid in
       let cur = ref (Option.get block_in.(bid)) in
       for idx = b.Cfg.first to b.Cfg.last do
+        before.(idx) <- Some !cur;
         (* Exception edge: the handler can observe the state at any
            covered instruction's entry. *)
         List.iter
-          (fun (hs, he, target) ->
-            if idx >= hs && idx < he then join_into target (exn_adjust !cur))
+          (fun (h, target) ->
+            if idx >= h.CF.h_start && idx < h.CF.h_end then
+              join_into target (exn_adjust h !cur))
           handlers_of.(bid);
         if idx < b.Cfg.last then
           cur := transfer ~at:idx ~instr:code.CF.instrs.(idx) !cur
@@ -114,33 +131,22 @@ module Make (L : LATTICE) = struct
       let instr = code.CF.instrs.(last) in
       let pre = !cur in
       let post = transfer ~at:last ~instr pre in
-      List.iter
-        (fun (v, kind) ->
-          match kind with
-          | Cfg.Exn -> ()
-          | Cfg.Fall ->
-            join_into v (refine ~at:last ~instr ~target:(last + 1) ~pre post)
-          | Cfg.Branch ->
-            List.iter
-              (fun t ->
-                if cfg.Cfg.block_of.(t) = v then
-                  join_into v (refine ~at:last ~instr ~target:t ~pre post))
-              (I.targets instr))
-        b.Cfg.succs
+      let flow target =
+        join_into block_of.(target) (refine ~at:last ~instr ~target ~pre post)
+      in
+      match succs ~at:last ~instr pre with
+      | Some targets -> List.iter flow targets
+      | None ->
+        List.iter
+          (fun (v, kind) ->
+            match kind with
+            | Cfg.Exn -> ()
+            | Cfg.Fall -> flow (last + 1)
+            | Cfg.Branch ->
+              List.iter
+                (fun t -> if block_of.(t) = v then flow t)
+                (I.targets instr))
+          b.Cfg.succs
     done;
-    (* Materialize per-instruction entry facts. *)
-    let before = Array.make (Array.length code.CF.instrs) None in
-    Array.iter
-      (fun b ->
-        match block_in.(b.Cfg.id) with
-        | None -> ()
-        | Some fact ->
-          let cur = ref fact in
-          for idx = b.Cfg.first to b.Cfg.last do
-            before.(idx) <- Some !cur;
-            if idx < b.Cfg.last then
-              cur := transfer ~at:idx ~instr:code.CF.instrs.(idx) !cur
-          done)
-      cfg.Cfg.blocks;
     { before; iterations = !iterations }
 end

@@ -64,7 +64,7 @@ let max_stack pool (cfg : Cfg.t) : int =
     if d' > !deepest then deepest := d';
     d'
   in
-  let r = DS.solve cfg ~init:0 ~transfer ~exn_adjust:(fun _ -> 1) in
+  let r = DS.solve cfg ~init:0 ~transfer ~exn_adjust:(fun _ _ -> 1) in
   (* The transfer only runs where the solver walks; seed with entry
      depths too so a lone-return method reports 0 correctly. *)
   Array.iter (function Some d -> if d > !deepest then deepest := d | None -> ()) r.before;

@@ -205,7 +205,7 @@ let mutation_json r =
     (kill_rate r)
     (String.concat ","
        (List.map
-          (fun m -> "\"" ^ Telemetry.json_escape (survivor_line m) ^ "\"")
+          (fun m -> "\"" ^ Telemetry.Flight.esc (survivor_line m) ^ "\"")
           r.mt_survivors))
 
 let mutation_text ~bar r =

@@ -61,7 +61,7 @@ val kill_rate : mutation_report -> float
 
 val mutation_json : mutation_report -> string
 (** Seed, counts, kill rate and survivors (["<class>: <desc>"],
-    escaped with {!Telemetry.json_escape}) as one JSON object (pinned
+    escaped with {!Telemetry.Flight.esc}) as one JSON object (pinned
     in [BENCH_certify.json]). *)
 
 val mutation_text : bar:float -> mutation_report -> string

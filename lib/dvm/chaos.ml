@@ -871,9 +871,9 @@ let print_outcome ?(label = "chaos") o =
 
 (* --- Reports: the one rendering of each outcome, banner and verdict
    that the bench pins and dvmctl prints. Strings reach JSON only
-   through [Telemetry.json_escape]. --- *)
+   through [Telemetry.Flight.esc]. --- *)
 
-let json_string s = "\"" ^ Telemetry.json_escape s ^ "\""
+let json_string s = "\"" ^ Telemetry.Flight.esc s ^ "\""
 let hex_string d = json_string (Dsig.Md5.to_hex d)
 
 (* The keys both outcome objects open with. *)

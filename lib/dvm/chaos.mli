@@ -273,7 +273,7 @@ val print_control_outcome : ?label:string -> control_outcome -> unit
     The one rendering of each outcome, configuration banner and
     verdict: the bench pins the JSON in [BENCH_chaos.json] /
     [BENCH_control.json] and [dvmctl] prints the same strings. JSON
-    strings are escaped with {!Telemetry.json_escape}; digests render
+    strings are escaped with {!Telemetry.Flight.esc}; digests render
     as hex. *)
 
 val outcome_json : outcome -> string

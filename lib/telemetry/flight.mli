@@ -27,4 +27,5 @@ val set_capacity : int -> unit
 val reset : unit -> unit
 
 val esc : string -> string
-(** JSON string escaping (shared with the trace exporters). *)
+(** JSON string escaping, shared by every JSON writer (the trace and
+    telemetry exporters, the bench and [dvmctl] reports). *)

@@ -481,28 +481,12 @@ let dropped_spans t = t.dropped
    were captured, duplicate "X" events on pid 2 (virtual timeline).
    Counters are emitted as a final "C" sample. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_args args =
   "{"
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+           Printf.sprintf "\"%s\":\"%s\"" (Flight.esc k) (Flight.esc v))
          args)
   ^ "}"
 
@@ -540,7 +524,7 @@ let chrome_trace t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":1,\"tid\":1,\"args\":%s}"
-           (json_escape sp.sp_name) (json_escape sp.sp_cat) ts dur
+           (Flight.esc sp.sp_name) (Flight.esc sp.sp_cat) ts dur
            (json_args args));
       match (sp.sp_sim_start, sp.sp_sim_end) with
       | Some s0, Some s1 ->
@@ -549,7 +533,7 @@ let chrome_trace t =
         emit
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":2,\"tid\":1,\"args\":%s}"
-             (json_escape sp.sp_name) (json_escape sp.sp_cat) s0 sdur
+             (Flight.esc sp.sp_name) (Flight.esc sp.sp_cat) s0 sdur
              (json_args sp.sp_args))
       | _ -> ())
     all;
@@ -558,7 +542,7 @@ let chrome_trace t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%Ld,\"pid\":1,\"tid\":1,\"args\":{\"value\":%Ld}}"
-           (json_escape name) !last_ts v))
+           (Flight.esc name) !last_ts v))
     (counters t);
   "[\n" ^ String.concat ",\n" (List.rev !events) ^ "\n]\n"
 
@@ -573,7 +557,7 @@ let histograms_json t =
          (fun (k, s) ->
            Printf.sprintf
              "{\"name\":\"%s\",\"count\":%d,\"sum_us\":%Ld,\"min_us\":%Ld,\"p50_us\":%Ld,\"p95_us\":%Ld,\"p99_us\":%Ld,\"max_us\":%Ld}"
-             (json_escape k) s.count s.sum_us s.min_us s.p50_us s.p95_us
+             (Flight.esc k) s.count s.sum_us s.min_us s.p50_us s.p95_us
              s.p99_us s.max_us)
          hs)
   ^ "]"
@@ -583,7 +567,7 @@ let histograms_json t =
    writer share this. *)
 let metrics_json t =
   let b = Buffer.create 1024 in
-  let kv (k, v) = Printf.sprintf "\"%s\":%Ld" (json_escape k) v in
+  let kv (k, v) = Printf.sprintf "\"%s\":%Ld" (Flight.esc k) v in
   Buffer.add_string b "{\"counters\":{";
   Buffer.add_string b (String.concat "," (List.map kv (counters t)));
   Buffer.add_string b "},\"gauges\":{";

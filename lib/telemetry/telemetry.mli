@@ -159,9 +159,6 @@ val metrics_json : t -> string
     machine-readable twin of {!metrics_snapshot}, shared by
     [dvmctl metrics --json] and the [BENCH_*.json] writer. *)
 
-val json_escape : string -> string
-(** Exposed for tests. *)
-
 (** {1 Global shortcuts} over {!default} — the form instrumentation
     call sites use. *)
 module Global : sig

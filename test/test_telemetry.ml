@@ -138,10 +138,10 @@ let test_sim_clock () =
   | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
 
 let test_json_escape () =
-  check Alcotest.string "quotes" {|a\"b|} (Telemetry.json_escape {|a"b|});
-  check Alcotest.string "backslash" {|a\\b|} (Telemetry.json_escape {|a\b|});
-  check Alcotest.string "newline" {|a\nb|} (Telemetry.json_escape "a\nb");
-  check Alcotest.string "control" {|\u0001|} (Telemetry.json_escape "\x01")
+  check Alcotest.string "quotes" {|a\"b|} (Telemetry.Flight.esc {|a"b|});
+  check Alcotest.string "backslash" {|a\\b|} (Telemetry.Flight.esc {|a\b|});
+  check Alcotest.string "newline" {|a\nb|} (Telemetry.Flight.esc "a\nb");
+  check Alcotest.string "control" {|\u0001|} (Telemetry.Flight.esc "\x01")
 
 let test_chrome_trace_valid () =
   let t = fresh () in

@@ -127,6 +127,123 @@ let test_accepts_jsr_ret () =
   in
   ignore (expect_verified cls)
 
+let test_accepts_two_subroutines () =
+  let cls =
+    B.class_ "JsrTwo"
+      [
+        B.meth ~flags:static "f" "()I"
+          [
+            B.Const 0;
+            B.Istore 0;
+            B.Jsr "s1";
+            B.Jsr "s2";
+            B.Jsr "s1";
+            B.Jsr "s2";
+            B.Iload 0;
+            B.Ireturn;
+            B.Label "s1";
+            B.Astore 1;
+            B.Inc (0, 1);
+            B.Ret 1;
+            B.Label "s2";
+            B.Astore 2;
+            B.Inc (0, 2);
+            B.Ret 2;
+          ];
+      ]
+  in
+  ignore (expect_verified cls)
+
+let test_accepts_nested_subroutine () =
+  let cls =
+    B.class_ "JsrNest"
+      [
+        B.meth ~flags:static "f" "()I"
+          [
+            B.Const 0;
+            B.Istore 0;
+            B.Jsr "outer";
+            B.Iload 0;
+            B.Ireturn;
+            B.Label "outer";
+            B.Astore 1;
+            B.Jsr "inner";
+            B.Inc (0, 1);
+            B.Ret 1;
+            B.Label "inner";
+            B.Astore 2;
+            B.Inc (0, 10);
+            B.Ret 2;
+          ];
+      ]
+  in
+  ignore (expect_verified cls)
+
+let test_accepts_jsr_in_protected_range () =
+  let cls =
+    B.class_ "JsrTry"
+      [
+        B.meth ~flags:static "f" "(I)I"
+          ~handlers:[ ("try", "end", "catch", Some "java/lang/ArithmeticException") ]
+          [
+            B.Const 0;
+            B.Istore 1;
+            B.Label "try";
+            B.Jsr "sub";
+            B.Const 100;
+            B.Iload 0;
+            B.Div;
+            B.Istore 1;
+            B.Label "end";
+            B.Iload 1;
+            B.Ireturn;
+            B.Label "catch";
+            B.Pop;
+            B.Const (-1);
+            B.Ireturn;
+            B.Label "sub";
+            B.Astore 2;
+            B.Inc (1, 1);
+            B.Ret 2;
+          ];
+      ]
+  in
+  ignore (expect_verified cls)
+
+let test_rejects_ret_of_merged_retaddrs () =
+  (* Both subroutines store their return address in local 1 and share
+     one [ret]; the merge of two different return addresses is top. *)
+  let cls =
+    B.class_ "JsrMix"
+      [
+        B.meth ~flags:static "f" "(I)I"
+          [
+            B.Iload 0;
+            B.If_z (I.Eq, "other");
+            B.Jsr "s1";
+            B.Const 0;
+            B.Ireturn;
+            B.Label "other";
+            B.Jsr "s2";
+            B.Const 1;
+            B.Ireturn;
+            B.Label "s1";
+            B.Astore 1;
+            B.Goto "tail";
+            B.Label "s2";
+            B.Astore 1;
+            B.Goto "tail";
+            B.Label "tail";
+            B.Ret 1;
+          ];
+      ]
+  in
+  match expect_rejected cls with
+  | [ e ] ->
+    check Alcotest.string "reason" "JsrMix.f(I)I: ret via local holding top"
+      (Verifier.Verror.to_string e)
+  | errors -> fail (Printf.sprintf "%d errors" (List.length errors))
+
 let test_accepts_field_init_before_super () =
   (* putfield on uninitialized this for own fields is allowed. *)
   let cls =
@@ -683,6 +800,56 @@ let test_rewrite_preserves_output () =
   | Error e -> fail (Jvm.Interp.describe_throwable e));
   check Alcotest.string "same output" reference (Jvm.Vmstate.output vm1)
 
+(* --- The verifier's output on the workload code. --- *)
+
+(* Per Figure 5 application, verified under the monolithic client's
+   oracle (boot library plus the app): summed static checks — Figure
+   8's static column — and summed deferred checks. *)
+let test_pin_workload_checks () =
+  List.iter
+    (fun (spec, want_static, want_deferred) ->
+      let app = Workloads.Apps.build spec in
+      let classes = app.Workloads.Appgen.classes in
+      let oracle =
+        Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes () @ classes)
+      in
+      let static_checks, deferred =
+        List.fold_left
+          (fun (s, d) cf ->
+            let _, stats = expect_verified ~oracle cf in
+            (s + stats.SV.sv_static_checks, d + stats.SV.sv_deferred))
+          (0, 0) classes
+      in
+      let name = spec.Workloads.Appgen.name in
+      check Alcotest.int (name ^ " static checks") want_static static_checks;
+      check Alcotest.int (name ^ " deferred checks") want_deferred deferred)
+    [
+      (Workloads.Apps.jlex, 55629, 0);
+      (Workloads.Apps.javacup, 78834, 0);
+      (Workloads.Apps.pizza, 498011, 0);
+      (Workloads.Apps.instantdb, 189687, 0);
+      (Workloads.Apps.cassowary, 50203, 0);
+    ]
+
+(* Under the proxy's boot-only oracle every application class and
+   applet verifies; one digest covers the bytes the verifier serves. *)
+let test_pin_served_bytes () =
+  let classes =
+    List.concat_map
+      (fun spec -> (Workloads.Apps.build spec).Workloads.Appgen.classes)
+      Workloads.Apps.all_specs
+    @ List.map Workloads.Applets.realize (Workloads.Applets.population ())
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun cf ->
+      let cf', _ = expect_verified cf in
+      Buffer.add_string buf (Bytecode.Encode.class_to_bytes cf'))
+    classes;
+  check Alcotest.int "classes" 501 (List.length classes);
+  check Alcotest.string "served digest" "bb427a34bb26929d94b7e0a772e91b03"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Lattice properties. --- *)
 
 let small_oracle =
@@ -996,6 +1163,12 @@ let () =
           Alcotest.test_case "object construction" `Quick
             test_accepts_object_construction;
           Alcotest.test_case "jsr/ret" `Quick test_accepts_jsr_ret;
+          Alcotest.test_case "two subroutines" `Quick
+            test_accepts_two_subroutines;
+          Alcotest.test_case "nested subroutine" `Quick
+            test_accepts_nested_subroutine;
+          Alcotest.test_case "jsr in protected range" `Quick
+            test_accepts_jsr_in_protected_range;
           Alcotest.test_case "field init before super" `Quick
             test_accepts_field_init_before_super;
           Alcotest.test_case "interface call" `Quick test_accepts_interface_call;
@@ -1039,6 +1212,8 @@ let () =
             test_rejects_backward_branch_stack_growth;
           Alcotest.test_case "retaddr arithmetic" `Quick
             test_rejects_retaddr_arithmetic;
+          Alcotest.test_case "ret of merged retaddrs" `Quick
+            test_rejects_ret_of_merged_retaddrs;
         ] );
       ( "distribution",
         [
@@ -1057,6 +1232,11 @@ let () =
           Alcotest.test_case "filter rejects" `Quick test_filter_rejects_via_exception;
           Alcotest.test_case "rewrite preserves output" `Quick
             test_rewrite_preserves_output;
+        ] );
+      ( "workloads",
+        [
+          Alcotest.test_case "checks per app" `Quick test_pin_workload_checks;
+          Alcotest.test_case "served digest" `Quick test_pin_served_bytes;
         ] );
       ("properties", props);
     ]
