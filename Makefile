@@ -1,4 +1,4 @@
-.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest check clean
+.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest perf-pairs check clean
 
 all: build
 
@@ -91,6 +91,22 @@ perf-compare:
 # something a run does not fix, say) fails here, not at the benchmark.
 perfbench-selftest:
 	python3 perfbench/selftest.py
+
+# Paired benchmark comparison, kept out of [check]: builds BASE in a
+# temporary git worktree and runs PAIRS alternating pairs of one
+# perfbench workload against the working tree, then prints each
+# end-to-end metric's medians, quartiles and wins, and flags any metric
+# worse than its bound in BENCHMARK.json. Exits 2 on an incorrect run,
+# 1 when a metric is worse than its bound.
+BASE ?= HEAD
+PAIRS ?= 10
+WORKLOAD ?= fetch-cold
+SEED ?= 1
+SECS ?= 10
+
+perf-pairs:
+	python3 tools/perf_pairs.py --base $(BASE) --pairs $(PAIRS) \
+	  --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECS)
 
 # The gate a PR must pass: everything builds, every test is green, and
 # no build artifacts are tracked or dirtying the tree.

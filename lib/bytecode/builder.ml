@@ -166,62 +166,56 @@ let assemble pool instrs : Instr.t array =
   |> List.map lower
   |> Array.of_list
 
-(* Conservative upper bound on operand-stack height: accumulate the
-   per-instruction stack deltas along the instruction list, taking the
-   running maximum, and never letting the running height drop below
-   zero across merge points. This over-approximates but is always safe
-   for code whose true max is what the verifier later computes. *)
-let stack_delta pool (i : Instr.t) =
-  let invoke_delta idx ~receiver =
-    let mref = Cp.get_methodref pool idx in
-    let sg = Descriptor.method_sig_of_string mref.Cp.ref_desc in
-    let pop = List.length sg.Descriptor.params + if receiver then 1 else 0 in
-    let push = match sg.Descriptor.ret with None -> 0 | Some _ -> 1 in
-    (push - pop, pop)
-  in
-  let field_width idx = ignore (Cp.get_fieldref pool idx); 1 in
-  match i with
-  | Instr.Nop -> (0, 0)
-  | Instr.Iconst _ | Instr.Ldc_str _ | Instr.Aconst_null -> (1, 0)
-  | Instr.Iload _ | Instr.Aload _ -> (1, 0)
-  | Instr.Istore _ | Instr.Astore _ -> (-1, 1)
-  | Instr.Iinc _ -> (0, 0)
-  | Instr.Iadd | Instr.Isub | Instr.Imul | Instr.Idiv | Instr.Irem
-  | Instr.Ishl | Instr.Ishr | Instr.Iand | Instr.Ior | Instr.Ixor ->
-    (-1, 2)
-  | Instr.Ineg -> (0, 1)
-  | Instr.Dup -> (1, 1)
-  | Instr.Dup_x1 -> (1, 2)
-  | Instr.Pop -> (-1, 1)
-  | Instr.Swap -> (0, 2)
-  | Instr.Goto _ -> (0, 0)
-  | Instr.If_icmp _ | Instr.If_acmp _ -> (-2, 2)
-  | Instr.If_z _ | Instr.If_null _ -> (-1, 1)
-  | Instr.Jsr _ -> (1, 0)
-  | Instr.Ret _ -> (0, 0)
-  | Instr.Tableswitch _ -> (-1, 1)
-  | Instr.Ireturn | Instr.Areturn -> (-1, 1)
-  | Instr.Return -> (0, 0)
-  | Instr.Getstatic _ -> (1, 0)
-  | Instr.Putstatic i -> (-field_width i, 1)
-  | Instr.Getfield _ -> (0, 1)
-  | Instr.Putfield i -> (-1 - field_width i, 2)
-  | Instr.Invokevirtual i | Instr.Invokespecial i | Instr.Invokeinterface i ->
-    invoke_delta i ~receiver:true
-  | Instr.Invokestatic i -> invoke_delta i ~receiver:false
-  | Instr.New _ -> (1, 0)
-  | Instr.Newarray | Instr.Anewarray _ -> (0, 1)
-  | Instr.Arraylength -> (0, 1)
-  | Instr.Iaload | Instr.Aaload -> (-1, 2)
-  | Instr.Iastore | Instr.Aastore -> (-3, 3)
-  | Instr.Athrow -> (-1, 1)
-  | Instr.Checkcast _ -> (0, 1)
-  | Instr.Instanceof _ -> (0, 1)
-  | Instr.Monitorenter | Instr.Monitorexit -> (-1, 1)
+(* Net operand-stack effect of one instruction. An invoke's comes from
+   its descriptor; a field store checks that its pool entry is a field
+   reference. *)
+let invoke_delta pool idx ~receiver =
+  let mref = Cp.get_methodref pool idx in
+  let sg = Descriptor.method_sig_of_string mref.Cp.ref_desc in
+  let pop = List.length sg.Descriptor.params + if receiver then 1 else 0 in
+  let push = match sg.Descriptor.ret with None -> 0 | Some _ -> 1 in
+  push - pop
 
+let stack_delta pool (i : Instr.t) =
+  match i with
+  | Instr.Nop | Instr.Iinc _ | Instr.Ineg | Instr.Swap | Instr.Goto _
+  | Instr.Ret _ | Instr.Return | Instr.Getfield _ | Instr.Newarray
+  | Instr.Anewarray _ | Instr.Arraylength | Instr.Checkcast _
+  | Instr.Instanceof _ ->
+    0
+  | Instr.Iconst _ | Instr.Ldc_str _ | Instr.Aconst_null | Instr.Iload _
+  | Instr.Aload _ | Instr.Dup | Instr.Dup_x1 | Instr.Jsr _ | Instr.Getstatic _
+  | Instr.New _ ->
+    1
+  | Instr.Istore _ | Instr.Astore _ | Instr.Iadd | Instr.Isub | Instr.Imul
+  | Instr.Idiv | Instr.Irem | Instr.Ishl | Instr.Ishr | Instr.Iand | Instr.Ior
+  | Instr.Ixor | Instr.Pop | Instr.If_z _ | Instr.If_null _
+  | Instr.Tableswitch _ | Instr.Ireturn | Instr.Areturn | Instr.Iaload
+  | Instr.Aaload | Instr.Athrow | Instr.Monitorenter | Instr.Monitorexit ->
+    -1
+  | Instr.If_icmp _ | Instr.If_acmp _ -> -2
+  | Instr.Iastore | Instr.Aastore -> -3
+  | Instr.Putstatic k ->
+    ignore (Cp.get_fieldref pool k);
+    -1
+  | Instr.Putfield k ->
+    ignore (Cp.get_fieldref pool k);
+    -2
+  | Instr.Invokevirtual k | Instr.Invokespecial k | Instr.Invokeinterface k ->
+    invoke_delta pool k ~receiver:true
+  | Instr.Invokestatic k -> invoke_delta pool k ~receiver:false
+
+(* Conservative upper bound on operand-stack height: a depth-first walk
+   over the CFG from entry (handlers start with height 1, the thrown
+   exception), tracking the greatest entry height per instruction and
+   never letting the height drop below zero. Pending (index, height)
+   pairs sit on an explicit stack in the preorder of a recursive walk
+   over [Instr.successors] — fall-through pushed first, then targets
+   last to first, the visit test made at pop — because with the height
+   cap the bound depends on visit order; test_rewrite checks the walk
+   against the recursive one. Ints are compared directly: [Stdlib.max]
+   is a polymorphic compare. *)
 let estimate_max_stack ?(handler_targets = []) pool (code : Instr.t array) =
-  (* Depth-first over the CFG, tracking entry heights per instruction;
-     handlers start with height 1 (the thrown exception). *)
   let n = Array.length code in
   if n = 0 then 0
   else begin
@@ -231,31 +225,59 @@ let estimate_max_stack ?(handler_targets = []) pool (code : Instr.t array) =
        walk diverge; cap the height (the verifier rejects such code
        later on the height mismatch). *)
     let cap = (4 * n) + 64 in
-    let rec walk idx h =
-      if idx >= 0 && idx < n && entry.(idx) < h && h <= cap then begin
-        entry.(idx) <- h;
-        let d, need = stack_delta pool code.(idx) in
-        ignore need;
-        let h' = max 0 (h + d) in
-        maxh := max !maxh (max h (h + max 0 d));
-        List.iter (fun s -> walk s h') (Instr.successors idx code.(idx))
-      end
+    let pending = ref (Array.make 64 0) and sp = ref 0 in
+    let push idx h =
+      if !sp + 2 > Array.length !pending then begin
+        let a = Array.make (2 * Array.length !pending) 0 in
+        Array.blit !pending 0 a 0 !sp;
+        pending := a
+      end;
+      !pending.(!sp) <- idx;
+      !pending.(!sp + 1) <- h;
+      sp := !sp + 2
+    in
+    let walk idx h =
+      push idx h;
+      while !sp > 0 do
+        sp := !sp - 2;
+        let idx = !pending.(!sp) and h = !pending.(!sp + 1) in
+        if idx >= 0 && idx < n && entry.(idx) < h && h <= cap then begin
+          entry.(idx) <- h;
+          let i = code.(idx) in
+          let d = stack_delta pool i in
+          let top = if d > 0 then h + d else h in
+          if top > !maxh then maxh := top;
+          let h' = if h + d > 0 then h + d else 0 in
+          if not (Instr.is_terminator i) then push (idx + 1) h';
+          match i with
+          | Instr.Goto t | Instr.If_icmp (_, t) | Instr.If_z (_, t)
+          | Instr.If_acmp (_, t) | Instr.If_null (_, t) | Instr.Jsr t ->
+            push t h'
+          | Instr.Tableswitch { targets; default; _ } ->
+            for k = Array.length targets - 1 downto 0 do
+              push targets.(k) h'
+            done;
+            push default h'
+          | _ -> ()
+        end
+      done
     in
     walk 0 0;
     List.iter (fun t -> walk t 1) handler_targets;
-    max 1 !maxh
+    Int.max 1 !maxh
   end
 
 let estimate_max_locals ~params ~is_static (code : Instr.t array) =
   let base = params + if is_static then 0 else 1 in
-  Array.fold_left
-    (fun acc i ->
-      match i with
-      | Instr.Iload n | Instr.Istore n | Instr.Aload n | Instr.Astore n
-      | Instr.Iinc (n, _) | Instr.Ret n ->
-        max acc (n + 1)
-      | _ -> acc)
-    (max 1 base) code
+  let m = ref (Int.max 1 base) in
+  for i = 0 to Array.length code - 1 do
+    match code.(i) with
+    | Instr.Iload k | Instr.Istore k | Instr.Aload k | Instr.Astore k
+    | Instr.Iinc (k, _) | Instr.Ret k ->
+      if k + 1 > !m then m := k + 1
+    | _ -> ()
+  done;
+  !m
 
 type mdef = {
   md_name : string;

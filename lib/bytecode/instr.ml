@@ -197,7 +197,8 @@ let to_string i = Format.asprintf "%a" pp i
 
 (* Byte size of the encoded instruction: one opcode byte plus
    fixed-width operands (u2 for indices and locals, i4 for constants,
-   i4 relative offsets for branches). Tableswitch is variable. *)
+   u4 absolute byte offsets within the body for branches). Tableswitch
+   is variable. *)
 let encoded_size = function
   | Nop | Aconst_null | Iadd | Isub | Imul | Idiv | Irem | Ineg | Ishl | Ishr
   | Iand | Ior | Ixor | Dup | Dup_x1 | Pop | Swap | Ireturn | Areturn | Return

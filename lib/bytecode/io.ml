@@ -61,11 +61,13 @@ module Reader = struct
   let remaining r = r.limit - r.pos
   let at_end r = remaining r = 0
 
-  let need r n what =
-    if remaining r < n then
-      raise
-        (Truncated
-           (Printf.sprintf "%s: need %d bytes at %d" what n (r.pos - r.off)))
+  let truncated r n what =
+    raise
+      (Truncated
+         (Printf.sprintf "%s: need %d bytes at %d" what n (r.pos - r.off)))
+
+  (* Small enough to inline: the failure path is a separate call. *)
+  let need r n what = if remaining r < n then truncated r n what
 
   let u1 r =
     need r 1 "u1";
@@ -75,14 +77,15 @@ module Reader = struct
 
   let u2 r =
     need r 2 "u2";
-    let v = u1 r in
-    (v lsl 8) lor u1 r
+    let v = String.get_uint16_be r.data r.pos in
+    r.pos <- r.pos + 2;
+    v
 
   let u4 r =
     need r 4 "u4";
-    let a = u2 r in
-    let b = u2 r in
-    (a lsl 16) lor b
+    let v = Int32.to_int (String.get_int32_be r.data r.pos) land 0xffff_ffff in
+    r.pos <- r.pos + 4;
+    v
 
   let i4 r = Int32.of_int (u4 r)
 
@@ -102,6 +105,8 @@ module Reader = struct
     let s = String.sub r.data r.pos n in
     r.pos <- r.pos + n;
     s
+
+  let unread r = (r.data, r.pos, r.limit)
 
   let sub r n =
     need r n "sub";

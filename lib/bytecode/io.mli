@@ -46,6 +46,10 @@ module Reader : sig
   val str : t -> string
   val raw : t -> int -> string
 
+  val unread : t -> string * int * int
+  (** [(data, start, limit)]: the unread bytes are [data]'s absolute
+      range [start, limit). For a scan that reads without consuming. *)
+
   val sub : t -> int -> t
   (** [sub r n] is a zero-copy reader over the next [n] bytes of [r],
       advancing [r] past them. Positions reported by the slice (and by

@@ -65,56 +65,61 @@ let apply_insertions_layout (code : CF.code) (insertions : insertion list) :
     insertions;
   (* Group blocks by insertion point, preserving order of same-point
      insertions within each redirect class. Each block keeps its input
-     position so the layout can report where it landed. *)
+     position so the layout can report where it landed. While grouping,
+     l_instr.(i) sums the lengths of every block at old index i and
+     l_target.(i) those of the fall-through-only ones. *)
   let fall_only = Array.make (n + 1) [] in
   let redirected = Array.make (n + 1) [] in
+  let l_instr = Array.make (n + 1) 0 in
+  let l_target = Array.make (n + 1) 0 in
   List.iteri
-    (fun pos ins ->
-      let arr = if ins.redirect then redirected else fall_only in
-      arr.(ins.at) <- arr.(ins.at) @ [ (pos, ins.block) ])
+    (fun pos { at; block; redirect } ->
+      let len = List.length block in
+      if redirect then redirected.(at) <- redirected.(at) @ [ (pos, block) ]
+      else begin
+        fall_only.(at) <- fall_only.(at) @ [ (pos, block) ];
+        l_target.(at) <- l_target.(at) + len
+      end;
+      l_instr.(at) <- l_instr.(at) + len)
     insertions;
-  let len_of blocks =
-    List.fold_left (fun acc (_, b) -> acc + List.length b) 0 blocks
-  in
-  let fall_len_at i = len_of fall_only.(i) in
-  let block_len_at i = fall_len_at i + len_of redirected.(i) in
   (* start.(i): new index of the first inserted instruction at old
-     index i (fall-through-only blocks first); the old instruction i
-     itself lands at start.(i) + block_len_at i. *)
+     index i (fall-through-only blocks first). The old instruction i
+     lands after all its blocks; an old branch target skips the
+     fall-through-only blocks but runs the redirected ones. *)
   let start = Array.make (n + 1) 0 in
-  for i = 1 to n do
-    start.(i) <- start.(i - 1) + block_len_at (i - 1) + 1
+  for i = 0 to n do
+    if i > 0 then start.(i) <- l_instr.(i - 1) + 1;
+    l_instr.(i) <- start.(i) + l_instr.(i);
+    l_target.(i) <- start.(i) + l_target.(i)
   done;
-  (* Old branch target t skips any fall-through-only blocks but runs
-     the redirected ones. *)
-  let retarget t = start.(t) + fall_len_at t in
-  (* The new length is known up front (start already accounts for every
-     block), so the result is written straight into an exact-size array
-     instead of accumulating a list and reversing. *)
-  let total = start.(n) + block_len_at n in
-  let instrs = Array.make (max total 1) I.Nop in
+  (* The new length is known up front, so the result is written straight
+     into an exact-size array instead of accumulating a list and
+     reversing. *)
+  let total = l_instr.(n) in
+  let instrs = Array.make (Int.max total 1) I.Nop in
   let starts = Array.make (List.length insertions) 0 in
-  let next = ref 0 in
-  let emit i =
-    instrs.(!next) <- i;
-    incr next
-  in
   let emit_blocks i =
     let base = ref start.(i) in
     List.iter
       (fun (pos, block) ->
         let b = !base in
+        let rel j = b + j in
         starts.(pos) <- b;
-        List.iter (fun ins -> emit (I.map_targets (fun j -> b + j) ins)) block;
-        base := b + List.length block)
+        List.iter
+          (fun ins ->
+            instrs.(!base) <- I.map_targets rel ins;
+            incr base)
+          block)
       (fall_only.(i) @ redirected.(i))
   in
-  for i = 0 to n - 1 do
-    emit_blocks i;
-    emit (I.map_targets retarget code.CF.instrs.(i))
+  let retarget t = l_target.(t) in
+  (* Only positions holding a block pay for emitting one; an empty
+     block still records its start. *)
+  for i = 0 to n do
+    if fall_only.(i) != [] || redirected.(i) != [] then emit_blocks i;
+    if i < n then
+      instrs.(l_instr.(i)) <- I.map_targets retarget code.CF.instrs.(i)
   done;
-  (* Trailing block at index n, if any. *)
-  emit_blocks n;
   let instrs = if total = 0 then [||] else instrs in
   let handlers =
     List.map
@@ -127,8 +132,6 @@ let apply_insertions_layout (code : CF.code) (insertions : insertion list) :
         })
       code.CF.handlers
   in
-  let l_instr = Array.init (n + 1) (fun i -> start.(i) + block_len_at i) in
-  let l_target = Array.init (n + 1) retarget in
   ({ code with CF.instrs; handlers }, { l_instr; l_target; l_starts = starts })
 
 let apply_insertions code insertions =
@@ -140,11 +143,11 @@ let apply_insertions code insertions =
 let refit_bounds pool ~params ~is_static (code : CF.code) : CF.code =
   let handler_targets = List.map (fun h -> h.CF.h_target) code.CF.handlers in
   let max_stack =
-    max code.CF.max_stack
+    Int.max code.CF.max_stack
       (Bytecode.Builder.estimate_max_stack ~handler_targets pool code.CF.instrs)
   in
   let max_locals =
-    max code.CF.max_locals
+    Int.max code.CF.max_locals
       (Bytecode.Builder.estimate_max_locals ~params ~is_static code.CF.instrs)
   in
   { code with CF.max_stack; max_locals }

@@ -137,140 +137,145 @@ let local (fr : frame) n =
   if n < 0 || n >= Array.length fr.locals then failv "local %d out of range" n
   else fr.locals.(n)
 
-(* Simulate one instruction. The solver keeps [frame] as the entry
-   fact, so the step never writes it: the locals array is copied on the
-   first write. *)
-let step ctx ~method_sig ~max_stack idx insn frame =
-  let locals = ref frame.locals in
-  let stack = ref frame.stack in
-  (* Depth tracked incrementally, so the overflow check is O(1). *)
-  let depth = ref (List.length frame.stack) in
-  let push v =
-    if !depth >= max_stack then failv "operand stack overflow";
-    incr depth;
-    stack := v :: !stack
-  in
-  let pop () =
-    match !stack with
-    | [] -> failv "operand stack underflow"
-    | v :: rest ->
-      decr depth;
-      stack := rest;
-      v
-  in
-  let pop_int () =
-    match pop () with
-    | V.VInt -> ()
-    | v -> failv "expected int on stack, found %s" (V.to_string v)
-  in
-  let pop_ref () =
-    let v = pop () in
-    if V.is_reference v then v
-    else failv "expected reference on stack, found %s" (V.to_string v)
-  in
-  let local n = local frame n in
-  let set_local n v =
-    if n < 0 || n >= Array.length frame.locals then
-      failv "local %d out of range" n;
-    if !locals == frame.locals then locals := Array.copy frame.locals;
-    !locals.(n) <- v
-  in
-  (* Rewrite every slot, locals and stack, through [f]. *)
-  let map_slots f =
-    Array.iteri
-      (fun i v ->
-        let v' = f v in
-        if v' != v then set_local i v')
-      frame.locals;
-    stack := List.map f !stack
-  in
-  let fieldref k = CP.get_fieldref ctx.pool k in
-  let methodref k = CP.get_methodref ctx.pool k in
-  let class_at k = CP.get_class_name ctx.pool k in
-  let sig_of desc = D.method_sig_of_string desc in
-  let pop_args sg =
-    (* last parameter is on top: check in reverse *)
-    List.iter
-      (fun ty ->
-        let v = pop () in
-        if not (assignable_desc ctx v ty) then
-          failv "argument of type %s where %s expected" (V.to_string v)
-            (D.ty_to_string ty))
-      (List.rev sg.D.params)
-  in
-  let push_ret sg =
-    match sg.D.ret with None -> () | Some ty -> push (V.of_desc_ty ty)
-  in
+(* The frame under simulation, one per method, reset by every [step].
+   [entry] is the locals array of the solver's entry fact, which [step]
+   never writes: [locals] starts as that array and is copied on the
+   first write. The depth is tracked incrementally, so the overflow
+   check is O(1). *)
+type state = {
+  max_stack : int;
+  mutable entry : V.t array;
+  mutable locals : V.t array;
+  mutable stack : V.t list;
+  mutable depth : int;
+}
+
+let push s v =
+  if s.depth >= s.max_stack then failv "operand stack overflow";
+  s.depth <- s.depth + 1;
+  s.stack <- v :: s.stack
+
+let pop s =
+  match s.stack with
+  | [] -> failv "operand stack underflow"
+  | v :: rest ->
+    s.depth <- s.depth - 1;
+    s.stack <- rest;
+    v
+
+let pop_int s =
+  match pop s with
+  | V.VInt -> ()
+  | v -> failv "expected int on stack, found %s" (V.to_string v)
+
+let pop_ref s =
+  let v = pop s in
+  if V.is_reference v then v
+  else failv "expected reference on stack, found %s" (V.to_string v)
+
+let set_local s n v =
+  if n < 0 || n >= Array.length s.entry then failv "local %d out of range" n;
+  if s.locals == s.entry then s.locals <- Array.copy s.entry;
+  s.locals.(n) <- v
+
+(* Rewrite every slot, locals and stack, through [f]. *)
+let map_slots s f =
+  Array.iteri
+    (fun i v ->
+      let v' = f v in
+      if v' != v then set_local s i v')
+    s.entry;
+  s.stack <- List.map f s.stack
+
+(* Arguments pop last parameter first. *)
+let rec pop_args ctx s = function
+  | [] -> ()
+  | ty :: rest ->
+    pop_args ctx s rest;
+    let v = pop s in
+    if not (assignable_desc ctx v ty) then
+      failv "argument of type %s where %s expected" (V.to_string v)
+        (D.ty_to_string ty)
+
+let push_ret s sg =
+  match sg.D.ret with None -> () | Some ty -> push s (V.of_desc_ty ty)
+
+(* Simulate one instruction from the entry fact [frame]. *)
+let step ctx s ~method_sig idx insn (frame : frame) =
+  s.entry <- frame.locals;
+  s.locals <- frame.locals;
+  s.stack <- frame.stack;
+  s.depth <- List.length frame.stack;
   tick ctx;
   (match insn with
   | I.Nop | I.Goto _ -> ()
-  | I.Iconst _ -> push V.VInt
-  | I.Ldc_str _ -> push (V.Ref "java/lang/String")
-  | I.Aconst_null -> push V.Null
+  | I.Iconst _ -> push s V.VInt
+  | I.Ldc_str _ -> push s (V.Ref "java/lang/String")
+  | I.Aconst_null -> push s V.Null
   | I.Iload n -> (
-    match local n with
-    | V.VInt -> push V.VInt
+    match local frame n with
+    | V.VInt -> push s V.VInt
     | v -> failv "iload of %s" (V.to_string v))
   | I.Istore n ->
-    pop_int ();
-    set_local n V.VInt
+    pop_int s;
+    set_local s n V.VInt
   | I.Aload n -> (
-    match local n with
-    | (V.Null | V.Ref _ | V.Uninit _ | V.Uninit_this _) as v -> push v
+    match local frame n with
+    | (V.Null | V.Ref _ | V.Uninit _ | V.Uninit_this _) as v -> push s v
     | v -> failv "aload of %s" (V.to_string v))
   | I.Astore n -> (
-    match pop () with
+    match pop s with
     | (V.Null | V.Ref _ | V.Uninit _ | V.Uninit_this _ | V.Retaddr _) as v ->
-      set_local n v
+      set_local s n v
     | v -> failv "astore of %s" (V.to_string v))
   | I.Iinc (n, _) -> (
-    match local n with
+    match local frame n with
     | V.VInt -> ()
     | v -> failv "iinc of %s" (V.to_string v))
   | I.Iadd | I.Isub | I.Imul | I.Idiv | I.Irem | I.Ishl | I.Ishr | I.Iand
   | I.Ior | I.Ixor ->
-    pop_int ();
-    pop_int ();
-    push V.VInt
+    pop_int s;
+    pop_int s;
+    push s V.VInt
   | I.Ineg ->
-    pop_int ();
-    push V.VInt
+    pop_int s;
+    push s V.VInt
   | I.Dup ->
-    let v = pop () in
-    push v;
-    push v
+    let v = pop s in
+    push s v;
+    push s v
   | I.Dup_x1 ->
-    let a = pop () in
-    let b = pop () in
-    push a;
-    push b;
-    push a
-  | I.Pop -> ignore (pop ())
+    let a = pop s in
+    let b = pop s in
+    push s a;
+    push s b;
+    push s a
+  | I.Pop -> ignore (pop s)
   | I.Swap ->
-    let a = pop () in
-    let b = pop () in
-    push a;
-    push b
+    let a = pop s in
+    let b = pop s in
+    push s a;
+    push s b
   | I.If_icmp _ ->
-    pop_int ();
-    pop_int ()
-  | I.If_z _ | I.Tableswitch _ -> pop_int ()
+    pop_int s;
+    pop_int s
+  | I.If_z _ | I.Tableswitch _ -> pop_int s
   | I.If_acmp _ ->
-    ignore (pop_ref ());
-    ignore (pop_ref ())
-  | I.If_null _ -> ignore (pop_ref ())
-  | I.Jsr t -> push (V.Retaddr t)
+    ignore (pop_ref s);
+    ignore (pop_ref s)
+  | I.If_null _ -> ignore (pop_ref s)
+  | I.Jsr t -> push s (V.Retaddr t)
   | I.Ret _ -> () (* its local is read by [subroutine_succs] *)
   | I.Ireturn ->
     (match method_sig.D.ret with
     | Some D.Int -> ()
     | Some ty -> failv "ireturn from method returning %s" (D.ty_to_string ty)
     | None -> failv "ireturn from void method");
-    pop_int ()
+    pop_int s
   | I.Areturn -> (
     match method_sig.D.ret with
     | Some (D.Obj _ | D.Arr _) ->
-      let v = pop_ref () in
+      let v = pop_ref s in
       let ty = Option.get method_sig.D.ret in
       if not (assignable_desc ctx v ty) then
         failv "areturn of %s from method returning %s" (V.to_string v)
@@ -282,33 +287,33 @@ let step ctx ~method_sig ~max_stack idx insn frame =
     | None -> ()
     | Some _ -> failv "return from non-void method")
   | I.Getstatic k ->
-    let fr = fieldref k in
+    let fr = CP.get_fieldref ctx.pool k in
     resolve_field ctx ~cls:fr.CP.ref_class ~name:fr.CP.ref_name
       ~desc:fr.CP.ref_desc ~want_static:true;
-    push (V.of_desc_string fr.CP.ref_desc)
+    push s (V.of_desc_string fr.CP.ref_desc)
   | I.Putstatic k ->
-    let fr = fieldref k in
+    let fr = CP.get_fieldref ctx.pool k in
     resolve_field ctx ~cls:fr.CP.ref_class ~name:fr.CP.ref_name
       ~desc:fr.CP.ref_desc ~want_static:true;
-    let v = pop () in
+    let v = pop s in
     if not (assignable_desc ctx v (D.ty_of_string fr.CP.ref_desc)) then
       failv "putstatic of %s into %s" (V.to_string v) fr.CP.ref_desc
   | I.Getfield k ->
-    let fr = fieldref k in
+    let fr = CP.get_fieldref ctx.pool k in
     resolve_field ctx ~cls:fr.CP.ref_class ~name:fr.CP.ref_name
       ~desc:fr.CP.ref_desc ~want_static:false;
-    let recv = pop () in
+    let recv = pop s in
     if not (assignable_class ctx recv ~target:fr.CP.ref_class) then
       failv "getfield on %s, expected %s" (V.to_string recv) fr.CP.ref_class;
-    push (V.of_desc_string fr.CP.ref_desc)
+    push s (V.of_desc_string fr.CP.ref_desc)
   | I.Putfield k -> (
-    let fr = fieldref k in
+    let fr = CP.get_fieldref ctx.pool k in
     resolve_field ctx ~cls:fr.CP.ref_class ~name:fr.CP.ref_name
       ~desc:fr.CP.ref_desc ~want_static:false;
-    let v = pop () in
+    let v = pop s in
     if not (assignable_desc ctx v (D.ty_of_string fr.CP.ref_desc)) then
       failv "putfield of %s into %s" (V.to_string v) fr.CP.ref_desc;
-    let recv = pop () in
+    let recv = pop s in
     (* An uninitialized this may set fields of its own class (the
        standard constructor-initialization allowance). *)
     match recv with
@@ -318,36 +323,36 @@ let step ctx ~method_sig ~max_stack idx insn frame =
         failv "putfield on %s, expected %s" (V.to_string recv)
           fr.CP.ref_class)
   | I.Invokevirtual k | I.Invokeinterface k ->
-    let mr = methodref k in
+    let mr = CP.get_methodref ctx.pool k in
     if String.equal mr.CP.ref_name "<init>" then
       failv "invokevirtual of constructor";
     resolve_method_ref ctx ~cls:mr.CP.ref_class ~name:mr.CP.ref_name
       ~desc:mr.CP.ref_desc ~want_static:false;
-    let sg = sig_of mr.CP.ref_desc in
-    pop_args sg;
-    let recv = pop () in
+    let sg = D.method_sig_of_string mr.CP.ref_desc in
+    pop_args ctx s sg.D.params;
+    let recv = pop s in
     if not (assignable_class ctx recv ~target:mr.CP.ref_class) then
       failv "receiver %s for %s.%s" (V.to_string recv) mr.CP.ref_class
         mr.CP.ref_name;
-    push_ret sg
+    push_ret s sg
   | I.Invokestatic k ->
-    let mr = methodref k in
+    let mr = CP.get_methodref ctx.pool k in
     if String.equal mr.CP.ref_name "<init>" then
       failv "invokestatic of constructor";
     resolve_method_ref ctx ~cls:mr.CP.ref_class ~name:mr.CP.ref_name
       ~desc:mr.CP.ref_desc ~want_static:true;
-    let sg = sig_of mr.CP.ref_desc in
-    pop_args sg;
-    push_ret sg
+    let sg = D.method_sig_of_string mr.CP.ref_desc in
+    pop_args ctx s sg.D.params;
+    push_ret s sg
   | I.Invokespecial k ->
-    let mr = methodref k in
-    let sg = sig_of mr.CP.ref_desc in
+    let mr = CP.get_methodref ctx.pool k in
+    let sg = D.method_sig_of_string mr.CP.ref_desc in
     if String.equal mr.CP.ref_name "<init>" then begin
       if sg.D.ret <> None then failv "constructor with non-void descriptor";
       resolve_method_ref ctx ~cls:mr.CP.ref_class ~name:"<init>"
         ~desc:mr.CP.ref_desc ~want_static:false;
-      pop_args sg;
-      let recv = pop () in
+      pop_args ctx s sg.D.params;
+      let recv = pop s in
       let init_to =
         match recv with
         | V.Uninit { cls; _ } ->
@@ -373,64 +378,64 @@ let step ctx ~method_sig ~max_stack idx insn frame =
       in
       (* Initialization substitutes the freshly initialized type for
          every alias of the uninitialized value. *)
-      map_slots (fun v -> if V.equal v recv then init_to else v)
+      map_slots s (fun v -> if V.equal v recv then init_to else v)
     end
     else begin
       resolve_method_ref ctx ~cls:mr.CP.ref_class ~name:mr.CP.ref_name
         ~desc:mr.CP.ref_desc ~want_static:false;
-      pop_args sg;
-      let recv = pop () in
+      pop_args ctx s sg.D.params;
+      let recv = pop s in
       if not (assignable_class ctx recv ~target:mr.CP.ref_class) then
         failv "receiver %s for special %s.%s" (V.to_string recv)
           mr.CP.ref_class mr.CP.ref_name;
-      push_ret sg
+      push_ret s sg
     end
   | I.New k ->
-    let cls = class_at k in
+    let cls = CP.get_class_name ctx.pool k in
     tick ctx;
     if ctx.oracle cls = None then
       Assumptions.add ctx.asms ~scope:ctx.scope (Assumptions.Class_exists cls);
     (* Kill stale aliases of a previous allocation at this pc. *)
-    map_slots (function V.Uninit { pc; _ } when pc = idx -> V.Top | v -> v);
-    push (V.Uninit { pc = idx; cls })
+    map_slots s (function V.Uninit { pc; _ } when pc = idx -> V.Top | v -> v);
+    push s (V.Uninit { pc = idx; cls })
   | I.Newarray ->
-    pop_int ();
-    push (V.Ref "[I")
+    pop_int s;
+    push s (V.Ref "[I")
   | I.Anewarray k ->
-    let elem = class_at k in
-    pop_int ();
-    push (V.Ref (Jvm.Value.array_class elem))
+    let elem = CP.get_class_name ctx.pool k in
+    pop_int s;
+    push s (V.Ref (Jvm.Value.array_class elem))
   | I.Arraylength ->
-    (match pop_ref () with
+    (match pop_ref s with
     | V.Null -> ()
     | V.Ref n when is_array_name n -> ()
     | v -> failv "arraylength of %s" (V.to_string v));
-    push V.VInt
+    push s V.VInt
   | I.Iaload ->
-    pop_int ();
-    (match pop_ref () with
+    pop_int s;
+    (match pop_ref s with
     | V.Null | V.Ref "[I" -> ()
     | v -> failv "iaload from %s" (V.to_string v));
-    push V.VInt
+    push s V.VInt
   | I.Iastore -> (
-    pop_int ();
-    pop_int ();
-    match pop_ref () with
+    pop_int s;
+    pop_int s;
+    match pop_ref s with
     | V.Null | V.Ref "[I" -> ()
     | v -> failv "iastore into %s" (V.to_string v))
   | I.Aaload -> (
-    pop_int ();
-    match pop_ref () with
-    | V.Null -> push V.Null
+    pop_int s;
+    match pop_ref s with
+    | V.Null -> push s V.Null
     | V.Ref n when is_array_name n && not (String.equal n "[I") -> (
       match Oracle.elem_of n with
-      | Some e -> push (V.Ref e)
+      | Some e -> push s (V.Ref e)
       | None -> failv "aaload from %s" n)
     | v -> failv "aaload from %s" (V.to_string v))
   | I.Aastore -> (
-    let v = pop_ref () in
-    pop_int ();
-    match pop_ref () with
+    let v = pop_ref s in
+    pop_int s;
+    match pop_ref s with
     | V.Null -> ()
     | V.Ref n when is_array_name n && not (String.equal n "[I") -> (
       match Oracle.elem_of n with
@@ -440,26 +445,26 @@ let step ctx ~method_sig ~max_stack idx insn frame =
       | None -> failv "aastore into %s" n)
     | arr -> failv "aastore into %s" (V.to_string arr))
   | I.Athrow ->
-    let v = pop_ref () in
+    let v = pop_ref s in
     if not (assignable_class ctx v ~target:throwable) then
       failv "athrow of non-throwable %s" (V.to_string v)
   | I.Checkcast k ->
-    let target = class_at k in
-    ignore (pop_ref ());
+    let target = CP.get_class_name ctx.pool k in
+    ignore (pop_ref s);
     if ctx.oracle target = None && not (is_array_name target) then
       Assumptions.add ctx.asms ~scope:ctx.scope
         (Assumptions.Class_exists target);
-    push (V.Ref target)
+    push s (V.Ref target)
   | I.Instanceof k ->
-    let target = class_at k in
-    ignore (pop_ref ());
+    let target = CP.get_class_name ctx.pool k in
+    ignore (pop_ref s);
     if ctx.oracle target = None && not (is_array_name target) then
       Assumptions.add ctx.asms ~scope:ctx.scope
         (Assumptions.Class_exists target);
-    push V.VInt
-  | I.Monitorenter | I.Monitorexit -> ignore (pop_ref ()));
-  if !locals == frame.locals && !stack == frame.stack then frame
-  else { locals = !locals; stack = !stack }
+    push s V.VInt
+  | I.Monitorenter | I.Monitorexit -> ignore (pop_ref s));
+  if s.locals == frame.locals && s.stack == frame.stack then frame
+  else { locals = s.locals; stack = s.stack }
 
 (* The successors the CFG cannot name. [ret] returns past every [jsr]
    to the subroutine its return address carries, latest site first (a
@@ -505,7 +510,7 @@ let verify_method oracle asms (cf : CF.t) (m : CF.meth) =
         Assumptions.add ctx.asms ~scope:ctx.scope
           (Assumptions.Class_exists catch);
       tick ctx;
-      { fr with stack = [ V.Ref catch ] }
+      { (fr : frame) with stack = [ V.Ref catch ] }
     in
     let module S = Analysis.Solver.Make (struct
       type t = frame
@@ -518,11 +523,18 @@ let verify_method oracle asms (cf : CF.t) (m : CF.meth) =
     in
     match
       let method_sig = D.method_sig_of_string m.CF.m_desc in
-      let max_stack = code.CF.max_stack in
+      let s =
+        {
+          max_stack = code.CF.max_stack;
+          entry = [||];
+          locals = [||];
+          stack = [];
+          depth = 0;
+        }
+      in
       S.solve (Analysis.Cfg.of_code code)
         ~init:(entry_frame ctx m code method_sig)
-        ~transfer:(fun ~at ~instr fr ->
-          step ctx ~method_sig ~max_stack at instr fr)
+        ~transfer:(fun ~at ~instr fr -> step ctx s ~method_sig at instr fr)
         ~exn_adjust ~succs:(subroutine_succs code)
     with
     | _ -> ([], ctx.checks)

@@ -220,15 +220,69 @@ let test_roundtrip_invokeinterface () =
   let cls' = Dec.class_of_bytes (Enc.class_to_bytes cls) in
   check Alcotest.bool "invokeinterface roundtrip" true (cls = cls')
 
+(* One of every opcode, in opcode order: decoding sizes a body with a
+   pre-scan over opcodes, which must agree with the decoder on each. *)
+let test_roundtrip_every_opcode () =
+  let instrs =
+    I.
+      [|
+        Nop; Iconst (-5l); Ldc_str 1; Aconst_null; Iload 0; Istore 1;
+        Aload 2; Astore 3; Iinc (4, -300); Iadd; Isub; Imul; Idiv; Irem;
+        Ineg; Ishl; Ishr; Iand; Ior; Ixor; Dup; Dup_x1; Pop; Swap; Goto 0;
+        If_icmp (Eq, 1); If_icmp (Ne, 2); If_icmp (Lt, 3); If_icmp (Ge, 4);
+        If_icmp (Gt, 5); If_icmp (Le, 6); If_z (Eq, 7); If_z (Ne, 8);
+        If_z (Lt, 9); If_z (Ge, 10); If_z (Gt, 11); If_z (Le, 12);
+        If_acmp (true, 13); If_acmp (false, 14); If_null (true, 15);
+        If_null (false, 16); Jsr 17; Ret 5;
+        Tableswitch { low = -1l; targets = [| 18; 68 |]; default = 19 };
+        Ireturn; Areturn; Return; Getstatic 1; Putstatic 2; Getfield 3;
+        Putfield 4; Invokevirtual 5; Invokestatic 6; Invokespecial 7; New 8;
+        Newarray; Anewarray 9; Arraylength; Iaload; Iastore; Aaload;
+        Aastore; Athrow; Checkcast 10; Instanceof 11; Monitorenter;
+        Monitorexit; Invokeinterface 12;
+      |]
+  in
+  check Alcotest.int "every opcode" 68 (Array.length instrs);
+  let code = { CF.max_stack = 4; max_locals = 6; instrs; handlers = [] } in
+  let cls =
+    CF.map_methods
+      (fun m -> { m with CF.m_code = Some code })
+      (B.class_ "Ops" [ B.meth "m" "()V" [ B.Return ] ])
+  in
+  check Alcotest.bool "roundtrip" true
+    (Dec.class_of_bytes (Enc.class_to_bytes cls) = cls)
+
 let test_attributes_fast_path () =
   let cls = sample_class () in
   let bytes = Enc.class_to_bytes cls in
   check Alcotest.bool "fast path = full decode attributes" true
     (Dec.class_attributes_of_bytes bytes
     = (Dec.class_of_bytes bytes).CF.attributes);
-  match Dec.class_attributes_of_bytes "garbage" with
+  (match Dec.class_attributes_of_bytes "garbage" with
   | _ -> fail "garbage accepted"
-  | exception Dec.Format_error _ -> ()
+  | exception Dec.Format_error _ -> ());
+  (* What full decode rejects, the fast path rejects with the same
+     message: an unsupported version, trailing bytes. *)
+  let version_99_3 =
+    let b = Bytes.of_string bytes in
+    Bytes.set_uint16_be b 4 3;
+    Bytes.set_uint16_be b 6 99;
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (input, want) ->
+      let msg decode =
+        match decode input with
+        | _ -> "ok"
+        | exception Dec.Format_error e -> e
+      in
+      check Alcotest.string "full decode" want (msg Dec.class_of_bytes);
+      check Alcotest.string "fast path" want
+        (msg Dec.class_attributes_of_bytes))
+    [
+      (version_99_3, "unsupported version 99.3");
+      (bytes ^ "\000\000\000\000", "4 trailing bytes after class");
+    ]
 
 let test_roundtrip_switch_and_jsr () =
   let cls =
@@ -532,6 +586,8 @@ let () =
             test_roundtrip_switch_and_jsr;
           Alcotest.test_case "roundtrip invokeinterface" `Quick
             test_roundtrip_invokeinterface;
+          Alcotest.test_case "roundtrip every opcode" `Quick
+            test_roundtrip_every_opcode;
           Alcotest.test_case "attributes fast path" `Quick
             test_attributes_fast_path;
           Alcotest.test_case "bad magic" `Quick test_decode_bad_magic;

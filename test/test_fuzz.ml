@@ -208,6 +208,64 @@ let test_truncation_sweep () =
   | exception Bytecode.Decode.Format_error e ->
     Alcotest.fail ("full image failed to decode: " ^ e)
 
+(* --- Pinned outcomes on malformed workload code: a seeded corpus of
+   byte mutations and truncations of every workload and applet class,
+   each outcome hashed into one digest. A decode failure contributes
+   its [Format_error] text; a decoded class, the verifier's verdict and
+   check count plus its first error or the MD5 of the verified bytes.
+   Any change in what the decoder accepts, which error it reports, or
+   what the verifier checks, rejects or serves moves the digest. --- *)
+
+let workload_bytes =
+  lazy
+    (Array.of_list
+       (List.map Bytecode.Encode.class_to_bytes
+          (List.concat_map
+             (fun spec -> (Workloads.Apps.build spec).Workloads.Appgen.classes)
+             Workloads.Apps.all_specs
+          @ List.map Workloads.Applets.realize
+              (Workloads.Applets.population ()))))
+
+let mutant st corpus =
+  let base = corpus.(Random.State.int st (Array.length corpus)) in
+  if Random.State.int st 4 = 0 then
+    String.sub base 0 (Random.State.int st (String.length base))
+  else
+    let edit () =
+      let p = Random.State.bits st in
+      match Random.State.int st 11 with
+      | 0 -> Trunc (p mod String.length base)
+      | 1 | 2 -> Ins (p, Char.chr (Random.State.int st 256))
+      | 3 | 4 -> Del p
+      | _ -> Set (p, Char.chr (Random.State.int st 256))
+    in
+    mutate base (List.init (1 + Random.State.int st 4) (fun _ -> edit ()))
+
+let outcome bytes =
+  match Bytecode.Decode.class_of_bytes bytes with
+  | exception Bytecode.Decode.Format_error e -> "F " ^ e
+  | cf -> (
+    match Verifier.Static_verifier.verify ~oracle:boot_oracle cf with
+    | Verifier.Static_verifier.Verified (cf', st) ->
+      Printf.sprintf "V %d %s" st.Verifier.Static_verifier.sv_static_checks
+        (Digest.to_hex (Digest.string (Bytecode.Encode.class_to_bytes cf')))
+    | Verifier.Static_verifier.Rejected (errs, st) ->
+      Printf.sprintf "R %d %s" st.Verifier.Static_verifier.sv_static_checks
+        (match errs with
+        | e :: _ -> Verifier.Verror.to_string e
+        | [] -> "-"))
+
+let test_pin_malformed_outcomes () =
+  let corpus = Lazy.force workload_bytes in
+  let st = Random.State.make [| 20261017 |] in
+  let buf = Buffer.create (1 lsl 21) in
+  for _ = 1 to 20_000 do
+    Buffer.add_string buf (outcome (mutant st corpus));
+    Buffer.add_char buf '\n'
+  done;
+  check Alcotest.string "outcome digest" "0e60b363b394bb47dc03c3b2c85c8549"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -218,5 +276,7 @@ let () =
           Alcotest.test_case "empty and garbage inputs" `Quick
             test_empty_and_garbage;
           Alcotest.test_case "truncation sweep" `Quick test_truncation_sweep;
+          Alcotest.test_case "malformed workload outcomes" `Quick
+            test_pin_malformed_outcomes;
         ] );
     ]

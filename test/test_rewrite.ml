@@ -272,6 +272,257 @@ let prop_random_insertions =
       in
       expect_f [ patched ] n = expect_f [ subject ] n)
 
+(* --- The stack-bound walk against its reference. [Reference] is the
+   recursive walk [Builder.estimate_max_stack] replaced, kept verbatim:
+   the explicit-stack walk must give the same bound, or raise the same
+   exception, on every body. The height cap makes the result depend on
+   visit order, so agreement on looping code checks the order too. --- *)
+
+module Reference = struct
+  module Cp = Bytecode.Cp
+  module Descriptor = Bytecode.Descriptor
+  module Instr = Bytecode.Instr
+
+  let stack_delta pool (i : Instr.t) =
+    let invoke_delta idx ~receiver =
+      let mref = Cp.get_methodref pool idx in
+      let sg = Descriptor.method_sig_of_string mref.Cp.ref_desc in
+      let pop = List.length sg.Descriptor.params + if receiver then 1 else 0 in
+      let push = match sg.Descriptor.ret with None -> 0 | Some _ -> 1 in
+      (push - pop, pop)
+    in
+    let field_width idx = ignore (Cp.get_fieldref pool idx); 1 in
+    match i with
+    | Instr.Nop -> (0, 0)
+    | Instr.Iconst _ | Instr.Ldc_str _ | Instr.Aconst_null -> (1, 0)
+    | Instr.Iload _ | Instr.Aload _ -> (1, 0)
+    | Instr.Istore _ | Instr.Astore _ -> (-1, 1)
+    | Instr.Iinc _ -> (0, 0)
+    | Instr.Iadd | Instr.Isub | Instr.Imul | Instr.Idiv | Instr.Irem
+    | Instr.Ishl | Instr.Ishr | Instr.Iand | Instr.Ior | Instr.Ixor ->
+      (-1, 2)
+    | Instr.Ineg -> (0, 1)
+    | Instr.Dup -> (1, 1)
+    | Instr.Dup_x1 -> (1, 2)
+    | Instr.Pop -> (-1, 1)
+    | Instr.Swap -> (0, 2)
+    | Instr.Goto _ -> (0, 0)
+    | Instr.If_icmp _ | Instr.If_acmp _ -> (-2, 2)
+    | Instr.If_z _ | Instr.If_null _ -> (-1, 1)
+    | Instr.Jsr _ -> (1, 0)
+    | Instr.Ret _ -> (0, 0)
+    | Instr.Tableswitch _ -> (-1, 1)
+    | Instr.Ireturn | Instr.Areturn -> (-1, 1)
+    | Instr.Return -> (0, 0)
+    | Instr.Getstatic _ -> (1, 0)
+    | Instr.Putstatic i -> (-field_width i, 1)
+    | Instr.Getfield _ -> (0, 1)
+    | Instr.Putfield i -> (-1 - field_width i, 2)
+    | Instr.Invokevirtual i | Instr.Invokespecial i | Instr.Invokeinterface i ->
+      invoke_delta i ~receiver:true
+    | Instr.Invokestatic i -> invoke_delta i ~receiver:false
+    | Instr.New _ -> (1, 0)
+    | Instr.Newarray | Instr.Anewarray _ -> (0, 1)
+    | Instr.Arraylength -> (0, 1)
+    | Instr.Iaload | Instr.Aaload -> (-1, 2)
+    | Instr.Iastore | Instr.Aastore -> (-3, 3)
+    | Instr.Athrow -> (-1, 1)
+    | Instr.Checkcast _ -> (0, 1)
+    | Instr.Instanceof _ -> (0, 1)
+    | Instr.Monitorenter | Instr.Monitorexit -> (-1, 1)
+
+  let estimate_max_stack ?(handler_targets = []) pool (code : Instr.t array) =
+    (* Depth-first over the CFG, tracking entry heights per instruction;
+       handlers start with height 1 (the thrown exception). *)
+    let n = Array.length code in
+    if n = 0 then 0
+    else begin
+      let entry = Array.make n (-1) in
+      let maxh = ref 0 in
+      (* Ill-formed code whose stack grows around a loop would make this
+         walk diverge; cap the height (the verifier rejects such code
+         later on the height mismatch). *)
+      let cap = (4 * n) + 64 in
+      let rec walk idx h =
+        if idx >= 0 && idx < n && entry.(idx) < h && h <= cap then begin
+          entry.(idx) <- h;
+          let d, need = stack_delta pool code.(idx) in
+          ignore need;
+          let h' = max 0 (h + d) in
+          maxh := max !maxh (max h (h + max 0 d));
+          List.iter (fun s -> walk s h') (Instr.successors idx code.(idx))
+        end
+      in
+      walk 0 0;
+      List.iter (fun t -> walk t 1) handler_targets;
+      max 1 !maxh
+    end
+end
+
+let walk_outcome estimate ~handler_targets pool code =
+  match estimate ?handler_targets:(Some handler_targets) pool code with
+  | h -> Ok h
+  | exception e -> Error (Printexc.to_string e)
+
+let same_walk ~handler_targets pool code =
+  walk_outcome B.estimate_max_stack ~handler_targets pool code
+  = walk_outcome Reference.estimate_max_stack ~handler_targets pool code
+
+let test_walk_matches_reference_on_workloads () =
+  let classes =
+    List.concat_map
+      (fun spec -> (Workloads.Apps.build spec).Workloads.Appgen.classes)
+      Workloads.Apps.all_specs
+    @ List.map Workloads.Applets.realize (Workloads.Applets.population ())
+  in
+  let audit =
+    Monitor.Instrument.instrument_class
+      ~runtime_class:Monitor.Profiler.auditor_class
+  in
+  let methods = ref 0 in
+  List.iter
+    (fun cf ->
+      List.iter
+        (fun (c : CF.t) ->
+          List.iter
+            (fun (m : CF.meth) ->
+              match m.CF.m_code with
+              | None -> ()
+              | Some code ->
+                incr methods;
+                let handler_targets =
+                  List.map (fun h -> h.CF.h_target) code.CF.handlers
+                in
+                if not (same_walk ~handler_targets c.CF.pool code.CF.instrs)
+                then
+                  fail
+                    (Printf.sprintf "%s.%s%s: walk differs" c.CF.name
+                       m.CF.m_name m.CF.m_desc))
+            c.CF.methods)
+        [ cf; audit cf ])
+    classes;
+  check Alcotest.bool "every workload method, before and after auditing" true
+    (!methods > 2 * 501)
+
+(* Random bodies over a pool where one index is named by static and
+   virtual invokes alike, with a bad descriptor, a field, a non-member
+   entry and indices outside the pool; targets may leave the body, and
+   pushes around back edges drive the walk to its height cap. *)
+let walk_pool, methods, field =
+  let b = Bytecode.Cp.Builder.create () in
+  let methods =
+    List.map
+      (fun desc -> Bytecode.Cp.Builder.methodref b ~cls:"W" ~name:"m" ~desc)
+      [ "(II)I"; "()V"; "(Ljava/lang/String;I)Ljava/lang/Object;"; "(I" ]
+  in
+  let field = Bytecode.Cp.Builder.fieldref b ~cls:"W" ~name:"f" ~desc:"I" in
+  (Bytecode.Cp.Builder.to_pool b, Array.of_list methods, field)
+
+let random_body st =
+  let n = 1 + Random.State.int st 16 in
+  let target () = Random.State.int st (n + 2) - 1 in
+  (* Mostly a member of the right kind; otherwise any index, 0 and one
+     past the pool included. *)
+  let any () = Random.State.int st (Array.length walk_pool + 1) in
+  let meth () =
+    if Random.State.int st 8 = 0 then any ()
+    else methods.(Random.State.int st (Array.length methods))
+  in
+  let fld () = if Random.State.int st 8 = 0 then any () else field in
+  let instr () =
+    match Random.State.int st 24 with
+    | 0 | 1 -> I.Iconst 0l
+    | 2 -> I.Dup
+    | 3 -> I.Aconst_null
+    | 4 -> I.Iadd
+    | 5 -> I.Pop
+    | 6 -> I.Istore 1
+    | 7 -> I.Iastore
+    | 8 | 9 -> I.Invokestatic (meth ())
+    | 10 | 11 -> I.Invokevirtual (meth ())
+    | 12 -> I.Invokespecial (meth ())
+    | 13 -> I.Putstatic (fld ())
+    | 14 -> I.Putfield (fld ())
+    | 15 | 16 -> I.Goto (target ())
+    | 17 -> I.If_icmp (I.Lt, target ())
+    | 18 -> I.If_z (I.Eq, target ())
+    | 19 -> I.Jsr (target ())
+    | 20 -> I.Ret 1
+    | 21 ->
+      let targets = Array.init (Random.State.int st 3) (fun _ -> target ()) in
+      I.Tableswitch { low = 0l; targets; default = target () }
+    | 22 -> I.Return
+    | _ -> I.Athrow
+  in
+  let code = Array.init n (fun _ -> instr ()) in
+  let handler_targets =
+    List.init (Random.State.int st 3) (fun _ -> target ())
+  in
+  (code, handler_targets)
+
+let test_walk_matches_reference_on_random_bodies () =
+  let st = Random.State.make [| 20261017 |] in
+  let capped = ref 0 and raised = ref 0 and shared = ref 0 in
+  for _ = 1 to 100_000 do
+    let code, handler_targets = random_body st in
+    let walk estimate = walk_outcome estimate ~handler_targets walk_pool code in
+    let got = walk B.estimate_max_stack in
+    if got <> walk Reference.estimate_max_stack then
+      fail
+        (Printf.sprintf "walk differs on [%s] handlers [%s]"
+           (String.concat "; " (Array.to_list (Array.map I.to_string code)))
+           (String.concat "; " (List.map string_of_int handler_targets)));
+    (match got with
+    | Ok h when h > 4 * Array.length code -> incr capped
+    | Ok _ -> ()
+    | Error _ -> incr raised);
+    if
+      Array.exists
+        (function
+          | I.Invokestatic k ->
+            Array.exists (( = ) (I.Invokevirtual k)) code
+          | _ -> false)
+        code
+    then incr shared
+  done;
+  check Alcotest.bool "bodies that hit the height cap" true (!capped > 1_000);
+  check Alcotest.bool "bodies that raise" true (!raised > 10_000);
+  check Alcotest.bool "bodies with static and virtual invokes of one index" true
+    (!shared > 1_000)
+
+(* A fall-through-only block, an empty block and a redirected block at
+   one point, and a lone empty block at another: the branch into the
+   point runs only the redirected code, and both empty blocks still
+   report where they start. *)
+let test_layout_mixed_blocks_at_one_point () =
+  let code =
+    {
+      CF.max_stack = 1;
+      max_locals = 1;
+      instrs = [| I.Iconst 1l; I.Goto 2; I.Nop; I.Return |];
+      handlers = [];
+    }
+  in
+  let code', layout =
+    P.apply_insertions_layout code
+      [
+        P.before ~redirect:false 2 [ I.Nop; I.Nop ];
+        P.before 2 [];
+        P.before 2 [ I.Iconst 7l; I.Pop ];
+        P.before 3 [];
+      ]
+  in
+  check
+    Alcotest.(list string)
+    "patched code"
+    [ "iconst 1"; "goto @4"; "nop"; "nop"; "iconst 7"; "pop"; "nop"; "return" ]
+    (Array.to_list (Array.map I.to_string code'.CF.instrs));
+  check Alcotest.(array int) "block starts" [| 2; 4; 4; 7 |] layout.P.l_starts;
+  check Alcotest.(array int) "instructions" [| 0; 1; 6; 7; 8 |]
+    layout.P.l_instr;
+  check Alcotest.(array int) "branch targets" [| 0; 1; 4; 7; 8 |]
+    layout.P.l_target
+
 let () =
   Alcotest.run "rewrite"
     [
@@ -286,6 +537,15 @@ let () =
           Alcotest.test_case "handlers remapped" `Quick test_handlers_remapped;
           Alcotest.test_case "entry/exit instrumentation" `Quick
             test_instrument_method_entry_exit;
+          Alcotest.test_case "layout with mixed blocks at one point" `Quick
+            test_layout_mixed_blocks_at_one_point;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "stack walk = reference on workloads" `Quick
+            test_walk_matches_reference_on_workloads;
+          Alcotest.test_case "stack walk = reference on random bodies" `Quick
+            test_walk_matches_reference_on_random_bodies;
         ] );
       ("filter", [ Alcotest.test_case "stacking" `Quick test_filter_stacking ]);
       ( "properties",
