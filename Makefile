@@ -92,12 +92,13 @@ perf-compare:
 perfbench-selftest:
 	python3 perfbench/selftest.py
 
-# Paired benchmark comparison, kept out of [check]: builds BASE in a
-# temporary git worktree and runs PAIRS alternating pairs of one
-# perfbench workload against the working tree, then prints each
-# end-to-end metric's medians, quartiles and wins, and flags any metric
-# worse than its bound in BENCHMARK.json. Exits 2 on an incorrect run,
-# 1 when a metric is worse than its bound.
+# Paired benchmark comparison, kept out of [check]: builds BASE (extracted
+# with git archive into a temporary directory) and runs PAIRS alternating
+# pairs of one perfbench workload against the working tree, then prints
+# each end-to-end metric's medians, quartiles and wins, and flags any
+# metric worse than its bound in BENCHMARK.json. WORKLOAD=all runs every
+# workload BENCHMARK.json lists from the same two builds, one table each.
+# Exits 2 on an incorrect run, 1 when a metric is worse than its bound.
 BASE ?= HEAD
 PAIRS ?= 10
 WORKLOAD ?= fetch-cold

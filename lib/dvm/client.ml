@@ -131,10 +131,12 @@ module Session = struct
     (* Mint the distributed trace here: the session is where a request
        is born, so the client span is the root every hop nests under. *)
     let root =
-      Telemetry.Trace.root ~node:"client"
-        ~args:
-          [ ("class", cls); ("deadline_us", Int64.to_string deadline) ]
-        "client.fetch"
+      if not (Telemetry.Trace.enabled ()) then Telemetry.Trace.null_span
+      else
+        Telemetry.Trace.root ~node:"client"
+          ~args:
+            [ ("class", cls); ("deadline_us", Int64.to_string deadline) ]
+          "client.fetch"
     in
     let rctx = Telemetry.Trace.ctx_of root in
     let settled = ref false in
@@ -194,83 +196,89 @@ module Session = struct
             ?deadline_us:(if t.advertise_deadline then Some deadline else None)
             ?trace:(Telemetry.Trace.wire rctx) ~cls ()
         in
-        let req = Proxy.Httpwire.decode_request_full raw in
-        let cls = req.Proxy.Httpwire.rq_cls in
-        let deadline = req.Proxy.Httpwire.rq_deadline_us in
-        (* The edge rebuilds the context from the decoded headers, not
-           from session state — the wire is the source of truth. *)
-        let wctx =
-          Telemetry.Trace.of_wire ~trace_id:req.Proxy.Httpwire.rq_trace_id
-            ~parent_span:req.Proxy.Httpwire.rq_parent_span
-        in
-        let offset = if hedged then 1 else 0 in
-        Proxy.Farm.request ?deadline ~offset ~trace:wctx t.farm ~cls
-          (fun reply ->
-            if !settled then ()
-            else
-              match reply with
-              | Proxy.Bytes b ->
-                t.deliver ~bytes:(String.length b) (fun () ->
-                    if not !settled then begin
-                      let now = Simnet.Engine.now t.engine in
-                      match deadline with
-                      | Some d when Int64.compare now d > 0 ->
-                        (* Late: never delivered. The deadline timer
-                           settles the fetch; this records that a
-                           serve would have violated the deadline had
-                           the drop been missing. *)
-                        t.deadline_violations <- t.deadline_violations + 1;
-                        pending := !pending - 1
-                      | _ ->
-                        if hedged then begin
-                          t.hedge_wins <- t.hedge_wins + 1;
-                          Telemetry.Global.incr "client.hedge_wins";
-                          Telemetry.Trace.event rctx ~node:"client"
-                            ~kind:"client.hedge_win"
-                            (Printf.sprintf
+        match Proxy.Httpwire.decode_request_full raw with
+        | exception Proxy.Httpwire.Bad_message _ ->
+          (* A name the request line cannot carry (a space, a line
+             break, nothing at all): no shard will ever see it, so the
+             attempt fails after one hop, like an unavailable farm. *)
+          Simnet.Engine.schedule t.engine ~delay:0L one_down
+        | req ->
+          let cls = req.Proxy.Httpwire.rq_cls in
+          let deadline = req.Proxy.Httpwire.rq_deadline_us in
+          (* The edge rebuilds the context from the decoded headers, not
+             from session state — the wire is the source of truth. *)
+          let wctx =
+            Telemetry.Trace.of_wire ~trace_id:req.Proxy.Httpwire.rq_trace_id
+              ~parent_span:req.Proxy.Httpwire.rq_parent_span
+          in
+          let offset = if hedged then 1 else 0 in
+          Proxy.Farm.request ?deadline ~offset ~trace:wctx t.farm ~cls
+            (fun reply ->
+              if !settled then ()
+              else
+                match reply with
+                | Proxy.Bytes b ->
+                  t.deliver ~bytes:(String.length b) (fun () ->
+                      if not !settled then begin
+                        let now = Simnet.Engine.now t.engine in
+                        match deadline with
+                        | Some d when Int64.compare now d > 0 ->
+                          (* Late: never delivered. The deadline timer
+                             settles the fetch; this records that a
+                             serve would have violated the deadline had
+                             the drop been missing. *)
+                          t.deadline_violations <- t.deadline_violations + 1;
+                          pending := !pending - 1
+                        | _ ->
+                          if hedged then begin
+                            t.hedge_wins <- t.hedge_wins + 1;
+                            Telemetry.Global.incr "client.hedge_wins";
+                            Telemetry.Trace.event rctx ~node:"client"
+                              ~kind:"client.hedge_win"
+                              (Printf.sprintf
                                "class %s: hedged request beat the primary" cls)
-                        end;
-                        Hashtbl.replace t.stale (t.stale_key cls) b;
-                        finish (Fresh b)
-                    end)
-              | Proxy.Not_found ->
-                (* Definitive: the class does not exist anywhere, so
-                   the racers would only confirm it. *)
-                finish Failed
-              | Proxy.Overloaded ->
-                (* The shard shed us: retry after a backoff iff the
-                   session still has tokens and the deadline can still
-                   be met. Never failover sideways — that amplifies. *)
-                t.overloaded_seen <- t.overloaded_seen + 1;
-                (match t.slo with
-                | Some s ->
-                  Telemetry.Slo.note_shed s
-                    ~now_us:(Simnet.Engine.now t.engine)
-                | None -> ());
-                let retry_at =
-                  Int64.add (Simnet.Engine.now t.engine) retry_backoff_us
-                in
-                let in_budget =
-                  match deadline with
-                  | Some d -> Int64.compare retry_at d < 0
-                  | None -> true
-                in
-                if in_budget && take_token t then begin
-                  t.retries <- t.retries + 1;
-                  pending := !pending - 1;
-                  Simnet.Engine.schedule t.engine ~delay:retry_backoff_us
-                    (fun () ->
-                      if !settled then ()
-                      else if !pending > 0 then
-                        (* The other racer is still live; don't stack
-                           a third copy of the work on the farm. *)
-                        ()
-                      else attempt ~hedged:false ())
-                end
-                else one_down ()
-              | Proxy.Unavailable ->
-                (* Every candidate down or breaker-barred. *)
-                one_down ())
+                          end;
+                          Hashtbl.replace t.stale (t.stale_key cls) b;
+                          finish (Fresh b)
+                      end)
+                | Proxy.Not_found ->
+                  (* Definitive: the class does not exist anywhere, so
+                     the racers would only confirm it. *)
+                  finish Failed
+                | Proxy.Overloaded ->
+                  (* The shard shed us: retry after a backoff iff the
+                     session still has tokens and the deadline can still
+                     be met. Never failover sideways — that amplifies. *)
+                  t.overloaded_seen <- t.overloaded_seen + 1;
+                  (match t.slo with
+                  | Some s ->
+                    Telemetry.Slo.note_shed s
+                      ~now_us:(Simnet.Engine.now t.engine)
+                  | None -> ());
+                  let retry_at =
+                    Int64.add (Simnet.Engine.now t.engine) retry_backoff_us
+                  in
+                  let in_budget =
+                    match deadline with
+                    | Some d -> Int64.compare retry_at d < 0
+                    | None -> true
+                  in
+                  if in_budget && take_token t then begin
+                    t.retries <- t.retries + 1;
+                    pending := !pending - 1;
+                    Simnet.Engine.schedule t.engine ~delay:retry_backoff_us
+                      (fun () ->
+                        if !settled then ()
+                        else if !pending > 0 then
+                          (* The other racer is still live; don't stack
+                             a third copy of the work on the farm. *)
+                          ()
+                        else attempt ~hedged:false ())
+                  end
+                  else one_down ()
+                | Proxy.Unavailable ->
+                  (* Every candidate down or breaker-barred. *)
+                  one_down ())
       end
     in
     (* Deadline enforcement, client side: at expiry the fetch settles

@@ -96,7 +96,10 @@ module Session : sig
       (with backoff) only while the token pool and the remaining
       budget allow; [Unavailable] — every shard down or
       breaker-barred — browns out to the stale archive, as does
-      deadline expiry. The hedge, when enabled, races a second request
+      deadline expiry. A class name the request line cannot carry (a
+      space, a line break, the empty name) never reaches the farm: its
+      attempt fails after a zero-delay hop, like an unavailable farm,
+      instead of raising out of [fetch]. The hedge, when enabled, races a second request
       at ring offset 1 after [hedge_after_us]; first response wins and
       the loser is discarded on arrival. *)
 

@@ -20,6 +20,8 @@ type t = {
   engine : Simnet.Engine.t;
   shards : Node.t array;
   ring : (int * int) array; (* (point, shard index), sorted by point *)
+  prefs : int list array;
+  (* per ring slot: the distinct shards met walking clockwise from it *)
   health : bool array; (* last observed per-shard state, for the console *)
   breakers : Breaker.t array; (* per-shard circuit breaker, ruling routing *)
   mutable requests : int;
@@ -36,9 +38,9 @@ let fnv_prime = 0x100000001b3L
 
 let hash_key (s : string) : int =
   let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   (* Keep it a nonnegative OCaml int: drop the top two bits. *)
   Int64.to_int (Int64.shift_right_logical !h 2)
 
@@ -54,6 +56,24 @@ let create ?(vnodes = default_vnodes) ?breaker engine shards =
         (hash_key (Printf.sprintf "shard-%d#%d" shard v), shard))
   in
   Array.sort compare ring;
+  (* Each slot's failover order, walked once here: the distinct shards
+     clockwise from the slot, stopping once every shard has been seen. *)
+  let slots = Array.length ring in
+  let prefs =
+    Array.init slots (fun start ->
+        let seen = Array.make n false in
+        let order = ref [] and found = ref 0 and i = ref 0 in
+        while !found < n do
+          let s = snd ring.((start + !i) mod slots) in
+          if not seen.(s) then begin
+            seen.(s) <- true;
+            order := s :: !order;
+            incr found
+          end;
+          incr i
+        done;
+        List.rev !order)
+  in
   let mk_breaker =
     match breaker with Some f -> f | None -> fun _ -> Breaker.create ()
   in
@@ -61,6 +81,7 @@ let create ?(vnodes = default_vnodes) ?breaker engine shards =
     engine;
     shards;
     ring;
+    prefs;
     health = Array.map (fun s -> Simnet.Host.is_up s.Node.host) shards;
     breakers = Array.init n mk_breaker;
     requests = 0;
@@ -88,19 +109,7 @@ let owner t key = snd t.ring.(ring_position t key)
 
 (* Distinct shards in ring order starting at the key's owner — the
    failover preference order for that key. *)
-let preference_order t key =
-  let n = Array.length t.ring in
-  let start = ring_position t key in
-  let seen = Array.make (Array.length t.shards) false in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    let s = snd t.ring.((start + i) mod n) in
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      order := s :: !order
-    end
-  done;
-  List.rev !order
+let preference_order t key = t.prefs.(ring_position t key)
 
 let health t =
   Array.iteri
@@ -155,11 +164,14 @@ let edge = "edge"
 let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
   t.requests <- t.requests + 1;
   let sp =
-    Telemetry.Trace.start trace ~node:edge
-      ~args:
-        (("class", cls)
-        :: (if offset > 0 then [ ("hedge_offset", string_of_int offset) ] else []))
-      "farm.route"
+    if not (Telemetry.Trace.live trace) then Telemetry.Trace.null_span
+    else
+      Telemetry.Trace.start trace ~node:edge
+        ~args:
+          (("class", cls)
+          :: (if offset > 0 then [ ("hedge_offset", string_of_int offset) ]
+              else []))
+        "farm.route"
   in
   let tctx = Telemetry.Trace.ctx_of sp in
   let k reply =

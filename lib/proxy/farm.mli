@@ -11,6 +11,9 @@ type t = {
   engine : Simnet.Engine.t;
   shards : Node.t array;
   ring : (int * int) array;  (** (point, shard index), sorted *)
+  prefs : int list array;
+      (** per ring slot, the distinct shards clockwise from it: the
+          slot's failover order, built once at {!create} *)
   health : bool array;  (** last observed per-shard state *)
   breakers : Breaker.t array;  (** per-shard circuit breaker, ruling routing *)
   mutable requests : int;

@@ -195,7 +195,9 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
   end;
   let node = t.host.Simnet.Host.name in
   let sp =
-    Telemetry.Trace.start trace ~node ~args:[ ("class", cls) ] "proxy.request"
+    if not (Telemetry.Trace.live trace) then Telemetry.Trace.null_span
+    else
+      Telemetry.Trace.start trace ~node ~args:[ ("class", cls) ] "proxy.request"
   in
   let tctx = Telemetry.Trace.ctx_of sp in
   let k reply =

@@ -4,62 +4,102 @@
 
 type time = int64
 
-type event = { at : time; seq : int; fn : unit -> unit }
-
-(* Binary min-heap on (at, seq). *)
+(* Binary min-heap on (time, insertion sequence), kept as parallel
+   arrays: a sift compares ints in place, and a queued event costs no
+   allocation beyond its closure. Times are stored as OCaml ints (the
+   virtual clock never leaves 2^62 µs). A popped slot gets [ignore], so
+   the queue keeps no fired closure alive. *)
 module Heap = struct
-  type t = { mutable data : event array; mutable size : int }
+  type t = {
+    mutable times : int array;
+    mutable seqs : int array;
+    mutable fns : (unit -> unit) array;
+    mutable size : int;
+  }
 
-  let dummy = { at = 0L; seq = 0; fn = ignore }
-  let create () = { data = Array.make 256 dummy; size = 0 }
+  let create () =
+    {
+      times = Array.make 256 0;
+      seqs = Array.make 256 0;
+      fns = Array.make 256 ignore;
+      size = 0;
+    }
 
-  let less a b = if Int64.equal a.at b.at then a.seq < b.seq else Int64.compare a.at b.at < 0
+  let grow h =
+    let n = 2 * Array.length h.times in
+    let extend a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 h.size;
+      b
+    in
+    h.times <- extend h.times 0;
+    h.seqs <- extend h.seqs 0;
+    h.fns <- extend h.fns ignore
 
-  let swap h i j =
-    let t = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- t
-
-  let push h e =
-    if h.size >= Array.length h.data then begin
-      let bigger = Array.make (2 * Array.length h.data) dummy in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- e;
+  (* Sift a hole up from the end and drop the event where it lands. *)
+  let push h at seq fn =
+    if h.size = Array.length h.times then grow h;
+    let times = h.times and seqs = h.seqs and fns = h.fns in
+    let i = ref h.size in
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && less h.data.(!i) h.data.((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let pt = times.(p) in
+      if at < pt || (at = pt && seq < seqs.(p)) then begin
+        times.(!i) <- pt;
+        seqs.(!i) <- seqs.(p);
+        fns.(!i) <- fns.(p);
+        i := p
+      end
+      else continue := false
+    done;
+    times.(!i) <- at;
+    seqs.(!i) <- seq;
+    fns.(!i) <- fn
 
+  (* The earliest event's time; the heap must be non-empty. *)
+  let min_time h = h.times.(0)
+
+  (* Remove the earliest event and return its closure; the heap must be
+     non-empty. The last event fills the root's hole from the top. *)
   let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- dummy;
+    let times = h.times and seqs = h.seqs and fns = h.fns in
+    let top = fns.(0) in
+    let n = h.size - 1 in
+    h.size <- n;
+    if n > 0 then begin
+      let lt = times.(n) and ls = seqs.(n) and lf = fns.(n) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.size && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap h !i !smallest;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if r < n
+               && (times.(r) < times.(l)
+                  || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+            then r
+            else l
+          in
+          let ct = times.(c) in
+          if ct < lt || (ct = lt && seqs.(c) < ls) then begin
+            times.(!i) <- ct;
+            seqs.(!i) <- seqs.(c);
+            fns.(!i) <- fns.(c);
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
       done;
-      Some top
-    end
-
-  (* The horizon check only needs to *look* at the earliest event; a
-     pop-then-push round trip costs two sift passes for nothing. *)
-  let peek h = if h.size = 0 then None else Some h.data.(0)
+      times.(!i) <- lt;
+      seqs.(!i) <- ls;
+      fns.(!i) <- lf
+    end;
+    fns.(n) <- ignore;
+    top
 end
 
 type t = {
@@ -128,9 +168,10 @@ let record t label =
 let trace t = List.rev t.trace_buf
 let trace_dropped t = t.trace_dropped
 
-let schedule_at t at fn =
-  let at = if Int64.compare at t.now < 0 then t.now else at in
-  Heap.push t.heap { at; seq = t.next_seq; fn };
+(* Queue [fn] at [at], an int; a time in the past is clamped to now. *)
+let push t at fn =
+  let now = Int64.to_int t.now in
+  Heap.push t.heap (if at < now then now else at) t.next_seq fn;
   t.next_seq <- t.next_seq + 1;
   if Telemetry.Global.on () then
     if t.in_run then t.sched_batch <- t.sched_batch + 1
@@ -140,7 +181,8 @@ let schedule_at t at fn =
         (Int64.of_int t.heap.Heap.size)
     end
 
-let schedule t ~delay fn = schedule_at t (Int64.add t.now delay) fn
+let schedule_at t at fn = push t (Int64.to_int at) fn
+let schedule t ~delay fn = push t (Int64.to_int t.now + Int64.to_int delay) fn
 
 let run_loop ?until t =
   let processed = ref 0 in
@@ -162,22 +204,33 @@ let run_loop ?until t =
   in
   t.in_run <- true;
   Fun.protect ~finally:flush (fun () ->
+      (* The horizon as an int; [max_int] when there is none. *)
+      let stop =
+        match until with
+        | None -> max_int
+        | Some u ->
+          Int64.to_int
+            (Int64.max (Int64.of_int min_int)
+               (Int64.min u (Int64.of_int max_int)))
+      in
       let continue = ref true in
       while !continue do
-        match Heap.peek t.heap with
-        | None -> continue := false
-        | Some e -> (
-          match until with
-          | Some stop when Int64.compare e.at stop > 0 ->
+        if t.heap.Heap.size = 0 then continue := false
+        else begin
+          let at = Heap.min_time t.heap in
+          if at > stop then begin
             (* Past the horizon: leave it queued and stop. *)
-            t.now <- stop;
+            (match until with Some u -> t.now <- u | None -> ());
             continue := false
-          | Some _ | None ->
-            ignore (Heap.pop t.heap);
-            t.now <- e.at;
+          end
+          else begin
+            let fn = Heap.pop t.heap in
+            t.now <- Int64.of_int at;
             t.events_processed <- t.events_processed + 1;
             if Telemetry.Global.on () then incr processed;
-            e.fn ())
+            fn ()
+          end
+        end
       done)
 
 let run_inner ?until t =

@@ -5,6 +5,9 @@
     deterministic. *)
 
 type time = int64
+(** Event times must fit an OCaml [int] (below 2{^62} µs, some 146 000
+    years): the queue stores them unboxed. *)
+
 type t
 
 val create : unit -> t

@@ -122,6 +122,8 @@ let start ?(args = []) ctx ~node name =
       ~end_us:(-1L) name
   else None
 
+let null_span = None
+
 let ctx_of = function
   | None -> none
   | Some r -> { tr = r.s_trace; sp = r.s_id }

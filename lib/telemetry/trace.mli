@@ -48,6 +48,12 @@ val root : ?args:(string * string) list -> node:string -> string -> span
 val start : ?args:(string * string) list -> ctx -> node:string -> string -> span
 (** Open a child span under [ctx] (no-op when [ctx] is dead). *)
 
+val null_span : span
+(** The span {!root} and {!start} return when they record nothing: its
+    context is {!none} and {!finish} ignores it. A call site whose
+    [args] cost something to build guards with {!enabled} or {!live}
+    and uses this otherwise. *)
+
 val ctx_of : span -> ctx
 val finish : span -> unit
 

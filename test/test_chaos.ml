@@ -203,6 +203,35 @@ let test_hedge_wins_on_slow_owner () =
     (Int64.compare (Simnet.Engine.now engine) 500_000L < 0
     || session.Dvm.Client.Session.served = 1)
 
+let test_unframeable_name_fails_once () =
+  (* A class name the request line cannot carry — a space, a line
+     break, nothing — never reaches the farm. The fetch settles Failed
+     exactly once, raising nothing to the caller; the deadline and
+     hedge timers armed before it find it settled. *)
+  List.iter
+    (fun cls ->
+      let engine = Simnet.Engine.create () in
+      let farm, _ = tiny_farm engine in
+      let session =
+        Dvm.Client.Session.create ~hedge_after_us:50_000L engine farm
+      in
+      let got = ref [] in
+      Dvm.Client.Session.fetch session ~cls (fun r -> got := r :: !got);
+      Simnet.Engine.run engine;
+      let what = Printf.sprintf "%S" cls in
+      (match !got with
+      | [ Dvm.Client.Session.Failed ] -> ()
+      | l ->
+        Alcotest.failf "%s: %d outcomes, want one Failed" what
+          (List.length l));
+      check Alcotest.int (what ^ ": one failure counted") 1
+        session.Dvm.Client.Session.failed;
+      check Alcotest.int (what ^ ": no hedge") 0
+        session.Dvm.Client.Session.hedges;
+      check Alcotest.int (what ^ ": the farm saw nothing") 0
+        farm.Proxy.Farm.requests)
+    [ "a b"; "x\r\nY"; "" ]
+
 (* --- The control-plane scenario. --- *)
 
 (* A small configuration for the fast control-plane tests. *)
@@ -324,6 +353,8 @@ let () =
             test_brownout_serves_stale;
           Alcotest.test_case "hedge wins on slow owner" `Quick
             test_hedge_wins_on_slow_owner;
+          Alcotest.test_case "unframeable name fails once" `Quick
+            test_unframeable_name_fails_once;
         ] );
       ( "control-plane",
         [

@@ -69,6 +69,77 @@ let test_ring_routing () =
         true (c > 40))
     counts
 
+(* [hash_key] is FNV-1a 64 with the top two bits dropped: pinned on
+   the published vectors, since a changed hash moves every key's
+   owner. *)
+let test_hash_key_vectors () =
+  List.iter
+    (fun (s, fnv) ->
+      check Alcotest.int
+        (Printf.sprintf "FNV-1a(%S) >> 2" s)
+        (Int64.to_int (Int64.shift_right_logical fnv 2))
+        (Proxy.Farm.hash_key s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
+(* The ring walk [preference_order] made per request before the
+   failover orders were built once per ring slot, kept verbatim as the
+   reference. *)
+let ref_ring_position (t : Proxy.Farm.t) key =
+  let h = Proxy.Farm.hash_key key in
+  let n = Array.length t.ring in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst t.ring.(mid) < h then lo := mid + 1 else hi := mid
+  done;
+  if !lo = n then 0 else !lo
+
+let ref_preference_order (t : Proxy.Farm.t) key =
+  let n = Array.length t.ring in
+  let start = ref_ring_position t key in
+  let seen = Array.make (Array.length t.shards) false in
+  let order = ref [] in
+  for i = 0 to n - 1 do
+    let s = snd t.ring.((start + i) mod n) in
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      order := s :: !order
+    end
+  done;
+  List.rev !order
+
+let test_routing_matches_ring_walk () =
+  let st = Random.State.make [| 20260817 |] in
+  let keys =
+    Array.init 10_000 (fun i ->
+        if i mod 2 = 0 then Printf.sprintf "a%d/C%d" (i mod 97) i
+        else
+          String.init (Random.State.int st 25) (fun _ ->
+              Char.chr (Random.State.int st 256)))
+  in
+  for shards = 1 to 8 do
+    List.iter
+      (fun vnodes ->
+        let engine = Simnet.Engine.create () in
+        let _, pool = make_farm ~shards engine in
+        let farm = Proxy.Farm.create ~vnodes engine pool in
+        Array.iter
+          (fun key ->
+            let want = ref_preference_order farm key in
+            if Proxy.Farm.preference_order farm key <> want then
+              Alcotest.failf "%d shards x %d vnodes: order of %S differs"
+                shards vnodes key;
+            if Proxy.Farm.owner farm key <> List.hd want then
+              Alcotest.failf "%d shards x %d vnodes: owner of %S differs"
+                shards vnodes key)
+          keys)
+      [ 1; 3; 64 ]
+  done
+
 let test_request_routes_to_owner () =
   let engine = Simnet.Engine.create () in
   let farm, pool = make_farm ~shards:4 engine in
@@ -891,6 +962,9 @@ let () =
       ( "routing",
         [
           Alcotest.test_case "ring ownership" `Quick test_ring_routing;
+          Alcotest.test_case "hash vectors" `Quick test_hash_key_vectors;
+          Alcotest.test_case "matches the ring walk" `Quick
+            test_routing_matches_ring_walk;
           Alcotest.test_case "routes to owner" `Quick
             test_request_routes_to_owner;
         ] );

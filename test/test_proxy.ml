@@ -766,6 +766,258 @@ let prop_request_trace_garbage =
       | req -> req.Proxy.Httpwire.rq_trace_id <> Some 0L
       | exception Proxy.Httpwire.Bad_message _ -> true)
 
+(* --- The request codec against the one it replaced. --- *)
+
+(* The Printf-based encoder and the split-and-trim decoder the wire
+   used before it framed requests in place, kept verbatim as the
+   reference: same bytes, same records, same rejection texts. *)
+module Ref_wire = struct
+  open Proxy.Httpwire
+
+  let fail fmt = Format.kasprintf (fun s -> raise (Bad_message s)) fmt
+
+  let crlf = "\r\n"
+
+  let is_decimal s =
+    String.length s > 0
+    && String.for_all (function '0' .. '9' -> true | _ -> false) s
+
+  let decimal_int64_opt s = if is_decimal s then Int64.of_string_opt s else None
+  let decimal_int_opt s = if is_decimal s then int_of_string_opt s else None
+
+  let encode_request ?deadline_us ?trace ~cls () =
+    let b = Buffer.create 64 in
+    Buffer.add_string b (Printf.sprintf "GET /%s DVM/1.0%s" cls crlf);
+    (match deadline_us with
+    | Some d -> Buffer.add_string b (Printf.sprintf "Deadline-Us: %Ld%s" d crlf)
+    | None -> ());
+    (match trace with
+    | Some (tid, parent) ->
+      Buffer.add_string b (Printf.sprintf "Trace-Id: %016Lx%s" tid crlf);
+      Buffer.add_string b (Printf.sprintf "Parent-Span-Id: %d%s" parent crlf)
+    | None -> ());
+    Buffer.add_string b crlf;
+    Buffer.contents b
+
+  let decode_request_full (data : string) : request =
+    match String.index_opt data '\r' with
+    | None -> fail "no request line terminator"
+    | Some eol ->
+      if eol + 2 > String.length data || data.[eol + 1] <> '\n' then
+        fail "missing blank-line terminator after request line";
+      let cls =
+        let line = String.sub data 0 eol in
+        match String.split_on_char ' ' line with
+        | [ "GET"; path; "DVM/1.0" ] ->
+          if String.length path < 2 || path.[0] <> '/' then
+            fail "bad request path %S" path
+          else String.sub path 1 (String.length path - 1)
+        | _ -> fail "malformed request line %S" line
+      in
+      let deadline = ref None and trace_id = ref None and parent = ref None in
+      let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+      let set_once r name v =
+        match !r with
+        | Some _ -> fail "repeated header %s" name
+        | None -> r := Some v
+      in
+      let header line =
+        match String.index_opt line ':' with
+        | None -> fail "malformed request header %S" line
+        | Some c -> (
+          let name = String.sub line 0 c in
+          let v = String.trim (String.sub line (c + 1) (String.length line - c - 1)) in
+          match name with
+          | "Deadline-Us" -> (
+            match decimal_int64_opt v with
+            | Some d -> set_once deadline name d
+            | None -> fail "bad deadline %S" v)
+          | "Trace-Id" ->
+            if String.length v <> 16 || not (String.for_all is_hex v) then
+              fail "bad trace id %S" v;
+            let id =
+              match Int64.of_string_opt ("0x" ^ v) with
+              | Some id -> id
+              | None -> fail "bad trace id %S" v
+            in
+            if Int64.equal id 0L then fail "bad trace id %S" v;
+            set_once trace_id name id
+          | "Parent-Span-Id" -> (
+            match decimal_int_opt v with
+            | Some p -> set_once parent name p
+            | None -> fail "bad parent span id %S" v)
+          | _ -> fail "unknown request header %S" line)
+      in
+      let rec headers from =
+        if from + 2 > String.length data then
+          fail "missing blank-line terminator after request line"
+        else if data.[from] = '\r' && data.[from + 1] = '\n' then begin
+          if String.length data <> from + 2 then
+            fail "trailing garbage after request (%d extra bytes)"
+              (String.length data - from - 2)
+        end
+        else begin
+          let heol =
+            let rec go i =
+              if i + 1 >= String.length data then
+                fail "missing blank-line terminator after request line"
+              else if data.[i] = '\r' && data.[i + 1] = '\n' then i
+              else go (i + 1)
+            in
+            go from
+          in
+          header (String.sub data from (heol - from));
+          headers (heol + 2)
+        end
+      in
+      headers (eol + 2);
+      if !parent <> None && !trace_id = None then
+        fail "Parent-Span-Id without Trace-Id";
+      {
+        rq_cls = cls;
+        rq_deadline_us = !deadline;
+        rq_trace_id = !trace_id;
+        rq_parent_span = !parent;
+      }
+end
+
+(* Inputs that reach every branch of the request codec: class names
+   with spaces, line breaks, colons or nothing at all; deadlines over
+   all of int64; trace ids with the high bit set; header values padded
+   with everything [String.trim] strips. *)
+let name_chars = "abcdefXYZ0189/$_.-"
+let odd_chars = " \r\n:\t"
+let wire_bytes = "\r\n: \t\012-_x0123456789abcdefABCDEF/GETDVM."
+
+let pick st a = a.(Random.State.int st (Array.length a))
+
+let gen_byte st =
+  if Random.State.int st 4 = 0 then Char.chr (Random.State.int st 256)
+  else wire_bytes.[Random.State.int st (String.length wire_bytes)]
+
+let gen_cls st =
+  if Random.State.int st 16 = 0 then ""
+  else
+    String.init
+      (1 + Random.State.int st 16)
+      (fun _ ->
+        if Random.State.int st 12 = 0 then
+          odd_chars.[Random.State.int st (String.length odd_chars)]
+        else name_chars.[Random.State.int st (String.length name_chars)])
+
+let gen_deadline st =
+  match Random.State.int st 8 with
+  | 0 -> None
+  | 1 -> Some 0L
+  | 2 -> Some (Int64.neg (Random.State.int64 st 1_000_000_000L))
+  | 3 -> Some (Random.State.bits64 st)
+  | 4 ->
+    (* nineteen digits *)
+    Some
+      (Int64.add 1_000_000_000_000_000_000L
+         (Random.State.int64 st 8_000_000_000_000_000_000L))
+  | 5 ->
+    Some
+      (pick st
+         [| Int64.max_int; Int64.min_int; Int64.pred Int64.max_int; 1L; -1L |])
+  | _ -> Some (Random.State.int64 st 100_000_000_000L)
+
+let gen_trace st =
+  if Random.State.int st 3 = 0 then None
+  else
+    let tid =
+      match Random.State.int st 5 with
+      | 0 -> Int64.logor Int64.min_int (Random.State.bits64 st)
+      | 1 -> Int64.of_int (Random.State.int st 256)
+      | _ -> Random.State.bits64 st
+    in
+    let parent =
+      match Random.State.int st 5 with
+      | 0 -> pick st [| 0; max_int; min_int; -1 |]
+      | 1 -> -Random.State.int st 1000
+      | 2 -> Random.State.bits st
+      | _ -> (Random.State.bits st lsl 31) lor Random.State.bits st
+    in
+    Some (tid, parent)
+
+let gen_from st chars len =
+  String.init len (fun _ -> chars.[Random.State.int st (String.length chars)])
+
+let gen_value st =
+  match Random.State.int st 7 with
+  | 0 -> gen_from st "0123456789" (1 + Random.State.int st 22)
+  | 1 -> gen_from st "0123456789abcdef" 16
+  | 2 -> gen_from st "09afAF" (15 + Random.State.int st 3)
+  | 3 ->
+    (* non-decimal, zero, and both sides of the 2^63 and 2^62 bounds *)
+    pick st
+      [|
+        ""; "-5"; "0x10"; "1_000"; "+7"; "0000000000000000";
+        "9223372036854775807"; "9223372036854775808";
+        "4611686018427387903"; "4611686018427387904";
+      |]
+  | _ -> String.init (Random.State.int st 8) (fun _ -> gen_byte st)
+
+let gen_header st =
+  let pad () =
+    pick st [| ""; ""; " "; "  "; "\t"; " \012"; "\r"; "\n "; " \t\r" |]
+  in
+  let name =
+    pick st
+      [| "Deadline-Us"; "Trace-Id"; "Parent-Span-Id"; "deadline-us"; "X"; "";
+         "Trace-Id "; "Trace-Id:" |]
+  in
+  name ^ ":" ^ pad () ^ gen_value st ^ pad () ^ "\r\n"
+
+(* A random string: bytes, or the pieces of a request in random
+   order and number. *)
+let gen_junk st =
+  if Random.State.bool st then
+    String.init (Random.State.int st 40) (fun _ -> gen_byte st)
+  else
+    String.concat ""
+      (List.init (Random.State.int st 4) (fun _ -> gen_header st)
+      |> List.cons ("GET /" ^ gen_cls st ^ " DVM/1.0\r\n")
+      |> fun l -> l @ [ pick st [| "\r\n"; "\r\n"; ""; "\r"; "\r\nX" |] ])
+
+let mutate st s =
+  if s = "" then s
+  else begin
+    let b = Bytes.of_string s in
+    for _ = 1 to 1 + Random.State.int st 4 do
+      Bytes.set b (Random.State.int st (Bytes.length b)) (gen_byte st)
+    done;
+    Bytes.to_string b
+  end
+
+let test_http_request_codec_matches_reference () =
+  let st = Random.State.make [| 20261017 |] in
+  let outcome decode data =
+    match decode data with
+    | r -> Ok r
+    | exception Proxy.Httpwire.Bad_message m -> Error m
+  in
+  let same what data =
+    let want = outcome Ref_wire.decode_request_full data in
+    if outcome Proxy.Httpwire.decode_request_full data <> want then
+      Alcotest.failf "%s %S: decode differs from the reference (%s)" what data
+        (match want with Ok _ -> "accepted" | Error m -> m)
+  in
+  for _ = 1 to 200_000 do
+    let cls = gen_cls st
+    and deadline_us = gen_deadline st
+    and trace = gen_trace st in
+    let raw = Proxy.Httpwire.encode_request ?deadline_us ?trace ~cls () in
+    let want = Ref_wire.encode_request ?deadline_us ?trace ~cls () in
+    if not (String.equal raw want) then
+      Alcotest.failf "encode %S: %S, reference %S" cls raw want;
+    same "as written" raw;
+    same "mutated" (mutate st raw);
+    same "truncated"
+      (String.sub raw 0 (Random.State.int st (String.length raw + 1)));
+    same "random" (gen_junk st)
+  done
+
 (* --- Circuit breaker. --- *)
 
 let test_breaker_consecutive_trip () =
@@ -1470,6 +1722,8 @@ let () =
             test_http_trace_absent;
           Alcotest.test_case "trace headers malformed" `Quick
             test_http_trace_malformed;
+          Alcotest.test_case "codec matches reference" `Quick
+            test_http_request_codec_matches_reference;
         ] );
       ( "wire-properties",
         List.map QCheck_alcotest.to_alcotest

@@ -147,6 +147,223 @@ let prop_heap_orders_events =
       List.sort compare fired = fired
       && List.sort compare (List.map Int64.of_int times) = List.sort compare fired)
 
+(* --- The event queue against the record heap it replaced. --- *)
+
+(* The record heap and run loop [Simnet.Engine] used before its queue
+   became parallel arrays, kept verbatim (less the telemetry batching
+   and the observable-trace buffer) as the reference for firing order,
+   clock and event count. *)
+module Ref_engine = struct
+  type time = int64
+
+  type event = { at : time; seq : int; fn : unit -> unit }
+
+  (* Binary min-heap on (at, seq). *)
+  module Heap = struct
+    type t = { mutable data : event array; mutable size : int }
+
+    let dummy = { at = 0L; seq = 0; fn = ignore }
+    let create () = { data = Array.make 256 dummy; size = 0 }
+
+    let less a b = if Int64.equal a.at b.at then a.seq < b.seq else Int64.compare a.at b.at < 0
+
+    let swap h i j =
+      let t = h.data.(i) in
+      h.data.(i) <- h.data.(j);
+      h.data.(j) <- t
+
+    let push h e =
+      if h.size >= Array.length h.data then begin
+        let bigger = Array.make (2 * Array.length h.data) dummy in
+        Array.blit h.data 0 bigger 0 h.size;
+        h.data <- bigger
+      end;
+      h.data.(h.size) <- e;
+      h.size <- h.size + 1;
+      let i = ref (h.size - 1) in
+      while !i > 0 && less h.data.(!i) h.data.((!i - 1) / 2) do
+        swap h !i ((!i - 1) / 2);
+        i := (!i - 1) / 2
+      done
+
+    let pop h =
+      if h.size = 0 then None
+      else begin
+        let top = h.data.(0) in
+        h.size <- h.size - 1;
+        h.data.(0) <- h.data.(h.size);
+        h.data.(h.size) <- dummy;
+        let i = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let smallest = ref !i in
+          if l < h.size && less h.data.(l) h.data.(!smallest) then smallest := l;
+          if r < h.size && less h.data.(r) h.data.(!smallest) then smallest := r;
+          if !smallest <> !i then begin
+            swap h !i !smallest;
+            i := !smallest
+          end
+          else continue := false
+        done;
+        Some top
+      end
+
+    (* The horizon check only needs to *look* at the earliest event; a
+       pop-then-push round trip costs two sift passes for nothing. *)
+    let peek h = if h.size = 0 then None else Some h.data.(0)
+  end
+
+  type t = {
+    mutable now : time;
+    heap : Heap.t;
+    mutable next_seq : int;
+    mutable events_processed : int;
+  }
+
+  let create () =
+    { now = 0L; heap = Heap.create (); next_seq = 0; events_processed = 0 }
+
+  let now t = t.now
+  let events_processed t = t.events_processed
+
+  let schedule_at t at fn =
+    let at = if Int64.compare at t.now < 0 then t.now else at in
+    Heap.push t.heap { at; seq = t.next_seq; fn };
+    t.next_seq <- t.next_seq + 1
+
+  let schedule t ~delay fn = schedule_at t (Int64.add t.now delay) fn
+
+  let run ?until t =
+    let continue = ref true in
+    while !continue do
+      match Heap.peek t.heap with
+      | None -> continue := false
+      | Some e -> (
+        match until with
+        | Some stop when Int64.compare e.at stop > 0 ->
+          (* Past the horizon: leave it queued and stop. *)
+          t.now <- stop;
+          continue := false
+        | Some _ | None ->
+          ignore (Heap.pop t.heap);
+          t.now <- e.at;
+          t.events_processed <- t.events_processed + 1;
+          e.fn ())
+    done
+end
+
+(* The operations a program drives, over either engine. *)
+type 'e ops = {
+  create : unit -> 'e;
+  now : 'e -> int64;
+  processed : 'e -> int;
+  schedule_at : 'e -> int64 -> (unit -> unit) -> unit;
+  schedule : 'e -> delay:int64 -> (unit -> unit) -> unit;
+  run : ?until:int64 -> 'e -> unit;
+}
+
+let engine_ops =
+  {
+    create = Simnet.Engine.create;
+    now = Simnet.Engine.now;
+    processed = Simnet.Engine.events_processed;
+    schedule_at = Simnet.Engine.schedule_at;
+    schedule = Simnet.Engine.schedule;
+    run = Simnet.Engine.run;
+  }
+
+let ref_ops =
+  {
+    create = Ref_engine.create;
+    now = Ref_engine.now;
+    processed = Ref_engine.events_processed;
+    schedule_at = Ref_engine.schedule_at;
+    schedule = Ref_engine.schedule;
+    run = Ref_engine.run;
+  }
+
+(* A seeded program: up to 3 000 initial events at times in [0, 200]
+   (so many tie), each handler scheduling 0-3 follow-ups two
+   generations deep through [schedule] or [schedule_at] with delays in
+   [-5, 45] (a negative one lands in the past and clamps), run to five
+   random horizons — some behind the clock — and then drained. What a
+   handler does is a function of the program seed and its event's id,
+   and ids are handed out in scheduling order, so two engines that fire
+   alike run the same program and the first divergence shows in the
+   log. Returns the firing log (id and clock per event, newest first)
+   and, per run, the clock and event count after it. *)
+let run_program ops seed =
+  let mix a b =
+    let h = (a * 0x9E3779B1) lxor (b * 0x85EBCA77) in
+    (h lxor (h lsr 29)) land 0x3FFFFFFF
+  in
+  let st = Random.State.make [| seed |] in
+  let e = ops.create () in
+  let log = ref [] and next_id = ref 0 in
+  let rec arm ~gen id () =
+    log := id :: Int64.to_int (ops.now e) :: !log;
+    if gen < 2 then
+      for k = 0 to mix seed id mod 4 - 1 do
+        let r = mix id (k + 1) in
+        let delay = Int64.of_int ((r mod 51) - 5) in
+        let child = !next_id in
+        incr next_id;
+        if r land 0x10000 = 0 then
+          ops.schedule e ~delay (arm ~gen:(gen + 1) child)
+        else
+          ops.schedule_at e (Int64.add (ops.now e) delay)
+            (arm ~gen:(gen + 1) child)
+      done
+  in
+  for _ = 1 to 1 + Random.State.int st 3000 do
+    let id = !next_id in
+    incr next_id;
+    let at = Int64.of_int (Random.State.int st 201) in
+    if Random.State.bool st then ops.schedule_at e at (arm ~gen:0 id)
+    else ops.schedule e ~delay:at (arm ~gen:0 id)
+  done;
+  let after_runs = ref [] in
+  let run until =
+    ops.run ?until e;
+    after_runs := (ops.now e, ops.processed e) :: !after_runs
+  in
+  for _ = 1 to 5 do
+    run (Some (Int64.of_int (Random.State.int st 301)))
+  done;
+  run None;
+  (!log, !after_runs)
+
+let test_queue_matches_reference () =
+  for seed = 1 to 300 do
+    let log, runs = run_program engine_ops seed in
+    let ref_log, ref_runs = run_program ref_ops seed in
+    if log <> ref_log then
+      Alcotest.failf "program %d: firing log differs (%d vs %d entries)" seed
+        (List.length log) (List.length ref_log);
+    check
+      (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.int))
+      (Printf.sprintf "program %d: clock and count after each run" seed)
+      ref_runs runs
+  done
+
+(* A fired event's closure is dropped from the queue: a value only it
+   captures becomes garbage. *)
+let test_fired_closure_released () =
+  let e = Simnet.Engine.create () in
+  let finalised = ref 0 in
+  let arm at =
+    let v = ref at in
+    Gc.finalise (fun _ -> incr finalised) v;
+    Simnet.Engine.schedule_at e (Int64.of_int at) (fun () -> incr v)
+  in
+  List.iter arm [ 5; 1; 3; 3; 2 ];
+  Simnet.Engine.schedule_at e 10L ignore;
+  Simnet.Engine.run ~until:6L e;
+  Gc.full_major ();
+  check Alcotest.int "every fired closure finalised" 5 !finalised;
+  Simnet.Engine.run e
+
 let () =
   Alcotest.run "simnet"
     [
@@ -160,6 +377,10 @@ let () =
           Alcotest.test_case "trace cap and dropped counter" `Quick
             test_trace_cap;
           QCheck_alcotest.to_alcotest prop_heap_orders_events;
+          Alcotest.test_case "queue matches the record heap" `Quick
+            test_queue_matches_reference;
+          Alcotest.test_case "fired closures released" `Quick
+            test_fired_closure_released;
         ] );
       ( "link",
         [

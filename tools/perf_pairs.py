@@ -5,22 +5,25 @@
                                 [--seed N] [--seconds S]
 
 Builds perfbench/main.exe in this checkout and at REV (default HEAD,
-checked out in a temporary git worktree under $TMPDIR), then runs the
-two binaries for N alternating pairs of one workload and seed: the base
-first in even pairs, the working tree first in odd ones, so drift in
-the machine's load falls on both sides. Every run is untraced.
+extracted with git archive into a temporary directory under $TMPDIR),
+then runs the two binaries for N alternating pairs of one workload and
+seed: the base first in even pairs, the working tree first in odd ones,
+so drift in the machine's load falls on both sides. Every run is
+untraced. NAME "all" runs N pairs of each workload BENCHMARK.json
+lists, one workload after another, from the same two builds.
 
-For each end-to-end metric in BENCHMARK.json it prints the median and
-quartiles of both sides, the ratio of the medians, the pairs the working
-tree won, tied and lost, whether the medians differ by more than the
-base's interquartile range, and WORSE when the working tree's median is
-worse than the base's by more than the metric's bound.
+For each end-to-end metric in BENCHMARK.json it prints, per workload,
+the median and quartiles of both sides, the ratio of the medians, the
+pairs the working tree won, tied and lost, whether the medians differ
+by more than the base's interquartile range, and WORSE when the working
+tree's median is worse than the base's by more than the metric's bound.
 
 Both binaries run with the same argv[0]: perfbench's peak_heap_mb moves
 with the length of argv[0], and the two checkouts' paths differ.
 
-Exit status: 0 when no metric is worse than its bound, 1 when one is,
-2 when a build fails or a run fails, errs or serves a wrong output.
+Exit status: 0 when no metric on any workload is worse than its bound,
+1 when one is, 2 when a build fails or a run fails, errs or serves a
+wrong output.
 """
 
 import argparse
@@ -114,46 +117,60 @@ def report(metrics, base_runs, new_runs):
     return flagged
 
 
+def extract(rev, dest):
+    """The tree at [rev], written to [dest] with git archive."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev],
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise Failed(f"cannot extract {rev}")
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", default="HEAD")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workload", default="fetch-cold")
+    p.add_argument("--workload", default="fetch-cold",
+                   help='a workload of BENCHMARK.json, or "all"')
     p.add_argument("--seed", default="1")
     p.add_argument("--seconds", default="10")
     a = p.parse_args()
     if a.pairs < 2:
         p.error("--pairs must be at least 2 (quartiles need two runs)")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
-    args = ["--workload", a.workload, "--seed", a.seed,
-            "--seconds", a.seconds, "--trace", "0"]
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
+    workloads = ([w["name"] for w in bench["workloads"]]
+                 if a.workload == "all" else [a.workload])
     tmp = tempfile.mkdtemp(prefix="perf-pairs-")
     base_root = os.path.join(tmp, "base")
+    flagged = []
     try:
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        base_root, a.base], check=True,
-                       stdout=sys.stderr, stderr=sys.stderr)
+        extract(a.base, base_root)
         build(base_root)
         build(ROOT)
-        base_runs, new_runs = [], []
-        for i in range(a.pairs):
-            order = [(base_root, base_runs), (ROOT, new_runs)]
-            for root, runs in order if i % 2 == 0 else reversed(order):
-                runs.append(run(root, args))
-            print(f"pair {i + 1}/{a.pairs} done", file=sys.stderr)
-        print(f"{a.workload}, seed {a.seed}, {a.seconds} s, {a.pairs} "
-              f"alternating pairs: base {a.base} vs the working tree")
-        flagged = report(metrics, base_runs, new_runs)
+        for workload in workloads:
+            args = ["--workload", workload, "--seed", a.seed,
+                    "--seconds", a.seconds, "--trace", "0"]
+            base_runs, new_runs = [], []
+            for i in range(a.pairs):
+                order = [(base_root, base_runs), (ROOT, new_runs)]
+                for root, runs in order if i % 2 == 0 else reversed(order):
+                    runs.append(run(root, args))
+                print(f"{workload}: pair {i + 1}/{a.pairs} done",
+                      file=sys.stderr)
+            print(f"{workload}, seed {a.seed}, {a.seconds} s, {a.pairs} "
+                  f"alternating pairs: base {a.base} vs the working tree")
+            flagged += [f"{workload} {name}"
+                        for name in report(metrics, base_runs, new_runs)]
+            sys.stdout.flush()
     except (Failed, subprocess.CalledProcessError) as e:
         print(f"perf-pairs: {e}", file=sys.stderr)
         return 2
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                        base_root], stdout=subprocess.DEVNULL,
-                       stderr=subprocess.DEVNULL)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"])
     if flagged:
         print(f"perf-pairs: worse than the bound: {', '.join(flagged)}",
               file=sys.stderr)
