@@ -140,9 +140,14 @@ module Session = struct
     in
     let rctx = Telemetry.Trace.ctx_of root in
     let settled = ref false in
+    (* The deadline and hedge timers. Settling cancels both, so a
+       settled fetch leaves neither queued and each fires only on a
+       fetch still open. *)
+    let timers = ref [] in
     let finish outcome =
       if not !settled then begin
         settled := true;
+        List.iter (Simnet.Engine.cancel t.engine) !timers;
         (match outcome with
         | Fresh b ->
           t.served <- t.served + 1;
@@ -284,13 +289,14 @@ module Session = struct
     (* Deadline enforcement, client side: at expiry the fetch settles
        (browning out if it can) and any response still in flight is
        dropped on arrival by the settled flag. *)
-    Simnet.Engine.schedule t.engine ~delay:t.budget_us (fun () ->
-        if not !settled then begin
+    let deadline_timer =
+      Simnet.Engine.timer t.engine ~delay:t.budget_us (fun () ->
           Telemetry.Trace.event rctx ~node:"client"
             ~kind:"client.deadline_expired"
             (Printf.sprintf "class %s: budget %Ldus exhausted" cls t.budget_us);
-          brownout_or (fun () -> finish Failed)
-        end);
+          brownout_or (fun () -> finish Failed))
+    in
+    timers := [ deadline_timer ];
     (* Tail-latency hedge: if the first attempt has neither settled
        nor failed after the hedge delay, race a second request against
        the next shard in ring order — spending a token, so hedging
@@ -298,15 +304,18 @@ module Session = struct
     (match t.hedge_after_us with
     | None -> ()
     | Some h ->
-      Simnet.Engine.schedule t.engine ~delay:h (fun () ->
-          if (not !settled) && take_token t then begin
-            t.hedges <- t.hedges + 1;
-            Telemetry.Global.incr "client.hedges";
-            Telemetry.Trace.event rctx ~node:"client" ~kind:"client.hedge"
-              (Printf.sprintf "class %s: racing ring-offset 1 after %Ldus" cls
-                 h);
-            attempt ~hedged:true ()
-          end));
+      let hedge_timer =
+        Simnet.Engine.timer t.engine ~delay:h (fun () ->
+            if take_token t then begin
+              t.hedges <- t.hedges + 1;
+              Telemetry.Global.incr "client.hedges";
+              Telemetry.Trace.event rctx ~node:"client" ~kind:"client.hedge"
+                (Printf.sprintf "class %s: racing ring-offset 1 after %Ldus"
+                   cls h);
+              attempt ~hedged:true ()
+            end)
+      in
+      timers := [ hedge_timer; deadline_timer ]);
     attempt ~hedged:false ()
 
   (* A client population's counters, summed. *)

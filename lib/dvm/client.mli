@@ -101,7 +101,10 @@ module Session : sig
       attempt fails after a zero-delay hop, like an unavailable farm,
       instead of raising out of [fetch]. The hedge, when enabled, races a second request
       at ring offset 1 after [hedge_after_us]; first response wins and
-      the loser is discarded on arrival. *)
+      the loser is discarded on arrival. Settling cancels the deadline
+      and hedge timers ({!Simnet.Engine.cancel}), so a settled fetch
+      leaves neither queued; replies still in flight land and are
+      dropped. *)
 
   (** A client population's counters, summed over its sessions; each
       [tl_x] is the sum of the sessions' [x]. *)

@@ -247,7 +247,11 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
     let admit_at = Simnet.Engine.now t.engine in
     let backlog = Simnet.Host.backlog_us t.host in
     let is_hit = Cache.mem ~version:t.policy_version t.cache cls in
-    let is_join = Hashtbl.mem t.inflight (cls, t.policy_version) in
+    (* A join matters only on a miss (its one use is [is_hit || is_join]),
+       so a hit skips the single-flight peek. *)
+    let is_join =
+      (not is_hit) && Hashtbl.mem t.inflight (cls, t.policy_version)
+    in
     let est_us =
       Int64.add backlog
         (if is_hit then 2000L else Admission.estimate_us t.admission)

@@ -4,15 +4,24 @@
 
 type time = int64
 
-(* Binary min-heap on (time, insertion sequence), kept as parallel
-   arrays: a sift compares ints in place, and a queued event costs no
-   allocation beyond its closure. Times are stored as OCaml ints (the
-   virtual clock never leaves 2^62 µs). A popped slot gets [ignore], so
-   the queue keeps no fired closure alive. *)
+(* Binary min-heap on (time, insertion sequence), kept as parallel int
+   arrays — times, sequence numbers and a slot id per position — so a
+   sift compares and moves ints only. Times are stored as OCaml ints
+   (the virtual clock never leaves 2^62 µs). An event's closure sits in
+   a slot table ([fns], by slot id), written once at push and cleared
+   to [ignore] once at pop or removal, so the queue keeps no fired or
+   cancelled closure alive and no sift touches a pointer. [pos] maps a
+   slot to its heap position (-1 while free), which is what lets
+   [remove] take any event out in O(log n). [slots] is a permutation of
+   the slot ids: positions below [size] hold the queued events' slots
+   and the rest hold the free ones, so the next free slot is always
+   [slots.(size)]. *)
 module Heap = struct
   type t = {
     mutable times : int array;
     mutable seqs : int array;
+    mutable slots : int array;
+    mutable pos : int array;
     mutable fns : (unit -> unit) array;
     mutable size : int;
   }
@@ -21,85 +30,122 @@ module Heap = struct
     {
       times = Array.make 256 0;
       seqs = Array.make 256 0;
+      slots = Array.init 256 Fun.id;
+      pos = Array.make 256 (-1);
       fns = Array.make 256 ignore;
       size = 0;
     }
 
+  (* Double every array; the new slots are free and sit past [size]. *)
   let grow h =
-    let n = 2 * Array.length h.times in
+    let n = Array.length h.times in
     let extend a fill =
-      let b = Array.make n fill in
-      Array.blit a 0 b 0 h.size;
+      let b = Array.make (2 * n) fill in
+      Array.blit a 0 b 0 n;
       b
     in
     h.times <- extend h.times 0;
     h.seqs <- extend h.seqs 0;
+    h.slots <- Array.init (2 * n) (fun i -> if i < n then h.slots.(i) else i);
+    h.pos <- extend h.pos (-1);
     h.fns <- extend h.fns ignore
 
-  (* Sift a hole up from the end and drop the event where it lands. *)
-  let push h at seq fn =
-    if h.size = Array.length h.times then grow h;
-    let times = h.times and seqs = h.seqs and fns = h.fns in
-    let i = ref h.size in
-    h.size <- h.size + 1;
+  (* Move the hole at [i] up until (at, seq) fits, and drop the event of
+     [slot] there. *)
+  let sift_up h i at seq slot =
+    let times = h.times and seqs = h.seqs and slots = h.slots and pos = h.pos in
+    let i = ref i in
     let continue = ref true in
     while !continue && !i > 0 do
       let p = (!i - 1) / 2 in
       let pt = times.(p) in
       if at < pt || (at = pt && seq < seqs.(p)) then begin
+        let ps = slots.(p) in
         times.(!i) <- pt;
         seqs.(!i) <- seqs.(p);
-        fns.(!i) <- fns.(p);
+        slots.(!i) <- ps;
+        pos.(ps) <- !i;
         i := p
       end
       else continue := false
     done;
     times.(!i) <- at;
     seqs.(!i) <- seq;
-    fns.(!i) <- fn
+    slots.(!i) <- slot;
+    pos.(slot) <- !i
+
+  (* Move the hole at [i] down, among the first [n] positions, until
+     (at, seq) fits, and drop the event of [slot] there. *)
+  let sift_down h i n at seq slot =
+    let times = h.times and seqs = h.seqs and slots = h.slots and pos = h.pos in
+    let i = ref i in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n
+             && (times.(r) < times.(l)
+                || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < at || (ct = at && seqs.(c) < seq) then begin
+          let cs = slots.(c) in
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          slots.(!i) <- cs;
+          pos.(cs) <- !i;
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    times.(!i) <- at;
+    seqs.(!i) <- seq;
+    slots.(!i) <- slot;
+    pos.(slot) <- !i
+
+  (* Queue [fn] at (at, seq) in the next free slot, and return the
+     slot. *)
+  let push h at seq fn =
+    if h.size = Array.length h.times then grow h;
+    let i = h.size in
+    let slot = h.slots.(i) in
+    h.size <- i + 1;
+    h.fns.(slot) <- fn;
+    sift_up h i at seq slot;
+    slot
 
   (* The earliest event's time; the heap must be non-empty. *)
   let min_time h = h.times.(0)
 
-  (* Remove the earliest event and return its closure; the heap must be
-     non-empty. The last event fills the root's hole from the top. *)
-  let pop h =
-    let times = h.times and seqs = h.seqs and fns = h.fns in
-    let top = fns.(0) in
+  (* Take the event at position [i] out and return its closure: the
+     last event fills the hole, sifting whichever way restores the
+     order, and the freed slot goes back past the new end. *)
+  let remove h i =
+    let slot = h.slots.(i) in
+    let fn = h.fns.(slot) in
     let n = h.size - 1 in
     h.size <- n;
-    if n > 0 then begin
-      let lt = times.(n) and ls = seqs.(n) and lf = fns.(n) in
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        if l >= n then continue := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if r < n
-               && (times.(r) < times.(l)
-                  || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
-            then r
-            else l
-          in
-          let ct = times.(c) in
-          if ct < lt || (ct = lt && seqs.(c) < ls) then begin
-            times.(!i) <- ct;
-            seqs.(!i) <- seqs.(c);
-            fns.(!i) <- fns.(c);
-            i := c
-          end
-          else continue := false
-        end
-      done;
-      times.(!i) <- lt;
-      seqs.(!i) <- ls;
-      fns.(!i) <- lf
+    if i < n then begin
+      let lt = h.times.(n) and ls = h.seqs.(n) and lslot = h.slots.(n) in
+      let p = (i - 1) / 2 in
+      if i > 0 && (lt < h.times.(p) || (lt = h.times.(p) && ls < h.seqs.(p)))
+      then sift_up h i lt ls lslot
+      else sift_down h i n lt ls lslot
     end;
-    fns.(n) <- ignore;
-    top
+    h.slots.(n) <- slot;
+    h.pos.(slot) <- -1;
+    h.fns.(slot) <- ignore;
+    fn
+
+  (* Remove the earliest event and return its closure; the heap must be
+     non-empty. *)
+  let pop h = remove h 0
 end
 
 type t = {
@@ -114,6 +160,7 @@ type t = {
      per event. *)
   mutable in_run : bool;
   mutable sched_batch : int;
+  mutable cancel_batch : int;
   (* Optional deterministic event trace: models call [record] at the
      points they consider observable (a request served, a shard chosen)
      and tests compare whole traces across runs. Newest first. An
@@ -134,6 +181,7 @@ let create () =
     events_processed = 0;
     in_run = false;
     sched_batch = 0;
+    cancel_batch = 0;
     tracing = false;
     trace_buf = [];
     trace_len = 0;
@@ -168,39 +216,73 @@ let record t label =
 let trace t = List.rev t.trace_buf
 let trace_dropped t = t.trace_dropped
 
-(* Queue [fn] at [at], an int; a time in the past is clamped to now. *)
+(* Outside a run, an event counter and the queue-depth gauge are
+   written at once; inside one they are batched. *)
+let note t counter =
+  Telemetry.Global.incr counter;
+  Telemetry.Global.set_gauge "simnet.queue.depth"
+    (Int64.of_int t.heap.Heap.size)
+
+(* Queue [fn] at [at], an int, and return its slot; a time in the past
+   is clamped to now. *)
 let push t at fn =
   let now = Int64.to_int t.now in
-  Heap.push t.heap (if at < now then now else at) t.next_seq fn;
+  let slot = Heap.push t.heap (if at < now then now else at) t.next_seq fn in
   t.next_seq <- t.next_seq + 1;
   if Telemetry.Global.on () then
     if t.in_run then t.sched_batch <- t.sched_batch + 1
-    else begin
-      Telemetry.Global.incr "simnet.events.scheduled";
-      Telemetry.Global.set_gauge "simnet.queue.depth"
-        (Int64.of_int t.heap.Heap.size)
-    end
+    else note t "simnet.events.scheduled";
+  slot
 
-let schedule_at t at fn = push t (Int64.to_int at) fn
-let schedule t ~delay fn = push t (Int64.to_int t.now + Int64.to_int delay) fn
+let schedule_at t at fn = ignore (push t (Int64.to_int at) fn : int)
+
+let schedule t ~delay fn =
+  ignore (push t (Int64.to_int t.now + Int64.to_int delay) fn : int)
+
+(* A handle names its event by slot and sequence number: the slot finds
+   it in O(1), and the sequence number, unique per event, tells it
+   apart from a later event that reused the slot. *)
+type timer = { slot : int; seq : int }
+
+let timer t ~delay fn =
+  let seq = t.next_seq in
+  let slot = push t (Int64.to_int t.now + Int64.to_int delay) fn in
+  { slot; seq }
+
+let cancel t { slot; seq } =
+  let h = t.heap in
+  let i = h.Heap.pos.(slot) in
+  if i >= 0 && h.Heap.seqs.(i) = seq then begin
+    ignore (Heap.remove h i : unit -> unit);
+    if Telemetry.Global.on () then
+      if t.in_run then t.cancel_batch <- t.cancel_batch + 1
+      else note t "simnet.events.cancelled"
+  end
 
 let run_loop ?until t =
   let processed = ref 0 in
   let flush () =
     t.in_run <- false;
-    if (!processed > 0 || t.sched_batch > 0) && Telemetry.Global.on () then begin
+    if
+      (!processed > 0 || t.sched_batch > 0 || t.cancel_batch > 0)
+      && Telemetry.Global.on ()
+    then begin
       if t.sched_batch > 0 then
         Telemetry.Global.add "simnet.events.scheduled"
           (Int64.of_int t.sched_batch);
       if !processed > 0 then
         Telemetry.Global.add "simnet.events.processed"
           (Int64.of_int !processed);
+      if t.cancel_batch > 0 then
+        Telemetry.Global.add "simnet.events.cancelled"
+          (Int64.of_int t.cancel_batch);
       (* The last per-event gauge write always reflected the heap as it
          stood when the loop exited — one write says the same thing. *)
       Telemetry.Global.set_gauge "simnet.queue.depth"
         (Int64.of_int t.heap.Heap.size)
     end;
-    t.sched_batch <- 0
+    t.sched_batch <- 0;
+    t.cancel_batch <- 0
   in
   t.in_run <- true;
   Fun.protect ~finally:flush (fun () ->

@@ -19,8 +19,34 @@ val schedule_at : t -> time -> (unit -> unit) -> unit
 
 val schedule : t -> delay:time -> (unit -> unit) -> unit
 
+(** {1 Cancellable timers} *)
+
+type timer
+(** A handle on one queued event, for {!cancel}. *)
+
+val timer : t -> delay:time -> (unit -> unit) -> timer
+(** [timer t ~delay fn] queues [fn] exactly as [schedule t ~delay fn]
+    does — same clamping, same place in the firing order — and returns
+    a handle on it. *)
+
+val cancel : t -> timer -> unit
+(** Take the timer's event out of the queue, in O(log n), and drop its
+    closure. It does nothing if the event already fired (its handler is
+    running counts) or was cancelled, and a stale handle never cancels
+    a later event that took over the queue slot its event left: each
+    handle also carries its event's unique insertion sequence number.
+    A cancelled event never fires and does not count in
+    {!events_processed}. The handle must come from [t]. *)
+
 val run : ?until:time -> t -> unit
-(** Process events until the queue drains (or past the horizon). *)
+(** Process events until the queue drains (or past the horizon).
+
+    With telemetry on, the engine counts [simnet.events.scheduled],
+    [simnet.events.processed] and [simnet.events.cancelled] and sets
+    the [simnet.queue.depth] gauge; inside a run they are batched and
+    written once as it returns. Every event scheduled is processed,
+    cancelled or still queued, so over one engine, scheduled =
+    processed + cancelled + the final queue depth. *)
 
 (** {1 Deterministic event traces}
 

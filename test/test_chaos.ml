@@ -232,6 +232,72 @@ let test_unframeable_name_fails_once () =
         farm.Proxy.Farm.requests)
     [ "a b"; "x\r\nY"; "" ]
 
+let test_settled_fetch_leaves_nothing_queued () =
+  (* Settling a fetch cancels its deadline and hedge timers, so once a
+     fetch settles and its replies land, nothing of it stays queued:
+     the drained engine's clock is the settle time, not settle time +
+     budget. Expiry and hedging still fire exactly as before. *)
+  let budget_us = 1_000_000L in
+  let fetch ?hedge_after_us ?(advertise_deadline = true)
+      ?(budget_us = budget_us) engine farm cls =
+    let session =
+      Dvm.Client.Session.create ~budget_us ?hedge_after_us ~advertise_deadline
+        engine farm
+    in
+    let t0 = Simnet.Engine.now engine and got = ref None in
+    Dvm.Client.Session.fetch session ~cls (fun r ->
+        got := Some (r, Int64.sub (Simnet.Engine.now engine) t0));
+    Simnet.Engine.run engine;
+    match !got with
+    | Some (r, after) -> (session, r, Int64.add t0 after, after)
+    | None -> fail "the fetch never settled"
+  in
+  let engine = Simnet.Engine.create () in
+  let farm, _ = tiny_farm engine in
+  List.iter
+    (fun what ->
+      (* A cold fetch through the pipeline, then a warm L1 hit. *)
+      let _, r, settled_at, _ =
+        fetch ~hedge_after_us:50_000L engine farm "warm/Applet"
+      in
+      (match r with
+      | Dvm.Client.Session.Fresh _ -> ()
+      | _ -> Alcotest.failf "%s fetch did not serve fresh" what);
+      check Alcotest.int64 (what ^ ": drained at the settle time") settled_at
+        (Simnet.Engine.now engine))
+    [ "cold"; "warm" ];
+  (* The owner is swamped for half a second and the session does not
+     advertise its deadline, so no shard sheds: the 100 ms deadline
+     timer fails the fetch at exactly its budget. *)
+  let engine = Simnet.Engine.create () in
+  let farm, pool = tiny_farm engine in
+  let cls = "slow/Applet" in
+  Simnet.Host.compute pool.(Proxy.Farm.owner farm cls).Proxy.host
+    ~cost_us:500_000L ignore;
+  let session, r, _, after =
+    fetch ~advertise_deadline:false ~budget_us:100_000L engine farm cls
+  in
+  (match r with
+  | Dvm.Client.Session.Failed -> ()
+  | _ -> fail "a fetch past its deadline did not fail");
+  check Alcotest.int64 "failed at exactly the budget" 100_000L after;
+  check Alcotest.int "one failure" 1 session.Dvm.Client.Session.failed;
+  (* Hedged on the same swamped owner: the hedge fires, wins, and
+     cancels the deadline timer, so the engine drains when the owner's
+     late reply lands, well before the budget runs out. *)
+  let engine = Simnet.Engine.create () in
+  let farm, pool = tiny_farm engine in
+  Simnet.Host.compute pool.(Proxy.Farm.owner farm cls).Proxy.host
+    ~cost_us:500_000L ignore;
+  let session, r, _, _ = fetch ~hedge_after_us:50_000L engine farm cls in
+  (match r with
+  | Dvm.Client.Session.Fresh _ -> ()
+  | _ -> fail "hedged fetch did not serve");
+  check Alcotest.int "hedge fired" 1 session.Dvm.Client.Session.hedges;
+  check Alcotest.int "hedge won" 1 session.Dvm.Client.Session.hedge_wins;
+  check Alcotest.bool "deadline timer cancelled" true
+    (Int64.compare (Simnet.Engine.now engine) budget_us < 0)
+
 (* --- The control-plane scenario. --- *)
 
 (* A small configuration for the fast control-plane tests. *)
@@ -355,6 +421,8 @@ let () =
             test_hedge_wins_on_slow_owner;
           Alcotest.test_case "unframeable name fails once" `Quick
             test_unframeable_name_fails_once;
+          Alcotest.test_case "settled fetch leaves nothing queued" `Quick
+            test_settled_fetch_leaves_nothing_queued;
         ] );
       ( "control-plane",
         [

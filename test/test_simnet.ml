@@ -152,17 +152,21 @@ let prop_heap_orders_events =
 (* The record heap and run loop [Simnet.Engine] used before its queue
    became parallel arrays, kept verbatim (less the telemetry batching
    and the observable-trace buffer) as the reference for firing order,
-   clock and event count. *)
+   clock and event count. One addition gives it cancellation by its
+   plain meaning: a timer is an event with a [dead] flag, [cancel] sets
+   the flag, and the run loop drops a dead event when it reaches the
+   top without moving the clock or the count — lazy deletion. A dead
+   event that already fired stays fired. *)
 module Ref_engine = struct
   type time = int64
 
-  type event = { at : time; seq : int; fn : unit -> unit }
+  type event = { at : time; seq : int; fn : unit -> unit; mutable dead : bool }
 
   (* Binary min-heap on (at, seq). *)
   module Heap = struct
     type t = { mutable data : event array; mutable size : int }
 
-    let dummy = { at = 0L; seq = 0; fn = ignore }
+    let dummy = { at = 0L; seq = 0; fn = ignore; dead = false }
     let create () = { data = Array.make 256 dummy; size = 0 }
 
     let less a b = if Int64.equal a.at b.at then a.seq < b.seq else Int64.compare a.at b.at < 0
@@ -227,18 +231,24 @@ module Ref_engine = struct
   let now t = t.now
   let events_processed t = t.events_processed
 
-  let schedule_at t at fn =
+  let timer_at t at fn =
     let at = if Int64.compare at t.now < 0 then t.now else at in
-    Heap.push t.heap { at; seq = t.next_seq; fn };
-    t.next_seq <- t.next_seq + 1
+    let e = { at; seq = t.next_seq; fn; dead = false } in
+    Heap.push t.heap e;
+    t.next_seq <- t.next_seq + 1;
+    e
 
+  let schedule_at t at fn = ignore (timer_at t at fn : event)
   let schedule t ~delay fn = schedule_at t (Int64.add t.now delay) fn
+  let timer t ~delay fn = timer_at t (Int64.add t.now delay) fn
+  let cancel _ e = e.dead <- true
 
   let run ?until t =
     let continue = ref true in
     while !continue do
       match Heap.peek t.heap with
       | None -> continue := false
+      | Some e when e.dead -> ignore (Heap.pop t.heap)
       | Some e -> (
         match until with
         | Some stop when Int64.compare e.at stop > 0 ->
@@ -253,13 +263,16 @@ module Ref_engine = struct
     done
 end
 
-(* The operations a program drives, over either engine. *)
-type 'e ops = {
+(* The operations a program drives, over either engine; ['h] is a
+   timer handle. *)
+type ('e, 'h) ops = {
   create : unit -> 'e;
   now : 'e -> int64;
   processed : 'e -> int;
   schedule_at : 'e -> int64 -> (unit -> unit) -> unit;
   schedule : 'e -> delay:int64 -> (unit -> unit) -> unit;
+  timer : 'e -> delay:int64 -> (unit -> unit) -> 'h;
+  cancel : 'e -> 'h -> unit;
   run : ?until:int64 -> 'e -> unit;
 }
 
@@ -270,6 +283,8 @@ let engine_ops =
     processed = Simnet.Engine.events_processed;
     schedule_at = Simnet.Engine.schedule_at;
     schedule = Simnet.Engine.schedule;
+    timer = Simnet.Engine.timer;
+    cancel = Simnet.Engine.cancel;
     run = Simnet.Engine.run;
   }
 
@@ -280,6 +295,8 @@ let ref_ops =
     processed = Ref_engine.events_processed;
     schedule_at = Ref_engine.schedule_at;
     schedule = Ref_engine.schedule;
+    timer = Ref_engine.timer;
+    cancel = Ref_engine.cancel;
     run = Ref_engine.run;
   }
 
@@ -292,8 +309,17 @@ let ref_ops =
    and ids are handed out in scheduling order, so two engines that fire
    alike run the same program and the first divergence shows in the
    log. Returns the firing log (id and clock per event, newest first)
-   and, per run, the clock and event count after it. *)
-let run_program ops seed =
+   and, per run, the clock and event count after it.
+
+   With [~timers], some events (initial and follow-up) are [timer]s
+   instead, and cancels land throughout: while the initial events are
+   queued, so across the queue's growth from 256 slots; between runs;
+   and 0-2 from each handler, aimed either at a random timer so far —
+   one that fired (its slot since reused by a later event), was
+   cancelled already, is the handler's own, or is still queued — or at
+   a timer due at the handler's own time, which may come before or
+   after it in the firing order. *)
+let run_program ?(timers = false) ops seed =
   let mix a b =
     let h = (a * 0x9E3779B1) lxor (b * 0x85EBCA77) in
     (h lxor (h lsr 29)) land 0x3FFFFFFF
@@ -301,6 +327,18 @@ let run_program ops seed =
   let st = Random.State.make [| seed |] in
   let e = ops.create () in
   let log = ref [] and next_id = ref 0 in
+  (* Timer handles by id, and the ids of the timers due at each time. *)
+  let handles = Hashtbl.create 64 and due = Hashtbl.create 64 in
+  let arm_timer id ~delay fn =
+    Hashtbl.replace handles id (ops.timer e ~delay fn);
+    let now = ops.now e in
+    let at = Int64.to_int (Int64.max now (Int64.add now delay)) in
+    Hashtbl.replace due at
+      (id :: Option.value ~default:[] (Hashtbl.find_opt due at))
+  in
+  let cancel_id id =
+    Option.iter (ops.cancel e) (Hashtbl.find_opt handles id)
+  in
   let rec arm ~gen id () =
     log := id :: Int64.to_int (ops.now e) :: !log;
     if gen < 2 then
@@ -309,24 +347,43 @@ let run_program ops seed =
         let delay = Int64.of_int ((r mod 51) - 5) in
         let child = !next_id in
         incr next_id;
-        if r land 0x10000 = 0 then
+        if timers && r land 0x20000 <> 0 then
+          arm_timer child ~delay (arm ~gen:(gen + 1) child)
+        else if r land 0x10000 = 0 then
           ops.schedule e ~delay (arm ~gen:(gen + 1) child)
         else
           ops.schedule_at e (Int64.add (ops.now e) delay)
             (arm ~gen:(gen + 1) child)
+      done;
+    if timers then
+      for c = 0 to mix id 7 mod 3 - 1 do
+        let r = mix id (100 + c) in
+        if r land 1 = 0 then cancel_id (r / 2 mod !next_id)
+        else
+          match Hashtbl.find_opt due (Int64.to_int (ops.now e)) with
+          | Some ids -> cancel_id (List.nth ids (r / 2 mod List.length ids))
+          | None -> ()
       done
   in
   for _ = 1 to 1 + Random.State.int st 3000 do
     let id = !next_id in
     incr next_id;
     let at = Int64.of_int (Random.State.int st 201) in
-    if Random.State.bool st then ops.schedule_at e at (arm ~gen:0 id)
-    else ops.schedule e ~delay:at (arm ~gen:0 id)
+    (match Random.State.int st (if timers then 3 else 2) with
+    | 0 -> ops.schedule_at e at (arm ~gen:0 id)
+    | 1 -> ops.schedule e ~delay:at (arm ~gen:0 id)
+    | _ -> arm_timer id ~delay:at (arm ~gen:0 id));
+    if timers && Random.State.int st 8 = 0 then
+      cancel_id (Random.State.int st !next_id)
   done;
   let after_runs = ref [] in
   let run until =
     ops.run ?until e;
-    after_runs := (ops.now e, ops.processed e) :: !after_runs
+    after_runs := (ops.now e, ops.processed e) :: !after_runs;
+    if timers then
+      for _ = 1 to Random.State.int st 20 do
+        cancel_id (Random.State.int st !next_id)
+      done
   in
   for _ = 1 to 5 do
     run (Some (Int64.of_int (Random.State.int st 301)))
@@ -335,17 +392,130 @@ let run_program ops seed =
   (!log, !after_runs)
 
 let test_queue_matches_reference () =
-  for seed = 1 to 300 do
-    let log, runs = run_program engine_ops seed in
-    let ref_log, ref_runs = run_program ref_ops seed in
-    if log <> ref_log then
-      Alcotest.failf "program %d: firing log differs (%d vs %d entries)" seed
-        (List.length log) (List.length ref_log);
-    check
-      (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.int))
-      (Printf.sprintf "program %d: clock and count after each run" seed)
-      ref_runs runs
-  done
+  List.iter
+    (fun timers ->
+      for seed = 1 to 300 do
+        let log, runs = run_program ~timers engine_ops seed in
+        let ref_log, ref_runs = run_program ~timers ref_ops seed in
+        if log <> ref_log then
+          Alcotest.failf "program %d%s: firing log differs (%d vs %d entries)"
+            seed
+            (if timers then " with timers" else "")
+            (List.length log) (List.length ref_log);
+        check
+          (Alcotest.list (Alcotest.pair Alcotest.int64 Alcotest.int))
+          (Printf.sprintf "program %d%s: clock and count after each run" seed
+             (if timers then " with timers" else ""))
+          ref_runs runs
+      done)
+    [ false; true ]
+
+(* The cancel rules one at a time: a queued timer never fires and is not
+   processed; cancelling one that fired, cancelling twice, or cancelling
+   through a handle whose slot a later event took over does nothing; a
+   handler can cancel a later event due at its own time, and the clock
+   does not run on to a cancelled event. *)
+let test_cancel_rules () =
+  let e = Simnet.Engine.create () in
+  let fired = ref [] in
+  let tm at tag =
+    Simnet.Engine.timer e ~delay:(Int64.of_int at) (fun () ->
+        fired := tag :: !fired)
+  in
+  let a = tm 10 "a" in
+  let b = tm 20 "b" in
+  Simnet.Engine.cancel e b;
+  Simnet.Engine.cancel e b;
+  Simnet.Engine.run ~until:15L e;
+  (* [a] fired and freed its slot; [c] is the next event queued, so it
+     reuses that slot, and [a]'s stale handle must leave it alone. *)
+  let c = tm 5 "c" in
+  Simnet.Engine.cancel e a;
+  Simnet.Engine.run e;
+  check (Alcotest.list Alcotest.string) "fired" [ "a"; "c" ] (List.rev !fired);
+  check Alcotest.int "cancelled event not processed" 2
+    (Simnet.Engine.events_processed e);
+  check Alcotest.int64 "clock stops at the last live event, not at b's" 15L
+    (Simnet.Engine.now e);
+  Simnet.Engine.cancel e c;
+  (* Two events due at one time: the first cancels the second, which
+     never fires; the second's handle, cancelled from its own handler,
+     would do nothing. *)
+  let e = Simnet.Engine.create () in
+  let fired = ref [] in
+  let second = ref None in
+  let first =
+    Simnet.Engine.timer e ~delay:7L (fun () ->
+        fired := "first" :: !fired;
+        Option.iter (Simnet.Engine.cancel e) !second)
+  in
+  second :=
+    Some
+      (Simnet.Engine.timer e ~delay:7L (fun () ->
+           fired := "second" :: !fired;
+           Simnet.Engine.cancel e first));
+  Simnet.Engine.schedule e ~delay:7L (fun () -> fired := "third" :: !fired);
+  Simnet.Engine.run e;
+  check (Alcotest.list Alcotest.string) "same-time cancel"
+    [ "first"; "third" ] (List.rev !fired)
+
+(* Handles made before the queue grows past its first 256 slots still
+   cancel exactly their own events after it has grown (twice). *)
+let test_cancel_across_grow () =
+  let e = Simnet.Engine.create () in
+  let fired = Array.make 1000 false in
+  let handles =
+    Array.init 1000 (fun i ->
+        Simnet.Engine.timer e
+          ~delay:(Int64.of_int (i * 7919 mod 1000))
+          (fun () -> fired.(i) <- true))
+  in
+  Array.iteri (fun i h -> if i mod 3 = 0 then Simnet.Engine.cancel e h) handles;
+  Simnet.Engine.run e;
+  Array.iteri
+    (fun i f ->
+      if f = (i mod 3 = 0) then
+        Alcotest.failf "event %d: fired %b, cancelled %b" i f (i mod 3 = 0))
+    fired;
+  check Alcotest.int "processed" 666 (Simnet.Engine.events_processed e)
+
+(* Every event scheduled is processed, cancelled or still queued when
+   the run stops: the three telemetry counts and the depth gauge add up,
+   whether the cancels come from inside a run (batched) or outside. *)
+let test_event_count_identity () =
+  let reg = Telemetry.default in
+  Telemetry.reset reg;
+  Telemetry.enable reg;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.disable reg)
+    (fun () ->
+      let e = Simnet.Engine.create () in
+      let hs =
+        Array.init 50 (fun i ->
+            Simnet.Engine.timer e ~delay:(Int64.of_int (i * 10)) ignore)
+      in
+      Simnet.Engine.cancel e hs.(49);
+      Simnet.Engine.cancel e hs.(49);
+      Simnet.Engine.schedule e ~delay:5L (fun () ->
+          Array.iteri
+            (fun i h -> if i mod 4 = 1 then Simnet.Engine.cancel e h)
+            hs;
+          ignore
+            (Simnet.Engine.timer e ~delay:1000L ignore : Simnet.Engine.timer));
+      Simnet.Engine.run ~until:250L e;
+      Simnet.Engine.cancel e hs.(46);
+      let counter = Telemetry.counter_value reg in
+      let scheduled = counter "simnet.events.scheduled"
+      and processed = counter "simnet.events.processed"
+      and cancelled = counter "simnet.events.cancelled"
+      and depth = Telemetry.gauge_value reg "simnet.queue.depth" in
+      check Alcotest.int64 "scheduled" 52L scheduled;
+      check Alcotest.int64 "cancelled" 14L cancelled;
+      check Alcotest.int64 "processed"
+        (Int64.of_int (Simnet.Engine.events_processed e))
+        processed;
+      check Alcotest.int64 "scheduled = processed + cancelled + depth" scheduled
+        (Int64.add processed (Int64.add cancelled depth)))
 
 (* A fired event's closure is dropped from the queue: a value only it
    captures becomes garbage. *)
@@ -364,6 +534,26 @@ let test_fired_closure_released () =
   check Alcotest.int "every fired closure finalised" 5 !finalised;
   Simnet.Engine.run e
 
+(* Likewise a cancelled event's: the queue forgets it at once, not when
+   its time comes. *)
+let test_cancelled_closure_released () =
+  let e = Simnet.Engine.create () in
+  let finalised = ref 0 and fired = ref 0 in
+  let arm at =
+    let v = ref at in
+    Gc.finalise (fun _ -> incr finalised) v;
+    Simnet.Engine.timer e ~delay:(Int64.of_int at) (fun () ->
+        incr v;
+        incr fired)
+  in
+  let hs = List.map arm [ 5; 1; 3; 3; 2 ] in
+  Simnet.Engine.schedule_at e 10L ignore;
+  List.iter (Simnet.Engine.cancel e) hs;
+  Gc.full_major ();
+  check Alcotest.int "every cancelled closure finalised" 5 !finalised;
+  Simnet.Engine.run e;
+  check Alcotest.int "none fired" 0 !fired
+
 let () =
   Alcotest.run "simnet"
     [
@@ -379,8 +569,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_orders_events;
           Alcotest.test_case "queue matches the record heap" `Quick
             test_queue_matches_reference;
+          Alcotest.test_case "cancel rules" `Quick test_cancel_rules;
+          Alcotest.test_case "cancel across grow" `Quick
+            test_cancel_across_grow;
+          Alcotest.test_case "event count identity" `Quick
+            test_event_count_identity;
           Alcotest.test_case "fired closures released" `Quick
             test_fired_closure_released;
+          Alcotest.test_case "cancelled closures released" `Quick
+            test_cancelled_closure_released;
         ] );
       ( "link",
         [
