@@ -51,9 +51,25 @@ let json_obj kvs =
 let json_list items = "[" ^ String.concat "," items ^ "]"
 
 let write_bench ?(hists = true) ~wall_ms name =
+  (* Every event the phase scheduled was processed, cancelled or is
+     still queued on some engine; a phase whose counts do not add up
+     has lost events somewhere, and fails. *)
+  let reg = Telemetry.default in
+  let count = Telemetry.counter_value reg in
+  let scheduled = count "simnet.events.scheduled"
+  and processed = count "simnet.events.processed"
+  and cancelled = count "simnet.events.cancelled"
+  and queued = Telemetry.gauge_value reg "simnet.queue.depth" in
+  if scheduled <> Int64.add processed (Int64.add cancelled queued) then begin
+    Printf.eprintf
+      "%s: %Ld simnet events scheduled, but %Ld processed + %Ld cancelled + \
+       %Ld queued\n"
+      name scheduled processed cancelled queued;
+    exit 1
+  end;
   (* The virtual/wall ratio gauge is the one wall-clock-derived metric;
      zero it so the file stays byte-stable across runs. *)
-  Telemetry.set_gauge Telemetry.default "simnet.virtual_wall_ratio_x1000" 0L;
+  Telemetry.set_gauge reg "simnet.virtual_wall_ratio_x1000" 0L;
   let summary =
     String.concat ",\n    "
       (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) !bench_summary)

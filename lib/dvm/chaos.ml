@@ -362,8 +362,6 @@ let default_control_config =
 (* Fixed for every control-plane run. *)
 let control_think_us = 500_000L
 let control_budget_us = 2_000_000L
-let hb_interval_us = 250_000L
-let commit_margin_us = 100_000L
 
 type control_outcome = {
   cn_seed : int;
@@ -457,8 +455,7 @@ let run_control (cfg : control_config) : control_outcome =
      LAN fabric. Applying an entry swaps the shard's filter stack and
      version, or drops the named class from its L1 and the shared L2. *)
   let ctl =
-    Proxy.Control.create engine ~lease_us:cfg.cc_lease_us ~hb_interval_us
-      ~commit_margin_us
+    Proxy.Control.create engine ~lease_us:cfg.cc_lease_us
       ~snapshot_threshold:(max 1 cfg.cc_snapshot_every) ~initial_version:v1 ()
   in
   let ctl_links =

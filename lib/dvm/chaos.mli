@@ -178,14 +178,10 @@ val default_control_config : control_config
     defaults. *)
 
 (** Fixed in every control-plane run: 500 ms between a client's
-    fetches, a 2 s deadline budget per fetch, and the
-    {!Proxy.Control} heartbeat interval (250 ms) and commit margin
-    (100 ms). *)
+    fetches and a 2 s deadline budget per fetch. *)
 
 val control_think_us : int64
 val control_budget_us : int64
-val hb_interval_us : int64
-val commit_margin_us : int64
 
 type control_outcome = {
   cn_seed : int;

@@ -34,13 +34,19 @@
     snapshot, log), replays it locally, and stays fenced until a
     leader confirms the member is current.
 
-    Counters (all also emitted as reason events of the same name):
-    [control.heartbeats], [control.acks], [control.proposals],
-    [control.commits], [control.applies], [control.resyncs],
-    [control.restarts], [control.vote], [control.term_bump],
-    [control.election_win], [control.stepdown], [control.redrive],
-    [control.lease_grant], [control.lease_expire],
-    [control.snapshot_compact], [control.snapshot_install]. *)
+    The protocol itself is {!Control_core}, a pure step function over
+    plain data; this module is its simnet shell (hosts, links, the
+    tick loop, apply callbacks, tracing), performing each step's
+    effects in the order the core returns them.
+
+    Counters: [control.heartbeats], [control.acks],
+    [control.proposals], [control.commits], [control.applies],
+    [control.resyncs], [control.restarts]; and the reason events
+    [control.vote], [control.term_bump], [control.election_win],
+    [control.stepdown], [control.redrive], [control.lease_grant],
+    [control.lease_expire], [control.snapshot_compact],
+    [control.snapshot_install], [control.resync], each also a
+    same-named counter. *)
 
 type t
 
@@ -53,23 +59,17 @@ val entry_to_string : entry -> string
 val create :
   Simnet.Engine.t ->
   ?lease_us:int64 ->
-  ?hb_interval_us:int64 ->
-  ?commit_margin_us:int64 ->
-  ?election_timeout_us:int64 ->
-  ?stagger_us:int64 ->
   ?snapshot_threshold:int ->
-  ?hb_bytes:int ->
-  ?entry_bytes:int ->
   ?initial_version:int ->
   unit ->
   t
-(** Defaults: 1 s leases renewed every 250 ms, 100 ms commit margin,
-    600 ms base election timeout staggered by one heartbeat interval
-    per member id (a finer stagger would quantize away under the
-    tick), snapshot fold at 8 committed live entries, 64-byte
-    heartbeats/acks carrying 96 bytes per log entry (a shipped
-    snapshot costs one entry plus one per pending invalidation),
-    initial policy version 1. *)
+(** Defaults: 1 s leases, a snapshot fold at 8 committed live
+    entries, initial policy version 1. The rest is fixed
+    ({!Control_core}): leases renewed every 250 ms, a 100 ms commit
+    margin, a 600 ms base election timeout staggered by one heartbeat
+    interval per member id, 64-byte heartbeats/acks carrying 96 bytes
+    per log entry (a shipped snapshot costs one entry plus one per
+    pending invalidation). *)
 
 val add_member :
   t ->
@@ -92,12 +92,10 @@ val add_member :
     missing is empty. *)
 
 val start : t -> until:Simnet.Engine.time -> unit
-(** Start the tick loop (elections, heartbeats, lease renewal); it
-    reschedules itself every [hb_interval_us] until the virtual clock
-    passes [until] (or {!stop}). When tracing is enabled, opens a
+(** Start the tick loop (elections, heartbeats, lease renewal); call
+    it once. It reschedules itself every 250 ms until the virtual
+    clock passes [until]. When tracing is enabled, opens a
     [control.plane] root span that collects the reason events. *)
-
-val stop : t -> unit
 
 val propose : t -> entry -> int option
 (** Append an entry at the current leased leader and return its
@@ -144,8 +142,9 @@ val mark_restarted : t -> int -> unit
     current. Call from the host's [on_restart] hook. *)
 
 val converged : t -> bool
-(** A leased leader exists, every member has applied everything it
-    holds, and every serving lease is live. *)
+(** A leased leader exists, every member holds exactly its log (same
+    last index and term) and has applied it, and every serving lease
+    is live. *)
 
 (** {2 Election and replication observables} *)
 
@@ -181,9 +180,6 @@ val replay_digest : t -> string
 val log_length : t -> int
 (** Highest log index ever minted (compaction does not shrink it). *)
 
-val member_count : t -> int
-val member_name : t -> int -> string
-
 val member_version : t -> int -> int
 (** Highest [Set_version] this member has applied. *)
 
@@ -196,14 +192,9 @@ val member_snapshot_index : t -> int -> int
 
 val member_snapshot_installs : t -> int -> int
 
-val member_log_live : t -> int -> int
-(** Log entries the member retains above its snapshot. *)
-
 (** {2 Counters} *)
 
 val heartbeats : t -> int
-val acks : t -> int
-val proposals : t -> int
 val commits : t -> int
 val resyncs : t -> int
 

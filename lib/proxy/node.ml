@@ -21,13 +21,20 @@ type origin = string -> string option
    pipeline run settles. *)
 type waiter = (reply -> unit) * (unit -> unit) option
 
+(* Fixed model parameters: the origin uplink, the per-request working
+   state as a multiple of the class's bytes (buffers for the raw bytes,
+   the decoded image and the output), and an L2 hit's lookup cost and
+   peer-to-peer transfer rate. *)
+let origin_bandwidth_bps = 100_000_000
+let working_set_factor = 12
+let l2_lookup_us = 1500
+let l2_bandwidth_bps = 100_000_000
+
 type t = {
   engine : Simnet.Engine.t;
   host : Simnet.Host.t;
   cache : Cache.t; (* the shard's own L1 *)
   l2 : Cache.t option; (* optional shared tier, one instance per farm *)
-  l2_lookup_us : int;
-  l2_bandwidth_bps : int; (* peer-to-peer transfer rate for L2 hits *)
   mutable filters : Rewrite.Filter.t list;
   mutable policy_version : int;
   (* Security-policy version this shard currently rewrites under;
@@ -41,13 +48,9 @@ type t = {
      always-true for standalone nodes. *)
   origin : origin;
   origin_latency : string -> Simnet.Engine.time; (* per-class WAN latency *)
-  origin_bandwidth_bps : int;
   signer : Dsig.Sign.key option;
   memo : Pipeline.Memo.t option; (* optional host-CPU outcome memo *)
   audit : Monitor.Audit.t option;
-  (* Parsed working state per in-flight request: buffers for the raw
-     bytes, the decoded image and the output. *)
-  working_set_factor : int;
   (* Single-flight: concurrent misses for the same key join the run
      already in flight instead of re-parsing. The table maps keys with
      a pipeline run in flight to the requests that joined it. A key is
@@ -68,32 +71,25 @@ type t = {
 }
 
 let create ?(cache_capacity = 48 * 1024 * 1024)
-    ?(mem_capacity = 64 * 1024 * 1024) ?signer ?audit
-    ?(origin_bandwidth_bps = 100_000_000) ?(working_set_factor = 12)
-    ?(cpu_factor = 1.0) ?(host_name = "proxy") ?l2 ?memo
-    ?(l2_lookup_us = 1500) ?(l2_bandwidth_bps = 100_000_000) ?admission engine
-    ~origin ~origin_latency ~filters () =
+    ?(mem_capacity = 64 * 1024 * 1024) ?signer ?audit ?(cpu_factor = 1.0)
+    ?(host_name = "proxy") ?l2 ?memo engine ~origin ~origin_latency ~filters
+    () =
   {
     engine;
     host =
       Simnet.Host.create ~cpu_factor ~mem_capacity engine ~name:host_name;
     cache = Cache.create ~capacity:cache_capacity;
     l2;
-    l2_lookup_us;
-    l2_bandwidth_bps;
     filters;
     policy_version = 0;
     serving_allowed = (fun () -> true);
     origin;
     origin_latency;
-    origin_bandwidth_bps;
     signer;
     memo;
     audit;
-    working_set_factor;
     inflight = Hashtbl.create 32;
-    admission =
-      (match admission with Some a -> a | None -> Admission.create ());
+    admission = Admission.create ();
     requests = 0;
     rejections = 0;
     bytes_served = 0;
@@ -116,7 +112,7 @@ let log t kind detail =
    deliver. *)
 let transform_and_reply ?on_fail ?(trace = Telemetry.Trace.none) t ~cls bytes k
     =
-  let ws = t.working_set_factor * String.length bytes in
+  let ws = working_set_factor * String.length bytes in
   Simnet.Host.allocate t.host ws;
   let on_fail =
     Option.map (fun f () -> Simnet.Host.release t.host ws; f ()) on_fail
@@ -167,12 +163,12 @@ let transform_and_reply ?on_fail ?(trace = Telemetry.Trace.none) t ~cls bytes k
 (* Cost of serving a miss from the shared L2 tier: a fixed lookup plus
    the peer-to-peer transfer of the rewritten bytes — far cheaper than
    the pipeline, slightly dearer than the local disk cache. *)
-let l2_transfer_cost t ~bytes =
+let l2_transfer_cost ~bytes =
   Int64.add
-    (Int64.of_int t.l2_lookup_us)
+    (Int64.of_int l2_lookup_us)
     (Int64.of_float
        (Float.of_int bytes *. 8.0 *. 1_000_000.0
-       /. Float.of_int t.l2_bandwidth_bps))
+       /. Float.of_int l2_bandwidth_bps))
 
 (* Handle one client request for a class. The callback fires, in
    simulated time, when the proxy has the response ready to put on the
@@ -339,7 +335,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
           Telemetry.Trace.event trace ~node ~kind:"proxy.l2_hit"
             (Printf.sprintf "class %s: %d bytes from shared tier" cls
                (String.length bytes));
-          let cost = l2_transfer_cost t ~bytes:(String.length bytes) in
+          let cost = l2_transfer_cost ~bytes:(String.length bytes) in
           t.cpu_us <- Int64.add t.cpu_us cost;
           Simnet.Host.compute t.host ?on_fail ~cost_us:cost (fun () ->
               Cache.store ~version:t.policy_version t.cache cls bytes;
@@ -389,7 +385,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
               Int64.of_float
                 (Float.of_int (String.length bytes)
                 *. 8.0 *. 1_000_000.0
-                /. Float.of_int t.origin_bandwidth_bps)
+                /. Float.of_int origin_bandwidth_bps)
             in
             Simnet.Engine.schedule t.engine ~delay:(Int64.add latency tx)
               (fun () ->

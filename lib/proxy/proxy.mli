@@ -45,8 +45,6 @@ type t = Node.t = {
   host : Simnet.Host.t;
   cache : Cache.t;  (** the shard's own L1 *)
   l2 : Cache.t option;  (** optional shared tier, one instance per farm *)
-  l2_lookup_us : int;
-  l2_bandwidth_bps : int;  (** peer-to-peer transfer rate for L2 hits *)
   mutable filters : Rewrite.Filter.t list;
   mutable policy_version : int;
       (** security-policy version this shard rewrites under; stamped
@@ -61,11 +59,9 @@ type t = Node.t = {
           {!Control.member_ok}; defaults to always-true. *)
   origin : origin;
   origin_latency : string -> Simnet.Engine.time;
-  origin_bandwidth_bps : int;
   signer : Dsig.Sign.key option;
   memo : Pipeline.Memo.t option;  (** optional host-CPU outcome memo *)
   audit : Monitor.Audit.t option;
-  working_set_factor : int;
   inflight : (string * int, waiter list ref) Hashtbl.t;
       (** (class, policy version) with a pipeline run in flight →
           requests that joined it. The version is part of the key, as
@@ -89,28 +85,24 @@ val create :
   ?mem_capacity:int ->
   ?signer:Dsig.Sign.key ->
   ?audit:Monitor.Audit.t ->
-  ?origin_bandwidth_bps:int ->
-  ?working_set_factor:int ->
   ?cpu_factor:float ->
   ?host_name:string ->
   ?l2:Cache.t ->
   ?memo:Pipeline.Memo.t ->
-  ?l2_lookup_us:int ->
-  ?l2_bandwidth_bps:int ->
-  ?admission:Admission.t ->
   Simnet.Engine.t ->
   origin:origin ->
   origin_latency:(string -> Simnet.Engine.time) ->
   filters:Rewrite.Filter.t list ->
   unit ->
   t
-(** Defaults: 48 MB cache, 64 MB memory (the paper's proxy), 100 Mb/s
-    uplink. [cache_capacity:0] disables caching. Passing the same
-    [l2] cache instance to every shard of a farm gives them a shared
-    second tier: a miss found there costs [l2_lookup_us] (default
-    1500) plus the transfer at [l2_bandwidth_bps] (default 100 Mb/s)
-    instead of a pipeline run, and a cache-cold restarted shard
-    rewarms from its peers' work. [memo] (also shareable pool-wide)
+(** Defaults: 48 MB cache, 64 MB memory (the paper's proxy); the
+    origin uplink is fixed at 100 Mb/s, and each in-flight request
+    holds 12x the class's bytes of working memory.
+    [cache_capacity:0] disables caching. Passing the same [l2] cache
+    instance to every shard of a farm gives them a shared second tier:
+    a miss found there costs a fixed 1.5 ms lookup plus the transfer
+    at 100 Mb/s instead of a pipeline run, and a cache-cold restarted
+    shard rewarms from its peers' work. [memo] (also shareable pool-wide)
     memoizes pipeline outcomes on the host CPU — see
     {!Pipeline.Memo}; simulated costs and served bytes are unchanged,
     the wall-clock work of re-running identical inputs is skipped. *)

@@ -154,13 +154,13 @@ type t = {
   mutable next_seq : int;
   mutable events_processed : int;
   (* During a run, per-event counter updates are batched into these and
-     flushed once when the loop exits — the totals (and the final
-     queue-depth gauge, which is the heap size at exit) are exactly
-     what the per-event writes produced, without two hashtable lookups
-     per event. *)
+     flushed once when the loop exits — the totals (and the queue-depth
+     gauge) are exactly what the per-event writes produced, without two
+     hashtable lookups per event. *)
   mutable in_run : bool;
   mutable sched_batch : int;
   mutable cancel_batch : int;
+  mutable reported_depth : int; (* this engine's share of the gauge *)
   (* Optional deterministic event trace: models call [record] at the
      points they consider observable (a request served, a shard chosen)
      and tests compare whole traces across runs. Newest first. An
@@ -182,6 +182,7 @@ let create () =
     in_run = false;
     sched_batch = 0;
     cancel_batch = 0;
+    reported_depth = 0;
     tracing = false;
     trace_buf = [];
     trace_len = 0;
@@ -216,12 +217,25 @@ let record t label =
 let trace t = List.rev t.trace_buf
 let trace_dropped t = t.trace_dropped
 
+(* The queue-depth gauge is the sum of every engine's queued events:
+   each engine adds the change in its own depth since it last
+   reported, so a phase that runs several engines loses none. *)
+let report_depth t =
+  let d = t.heap.Heap.size - t.reported_depth in
+  if d <> 0 then begin
+    t.reported_depth <- t.heap.Heap.size;
+    let reg = Telemetry.default in
+    Telemetry.set_gauge reg "simnet.queue.depth"
+      (Int64.add
+         (Telemetry.gauge_value reg "simnet.queue.depth")
+         (Int64.of_int d))
+  end
+
 (* Outside a run, an event counter and the queue-depth gauge are
    written at once; inside one they are batched. *)
 let note t counter =
   Telemetry.Global.incr counter;
-  Telemetry.Global.set_gauge "simnet.queue.depth"
-    (Int64.of_int t.heap.Heap.size)
+  report_depth t
 
 (* Queue [fn] at [at], an int, and return its slot; a time in the past
    is clamped to now. *)
@@ -276,10 +290,7 @@ let run_loop ?until t =
       if t.cancel_batch > 0 then
         Telemetry.Global.add "simnet.events.cancelled"
           (Int64.of_int t.cancel_batch);
-      (* The last per-event gauge write always reflected the heap as it
-         stood when the loop exited — one write says the same thing. *)
-      Telemetry.Global.set_gauge "simnet.queue.depth"
-        (Int64.of_int t.heap.Heap.size)
+      report_depth t
     end;
     t.sched_batch <- 0;
     t.cancel_batch <- 0

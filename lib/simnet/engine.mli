@@ -42,11 +42,13 @@ val run : ?until:time -> t -> unit
 (** Process events until the queue drains (or past the horizon).
 
     With telemetry on, the engine counts [simnet.events.scheduled],
-    [simnet.events.processed] and [simnet.events.cancelled] and sets
-    the [simnet.queue.depth] gauge; inside a run they are batched and
-    written once as it returns. Every event scheduled is processed,
-    cancelled or still queued, so over one engine, scheduled =
-    processed + cancelled + the final queue depth. *)
+    [simnet.events.processed] and [simnet.events.cancelled] and adds
+    the change in its queue depth to the [simnet.queue.depth] gauge,
+    which so sums every engine's queued events; inside a run they are
+    batched and written once as it returns. Every event scheduled is
+    processed, cancelled or still queued, so over all engines counted
+    since the registry's last reset, scheduled = processed + cancelled
+    + the gauge. *)
 
 (** {1 Deterministic event traces}
 

@@ -544,13 +544,8 @@ let test_l2_rewarm_respects_policy_version () =
 
 (* --- The control plane. --- *)
 
-let make_control ?(members = 3) ?(lease_us = 1_000_000L)
-    ?(hb_interval_us = 250_000L) ?(commit_margin_us = 100_000L)
-    ?(snapshot_threshold = 8) engine =
-  let ctl =
-    Proxy.Control.create engine ~lease_us ~hb_interval_us ~commit_margin_us
-      ~snapshot_threshold ()
-  in
+let make_control ?(members = 3) ?(snapshot_threshold = 8) engine =
+  let ctl = Proxy.Control.create engine ~snapshot_threshold () in
   let applied = Array.make members [] in
   let rigs =
     Array.init members (fun i ->

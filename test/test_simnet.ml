@@ -517,6 +517,36 @@ let test_event_count_identity () =
       check Alcotest.int64 "scheduled = processed + cancelled + depth" scheduled
         (Int64.add processed (Int64.add cancelled depth)))
 
+(* The depth gauge sums every engine's queued events, so the identity
+   closes over a phase that runs several engines — and stays closed
+   when an earlier engine is driven again after a later one ran. *)
+let test_event_count_identity_engines () =
+  let reg = Telemetry.default in
+  Telemetry.reset reg;
+  Telemetry.enable reg;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.disable reg)
+    (fun () ->
+      let queue e n =
+        for i = 1 to n do
+          Simnet.Engine.schedule e ~delay:(Int64.of_int (i * 10)) ignore
+        done
+      in
+      let a = Simnet.Engine.create () and b = Simnet.Engine.create () in
+      queue a 5;
+      Simnet.Engine.run ~until:25L a;
+      queue b 7;
+      Simnet.Engine.run ~until:15L b;
+      Simnet.Engine.run ~until:35L a;
+      let counter = Telemetry.counter_value reg in
+      check Alcotest.int64 "queued on both engines" 8L
+        (Telemetry.gauge_value reg "simnet.queue.depth");
+      check Alcotest.int64 "scheduled = processed + cancelled + depth"
+        (counter "simnet.events.scheduled")
+        (Int64.add (counter "simnet.events.processed")
+           (Int64.add (counter "simnet.events.cancelled")
+              (Telemetry.gauge_value reg "simnet.queue.depth"))))
+
 (* A fired event's closure is dropped from the queue: a value only it
    captures becomes garbage. *)
 let test_fired_closure_released () =
@@ -574,6 +604,8 @@ let () =
             test_cancel_across_grow;
           Alcotest.test_case "event count identity" `Quick
             test_event_count_identity;
+          Alcotest.test_case "event count identity over several engines"
+            `Quick test_event_count_identity_engines;
           Alcotest.test_case "fired closures released" `Quick
             test_fired_closure_released;
           Alcotest.test_case "cancelled closures released" `Quick
