@@ -1,4 +1,4 @@
-.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest perf-pairs check clean
+.PHONY: all build test lint exports-check certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest perf-pairs check clean
 
 all: build
 
@@ -14,6 +14,12 @@ test:
 lint:
 	dune exec bin/dvmctl.exe -- lint
 	dune exec bin/dvmctl.exe -- certify --small
+
+# Library surface check: every val in lib/**/*.mli must be named by
+# some other .ml under lib/, bin/, bench/, perfbench/, examples/ or
+# test/; the script names each export nothing uses.
+exports-check:
+	python3 tools/exports_check.py
 
 # Certified-rewriting smoke: rewrite the full bundled workloads with
 # certificate emission on and translation-validate every class from its
@@ -115,6 +121,7 @@ check:
 	dune build @all
 	dune runtest
 	$(MAKE) lint
+	$(MAKE) exports-check
 	$(MAKE) certify-smoke
 	$(MAKE) farm-smoke
 	$(MAKE) chaos-smoke

@@ -67,9 +67,6 @@ let write_bench ?(hists = true) ~wall_ms name =
       name scheduled processed cancelled queued;
     exit 1
   end;
-  (* The virtual/wall ratio gauge is the one wall-clock-derived metric;
-     zero it so the file stays byte-stable across runs. *)
-  Telemetry.set_gauge reg "simnet.virtual_wall_ratio_x1000" 0L;
   let summary =
     String.concat ",\n    "
       (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) !bench_summary)

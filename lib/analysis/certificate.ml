@@ -73,21 +73,3 @@ let entry_count (cc : class_cert) =
   List.fold_left (fun acc mc -> acc + List.length mc.mc_entries) 0 cc.cc_methods
 
 (* --- Rendering, for dvmctl and the audit trail. --- *)
-
-let fact_to_string = function
-  | Available_check p -> Printf.sprintf "available-check %S" p
-  | Nonnull_stack d -> Printf.sprintf "nonnull stack[-%d]" d
-  | Int_range { slot; lo; hi } ->
-    Printf.sprintf "local %d in [%d, %d]" slot lo hi
-
-let kind_to_string = function
-  | Elided { support } ->
-    Printf.sprintf "elided (support: %s)"
-      (String.concat ", " (List.map (Printf.sprintf "@%d") support))
-  | Hoisted { check_site; header } ->
-    Printf.sprintf "hoisted (check @%d, header @%d)" check_site header
-
-let entry_to_string e =
-  Printf.sprintf "site @%d: %s, %s" e.ce_site
-    (fact_to_string e.ce_fact)
-    (kind_to_string e.ce_kind)

@@ -45,8 +45,3 @@ val record : store -> class_cert -> unit
 val find : store -> string -> class_cert option
 val entries_for : class_cert option -> meth:string -> desc:string -> entry list
 val entry_count : class_cert -> int
-
-(** {1 Rendering} *)
-
-val fact_to_string : fact -> string
-val entry_to_string : entry -> string

@@ -141,7 +141,6 @@ let of_code (code : CF.code) : t =
 
 let block_count g = Array.length g.blocks
 let block g i = g.blocks.(i)
-let block_of_instr g idx = g.block_of.(idx)
 
 let instr_reachable g =
   let r = Array.make (Array.length g.code.CF.instrs) false in

@@ -30,7 +30,6 @@ val of_code : Bytecode.Classfile.code -> t
 
 val block_count : t -> int
 val block : t -> int -> block
-val block_of_instr : t -> int -> int
 
 val instr_reachable : t -> bool array
 (** Per-instruction reachability from the method entry. *)

@@ -104,15 +104,3 @@ let loops t =
         Hashtbl.replace by_header header { l with latches = latch :: l.latches })
     (back_edges t);
   Hashtbl.fold (fun _ l acc -> l :: acc) by_header []
-
-(* Exit-edge sources: loop blocks with a successor outside the loop. *)
-let exit_sources t l =
-  Hashtbl.fold
-    (fun b () acc ->
-      if
-        List.exists
-          (fun (s, _) -> not (Hashtbl.mem l.body s))
-          (Cfg.block t.cfg b).Cfg.succs
-      then b :: acc
-      else acc)
-    l.body []

@@ -12,11 +12,6 @@ val dominates : t -> int -> int -> bool
 (** [dominates t a b] — does block [a] dominate block [b]? Unreachable
     blocks are dominated by nothing. *)
 
-val back_edges : t -> (int * int) list
-(** [(latch, header)] pairs over non-exception edges. *)
-
-val natural_loop : t -> int * int -> (int, unit) Hashtbl.t
-
 type loop = {
   header : int;
   latches : int list;
@@ -24,7 +19,5 @@ type loop = {
 }
 
 val loops : t -> loop list
-(** Natural loops grouped by header. *)
-
-val exit_sources : t -> loop -> int list
-(** Loop blocks with at least one successor outside the loop. *)
+(** Natural loops grouped by header. Each [(latch, header)] pair is a
+    back edge over non-exception edges. *)

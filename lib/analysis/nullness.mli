@@ -28,5 +28,4 @@ val stack_nonnull : state -> depth:int -> bool
 (** Is the stack value at [depth] slots below the top provably
     non-null? *)
 
-val pp_v : Format.formatter -> v -> unit
 val pp_state : Format.formatter -> state -> unit

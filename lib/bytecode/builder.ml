@@ -304,9 +304,9 @@ let native_meth ?(flags = [ Classfile.Public; Classfile.Native ]) name desc =
   { md_name = name; md_desc = desc; md_flags = flags; md_body = None;
     md_handlers = [] }
 
-let abstract_meth ?(flags = [ Classfile.Public; Classfile.Abstract ]) name desc
-    =
-  { md_name = name; md_desc = desc; md_flags = flags; md_body = None;
+let abstract_meth name desc =
+  { md_name = name; md_desc = desc;
+    md_flags = [ Classfile.Public; Classfile.Abstract ]; md_body = None;
     md_handlers = [] }
 
 let field ?(flags = [ Classfile.Public ]) name desc =

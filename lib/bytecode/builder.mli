@@ -16,17 +16,8 @@ type instr =
   | Aload of int
   | Astore of int
   | Inc of int * int
-  | Add
-  | Sub
-  | Mul
-  | Div
-  | Rem
-  | Neg
-  | Shl
-  | Shr
-  | And
-  | Or
-  | Xor
+  | Add | Sub | Mul | Div | Rem | Neg
+  | Shl | Shr | And | Or | Xor
   | Dup
   | Dup_x1
   | Pop
@@ -96,9 +87,12 @@ val meth :
   string ->
   instr list ->
   mdef
+(** No workload has a handler; [handlers] is for the handler cases of
+    [test_verifier], [test_jvm] and six other suites. *)
 
 val native_meth : ?flags:Classfile.access list -> string -> string -> mdef
-val abstract_meth : ?flags:Classfile.access list -> string -> string -> mdef
+val abstract_meth : string -> string -> mdef
+
 val field : ?flags:Classfile.access list -> string -> string -> Classfile.field
 
 val default_init : string -> mdef
@@ -113,5 +107,6 @@ val class_ :
   string ->
   mdef list ->
   Classfile.t
-(** Assemble a complete class. Computes [max_stack] / [max_locals]
-    estimates for every method body. *)
+(** Assemble a class, estimating [max_stack] / [max_locals] for every
+    body. [interfaces] and [attributes], unused by the workloads, are
+    for [test_verifier]'s, [test_jvm]'s and [test_bytecode]'s cases. *)

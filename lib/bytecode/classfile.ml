@@ -40,7 +40,6 @@ type t = {
 let java_lang_object = "java/lang/Object"
 
 let has_flag flags f = List.mem f flags
-let is_static m = has_flag m.m_flags Static
 
 let find_method cls name desc =
   List.find_opt
@@ -56,8 +55,6 @@ let find_attribute cls name =
 let with_attribute cls name value =
   let rest = List.remove_assoc name cls.attributes in
   { cls with attributes = (name, value) :: rest }
-
-let method_count cls = List.length cls.methods
 
 let instruction_count cls =
   List.fold_left

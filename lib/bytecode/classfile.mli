@@ -47,15 +47,12 @@ type t = {
 val java_lang_object : string
 
 val has_flag : access list -> access -> bool
-val is_static : meth -> bool
 val find_method : t -> string -> string -> meth option
 val find_field : t -> string -> field option
 val find_attribute : t -> string -> string option
 
 val with_attribute : t -> string -> string -> t
 (** Set (or replace) a custom class attribute. *)
-
-val method_count : t -> int
 
 val instruction_count : t -> int
 (** Total instructions across all method bodies. *)

@@ -31,12 +31,6 @@ let get_utf8 pool i =
     ->
     raise (Wrong_kind { index = i; expected = "Utf8" })
 
-let get_int pool i =
-  match entry pool i with
-  | Int_const n -> n
-  | Utf8 _ | Class _ | Str _ | Fieldref _ | Methodref _ | Name_and_type _ ->
-    raise (Wrong_kind { index = i; expected = "Int_const" })
-
 let get_class_name pool i =
   match entry pool i with
   | Class u -> get_utf8 pool u
@@ -75,15 +69,6 @@ let get_methodref pool i =
   | Methodref (c, nt) -> member_ref_of pool ~expected:"Methodref" c nt i
   | Utf8 _ | Int_const _ | Class _ | Str _ | Fieldref _ | Name_and_type _ ->
     raise (Wrong_kind { index = i; expected = "Methodref" })
-
-let pp_entry ppf = function
-  | Utf8 s -> Format.fprintf ppf "Utf8 %S" s
-  | Int_const n -> Format.fprintf ppf "Int %ld" n
-  | Class i -> Format.fprintf ppf "Class #%d" i
-  | Str i -> Format.fprintf ppf "String #%d" i
-  | Fieldref (c, nt) -> Format.fprintf ppf "Fieldref #%d.#%d" c nt
-  | Methodref (c, nt) -> Format.fprintf ppf "Methodref #%d.#%d" c nt
-  | Name_and_type (n, d) -> Format.fprintf ppf "NameAndType #%d:#%d" n d
 
 module Builder = struct
   (* Interning builder: identical entries are shared, as the real javac
@@ -127,7 +112,6 @@ module Builder = struct
       i
 
   let utf8 b s = add b (Utf8 s)
-  let int_const b n = add b (Int_const n)
   let class_ b name = add b (Class (utf8 b name))
   let string b s = add b (Str (utf8 b s))
 

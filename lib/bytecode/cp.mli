@@ -28,13 +28,10 @@ val entry : t -> int -> entry
 (** @raise Invalid_index if the index is out of range (including 0). *)
 
 val get_utf8 : t -> int -> string
-val get_int : t -> int -> int32
 val get_class_name : t -> int -> string
 val get_string : t -> int -> string
-val get_name_and_type : t -> int -> string * string
 val get_fieldref : t -> int -> member_ref
 val get_methodref : t -> int -> member_ref
-val pp_entry : Format.formatter -> entry -> unit
 
 (** Interning constant-pool builder. Structurally identical entries are
     shared; building is amortized O(1) per entry. *)
@@ -48,10 +45,8 @@ module Builder : sig
       keep their original indices and only grow the pool. *)
 
   val utf8 : t -> string -> int
-  val int_const : t -> int32 -> int
   val class_ : t -> string -> int
   val string : t -> string -> int
-  val name_and_type : t -> name:string -> desc:string -> int
   val fieldref : t -> cls:string -> name:string -> desc:string -> int
   val methodref : t -> cls:string -> name:string -> desc:string -> int
   val to_pool : t -> entry array

@@ -105,8 +105,6 @@ let ty_of_string s =
     Hashtbl.add ty_cache s t;
     t
 
-let is_method_descriptor s = String.length s > 0 && s.[0] = '('
-
 let valid_field_descriptor s =
   match ty_of_string s with _ -> true | exception Bad_descriptor _ -> false
 
@@ -118,10 +116,3 @@ let valid_method_descriptor s =
 (* Number of locals slots taken by the parameters (all our types are
    one slot wide). *)
 let param_slots sig_ = List.length sig_.params
-
-let rec equal_ty a b =
-  match (a, b) with
-  | Int, Int -> true
-  | Obj x, Obj y -> String.equal x y
-  | Arr x, Arr y -> equal_ty x y
-  | (Int | Obj _ | Arr _), _ -> false

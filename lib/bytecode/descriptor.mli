@@ -18,7 +18,6 @@ type method_sig = {
 
 exception Bad_descriptor of string
 
-val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string
 
 val ty_of_string : string -> ty
@@ -29,13 +28,8 @@ val method_sig_to_string : method_sig -> string
 val method_sig_of_string : string -> method_sig
 (** Parse a method descriptor. @raise Bad_descriptor on malformed input. *)
 
-val is_method_descriptor : string -> bool
-(** Cheap syntactic test: does the string start like a method descriptor? *)
-
 val valid_field_descriptor : string -> bool
 val valid_method_descriptor : string -> bool
 
 val param_slots : method_sig -> int
 (** Locals slots occupied by the parameters (every type is one slot). *)
-
-val equal_ty : ty -> ty -> bool

@@ -1,8 +1,4 @@
 (** Human-readable class dumps with constant-pool references resolved
     inline. *)
 
-val pp_resolved : Cp.t -> Format.formatter -> Instr.t -> unit
-val pp_code : Cp.t -> Format.formatter -> Classfile.code -> unit
-val pp_method : Cp.t -> Format.formatter -> Classfile.meth -> unit
-val pp_class : Format.formatter -> Classfile.t -> unit
 val class_to_string : Classfile.t -> string

@@ -80,7 +80,6 @@ val successors : int -> t -> int list
     the instruction [i] located at [idx], exception edges excluded. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_icmp : Format.formatter -> icmp -> unit
 val to_string : t -> string
 
 val encoded_size : t -> int

@@ -11,10 +11,6 @@ type key = { key_id : string; secret : string }
 
 val signature_attribute : string
 val make_key : key_id:string -> secret:string -> key
-val hmac : string -> string -> string
-
-val strip_signature : Bytecode.Classfile.t -> Bytecode.Classfile.t
-val signable_bytes : Bytecode.Classfile.t -> string
 
 val sign : key -> Bytecode.Classfile.t -> Bytecode.Classfile.t
 (** Attach a signature attribute covering the class bytes without the

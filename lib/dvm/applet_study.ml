@@ -16,8 +16,11 @@ type stats = {
    browser bookkeeping), paid on every fetch, cached or not. *)
 let client_request_overhead_ms = 150.0
 
-let run ?(seed = 42) ?(n = 100) () : stats =
-  let pop = Workloads.Applets.population ~n ~seed () in
+(* The study's population: 100 applets drawn from seed 42. *)
+let n = 100
+
+let run () : stats =
+  let pop = Workloads.Applets.population ~n ~seed:42 () in
   let filters = Scaling.standard_filters () in
   let lat_ms ap = Float.of_int ap.Workloads.Applets.ap_wan_latency_us /. 1000.0 in
   let mean_internet =

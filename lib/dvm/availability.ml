@@ -126,11 +126,11 @@ let run ?slo ?(seed = default_seed) ?(crash = false) ~loss_pct ~replicas () =
     av_trace = Simnet.Fault.trace plan;
   }
 
-let sweep ?slo ?seed ?crash ~loss_pcts ~replica_counts () =
+let sweep ?seed ?crash ~loss_pcts ~replica_counts () =
   List.concat_map
     (fun replicas ->
       List.map
-        (fun loss_pct -> run ?slo ?seed ?crash ~loss_pct ~replicas ())
+        (fun loss_pct -> run ?seed ?crash ~loss_pct ~replicas ())
         loss_pcts)
     replica_counts
 

@@ -36,14 +36,13 @@ val run :
   replicas:int ->
   unit ->
   point
-(** [seed] (default {!default_seed}) drives the fault plan. [crash]
-    (default false) crashes shard 0 at t=400 ms for 2.5 s; it restarts
-    cache-cold. [slo] receives one outcome per settled class fetch
-    (served bytes as fresh, exhausted attempts as failed) on the run's
-    virtual clock, so a sweep can be summarized by the SLO monitor. *)
+(** [seed] (default {!default_seed}) drives the fault plan; [test_faults]'
+    determinism property draws it. [crash] (default false) crashes
+    shard 0 at t=400 ms for 2.5 s; it restarts cache-cold. [slo] gets
+    one outcome per settled class fetch (served bytes as fresh,
+    exhausted attempts as failed) on the run's virtual clock. *)
 
 val sweep :
-  ?slo:Telemetry.Slo.t ->
   ?seed:int ->
   ?crash:bool ->
   loss_pcts:float list ->

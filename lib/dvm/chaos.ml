@@ -18,7 +18,7 @@
    2. deadlines — no session served a response past its deadline
       (the sessions' [deadline_violations] tripwires stay 0);
    3. recovery — once faults clear, throughput in the tail window
-      returns to at least [recovery_frac] of the fault-free run's.
+      returns to at least half the fault-free run's.
 
    [spike_comparison] is the acceptance experiment: the same spiked
    run with the overload controls on (deadlines on the wire, admission
@@ -253,7 +253,7 @@ let ok v = v.v_digests_ok && v.v_no_late_serves && v.v_recovered
 let fault_free cfg =
   { cfg with ch_crashes = 0; ch_loss_pct = 0.0; ch_jitter_us = 0; ch_spike_len_s = 0 }
 
-let verify ?(recovery_frac = 0.5) (cfg : config) : verdict =
+let verify (cfg : config) : verdict =
   let reference = run (fault_free cfg) in
   let chaotic = run cfg in
   (* Integrity: compare on the applet keys both runs served — the
@@ -276,7 +276,7 @@ let verify ?(recovery_frac = 0.5) (cfg : config) : verdict =
       && reference.co_clients.Client.Session.tl_deadline_violations = 0;
     v_recovered =
       Float.of_int chaotic.co_tail_served
-      >= recovery_frac *. Float.of_int reference.co_tail_served;
+      >= 0.5 *. Float.of_int reference.co_tail_served;
   }
 
 (* --- The acceptance experiment: overload control on vs off under the

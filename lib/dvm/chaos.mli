@@ -38,11 +38,6 @@ val default_config : config
     retry+hedge pool of 8 tokens per session (also every control-plane
     session's pool). *)
 
-val applets : int
-val think_us : int64
-val hedge_after_us : int64
-val retry_budget : int
-
 type outcome = {
   co_seed : int;
   co_clients : Client.Session.tally;
@@ -71,10 +66,6 @@ val stale_key : string -> string
 val run : config -> outcome
 (** One seeded chaos run in simulated time. *)
 
-val fault_free : config -> config
-(** The same configuration with crashes, loss, jitter and the spike
-    removed — the reference run invariants compare against. *)
-
 (** The three chaos invariants, checked by {!verify}. *)
 type verdict = {
   v_reference : outcome;  (** fault-free, spike-free *)
@@ -84,14 +75,14 @@ type verdict = {
           to the fault-free run's serve *)
   v_no_late_serves : bool;  (** zero deadline violations in both runs *)
   v_recovered : bool;
-      (** tail-window serves reach [recovery_frac] of the reference *)
+      (** tail-window serves reach half the reference's *)
 }
 
 val ok : verdict -> bool
 
-val verify : ?recovery_frac:float -> config -> verdict
-(** Run [fault_free config] and [config], check the invariants.
-    [recovery_frac] defaults to 0.5. *)
+val verify : config -> verdict
+(** Run [config] with crashes, loss, jitter and the spike removed, then
+    [config] itself, and check the invariants. *)
 
 type comparison = {
   cmp_control : outcome;
@@ -180,9 +171,6 @@ val default_control_config : control_config
 (** Fixed in every control-plane run: 500 ms between a client's
     fetches and a 2 s deadline budget per fetch. *)
 
-val control_think_us : int64
-val control_budget_us : int64
-
 type control_outcome = {
   cn_seed : int;
   cn_clients : Client.Session.tally;  (** [tl_served] counts fresh serves *)
@@ -233,11 +221,6 @@ type control_outcome = {
 
 val run_control : control_config -> control_outcome
 (** One seeded control-plane run in simulated time. *)
-
-val partition_free : control_config -> control_config
-(** The same configuration with the partitions, the restart, and the
-    leader crash/partition removed — the bump and the churn still
-    happen; the reference run {!verify_control} compares against. *)
 
 (** The control-plane invariants, checked by {!verify_control}. *)
 type control_verdict = {

@@ -415,8 +415,8 @@ let jdk_security_hook vm (policy : Security.Policy.t) ~sid op =
   if not (Security.Policy.decide policy ~sid ~permission:op) then
     Jvm.Vmstate.throw vm ~cls:Jvm.Vmstate.c_security ~message:op
 
-let create_monolithic ?(policy = Security.Policy.empty)
-    ?(sid = "default") ?(verify = true) ?oracle_provider ~provider () =
+let create_monolithic ?(policy = Security.Policy.empty) ?oracle_provider
+    ~provider () =
   let vm = Jvm.Bootlib.fresh_vm ~provider:(traced_provider provider) () in
   let client =
     {
@@ -433,10 +433,10 @@ let create_monolithic ?(policy = Security.Policy.empty)
      (no transfer metering): resolution state is local to the client in
      a monolithic VM. *)
   let oracle_provider = Option.value ~default:provider oracle_provider in
-  if verify then
-    Jvm.Classreg.set_on_load vm.Jvm.Vmstate.reg
-      (monolithic_verify_hook client oracle_provider);
-  vm.Jvm.Vmstate.security_hook <- Some (jdk_security_hook vm policy ~sid);
+  Jvm.Classreg.set_on_load vm.Jvm.Vmstate.reg
+    (monolithic_verify_hook client oracle_provider);
+  vm.Jvm.Vmstate.security_hook <-
+    Some (jdk_security_hook vm policy ~sid:"default");
   client
 
 let create_dvm ?console ?(session = 0) ?security_server ?(sid = "default")

@@ -58,9 +58,6 @@ module Session : sig
             deadline machinery broke *)
   }
 
-  val retry_backoff_us : int64
-  (** The pause before a shed request is re-sent: 50 ms. *)
-
   val create :
     ?budget_us:int64 ->
     ?hedge_after_us:int64 ->
@@ -131,15 +128,14 @@ val jdk_security_hook :
 
 val create_monolithic :
   ?policy:Security.Policy.t ->
-  ?sid:Security.Policy.sid ->
-  ?verify:bool ->
   ?oracle_provider:Jvm.Classreg.provider ->
   provider:Jvm.Classreg.provider ->
   unit ->
   t
-(** [oracle_provider] serves the local verifier's environment lookups
-    (defaults to [provider]); pass the raw origin to keep transfer
-    metering honest. *)
+(** A JDK client that verifies every class it loads and checks [policy]
+    for the domain ["default"]. [oracle_provider] serves the local
+    verifier's environment lookups (defaults to [provider]); pass the
+    raw origin to keep transfer metering honest. *)
 
 val create_dvm :
   ?console:Monitor.Console.t ->

@@ -47,5 +47,3 @@ let client_us_of_vm (vm : Jvm.Vmstate.t) =
   Int64.of_float
     (float_of_int vm.Jvm.Vmstate.instr_count *. client_us_per_bytecode)
   |> Int64.add (Int64.of_int vm.Jvm.Vmstate.native_cost)
-
-let us_to_s us = Int64.to_float us /. 1_000_000.0

@@ -3,7 +3,6 @@
     calibrations anchored to numbers the paper reports; the
     reproduction claims shapes, not cycle counts (DESIGN.md). *)
 
-val client_us_per_bytecode : float
 val client_parse_us_per_byte : float
 
 val monolithic_verify_us_per_check : float
@@ -17,12 +16,8 @@ val jdk_overhead_get_property : int64
 val jdk_overhead_open_file : int64
 val jdk_overhead_set_priority : int64
 
-val lan_bandwidth_bps : int
-val lan_latency_us : int
 val lan_transfer_us : bytes:int -> int
 
 val client_us_of_vm : Jvm.Vmstate.t -> int64
 (** Instruction counts weighted by interpretation speed plus native
     costs at face value. *)
-
-val us_to_s : int64 -> float

@@ -34,8 +34,6 @@ type result = {
       (* enforcement (permission, verdict) sequence, in order *)
 }
 
-let wall r = r.r_wall_us
-
 (* A standard audit+security+verification pipeline over a policy that,
    per §4.1, forces the services to parse every class and examine
    every instruction. *)

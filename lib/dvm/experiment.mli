@@ -8,8 +8,6 @@
 
 type architecture = Monolithic | Dvm of { cached : bool }
 
-val architecture_name : architecture -> string
-
 type result = {
   r_app : string;
   r_arch : architecture;
@@ -27,8 +25,6 @@ type result = {
       (** enforcement (permission, verdict) sequence, in order; empty
           under the monolithic architecture *)
 }
-
-val wall : result -> int64
 
 val standard_policy : Security.Policy.t
 (** Per §4.1: a policy that forces the services to parse every class

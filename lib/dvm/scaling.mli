@@ -4,9 +4,6 @@
     implementation header for the resource model behind the 64 MB
     knee. *)
 
-val per_client_state_bytes : int
-val think_time : Simnet.Engine.time
-
 val applet_workload :
   applet_count:int ->
   seed:int ->
@@ -121,7 +118,9 @@ val run_farm :
     send raw farm requests (no deadline, retry or hedge) and a refused
     one stops. [slo] receives one outcome per settled
     request (in-horizon serves as fresh, farm refusals as failed) on
-    the run's virtual clock. *)
+    the run's virtual clock. [mem_capacity] (default 64 MB) is there
+    for [test_farm]'s "3x past the knee", which reaches the Figure 10
+    knee with 48 clients on 4 MB shards. *)
 
 (** The JSON the bench pins: the Figure-10 series in
     [BENCH_paper.json], the shard sweep and the coalescing run in

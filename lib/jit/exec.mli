@@ -4,7 +4,6 @@
 
 exception Unsupported of string
 
-val supported_instr : Ir.instr -> bool
 val supported : Ir.meth -> bool
 
 type value = Vint of int32 | Vstr of string | Vnull | Varr of int32 array

@@ -102,10 +102,6 @@ let targets = function
   | Switch { targets; default; _ } -> default :: Array.to_list targets
   | _ -> []
 
-let is_terminator = function
-  | Jump _ | Ret _ | Throw _ | Switch _ -> true
-  | _ -> false
-
 let pp_instr ppf i =
   let r n = Format.sprintf "r%d" n in
   match i with

@@ -50,7 +50,6 @@ type meth = { ir_name : string; ir_desc : string; code : instr array; nregs : in
 val defs : instr -> reg list
 val uses : instr -> reg list
 val targets : instr -> int list
-val is_terminator : instr -> bool
 val pp_instr : Format.formatter -> instr -> unit
 
 val static_cost : Arch.t -> instr array -> float

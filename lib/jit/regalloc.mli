@@ -12,7 +12,6 @@ type result = {
 
 type interval = { vreg : Ir.reg; start : int; finish : int }
 
-val intervals : Ir.meth -> interval list
 val allocate : Arch.t -> Ir.meth -> result
 
 val valid : Ir.meth -> result -> bool

@@ -105,10 +105,10 @@ let compile_class ?elide t arch cf =
 
 (* Compile for every native format registered at the console — the
    "resource investments benefit all clients" property. *)
-let compile_for_fleet ?elide t console cf =
+let compile_for_fleet t console cf =
   List.concat_map
     (fun fmt ->
       match Arch.by_name fmt with
-      | Some arch -> compile_class ?elide t arch cf
+      | Some arch -> compile_class t arch cf
       | None -> [])
     (Monitor.Console.native_formats console)

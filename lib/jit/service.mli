@@ -29,25 +29,11 @@ type t = {
 }
 
 val create : unit -> t
-val key : cls:string -> name:string -> desc:string -> arch:string -> string
-
-val compile_method :
-  ?elide:bool ->
-  t ->
-  Arch.t ->
-  Bytecode.Classfile.t ->
-  Bytecode.Classfile.meth ->
-  entry
-(** [elide] (default true) consults the {!Analysis} pass manager so
-    guards proven redundant are dropped from the emitted IR. *)
 
 val compile_class :
   ?elide:bool -> t -> Arch.t -> Bytecode.Classfile.t -> (string * entry) list
 
 val compile_for_fleet :
-  ?elide:bool ->
-  t ->
-  Monitor.Console.t ->
-  Bytecode.Classfile.t ->
-  (string * entry) list
-(** Compile for every native format registered at the console. *)
+  t -> Monitor.Console.t -> Bytecode.Classfile.t -> (string * entry) list
+(** Compile, with guard elision, for every native format registered at
+    the console. *)

@@ -332,9 +332,6 @@ let boot_classes () =
   ]
   @ List.map (fun (n, s) -> throwable_sub n ~super:s) throwable_tree
 
-let boot_class_names () =
-  List.map (fun c -> c.CF.name) (boot_classes ())
-
 (* --- Native implementations. --- *)
 
 let arg n args =

@@ -12,19 +12,9 @@
     close. *)
 
 val boot_classes : unit -> Bytecode.Classfile.t list
-val boot_class_names : unit -> string list
-
-val install : Vmstate.t -> unit
-(** Register all boot classes and natives and wire up [System.out]. *)
 
 val fresh_vm :
   ?budget:int64 -> ?provider:Classreg.provider -> unit -> Vmstate.t
-(** A new VM with the boot library installed. *)
-
-(** Baseline native costs (cost units), exposed for the cost model and
-    the Figure 9 harness. *)
-
-val cost_get_property : int64
-val cost_open_file : int64
-val cost_set_priority : int64
-val cost_read_file : int64
+(** A new VM with the boot library installed. [budget] caps the
+    instructions it may run; [test_jvm]'s "budget" and [test_verifier]'s
+    runs of rewritten code set it to stop a runaway loop. *)

@@ -80,7 +80,6 @@ let flush_query_caches t =
   Hashtbl.reset t.subtype_cache;
   Hashtbl.reset t.fields_cache
 
-let set_provider t p = t.provider <- p
 let set_on_load t f = t.on_load <- f
 
 let make_loaded ?(wire_bytes = 0) cf =
@@ -185,8 +184,6 @@ let rec superclass_walk t missed name acc =
     match l.cf.Bytecode.Classfile.super with
     | None -> List.rev (name :: acc)
     | Some s -> superclass_walk t missed s (name :: acc))
-
-let superclass_chain t name acc = superclass_walk t (ref false) name acc
 
 (* Reflexive subtype test over class names, covering arrays.
    [java/lang/String] is a final class with superclass Object. *)
@@ -300,5 +297,3 @@ let all_instance_fields t cls_name =
     let fields = walk cls_name [] in
     if not !missed then Hashtbl.replace t.fields_cache cls_name fields;
     fields
-
-let loaded_count t = Hashtbl.length t.classes

@@ -66,7 +66,6 @@ type t = {
 }
 
 val create : ?provider:provider -> unit -> t
-val set_provider : t -> provider -> unit
 
 val set_on_load : t -> (Bytecode.Classfile.t -> unit) -> unit
 (** Hook run on every provider-loaded class before registration — this
@@ -90,10 +89,6 @@ val is_subclass : t -> sub:string -> super:string -> bool
 (** Reflexive subtype test over class names, covering arrays and
     (transitive) interfaces. *)
 
-val array_elem : string -> string option
-(** Element name of an array class name: ["\[I"] gives ["I"],
-    ["\[Lfoo;"] gives ["foo"], ["\[\[I"] gives ["\[I"]. *)
-
 val resolve_method :
   t -> string -> string -> string -> (loaded * Bytecode.Classfile.meth) option
 (** [resolve_method t cls name desc] walks the superclass chain. *)
@@ -102,5 +97,3 @@ val resolve_field :
   t -> string -> string -> (loaded * Bytecode.Classfile.field) option
 
 val all_instance_fields : t -> string -> (string * string) list
-val superclass_chain : t -> string -> string list -> string list
-val loaded_count : t -> int

@@ -21,11 +21,7 @@ type cell =
   | Cell_iarr of Value.int_array
   | Cell_rarr of Value.ref_array
 
-val reachable : Value.t list -> (int, cell) Hashtbl.t
-(** The transitive reachable set from the given roots, keyed by heap
-    cell id. *)
-
-val vm_roots : Vmstate.t -> Value.t list
-(** Every loaded class's static fields. *)
-
 val collect : ?extra_roots:Value.t list -> Vmstate.t -> stats
+(** Mark from every loaded class's static fields, then sweep.
+    [extra_roots] is there for [test_jvm]'s "gc traces structures
+    and cycles", which roots heap graphs no static field holds. *)

@@ -46,8 +46,6 @@ let default_of_descriptor desc =
   | Bytecode.Descriptor.Int -> Int 0l
   | Bytecode.Descriptor.Obj _ | Bytecode.Descriptor.Arr _ -> Null
 
-let truthy = function Int n -> not (Int32.equal n 0l) | _ -> false
-
 let rec pp ppf = function
   | Int n -> Format.fprintf ppf "%ld" n
   | Null -> Format.pp_print_string ppf "null"

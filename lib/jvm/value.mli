@@ -16,8 +16,6 @@ and obj = { oid : int; cls : string; fields : (string, t) Hashtbl.t }
 and int_array = { aid : int; ints : int32 array }
 and ref_array = { rid : int; relem : string; refs : t array }
 
-val string_class : string
-
 val array_class : string -> string
 (** [array_class elem] names an array whose elements are named [elem]:
     ["\[Lfoo;"] for ["foo"], ["\[\[I"] for ["\[I"]. *)
@@ -28,8 +26,6 @@ val class_of : t -> string
 
 val is_reference : t -> bool
 val default_of_descriptor : string -> t
-val truthy : t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val ref_equal : t -> t -> bool

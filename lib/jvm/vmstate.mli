@@ -49,7 +49,6 @@ val total_cost : t -> int64
 
 val output : t -> string
 
-val make_throwable : t -> cls:string -> message:string -> Value.t
 val throw : t -> cls:string -> message:string -> 'a
 
 (** Throwable class names used across the runtime. *)

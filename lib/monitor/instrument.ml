@@ -202,11 +202,3 @@ let trace_blocks ?(counters = fresh_counters ()) (cf : CF.t) : CF.t =
 let audit_filter ?counters () =
   Rewrite.Filter.make ~name:"auditor"
     (instrument_class ?counters ~runtime_class:Profiler.auditor_class)
-
-let profile_filter ?counters ?(sync_trace = false) () =
-  Rewrite.Filter.make ~name:"profiler"
-    (instrument_class ?counters ~runtime_class:Profiler.profiler_class
-       ~sync_trace)
-
-let trace_filter ?counters () =
-  Rewrite.Filter.make ~name:"tracer" (trace_blocks ?counters)

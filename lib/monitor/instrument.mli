@@ -4,8 +4,6 @@
     entry to and exit from methods and constructors, and (for the
     tracing service) at synchronization operations. *)
 
-val method_label : string -> Bytecode.Classfile.meth -> string
-
 type counters = {
   mutable probes_inserted : int;
   mutable methods_instrumented : int;
@@ -20,16 +18,9 @@ val instrument_class :
   Bytecode.Classfile.t ->
   Bytecode.Classfile.t
 
-val block_leaders : Bytecode.Classfile.code -> int list
-(** Basic-block leaders: entry, branch targets, fall-throughs after
-    branches/terminators, handler targets. *)
-
 val trace_blocks :
   ?counters:counters -> Bytecode.Classfile.t -> Bytecode.Classfile.t
 (** The instruction-level tracing service of §3.3: counts basic-block
     executions via [dvm/Tracer.block] probes. *)
 
 val audit_filter : ?counters:counters -> unit -> Rewrite.Filter.t
-val profile_filter :
-  ?counters:counters -> ?sync_trace:bool -> unit -> Rewrite.Filter.t
-val trace_filter : ?counters:counters -> unit -> Rewrite.Filter.t

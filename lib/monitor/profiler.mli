@@ -9,17 +9,8 @@ val auditor_class : string
 val profiler_class : string
 val tracer_class : string
 val desc_s : string
-val runtime_classes : unit -> Bytecode.Classfile.t list
-val cost_audit_event : int64
-val cost_profile_event : int64
 
 type t
-
-val create : unit -> t
-val on_enter : t -> time:int64 -> string -> unit
-val on_exit : t -> string -> unit
-val on_sync : t -> string -> unit
-val on_block : t -> string -> unit
 
 val first_use_order : t -> string list
 (** Methods in the order they were first invoked. *)

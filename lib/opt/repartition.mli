@@ -8,10 +8,6 @@
     satellite only on first use; neither clients nor origin servers
     need modification. *)
 
-val satellite_name : string -> string
-val impl_name : string -> string
-val impl_desc : owner:string -> is_static:bool -> string -> string
-
 type result = {
   hot : Bytecode.Classfile.t;
   cold : Bytecode.Classfile.t option;

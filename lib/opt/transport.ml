@@ -12,11 +12,6 @@ type mode =
   | Lazy_class (* entire classes, fetched at first reference *)
   | Repartitioned (* hot parts of classes; satellites stay behind *)
 
-let mode_name = function
-  | Whole_archive -> "whole archive"
-  | Lazy_class -> "lazy class"
-  | Repartitioned -> "repartitioned"
-
 (* Classes the profile actually touched (by method label prefix). *)
 let used_classes profile classes =
   List.filter

@@ -8,11 +8,6 @@
 
 type mode = Whole_archive | Lazy_class | Repartitioned
 
-val mode_name : mode -> string
-
-val used_classes :
-  First_use.profile -> Bytecode.Classfile.t list -> Bytecode.Classfile.t list
-
 val bytes_transferred :
   mode -> First_use.profile -> Bytecode.Classfile.t list -> int
 

@@ -21,7 +21,6 @@ type verdict = Admit | Shed_queue | Shed_deadline
 
 type t = {
   queue_limit : int;
-  ewma_alpha : float;
   mutable inflight : int; (* admitted, not yet completed *)
   mutable est_cost_us : float; (* EWMA of completed miss service time *)
   mutable admitted : int;
@@ -29,14 +28,15 @@ type t = {
   mutable shed_deadline : int;
 }
 
-let create ?(queue_limit = max_int) ?(initial_cost_us = 50_000)
-    ?(ewma_alpha = 0.2) () =
+(* The miss-cost EWMA's weight on each new sample. *)
+let ewma_alpha = 0.2
+
+let create ?(queue_limit = max_int) () =
   if queue_limit <= 0 then invalid_arg "Admission.create: queue_limit";
   {
     queue_limit;
-    ewma_alpha;
     inflight = 0;
-    est_cost_us = Float.of_int initial_cost_us;
+    est_cost_us = 50_000.0;
     admitted = 0;
     shed_queue = 0;
     shed_deadline = 0;
@@ -75,5 +75,5 @@ let complete ?sample t =
   | None -> ()
   | Some actual_us ->
     t.est_cost_us <-
-      ((1.0 -. t.ewma_alpha) *. t.est_cost_us)
-      +. (t.ewma_alpha *. Int64.to_float actual_us)
+      ((1.0 -. ewma_alpha) *. t.est_cost_us)
+      +. (ewma_alpha *. Int64.to_float actual_us)

@@ -17,10 +17,10 @@ type verdict = Admit | Shed_queue | Shed_deadline
 
 type t
 
-val create :
-  ?queue_limit:int -> ?initial_cost_us:int -> ?ewma_alpha:float -> unit -> t
-(** Defaults: unbounded queue, 50 ms initial miss estimate,
-    EWMA α = 0.2. *)
+val create : ?queue_limit:int -> unit -> t
+(** A 50 ms initial miss estimate and EWMA α = 0.2. The queue is
+    unbounded by default; [queue_limit] is there for [test_proxy]'s
+    "admission queue shed", which needs a bound to shed against. *)
 
 val admit : t -> now:int64 -> deadline:int64 option -> est_us:int64 -> verdict
 (** [Admit] increments the in-flight count; the caller must balance

@@ -38,7 +38,6 @@ type t = {
   mutable probe_successes : int;
   mutable probe_inflight : int; (* Half_open grants not yet resolved *)
   mutable trips : int;
-  mutable probes : int;
 }
 
 let create ?(fail_threshold = 3) ?(window_threshold = 4)
@@ -62,11 +61,9 @@ let create ?(fail_threshold = 3) ?(window_threshold = 4)
     probe_successes = 0;
     probe_inflight = 0;
     trips = 0;
-    probes = 0;
   }
 
 let trips t = t.trips
-let probes t = t.probes
 
 let prune t ~now =
   let horizon = Int64.sub now t.window_us in
@@ -99,7 +96,6 @@ let allow t ~now =
     if t.probe_inflight >= t.success_threshold then false
     else begin
       t.probe_inflight <- t.probe_inflight + 1;
-      t.probes <- t.probes + 1;
       true
     end
 
@@ -140,9 +136,9 @@ let record_success t ~now =
   | Open -> ()
   | Closed -> ()
   | Half_open ->
-    (* Floor at 0: health probes ([Farm.probe]) report outcomes
-       without a matching [allow], so there may be nothing in flight
-       to release. *)
+    (* Floor at 0: a request admitted while Closed can report after
+       the breaker went Open and then Half_open, so there may be
+       nothing in flight to release. *)
     if t.probe_inflight > 0 then t.probe_inflight <- t.probe_inflight - 1;
     t.probe_successes <- t.probe_successes + 1;
     if t.probe_successes >= t.success_threshold then begin

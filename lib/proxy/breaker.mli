@@ -26,7 +26,9 @@ val create :
   unit ->
   t
 (** Defaults: 3 consecutive or 4-in-10s failures trip; 500 ms cooldown
-    doubling to a 4 s cap; 2 probe successes close. *)
+    doubling to a 4 s cap; 2 probe successes close. Every farm uses the
+    defaults; the settings are there for [test_proxy]'s breaker group,
+    whose "breaker matches its reference model" property sweeps them. *)
 
 val allow : t -> now:int64 -> bool
 (** May traffic be sent now? [true] in Closed, [false] in Open.
@@ -45,5 +47,3 @@ val state : t -> now:int64 -> state
     applied), without counting a probe. *)
 
 val trips : t -> int
-val probes : t -> int
-(** Half_open grants handed out. *)

@@ -27,7 +27,6 @@ type t = {
 }
 
 val create : capacity:int -> t
-val enabled : t -> bool
 
 val find : ?version:int -> t -> string -> string option
 (** [version] is the policy version the caller will serve under;

@@ -4,11 +4,18 @@
    Each shard is a full [Node.t] — its own host, CPU accounting and L1
    cache — so adding shards multiplies pipeline capacity and, more
    importantly for Figure 10, divides the per-client memory load that
-   pushes a single proxy past its thrashing knee. The ring uses
-   virtual nodes so key ownership stays balanced at small shard
-   counts, and failover walks the ring clockwise to the next distinct
-   live shard — exactly the preference order consistent hashing gives
-   for free — driven by each node request's [on_fail] hook.
+   pushes a single proxy past its thrashing knee. Failover walks the
+   ring clockwise to the next distinct live shard — exactly the
+   preference order consistent hashing gives for free — driven by a
+   shard's [Unavailable] reply.
+
+   The ring's virtual nodes do not balance ownership. FNV-1a over the
+   labels "shard-%d#%d" puts one shard's 64 points next to each other,
+   so each shard holds one or two runs of the ring. Over 100 000 keys
+   named like "a17/C123": at 2 shards the shares are 0.91 and 0.09,
+   each shard one run; at 4 shards 0.31, 0.09, 0.25 and 0.35; at 8
+   shards from 0.04 to 0.23. ROADMAP's "The ring's virtual nodes do
+   not spread" item places the points with a mixed hash instead.
 
    Determinism: ownership is a pure function of (key, shard count,
    vnodes), dispatch does no random choice and touches no hash-table
@@ -22,7 +29,6 @@ type t = {
   ring : (int * int) array; (* (point, shard index), sorted by point *)
   prefs : int list array;
   (* per ring slot: the distinct shards met walking clockwise from it *)
-  health : bool array; (* last observed per-shard state, for the console *)
   breakers : Breaker.t array; (* per-shard circuit breaker, ruling routing *)
   mutable requests : int;
   mutable failovers : int; (* requests served by a non-owner shard *)
@@ -44,9 +50,7 @@ let hash_key (s : string) : int =
   (* Keep it a nonnegative OCaml int: drop the top two bits. *)
   Int64.to_int (Int64.shift_right_logical !h 2)
 
-let default_vnodes = 64
-
-let create ?(vnodes = default_vnodes) ?breaker engine shards =
+let create ?(vnodes = 64) engine shards =
   if Array.length shards = 0 then invalid_arg "Farm.create: empty shard pool";
   if vnodes <= 0 then invalid_arg "Farm.create: vnodes must be positive";
   let n = Array.length shards in
@@ -74,25 +78,18 @@ let create ?(vnodes = default_vnodes) ?breaker engine shards =
         done;
         List.rev !order)
   in
-  let mk_breaker =
-    match breaker with Some f -> f | None -> fun _ -> Breaker.create ()
-  in
   {
     engine;
     shards;
     ring;
     prefs;
-    health = Array.map (fun s -> Simnet.Host.is_up s.Node.host) shards;
-    breakers = Array.init n mk_breaker;
+    breakers = Array.init n (fun _ -> Breaker.create ());
     requests = 0;
     failovers = 0;
     unavailable = 0;
     overloaded = 0;
     breaker_skips = 0;
   }
-
-let size t = Array.length t.shards
-let shard t i = t.shards.(i)
 
 (* Index of the first ring slot at or clockwise-after the key's point. *)
 let ring_position t key =
@@ -111,45 +108,13 @@ let owner t key = snd t.ring.(ring_position t key)
    failover preference order for that key. *)
 let preference_order t key = t.prefs.(ring_position t key)
 
-let health t =
-  Array.iteri
-    (fun i s -> t.health.(i) <- Simnet.Host.is_up s.Node.host)
-    t.shards;
-  Array.copy t.health
-
 let breaker t i = t.breakers.(i)
-
-(* Health with hysteresis: each probe feeds the raw host state through
-   the shard's breaker and reports what routing will actually do. A
-   flapping host (up on one probe, down on the next) flips the raw
-   [health] view every time, but after enough windowed failures its
-   breaker opens and [probe] holds the shard out — steadily — until the
-   cooldown expires and probes prove it stable again. *)
-let probe t =
-  let now = Simnet.Engine.now t.engine in
-  Array.mapi
-    (fun i s ->
-      let b = t.breakers.(i) in
-      match Breaker.state b ~now with
-      | Breaker.Open -> false
-      | Breaker.Closed | Breaker.Half_open ->
-        let up = Simnet.Host.is_up s.Node.host in
-        if up then Breaker.record_success b ~now
-        else Breaker.record_failure b ~now;
-        t.health.(i) <- up;
-        up && Breaker.state b ~now <> Breaker.Open)
-    t.shards
 
 (* Farm-wide aggregates over the per-shard counters. *)
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 let pipeline_runs t = sum (fun s -> s.Node.pipeline_runs) t
 let coalesced t = sum (fun s -> s.Node.coalesced) t
 let l2_hits t = sum (fun s -> s.Node.l2_hits) t
-let origin_fetches t = sum (fun s -> s.Node.origin_fetches) t
-let bytes_served t = sum (fun s -> s.Node.bytes_served) t
-
-let cpu_us t =
-  Array.fold_left (fun acc s -> Int64.add acc s.Node.cpu_us) 0L t.shards
 
 (* Drop the first [n] elements (shorter than the list). *)
 let rec drop n = function
@@ -189,7 +154,7 @@ let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
   in
   (* Walk the key's preference order; a shard whose breaker is open is
      skipped without even probing its host, a shard down at dispatch
-     (or crashing with the request in flight, via [on_fail]) feeds its
+     (or replying [Unavailable]: crashed in flight, or fenced) feeds its
      breaker a failure and hands the request to the next distinct live
      shard on the ring. [offset] starts the walk [offset] places past
      the owner — how a hedged request targets the next shard in ring
@@ -215,34 +180,31 @@ let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
         dispatch ~first rest
       end
       else if not (Simnet.Host.is_up p.Node.host) then begin
-        t.health.(s) <- false;
         record_failure_traced ~shard:s b
           ~now:(Simnet.Engine.now t.engine)
           ~why:"down at dispatch";
         dispatch ~first:false rest
       end
       else begin
-        t.health.(s) <- true;
         if not first then begin
           t.failovers <- t.failovers + 1;
           Telemetry.Global.incr "farm.failovers";
           Telemetry.Trace.event tctx ~node:edge ~kind:"farm.failover"
             (Printf.sprintf "class %s rerouted to shard %d" cls s)
         end;
-        Node.request p ?deadline ~trace:tctx ~cls
-          (fun reply ->
-            (match reply with
+        Node.request p ?deadline ~trace:tctx ~cls (fun reply ->
+            match reply with
+            | Node.Unavailable ->
+              record_failure_traced ~shard:s b
+                ~now:(Simnet.Engine.now t.engine)
+                ~why:"crashed in flight";
+              dispatch ~first:false rest
             | Node.Bytes _ | Node.Not_found ->
-              Breaker.record_success b ~now:(Simnet.Engine.now t.engine)
-            | Node.Overloaded -> t.overloaded <- t.overloaded + 1
-            | Node.Unavailable -> ());
-            k reply)
-          ~on_fail:(fun () ->
-            t.health.(s) <- false;
-            record_failure_traced ~shard:s b
-              ~now:(Simnet.Engine.now t.engine)
-              ~why:"crashed in flight";
-            dispatch ~first:false rest)
+              Breaker.record_success b ~now:(Simnet.Engine.now t.engine);
+              k reply
+            | Node.Overloaded ->
+              t.overloaded <- t.overloaded + 1;
+              k reply)
       end
   in
   dispatch ~first:(offset = 0) (drop offset (preference_order t cls))

@@ -2,11 +2,12 @@
 
    The paper's proxy is an HTTP proxy (the evaluation runs it in front
    of Netscape Enterprise); this is the minimal HTTP/1.0-shaped framing
-   the reproduction's clients and proxies exchange: a GET line naming
-   the class resource, and a status response with a Content-Length
-   body. The framing exists so that byte volumes on the wire include
-   protocol overhead and so malformed requests have somewhere to be
-   rejected. *)
+   the reproduction's clients send: a GET line naming the class
+   resource, then the deadline and trace headers. The framing exists so
+   that byte volumes on the wire include protocol overhead and so
+   malformed requests have somewhere to be rejected. Replies travel as
+   simulated transfers of the class bytes, with no framing of their
+   own. *)
 
 exception Bad_message of string
 
@@ -14,19 +15,8 @@ let fail fmt = Format.kasprintf (fun s -> raise (Bad_message s)) fmt
 
 let crlf = "\r\n"
 
-(* Strict decimal parsing. The stdlib's [of_string] family accepts
-   radix prefixes ("0x10", "0b101") and '_' separators ("1_000") —
-   none of which are wire syntax. A numeric field is exactly one or
-   more ASCII digits; anything else is a malformed message, and
-   out-of-range digit strings fail the [of_string] overflow check. *)
-let is_decimal s =
-  String.length s > 0
-  && String.for_all (function '0' .. '9' -> true | _ -> false) s
-
-let decimal_int_opt s = if is_decimal s then int_of_string_opt s else None
-
-(* One buffer reused across encodes: the proxy re-frames every served
-   class and the session frames every fetch, so the staging bytes are
+(* One buffer reused across encodes: the session frames every fetch,
+   so the staging bytes are
    written once into [scratch] and copied out exactly once by
    [Buffer.contents] — no sprintf intermediates. Single-threaded (the
    simulator is), like every other service-side scratch structure
@@ -230,7 +220,7 @@ let decode_request_full (data : string) : request =
         trace_id := Some id
       end
       else if is_at data f name_len "Parent-Span-Id" then begin
-        (* an OCaml int, as [decimal_int_opt] reads it: below 2^62 *)
+        (* an OCaml int: below 2^62 *)
         match dec_int64 data vs ve with
         | Some p when Int64.compare p (Int64.of_int max_int) <= 0 ->
           if Option.is_some !parent then fail "repeated header Parent-Span-Id";
@@ -253,107 +243,3 @@ let decode_request_full (data : string) : request =
     rq_trace_id = !trace_id;
     rq_parent_span = !parent;
   }
-
-let decode_request_deadline (data : string) : string * int64 option =
-  let r = decode_request_full data in
-  (r.rq_cls, r.rq_deadline_us)
-
-let decode_request (data : string) : string = (decode_request_full data).rq_cls
-
-(* --- Responses. --- *)
-
-type status = Ok_200 | Not_found_404 | Bad_request_400 | Overloaded_503
-
-let status_code = function
-  | Ok_200 -> 200
-  | Not_found_404 -> 404
-  | Bad_request_400 -> 400
-  | Overloaded_503 -> 503
-
-let status_of_code = function
-  | 200 -> Ok_200
-  | 404 -> Not_found_404
-  | 400 -> Bad_request_400
-  | 503 -> Overloaded_503
-  | c -> fail "unknown status %d" c
-
-let encode_response_into b ~status ~body =
-  Buffer.add_string b "DVM/1.0 ";
-  Buffer.add_string b (string_of_int (status_code status));
-  Buffer.add_string b crlf;
-  Buffer.add_string b "Content-Length: ";
-  Buffer.add_string b (string_of_int (String.length body));
-  Buffer.add_string b crlf;
-  Buffer.add_string b crlf;
-  Buffer.add_string b body
-
-let encode_response ~status ~body =
-  Buffer.clear scratch;
-  encode_response_into scratch ~status ~body;
-  Buffer.contents scratch
-
-(* Decode to a body *view* — offset and length into the wire bytes —
-   so the body is not copied until (unless) someone actually needs it
-   as a standalone string. *)
-let decode_response_view (data : string) : status * (int * int) =
-  let find_crlf from =
-    let rec go i =
-      if i + 1 >= String.length data then fail "truncated response"
-      else if data.[i] = '\r' && data.[i + 1] = '\n' then i
-      else go (i + 1)
-    in
-    go from
-  in
-  let eol1 = find_crlf 0 in
-  let status =
-    match String.split_on_char ' ' (String.sub data 0 eol1) with
-    | [ "DVM/1.0"; code ] -> (
-      match decimal_int_opt code with
-      | Some c -> status_of_code c
-      | None -> fail "bad status code %S" code)
-    | _ -> fail "malformed status line"
-  in
-  let eol2 = find_crlf (eol1 + 2) in
-  let header = String.sub data (eol1 + 2) (eol2 - eol1 - 2) in
-  let len =
-    match String.split_on_char ':' header with
-    | [ "Content-Length"; v ] -> (
-      match decimal_int_opt (String.trim v) with
-      | Some n -> n
-      | None -> fail "bad content length %S" v)
-    | _ -> fail "missing Content-Length"
-  in
-  (* The header block must end with the blank-line separator
-     ("\r\n\r\n") right here — anything else between the header and
-     the body is garbage framing, not body bytes. *)
-  if
-    eol2 + 4 > String.length data
-    || data.[eol2 + 2] <> '\r'
-    || data.[eol2 + 3] <> '\n'
-  then fail "missing blank-line separator after headers";
-  let body_start = eol2 + 4 in
-  if String.length data <> body_start + len then
-    fail "body length mismatch (declared %d, present %d)" len
-      (String.length data - body_start);
-  (status, (body_start, len))
-
-let decode_response (data : string) : status * string =
-  let status, (off, len) = decode_response_view data in
-  (status, String.sub data off len)
-
-(* Framing overhead in bytes for a response carrying [body_bytes] — the
-   wire-volume correction network experiments can apply. *)
-let response_overhead ~body_bytes =
-  String.length (encode_response ~status:Ok_200 ~body:"") +
-  (* Content-Length digits grow with the body *)
-  String.length (string_of_int body_bytes) - 1
-
-(* Serve one request against an origin-like lookup. *)
-let serve lookup (raw_request : string) : string =
-  match decode_request raw_request with
-  | exception Bad_message m ->
-    encode_response ~status:Bad_request_400 ~body:m
-  | cls -> (
-    match lookup cls with
-    | Some body -> encode_response ~status:Ok_200 ~body
-    | None -> encode_response ~status:Not_found_404 ~body:"")

@@ -1,6 +1,6 @@
-(** The proxy's wire protocol: minimal HTTP/1.0-shaped framing (the
-    paper's proxy is an HTTP proxy). Requests name a class resource;
-    responses carry a status and Content-Length body. *)
+(** The proxy's wire protocol: minimal HTTP/1.0-shaped request framing
+    (the paper's proxy is an HTTP proxy). A request names a class
+    resource and may carry a deadline and a trace context. *)
 
 exception Bad_message of string
 
@@ -24,33 +24,3 @@ val decode_request_full : string -> request
     only alongside [Trace-Id]. Requests from old peers carrying no
     headers still decode.
     @raise Bad_message on malformed input. *)
-
-val decode_request : string -> string
-(** @raise Bad_message on malformed input. *)
-
-val decode_request_deadline : string -> string * int64 option
-(** Like {!decode_request}, also returning the carried deadline.
-    @raise Bad_message on malformed input. *)
-
-type status = Ok_200 | Not_found_404 | Bad_request_400 | Overloaded_503
-
-val status_code : status -> int
-val encode_response : status:status -> body:string -> string
-
-val encode_response_into : Buffer.t -> status:status -> body:string -> unit
-(** Append the framed response to [b] — the allocation-free form
-    {!encode_response} itself uses (with a reused staging buffer). *)
-
-val decode_response : string -> status * string
-
-val decode_response_view : string -> status * (int * int)
-(** Like {!decode_response}, but the body is returned as an
-    [(offset, length)] view into the input — no copy until a caller
-    actually materializes it.
-    @raise Bad_message on malformed input. *)
-
-val response_overhead : body_bytes:int -> int
-
-val serve : (string -> string option) -> string -> string
-(** One request/response exchange over an origin-like lookup;
-    malformed requests get a 400. *)

@@ -17,9 +17,8 @@ type reply = Bytes of string | Not_found | Unavailable | Overloaded
 type origin = string -> string option
 
 (* A request that joined an in-flight single-flight run: its own
-   completion callback and failure hook, fired when the leader's
-   pipeline run settles. *)
-type waiter = (reply -> unit) * (unit -> unit) option
+   completion callback, fired when the leader's pipeline run settles. *)
+type waiter = reply -> unit
 
 (* Fixed model parameters: the origin uplink, the per-request working
    state as a multiple of the class's bytes (buffers for the raw bytes,
@@ -43,7 +42,7 @@ type t = {
      plane's apply hook swaps [filters] and bumps this together. *)
   mutable serving_allowed : unit -> bool;
   (* Control-plane fence: when false the node refuses to serve —
-     requests take the [on_fail] path exactly like a crashed host, so
+     requests reply [Unavailable] exactly like on a crashed host, so
      the farm fails over. Wired to [Control.member_ok]; defaults to
      always-true for standalone nodes. *)
   origin : origin;
@@ -109,13 +108,13 @@ let log t kind detail =
       ~detail
 
 (* Process fetched bytes through the pipeline on the proxy CPU, then
-   deliver. *)
-let transform_and_reply ?on_fail ?(trace = Telemetry.Trace.none) t ~cls bytes k
-    =
+   deliver; a crash before the run completes replies [Unavailable]. *)
+let transform_and_reply ~trace t ~cls bytes k =
   let ws = working_set_factor * String.length bytes in
   Simnet.Host.allocate t.host ws;
-  let on_fail =
-    Option.map (fun f () -> Simnet.Host.release t.host ws; f ()) on_fail
+  let on_fail () =
+    Simnet.Host.release t.host ws;
+    k Unavailable
   in
   (* The pipeline itself runs synchronously (it is pure CPU work); its
      cost occupies the host CPU in simulated time. The trace scope
@@ -140,7 +139,7 @@ let transform_and_reply ?on_fail ?(trace = Telemetry.Trace.none) t ~cls bytes k
     Telemetry.Global.observe "pipeline.sign_us" sign_cost;
   let cost = Int64.add (Pipeline.total_cost outcome) sign_cost in
   t.cpu_us <- Int64.add t.cpu_us cost;
-  Simnet.Host.compute t.host ?on_fail ~cost_us:cost (fun () ->
+  Simnet.Host.compute t.host ~on_fail ~cost_us:cost (fun () ->
       Simnet.Host.release t.host ws;
       (match outcome.Pipeline.rejected with
       | Some (filter, reason) ->
@@ -170,19 +169,21 @@ let l2_transfer_cost ~bytes =
        (Float.of_int bytes *. 8.0 *. 1_000_000.0
        /. Float.of_int l2_bandwidth_bps))
 
-(* Handle one client request for a class. The callback fires, in
-   simulated time, when the proxy has the response ready to put on the
-   client's wire (the caller models the client-side link). [on_fail]
-   fires instead if the proxy host is down or crashes while the
-   request is in flight — the hook the farm fails over on.
+(* Handle one client request for a class. The callback fires exactly
+   once, in simulated time: with the response when the proxy has it
+   ready to put on the client's wire (the caller models the client-side
+   link), or with [Unavailable] if the proxy host is down, fenced, or
+   crashes while the request is in flight — the reply the farm fails
+   over on.
 
    Misses are single-flight: the first request for a key becomes the
    leader and runs the pipeline; concurrent requests for the same key
    join it and are settled — success or failure — when the leader's
    run settles. A crash mid-flight therefore fails every joined
-   request at once (each through its own [on_fail]), and the in-flight
-   entry is dropped so a retry after restart starts a fresh run. *)
-let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
+   request at once (the leader first, then the joiners in join order),
+   and the in-flight entry is dropped so a retry after restart starts
+   a fresh run. *)
+let rec request ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
   t.requests <- t.requests + 1;
   if Telemetry.Global.on () then begin
     Telemetry.Global.incr "proxy.requests";
@@ -200,17 +201,8 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
     Telemetry.Trace.finish sp;
     k reply
   in
-  let on_fail =
-    Option.map
-      (fun f () ->
-        Telemetry.Trace.finish sp;
-        f ())
-      on_fail
-  in
   if not (Simnet.Host.is_up t.host) then
-    match on_fail with
-    | Some f -> Simnet.Engine.schedule t.engine ~delay:0L f
-    | None -> ()
+    Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Unavailable)
   else if not (t.serving_allowed ()) then begin
     (* Control-plane fence: the shard's lease lapsed (partition) or it
        is replaying the log after a restart. Serving now could hand
@@ -229,9 +221,7 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
          ~node
          (Printf.sprintf "control.fenced_rejects class %s: shard fenced"
             cls));
-    match on_fail with
-    | Some f -> Simnet.Engine.schedule t.engine ~delay:0L f
-    | None -> Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Unavailable)
+    Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Unavailable)
   end
   else begin
     (* Admission: can this request finish inside its deadline given
@@ -256,7 +246,7 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
     | (Shed_queue | Shed_deadline) as verdict ->
       if Telemetry.Global.on () then Telemetry.Global.incr "proxy.overloaded";
       (* The reason event carries the shed's arithmetic, so a trace
-         explains the 503 without correlating logs. *)
+         explains the [Overloaded] reply without correlating logs. *)
       Telemetry.Trace.event tctx ~node
         ~kind:
           (match verdict with
@@ -286,19 +276,15 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
         end
       in
       let k reply = complete (); k reply in
-      let on_fail =
-        Some
-          (fun () ->
-            complete ();
-            match on_fail with Some f -> f () | None -> ())
-      in
-      request_admitted ?on_fail ~trace:tctx t ~cls k
+      request_admitted ~trace:tctx t ~cls k
   end
 
 (* The post-admission request path: cache lookup, single-flight join,
-   L2, origin fetch + pipeline. *)
-and request_admitted ?on_fail ~trace t ~cls k =
+   L2, origin fetch + pipeline. A crash before the CPU work completes
+   replies [Unavailable]. *)
+and request_admitted ~trace t ~cls k =
   let node = t.host.Simnet.Host.name in
+  let on_fail () = k Unavailable in
   match Cache.find ~version:t.policy_version t.cache cls with
     | Some bytes ->
       (* A small fixed cost to look up and stream from the disk cache.
@@ -307,7 +293,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
          audit timestamp must not lead the virtual clock (the miss
          path logs at pipeline completion). *)
       t.cpu_us <- Int64.add t.cpu_us 2000L;
-      Simnet.Host.compute t.host ?on_fail ~cost_us:2000L (fun () ->
+      Simnet.Host.compute t.host ~on_fail ~cost_us:2000L (fun () ->
           t.bytes_served <- t.bytes_served + String.length bytes;
           log t "proxy.cache_hit" cls;
           k (Bytes bytes))
@@ -321,7 +307,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
         Telemetry.Trace.event trace ~node ~kind:"proxy.coalesce.join"
           (Printf.sprintf "class %s: joined %d in flight" cls
              (List.length !waiters + 1));
-        waiters := (k, on_fail) :: !waiters
+        waiters := k :: !waiters
       | None -> (
         match
           match t.l2 with
@@ -337,7 +323,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
                (String.length bytes));
           let cost = l2_transfer_cost ~bytes:(String.length bytes) in
           t.cpu_us <- Int64.add t.cpu_us cost;
-          Simnet.Host.compute t.host ?on_fail ~cost_us:cost (fun () ->
+          Simnet.Host.compute t.host ~on_fail ~cost_us:cost (fun () ->
               Cache.store ~version:t.policy_version t.cache cls bytes;
               t.bytes_served <- t.bytes_served + String.length bytes;
               log t "proxy.l2_hit" cls;
@@ -345,38 +331,34 @@ and request_admitted ?on_fail ~trace t ~cls k =
         | None -> (
           match t.origin cls with
           | None ->
-            Simnet.Host.compute t.host ?on_fail ~cost_us:500L (fun () ->
+            Simnet.Host.compute t.host ~on_fail ~cost_us:500L (fun () ->
                 log t "proxy.not_found" cls;
                 k Not_found)
           | Some bytes ->
             (* Become the leader of a single-flight run. *)
             let waiters : waiter list ref = ref [] in
             Hashtbl.replace t.inflight key waiters;
+            (* Settle the leader, then the joiners in join order. A
+               failure fans out without a span. *)
             let settle reply =
               Hashtbl.remove t.inflight key;
               let joined = List.rev !waiters in
               let deliver () =
                 k reply;
-                List.iter (fun ((kw, _) : waiter) -> kw reply) joined
+                List.iter (fun (kw : waiter) -> kw reply) joined
               in
-              if joined = [] || not (Telemetry.Global.on ()) then deliver ()
-              else
-                Telemetry.Global.with_span ~cat:"proxy"
-                  ~args:
-                    [
-                      ("class", cls);
-                      ("waiters", string_of_int (List.length joined));
-                    ]
-                  "proxy.coalesce.fanout" deliver
-            in
-            let settle_fail () =
-              Hashtbl.remove t.inflight key;
-              let joined = List.rev !waiters in
-              (match on_fail with Some f -> f () | None -> ());
-              List.iter
-                (fun ((_, of_) : waiter) ->
-                  match of_ with Some f -> f () | None -> ())
-                joined
+              match reply with
+              | Unavailable -> deliver ()
+              | Bytes _ | Not_found | Overloaded ->
+                if joined = [] || not (Telemetry.Global.on ()) then deliver ()
+                else
+                  Telemetry.Global.with_span ~cat:"proxy"
+                    ~args:
+                      [
+                        ("class", cls);
+                        ("waiters", string_of_int (List.length joined));
+                      ]
+                    "proxy.coalesce.fanout" deliver
             in
             t.origin_fetches <- t.origin_fetches + 1;
             Telemetry.Global.incr "proxy.origin_fetches";
@@ -389,8 +371,7 @@ and request_admitted ?on_fail ~trace t ~cls k =
             in
             Simnet.Engine.schedule t.engine ~delay:(Int64.add latency tx)
               (fun () ->
-                transform_and_reply ~on_fail:settle_fail ~trace t ~cls bytes
-                  settle))))
+                transform_and_reply ~trace t ~cls bytes settle))))
 
 (* Synchronous entry for callers outside a simulation (unit tests, the
    CLI, a DVM client's classloader): the simulated [request], run to

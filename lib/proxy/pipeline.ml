@@ -188,7 +188,6 @@ module Memo = struct
 
   type t = {
     tbl : (int * string, entry) Hashtbl.t; (* (policy version, input bytes) -> entry *)
-    cap : int; (* stop inserting past this many entries *)
     mutable hits : int;
     mutable misses : int;
     (* The stack and signer the cached entries were computed under;
@@ -200,10 +199,12 @@ module Memo = struct
     mutable key_gate : gate option option;
   }
 
-  let create ?(cap = 1024) () =
+  (* Stop inserting past this many entries. *)
+  let cap = 1024
+
+  let create () =
     {
       tbl = Hashtbl.create 64;
-      cap;
       hits = 0;
       misses = 0;
       key_filters = None;
@@ -266,7 +267,7 @@ let run ?(policy_version = 0) ?memo ?signer ?gate filters (bytes : string) :
             run_uncached ~policy_version ?signer ?gate filters bytes)
       in
       (match tape with
-      | Some _ when Hashtbl.length m.Memo.tbl < m.Memo.cap ->
+      | Some _ when Hashtbl.length m.Memo.tbl < Memo.cap ->
         Hashtbl.replace m.Memo.tbl key
           { Memo.me_outcome = o; me_tape = tape; me_telemetry = live }
       | _ -> ());

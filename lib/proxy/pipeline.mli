@@ -23,14 +23,6 @@ val digest : outcome -> string
 (** MD5 of [out_bytes] — the pipeline is pure, so the same input class
     digests identically no matter which proxy shard ran it. *)
 
-val parse_us_per_byte : float
-val generate_us_per_byte : float
-val transform_us_per_instr : float
-
-val parse_cost_of : string -> int64
-val generate_cost_of : string -> int64
-val transform_cost_of : Bytecode.Classfile.t -> int64
-
 type gate = Bytecode.Classfile.t -> string option
 (** Post-transform admission gate: runs over the fully transformed
     class; [Some reason] rejects it exactly like a filter rejection
@@ -58,9 +50,8 @@ type gate = Bytecode.Classfile.t -> string option
 module Memo : sig
   type t
 
-  val create : ?cap:int -> unit -> t
-  (** [cap] bounds the number of cached inputs (default 1024); past
-      it, new inputs run uncached. *)
+  val create : unit -> t
+  (** Holds at most 1024 inputs; past that, new inputs run uncached. *)
 
   val hits : t -> int
   val misses : t -> int
@@ -80,7 +71,10 @@ val run :
     triple it serves — all compared physically — and falls back to
     real runs for any other. [policy_version] (default 0 = unversioned) is stamped
     into [out_version] and keys the memo alongside the input bytes, so
-    outcomes computed under different policy versions never alias. *)
+    outcomes computed under different policy versions never alias.
+    No node passes a [gate] yet; [test_certify]'s "gate accepts
+    certified" and "gate rejection is error class" and [test_proxy]'s
+    "signing" check the certifier gate through it. *)
 
 val run_parse_per_service : Rewrite.Filter.t list -> string -> outcome
 (** Ablation: re-parse and re-generate between every pair of services

@@ -1,7 +1,7 @@
 (* Library facade. The single-node proxy implementation lives in
    [Node]; [Farm] composes several nodes behind a consistent-hash
    ring. Re-exported here so users write [Proxy.request],
-   [Proxy.Farm.create], [Proxy.Cache.stats] and so on. *)
+   [Proxy.Farm.create], [Proxy.Cache.find] and so on. *)
 
 module Cache = Cache
 module Pipeline = Pipeline

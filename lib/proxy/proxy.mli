@@ -37,8 +37,8 @@ type origin = string -> string option
 
 type waiter = Node.waiter
 (** A request that joined an in-flight single-flight run: its
-    completion callback and failure hook, fired when the leader's
-    pipeline run settles. *)
+    completion callback, fired with the leader's reply when the
+    leader's pipeline run settles. *)
 
 type t = Node.t = {
   engine : Simnet.Engine.t;
@@ -54,8 +54,8 @@ type t = Node.t = {
   mutable serving_allowed : unit -> bool;
       (** control-plane fence: when it returns [false] the node
           refuses to serve (counter and same-named trace event
-          [control.fenced_rejects]) and requests take the [on_fail]
-          path like a crashed host, so the farm fails over. Wire to
+          [control.fenced_rejects]) and requests reply [Unavailable]
+          like on a crashed host, so the farm fails over. Wire to
           {!Control.member_ok}; defaults to always-true. *)
   origin : origin;
   origin_latency : string -> Simnet.Engine.time;
@@ -63,10 +63,10 @@ type t = Node.t = {
   memo : Pipeline.Memo.t option;  (** optional host-CPU outcome memo *)
   audit : Monitor.Audit.t option;
   inflight : (string * int, waiter list ref) Hashtbl.t;
-      (** (class, policy version) with a pipeline run in flight →
-          requests that joined it. The version is part of the key, as
-          in L1 and L2: a request arriving after a bump leads its own
-          run rather than joining one under the revoked stack. *)
+      (** (class, policy version) with a pipeline run in flight → the
+          joined requests' callbacks, newest first. The version is in
+          the key, as in L1 and L2: a request arriving after a bump
+          leads its own run, not one under the revoked stack. *)
   admission : Admission.t;
   mutable requests : int;
   mutable rejections : int;
@@ -108,13 +108,12 @@ val create :
     the wall-clock work of re-running identical inputs is skipped. *)
 
 val request :
-  ?on_fail:(unit -> unit) -> ?deadline:int64 -> ?trace:Telemetry.Trace.ctx ->
+  ?deadline:int64 -> ?trace:Telemetry.Trace.ctx ->
   t -> cls:string -> (reply -> unit) -> unit
-(** Simulated-time request; the callback fires when the response is
-    ready for the client's wire. [on_fail] fires instead if the proxy
-    host is down at dispatch or crashes while the request is in
-    flight (without it, a failed request simply never completes — the
-    caller's timeout problem).
+(** Simulated-time request; the callback fires exactly once: with the
+    response when it is ready for the client's wire, or [Unavailable]
+    — after a zero-delay hop if the host is down or the fence refuses,
+    at the crash if the host crashes with the request in flight.
 
     [trace] nests this hop under the caller's distributed trace: a
     per-shard span, reason events for sheds / coalesce joins / L2
@@ -130,8 +129,8 @@ val request :
     version) key leads and runs the pipeline; concurrent requests for
     the same key join it (counter [coalesced]) and settle — success or
     failure — with the leader, even if the node bumps its version
-    meanwhile. A crash mid-flight fails every joined request at once,
-    each through its own [on_fail]. *)
+    meanwhile. A crash mid-flight replies [Unavailable] to every joined
+    request at once: the leader first, then the joiners in join order. *)
 
 val request_sync : t -> cls:string -> reply
 (** {!request} run to completion: it drains the node's engine

@@ -22,5 +22,3 @@ let stack ~name filters =
   { name; transform = (fun cls -> run_stack filters cls) }
 
 let identity = { name = "identity"; transform = Fun.id }
-
-let names filters = List.map (fun f -> f.name) filters

@@ -24,4 +24,3 @@ val apply : t -> Bytecode.Classfile.t -> Bytecode.Classfile.t
 val run_stack : t list -> Bytecode.Classfile.t -> Bytecode.Classfile.t
 val stack : name:string -> t list -> t
 val identity : t
-val names : t list -> string list

@@ -3,15 +3,6 @@
     checks for a given policy; all global reasoning is re-derived in
     the analysis layer from the rewritten code alone. *)
 
-val check_at : Bytecode.Cp.t -> Bytecode.Classfile.code -> int -> string option
-(** [Some perm] iff the instruction is the invoke of a live plain
-    check block [Ldc_str perm; Invokestatic check]. Total in the
-    index. *)
-
-val resource_check_at :
-  Bytecode.Cp.t -> Bytecode.Classfile.code -> int -> string option
-(** Same for [Dup; Ldc_str perm; Invokestatic checkResource]. *)
-
 val env : Policy.t -> Analysis.Certify.env
 
 val certify :

@@ -48,11 +48,6 @@ type t = {
 
 let decisions t = List.rev t.decisions_rev
 
-let set_domain t sid =
-  t.sid <- sid;
-  Hashtbl.reset t.cache;
-  t.have_policy <- false
-
 let invalidate t =
   t.invalidations <- t.invalidations + 1;
   Hashtbl.reset t.cache;

@@ -10,7 +10,6 @@
 val class_name : string
 val desc_check : string
 val desc_check_resource : string
-val runtime_class : unit -> Bytecode.Classfile.t
 
 val cost_cached_check : int64
 val cost_policy_download : int64
@@ -35,17 +34,11 @@ val decisions : t -> (Policy.permission * bool) list
     sequence must be a subsequence of the unelided one with identical
     per-permission verdicts. *)
 
-val set_domain : t -> Policy.sid -> unit
 val invalidate : t -> unit
 
 val allowed : ?vm:Jvm.Vmstate.t -> t -> Policy.permission -> bool
 (** The decision procedure behind the injected checks; also usable
     directly (e.g. by tests and microbenchmarks). *)
-
-val allowed_resource :
-  ?vm:Jvm.Vmstate.t -> t -> permission:Policy.permission -> resource:string -> bool
-(** Resource-qualified decision: the resource's domain (DTOS object
-    SID) qualifies the permission, e.g. ["file.read@homedirs"]. *)
 
 val install : Jvm.Vmstate.t -> server:Server.t -> sid:Policy.sid -> t
 (** Register the [dvm/Enforcement] class and native in a client VM and

@@ -103,16 +103,6 @@ let with_rule t ~sid ~permission ~allow =
 let with_operation t op =
   { t with version = t.version + 1; operations = op :: t.operations }
 
-let without_operation t ~permission =
-  {
-    t with
-    version = t.version + 1;
-    operations =
-      List.filter
-        (fun op -> not (String.equal op.op_permission permission))
-        t.operations;
-  }
-
 let pp ppf t =
   Format.fprintf ppf "policy v%d (default %s)@\n" t.version
     (if t.default_allow then "allow" else "deny");

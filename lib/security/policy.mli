@@ -53,11 +53,9 @@ val with_rule : t -> sid:sid -> permission:permission -> allow:bool -> t
     invalidation). *)
 
 val with_operation : t -> operation -> t
-val without_operation : t -> permission:permission -> t
-(** Operation-map updates, also version-bumping. These change which
-    call sites the rewriter instruments — classes rewritten under the
-    old version are textually different, the case the farm's control
-    plane exists to invalidate. [without_operation] removes every
-    operation carrying [permission]. *)
+(** Operation-map update, also version-bumping. It changes which call
+    sites the rewriter instruments — classes rewritten under the old
+    version are textually different, the case the farm's control plane
+    exists to invalidate. *)
 
 val pp : Format.formatter -> t -> unit

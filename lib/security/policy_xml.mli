@@ -17,9 +17,5 @@ exception Parse_error of string
 
 type xml = { tag : string; attrs : (string * string) list; children : xml list }
 
-val parse_xml : string -> xml
-(** Parse the supported XML subset (elements, attributes, self-closing
-    tags, comments, entities). @raise Parse_error on malformed input. *)
-
 val parse : string -> Policy.t
 (** Parse a policy document. @raise Parse_error on malformed input. *)

@@ -30,12 +30,6 @@ val protected_sites :
 (** Call sites the operation map covers:
     [(index, permission, with_resource)]. *)
 
-val check_block :
-  Bytecode.Cp.Builder.t ->
-  string ->
-  with_resource:bool ->
-  Bytecode.Instr.t list
-
 val rewrite_class :
   ?counters:counters ->
   ?elide:bool ->

@@ -6,13 +6,12 @@
 type t = {
   mutable policy : Policy.t;
   mutable subscribers : (unit -> unit) list; (* invalidation callbacks *)
-  mutable queries : int;
   mutable downloads : int;
   mutable invalidations_sent : int;
 }
 
 let create policy =
-  { policy; subscribers = []; queries = 0; downloads = 0; invalidations_sent = 0 }
+  { policy; subscribers = []; downloads = 0; invalidations_sent = 0 }
 
 let policy t = t.policy
 
@@ -28,10 +27,6 @@ let set_policy t p =
     t.subscribers
 
 let update t f = set_policy t (f t.policy)
-
-let query t ~sid ~permission =
-  t.queries <- t.queries + 1;
-  Policy.decide t.policy ~sid ~permission
 
 (* The bulk download an enforcement manager performs on first use:
    the domain's rules, the policy default, and the resource map (so

@@ -7,7 +7,6 @@
 type t = {
   mutable policy : Policy.t;
   mutable subscribers : (unit -> unit) list;
-  mutable queries : int;
   mutable downloads : int;
   mutable invalidations_sent : int;
 }
@@ -15,12 +14,7 @@ type t = {
 val create : Policy.t -> t
 val policy : t -> Policy.t
 
-val set_policy : t -> Policy.t -> unit
-(** Single point of control: invalidates every subscribed client
-    cache. *)
-
 val update : t -> (Policy.t -> Policy.t) -> unit
-val query : t -> sid:Policy.sid -> permission:Policy.permission -> bool
 
 val download_slice :
   t -> sid:Policy.sid -> Policy.rule list * bool * (string * Policy.sid) list

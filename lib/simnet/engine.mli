@@ -81,5 +81,4 @@ val trace_dropped : t -> int
 val us : int -> time
 val ms : int -> time
 val sec : int -> time
-val to_ms : time -> float
 val to_sec : time -> float

@@ -9,29 +9,21 @@
    runs. *)
 
 type t = {
-  seed : int;
   mutable state : int64;
-  mutable drops : int;
   mutable crashes : int;
   mutable restarts : int;
-  mutable partitions : int;
   mutable events : string list; (* newest first *)
 }
 
 let create ~seed =
   {
-    seed;
     (* Mix the seed once so small seeds don't start in a low-entropy
        region of the stream. *)
     state = Int64.mul (Int64.of_int (seed + 1)) 0x9E3779B97F4A7C15L;
-    drops = 0;
     crashes = 0;
     restarts = 0;
-    partitions = 0;
     events = [];
   }
-
-let seed t = t.seed
 
 (* splitmix64: tiny, fast, and stable across OCaml versions (unlike
    the stdlib Random, whose algorithm is not a compatibility
@@ -64,21 +56,16 @@ let record t ~at what =
   t.events <- Printf.sprintf "%Ld %s" at what :: t.events
 
 let trace t = List.rev t.events
-let drops t = t.drops
 let crashes t = t.crashes
 let restarts t = t.restarts
-let partitions t = t.partitions
 
-let count_drop t ~at what =
-  t.drops <- t.drops + 1;
-  record t ~at what
+let count_drop t ~at what = record t ~at what
 
 (* Crash/restart schedule for a host: at each [crash_at] the host goes
-   down for [down_for]; the restart retains [mem_retained] of the
-   host's working memory (0.0 = cold start) and runs [on_restart] so
+   down for [down_for]; the restart is cold (none of the host's working
+   memory is retained) and runs [on_restart] so
    owners can clear warm state the crash lost (e.g. a class cache). *)
-let schedule_host_faults t (host : Host.t) ?(mem_retained = 0.0) ?on_restart
-    ~schedule () =
+let schedule_host_faults t (host : Host.t) ?on_restart ~schedule () =
   let engine = host.Host.engine in
   List.iter
     (fun (crash_at, down_for) ->
@@ -92,7 +79,7 @@ let schedule_host_faults t (host : Host.t) ?(mem_retained = 0.0) ?on_restart
           end);
       Engine.schedule_at engine (Int64.add crash_at down_for) (fun () ->
           if not host.Host.up then begin
-            Host.restart ~mem_retained host;
+            Host.restart ~mem_retained:0.0 host;
             t.restarts <- t.restarts + 1;
             record t ~at:(Engine.now engine)
               (Printf.sprintf "restart %s" host.Host.name);
@@ -111,7 +98,6 @@ let schedule_partition t engine ~what ~set ~schedule () =
     (fun (start, len) ->
       Engine.schedule_at engine start (fun () ->
           set true;
-          t.partitions <- t.partitions + 1;
           record t ~at:(Engine.now engine) (Printf.sprintf "partition %s" what);
           Telemetry.Global.incr "simnet.partitions");
       Engine.schedule_at engine (Int64.add start len) (fun () ->

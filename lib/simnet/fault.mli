@@ -9,7 +9,6 @@
 type t
 
 val create : seed:int -> t
-val seed : t -> int
 
 (** {1 Deterministic draws} *)
 
@@ -31,30 +30,25 @@ val record : t -> at:Engine.time -> string -> unit
 val trace : t -> string list
 (** Injected faults in order, each ["<virtual µs> <description>"]. *)
 
-val drops : t -> int
 val crashes : t -> int
 val restarts : t -> int
 
-val partitions : t -> int
-(** Partition windows opened so far. *)
-
 val count_drop : t -> at:Engine.time -> string -> unit
-(** Used by {!Link}: bump the drop counter and append to the trace. *)
+(** Used by {!Link}: append a lost transfer to the trace. *)
 
 (** {1 Host crash/restart schedules} *)
 
 val schedule_host_faults :
   t ->
   Host.t ->
-  ?mem_retained:float ->
   ?on_restart:(unit -> unit) ->
   schedule:(Engine.time * Engine.time) list ->
   unit ->
   unit
 (** For each [(crash_at, down_for)]: crash the host at [crash_at] and
-    restart it [down_for] later. The restart keeps [mem_retained]
-    (default 0.0 — a cold start) of the host's working memory and then
-    runs [on_restart], where the owner clears warm state the crash
+    restart it [down_for] later. The restart is cold — none of the
+    host's working memory is kept — and then runs [on_restart], where
+    the owner clears warm state the crash
     lost (e.g. a class cache). Counters: [simnet.crashes],
     [simnet.restarts]. *)
 

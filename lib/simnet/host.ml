@@ -13,9 +13,6 @@ type t = {
   mutable busy_until : Engine.time;
   mutable cpu_busy : Engine.time; (* total busy µs, for utilization *)
   mutable jobs : int;
-  (* Penalty multiplier applied to work while memory is
-     over-committed. *)
-  thrash_factor : float;
   (* Availability: a crashed host refuses new work and abandons work
      in flight. The epoch ticks on every crash so completions
      scheduled before it can tell they were lost. *)
@@ -24,8 +21,11 @@ type t = {
   mutable crashes : int;
 }
 
-let create ?(cpu_factor = 1.0) ?(mem_capacity = 64 * 1024 * 1024)
-    ?(thrash_factor = 14.0) engine ~name =
+(* Penalty multiplier applied to work while memory is over-committed. *)
+let thrash_factor = 14.0
+
+let create ?(cpu_factor = 1.0) ?(mem_capacity = 64 * 1024 * 1024) engine
+    ~name =
   {
     engine;
     name;
@@ -35,7 +35,6 @@ let create ?(cpu_factor = 1.0) ?(mem_capacity = 64 * 1024 * 1024)
     busy_until = 0L;
     cpu_busy = 0L;
     jobs = 0;
-    thrash_factor;
     up = true;
     epoch = 0;
     crashes = 0;
@@ -78,7 +77,7 @@ let effective_cost t ~cost_us =
   let pressure = mem_pressure t in
   let slowdown =
     if pressure <= 1.0 then 1.0
-    else 1.0 +. ((pressure -. 1.0) *. t.thrash_factor)
+    else 1.0 +. ((pressure -. 1.0) *. thrash_factor)
   in
   Int64.of_float (base *. slowdown)
 

@@ -14,7 +14,6 @@ type t = {
   mutable busy_until : Engine.time;
   mutable cpu_busy : Engine.time;
   mutable jobs : int;
-  thrash_factor : float;
   mutable up : bool;
   mutable epoch : int;  (** ticks on every crash *)
   mutable crashes : int;
@@ -23,11 +22,11 @@ type t = {
 val create :
   ?cpu_factor:float ->
   ?mem_capacity:int ->
-  ?thrash_factor:float ->
   Engine.t ->
   name:string ->
   t
-(** Defaults: reference CPU, 64 MB memory (the paper's proxy). *)
+(** Defaults: reference CPU, 64 MB memory (the paper's proxy). Work
+    slows by 14x the over-commitment while memory is over-committed. *)
 
 val backlog_us : t -> Engine.time
 (** How far the CPU's commitments extend past the present: the queueing

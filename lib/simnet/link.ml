@@ -19,8 +19,6 @@ type t = {
   bandwidth_bps : int; (* bits per second *)
   latency : Engine.time;
   mutable busy_until : Engine.time;
-  mutable bytes_carried : int;
-  mutable transfers : int;
   mutable faults : faults option;
   mutable drops : int;
   mutable partitioned : bool; (* partition window open: every transfer lost *)
@@ -34,8 +32,6 @@ let create engine ~name ~bandwidth_bps ~latency =
     bandwidth_bps;
     latency;
     busy_until = 0L;
-    bytes_carried = 0;
-    transfers = 0;
     faults = None;
     drops = 0;
     partitioned = false;
@@ -65,8 +61,6 @@ let transfer t ?on_drop ~bytes k =
   let start = if Int64.compare t.busy_until now > 0 then t.busy_until else now in
   let done_tx = Int64.add start (tx_time t ~bytes) in
   t.busy_until <- done_tx;
-  t.bytes_carried <- t.bytes_carried + bytes;
-  t.transfers <- t.transfers + 1;
   let arrival = Int64.add done_tx t.latency in
   if t.partitioned then begin
     (* A partition loses every transfer — no probability draw, so the
@@ -100,11 +94,3 @@ let transfer_time_us ~bandwidth_bps ~latency_us ~bytes =
 
 (* Common link presets from the paper's evaluation. *)
 let ethernet_10mb engine = create engine ~name:"ethernet" ~bandwidth_bps:10_000_000 ~latency:(Engine.us 500)
-let modem_28_8k engine = create engine ~name:"modem" ~bandwidth_bps:28_800 ~latency:(Engine.ms 100)
-
-let utilization t =
-  let now = Engine.now t.engine in
-  if Int64.equal now 0L then 0.0
-  else
-    Float.of_int t.bytes_carried *. 8.0
-    /. (Float.of_int t.bandwidth_bps *. Engine.to_sec now)

@@ -16,8 +16,6 @@ type t = {
   bandwidth_bps : int;
   latency : Engine.time;
   mutable busy_until : Engine.time;
-  mutable bytes_carried : int;
-  mutable transfers : int;
   mutable faults : faults option;
   mutable drops : int;
   mutable partitioned : bool;
@@ -50,12 +48,11 @@ val transfer : t -> ?on_drop:(unit -> unit) -> bytes:int -> (unit -> unit) -> un
 (** Queue [bytes] on the wire; the continuation runs when the last
     byte arrives. A transfer lost to the fault profile still occupies
     the wire but the continuation never runs; [on_drop], if given,
-    fires when the last byte would have arrived. Counter:
+    fires when the last byte would have arrived — what [test_faults]'
+    "link drop occupies wire" times the loss by. Counter:
     [simnet.drops]. *)
 
 val transfer_time_us : bandwidth_bps:int -> latency_us:int -> bytes:int -> int
 (** Closed-form single-transfer time for analytic startup models. *)
 
 val ethernet_10mb : Engine.t -> t
-val modem_28_8k : Engine.t -> t
-val utilization : t -> float

@@ -52,15 +52,9 @@ let ring_entries r =
   done;
   !acc
 
-let entries ?node () =
-  match node with
-  | Some n -> (
-    match Hashtbl.find_opt rings n with Some r -> ring_entries r | None -> [])
-  | None ->
-    List.concat_map
-      (fun n -> ring_entries (Hashtbl.find rings n))
-      (nodes ())
-    |> List.stable_sort (fun a b -> Int64.compare a.fl_at b.fl_at)
+let entries () =
+  List.concat_map (fun n -> ring_entries (Hashtbl.find rings n)) (nodes ())
+  |> List.stable_sort (fun a b -> Int64.compare a.fl_at b.fl_at)
 
 let esc s =
   let b = Buffer.create (String.length s + 8) in

@@ -13,9 +13,8 @@ val note : at:int64 -> node:string -> string -> unit
 val nodes : unit -> string list
 (** Sorted node names with at least one note. *)
 
-val entries : ?node:string -> unit -> entry list
-(** Retained entries, oldest first; without [node], merged across all
-    nodes in timestamp order. *)
+val entries : unit -> entry list
+(** Retained entries of every node, merged in timestamp order. *)
 
 val dump_json : unit -> string
 (** All rings as one JSON object, nodes sorted, entries oldest first,

@@ -18,12 +18,12 @@
 
 type t
 
-type clock = unit -> int64
-(** Microseconds. *)
+type clock = unit -> int64  (** Microseconds. *)
 
 val create : ?max_spans:int -> unit -> t
-(** A fresh, disabled registry. [max_spans] bounds span memory;
-    completions past the cap are counted in {!dropped_spans}. *)
+(** A fresh, disabled registry. [max_spans] (default 200 000, small in
+    [test_telemetry]'s "max_spans cap") bounds span memory; completions
+    past the cap are counted in {!dropped_spans}. *)
 
 val default : t
 (** The process-wide registry used by {!Global} and by the library

@@ -48,7 +48,7 @@ type span = srec option
 let enabled_flag = ref false
 let null_clock () = 0L
 let clock = ref null_clock
-let max_records = ref 500_000
+let max_records = 500_000
 let spans_rev : srec list ref = ref []
 let span_count_ = ref 0
 let dropped_ = ref 0
@@ -75,7 +75,6 @@ let reset () =
 
 let set_clock c = clock := c
 let current_clock () = !clock
-let set_max_records n = max_records := max 1 n
 let live ctx = !enabled_flag && not (Int64.equal ctx.tr 0L)
 
 let span_count () = !span_count_
@@ -83,7 +82,7 @@ let event_count () = !event_count_
 let dropped () = !dropped_
 
 let alloc ~trace ~parent ~node ~args ~start_us ~end_us name =
-  if !span_count_ + !event_count_ >= !max_records then begin
+  if !span_count_ + !event_count_ >= max_records then begin
     incr dropped_;
     None
   end
@@ -138,10 +137,9 @@ let finish = function
            (Int64.sub r.s_end r.s_start))
     end
 
-let event ?(args = []) ctx ~node ~kind detail =
-  ignore args;
+let event ctx ~node ~kind detail =
   if live ctx then begin
-    if !span_count_ + !event_count_ >= !max_records then incr dropped_
+    if !span_count_ + !event_count_ >= max_records then incr dropped_
     else begin
       let at = !clock () in
       events_rev :=

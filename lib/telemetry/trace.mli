@@ -37,7 +37,6 @@ val reset : unit -> unit
 
 val set_clock : (unit -> int64) -> unit
 val current_clock : unit -> unit -> int64
-val set_max_records : int -> unit
 
 (** {1 Producing} *)
 
@@ -57,8 +56,7 @@ val null_span : span
 val ctx_of : span -> ctx
 val finish : span -> unit
 
-val event :
-  ?args:(string * string) list -> ctx -> node:string -> kind:string -> string -> unit
+val event : ctx -> node:string -> kind:string -> string -> unit
 (** Attach a reason event — [kind] is the stable machine name (e.g.
     ["admission.shed_deadline"]), the string argument free-form
     detail. *)

@@ -31,7 +31,6 @@ let add t ~scope what =
   end
 
 let to_list t = List.rev t.entries
-let count t = List.length t.entries
 
 let class_wide t =
   List.filter_map
@@ -45,15 +44,3 @@ let for_method t key =
       | In_method k when String.equal k key -> Some e.what
       | In_method _ | Class_wide -> None)
     (to_list t)
-
-let pp_assumption ppf = function
-  | Class_exists c -> Format.fprintf ppf "class %s exists" c
-  | Subclass_of { sub; super } -> Format.fprintf ppf "%s <: %s" sub super
-  | Field_exists { cls; name; desc; static } ->
-    Format.fprintf ppf "%sfield %s.%s : %s"
-      (if static then "static " else "")
-      cls name desc
-  | Method_exists { cls; name; desc; static } ->
-    Format.fprintf ppf "%smethod %s.%s : %s"
-      (if static then "static " else "")
-      cls name desc

@@ -23,8 +23,5 @@ val create : unit -> t
 val add : t -> scope:scope -> assumption -> unit
 (** Idempotent per (assumption, scope). *)
 
-val to_list : t -> entry list
-val count : t -> int
 val class_wide : t -> assumption list
 val for_method : t -> string -> assumption list
-val pp_assumption : Format.formatter -> assumption -> unit

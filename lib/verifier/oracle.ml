@@ -57,13 +57,6 @@ let extend oracle classes : t =
   let local = of_classes classes in
   fun name -> (match local name with Some i -> Some i | None -> oracle name)
 
-let find_field (oracle : t) cls name =
-  match oracle cls with
-  | None -> None
-  | Some ci ->
-    List.find_opt (fun (n, _, _, _) -> String.equal n name) ci.ci_fields
-    |> Option.map (fun (_, d, s, _) -> (d, s))
-
 (* Walks the superclass chain for inherited members, stopping (and
    returning [`Unknown]) when the chain leaves the oracle's
    knowledge. *)

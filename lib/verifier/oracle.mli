@@ -26,9 +26,6 @@ val extend : t -> Bytecode.Classfile.t list -> t
 (** Extend an oracle with additional classes (e.g. the class under
     verification, so self-references resolve). *)
 
-val find_field : t -> string -> string -> (string * bool) option
-(** Field declared directly on the class: (descriptor, is_static). *)
-
 val lookup_field :
   t ->
   string ->

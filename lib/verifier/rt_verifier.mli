@@ -9,8 +9,6 @@ val desc_check_class : string
 val desc_check_subclass : string
 val desc_check_member : string
 
-val runtime_class : unit -> Bytecode.Classfile.t
-
 type stats = {
   mutable dynamic_checks : int;  (** deferred checks executed *)
   mutable failures : int;

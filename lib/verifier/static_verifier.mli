@@ -17,8 +17,6 @@ type outcome =
   | Verified of Bytecode.Classfile.t * stats
   | Rejected of Verror.t list * stats
 
-val guard_field_name : string -> string -> string
-
 val verify : oracle:Oracle.t -> Bytecode.Classfile.t -> outcome
 
 (** Accumulated service statistics, as read by the remote

@@ -7,9 +7,5 @@
     local indices in range, constant-pool operands of the right kind,
     execution cannot fall off the end, exception tables well-formed. *)
 
-val max_code_length : int
-val max_locals_limit : int
-val max_stack_limit : int
-
 val run : Bytecode.Classfile.t -> Verror.t list * int
 (** Returns the errors found and the number of checks performed. *)

@@ -11,24 +11,11 @@ type t =
   | Retaddr of int  (** return address for subroutine entry [int] *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val name_of_desc_ty : Bytecode.Descriptor.ty -> string
 val of_desc_ty : Bytecode.Descriptor.ty -> t
 val of_desc_string : string -> t
 val is_reference : t -> bool
-
-val name_assignable :
-  Oracle.t ->
-  Assumptions.t ->
-  scope:Assumptions.scope ->
-  sub:string ->
-  super:string ->
-  bool
-(** Decide [sub <: super], recording an assumption and answering
-    optimistically when the hierarchy escapes the oracle — the deferral
-    mechanism of §3.1. *)
 
 val assignable_to_class :
   Oracle.t -> Assumptions.t -> scope:Assumptions.scope -> t -> target:string -> bool
@@ -41,6 +28,5 @@ val assignable_to_desc :
   Bytecode.Descriptor.ty ->
   bool
 
-val common_super : Oracle.t -> string -> string -> string
 val merge : Oracle.t -> t -> t -> t
 (** Join (least upper bound). *)

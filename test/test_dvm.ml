@@ -171,7 +171,7 @@ let test_fig10_shape () =
 (* --- Applet study sanity. --- *)
 
 let test_applet_study () =
-  let st = Dvm.Applet_study.run ~n:40 () in
+  let st = Dvm.Applet_study.run () in
   check Alcotest.bool "internet latency ~2.2s" true
     (st.Dvm.Applet_study.mean_internet_ms > 1_500.0
     && st.Dvm.Applet_study.mean_internet_ms < 3_500.0);

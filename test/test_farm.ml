@@ -56,7 +56,8 @@ let test_ring_routing () =
         (List.sort compare order)
     | [] -> fail "empty preference order"
   done;
-  (* vnodes keep ownership balanced: no shard starves over 400 keys *)
+  (* no shard starves over 400 keys (the shares are skewed, see
+     [Farm.create]) *)
   let counts = Array.make 4 0 in
   for i = 0 to 399 do
     let o = Proxy.Farm.owner farm (Printf.sprintf "b%d/x" i) in
@@ -180,8 +181,6 @@ let test_failover_walks_ring_and_returns () =
     pool.(second).Proxy.requests;
   check Alcotest.int "down owner untouched" 0 pool.(owner).Proxy.requests;
   check Alcotest.int "failover counted" 1 farm.Proxy.Farm.failovers;
-  check Alcotest.bool "health view marks the owner down" false
-    (Proxy.Farm.health farm).(owner);
   (* a restarted owner takes its keys back immediately *)
   Simnet.Host.restart pool.(owner).Proxy.host;
   Proxy.Farm.request farm ~cls (fun _ -> ());
@@ -374,15 +373,14 @@ let test_population_gate_start_first_id () =
          population_log ~clients:1 ~applets:0 ~think:1_000L
            (fun ~id:_ ~iter:_ -> false)))
 
-(* --- Flapping: the probe/breaker hysteresis regression. ---
+(* --- Flapping: the breaker hysteresis regression, through routing. ---
 
-   A shard that alternates up/down faster than the probe interval used
-   to flap the routing view on every probe: each crash marked it down,
-   each restart marked it up, and keys bounced between owner and
-   successor. The breaker's windowed failure count (successes reset
-   the consecutive counter but not the window) opens after enough
-   flaps, and [Farm.probe] then pins the shard out of rotation until a
-   cooldown's worth of stable probes closes the breaker again. *)
+   A shard that alternates up/down used to flap routing on every
+   dispatch: each crash sent its keys to the successor, each restart
+   took them back. The breaker's windowed failure count (successes
+   reset the consecutive counter but not the window) opens after enough
+   flaps, and routing then keeps the shard out of rotation until a
+   cooldown's worth of probe successes closes the breaker again. *)
 
 let test_flapping_replica_stabilizes () =
   let engine = Simnet.Engine.create () in
@@ -390,23 +388,35 @@ let test_flapping_replica_stabilizes () =
   let cls = "some/Applet" in
   let order = Proxy.Farm.preference_order farm cls in
   let owner = List.nth order 0 and second = List.nth order 1 in
-  let flap_probe () =
-    Simnet.Host.crash pool.(owner).Proxy.host;
-    let down = Proxy.Farm.probe farm in
-    Simnet.Host.restart pool.(owner).Proxy.host;
-    let up = Proxy.Farm.probe farm in
-    (down.(owner), up.(owner))
+  (* one request through the farm: did the owner serve it? *)
+  let route () =
+    let before = pool.(owner).Proxy.requests in
+    let got = ref None in
+    Proxy.Farm.request farm ~cls (fun r -> got := Some r);
+    Simnet.Engine.run engine;
+    (match !got with
+    | Some (Proxy.Bytes _) -> ()
+    | _ -> fail "flapping request not served");
+    pool.(owner).Proxy.requests > before
   in
-  (* first flaps: the probe view follows the host, i.e. it flaps too *)
-  let d1, u1 = flap_probe () in
-  check Alcotest.bool "first crash probes down" false d1;
-  check Alcotest.bool "first restart probes up" true u1;
-  (* keep flapping: the windowed failures open the breaker, and the
-     probe view stops following the flaps even while the host is up *)
-  let _ = flap_probe () in
-  let _ = flap_probe () in
-  let _, u4 = flap_probe () in
-  check Alcotest.bool "after repeated flaps the probe view pins down" false u4;
+  let flap_route () =
+    Simnet.Host.crash pool.(owner).Proxy.host;
+    let down = route () in
+    Simnet.Host.restart pool.(owner).Proxy.host;
+    let up = route () in
+    (down, up)
+  in
+  (* first flaps: routing follows the host, i.e. it flaps too *)
+  let d1, u1 = flap_route () in
+  check Alcotest.bool "first crash routes past the owner" false d1;
+  check Alcotest.bool "first restart routes to the owner" true u1;
+  (* keep flapping: the windowed failures open the breaker, and routing
+     stops following the flaps even while the host is up *)
+  let _ = flap_route () in
+  let _ = flap_route () in
+  let _, u4 = flap_route () in
+  check Alcotest.bool "after repeated flaps routing keeps off the owner" false
+    u4;
   check Alcotest.bool "breaker tripped" true
     (Proxy.Breaker.trips (Proxy.Farm.breaker farm owner) > 0);
   (* routing honours the open breaker: the owner is skipped without
@@ -424,19 +434,20 @@ let test_flapping_replica_stabilizes () =
     (pool.(second).Proxy.requests > 0);
   check Alcotest.bool "breaker skip counted" true
     (farm.Proxy.Farm.breaker_skips > 0);
-  (* after a cooldown of stable health, probes close the breaker and
-     the owner takes its keys back *)
+  (* after the cooldown, probe requests to the stable host close the
+     breaker and the owner takes its keys back *)
   Simnet.Engine.schedule engine ~delay:(Simnet.Engine.sec 10) (fun () -> ());
   Simnet.Engine.run engine;
-  let p1 = Proxy.Farm.probe farm in
-  let p2 = Proxy.Farm.probe farm in
-  check Alcotest.bool "stable probes rehabilitate the shard" true
-    (p1.(owner) || p2.(owner));
+  check Alcotest.bool "stable probes rehabilitate the shard" true (route ());
   let before = pool.(owner).Proxy.requests in
   Proxy.Farm.request farm ~cls (fun _ -> ());
   Simnet.Engine.run engine;
   check Alcotest.int "owner serves again after rehabilitation" (before + 1)
-    pool.(owner).Proxy.requests
+    pool.(owner).Proxy.requests;
+  check Alcotest.bool "breaker closed again" true
+    (Proxy.Breaker.state (Proxy.Farm.breaker farm owner)
+       ~now:(Simnet.Engine.now engine)
+    = Proxy.Breaker.Closed)
 
 (* --- Cache versioning and invalidation. --- *)
 

@@ -136,7 +136,7 @@ let test_fault_schedule () =
   let h = Simnet.Host.create e ~name:"p" in
   let plan = Simnet.Fault.create ~seed:5 in
   let restarted = ref false in
-  Simnet.Fault.schedule_host_faults plan h ~mem_retained:0.0
+  Simnet.Fault.schedule_host_faults plan h
     ~on_restart:(fun () -> restarted := true)
     ~schedule:[ (1000L, 500L) ]
     ();

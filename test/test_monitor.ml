@@ -182,8 +182,7 @@ let test_first_use_order () =
 let test_audit_instrumentation_reaches_console () =
   let counters = Monitor.Instrument.fresh_counters () in
   let instrumented =
-    Monitor.Instrument.instrument_class ~counters
-      ~runtime_class:Monitor.Profiler.auditor_class fib_cls
+    Rewrite.Filter.apply (Monitor.Instrument.audit_filter ~counters ()) fib_cls
   in
   check Alcotest.bool "probes inserted" true
     (counters.Monitor.Instrument.probes_inserted > 0);

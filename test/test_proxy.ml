@@ -355,89 +355,27 @@ let test_pipeline_memo_transparent () =
 
 (* --- Wire protocol. --- *)
 
+(* The class name and the deadline a request carries, as the farm edge
+   decodes them. *)
+let decode_cls raw =
+  (Proxy.Httpwire.decode_request_full raw).Proxy.Httpwire.rq_cls
+
+let decode_cls_deadline raw =
+  let r = Proxy.Httpwire.decode_request_full raw in
+  (r.Proxy.Httpwire.rq_cls, r.Proxy.Httpwire.rq_deadline_us)
+
 let test_http_roundtrip () =
   let req = Proxy.Httpwire.encode_request ~cls:"jlex/Main" () in
-  check Alcotest.string "request decodes" "jlex/Main"
-    (Proxy.Httpwire.decode_request req);
-  let body = "\x00\x01binary body \xff" in
-  let resp = Proxy.Httpwire.encode_response ~status:Proxy.Httpwire.Ok_200 ~body in
-  let status, body' = Proxy.Httpwire.decode_response resp in
-  check Alcotest.bool "status 200" true (status = Proxy.Httpwire.Ok_200);
-  check Alcotest.string "body preserved" body body'
-
-let test_http_serve () =
-  let lookup = function "A" -> Some "aaa" | _ -> None in
-  let ok = Proxy.Httpwire.serve lookup (Proxy.Httpwire.encode_request ~cls:"A" ()) in
-  (match Proxy.Httpwire.decode_response ok with
-  | Proxy.Httpwire.Ok_200, "aaa" -> ()
-  | _ -> fail "expected 200 aaa");
-  let missing =
-    Proxy.Httpwire.serve lookup (Proxy.Httpwire.encode_request ~cls:"B" ())
-  in
-  (match Proxy.Httpwire.decode_response missing with
-  | Proxy.Httpwire.Not_found_404, _ -> ()
-  | _ -> fail "expected 404");
-  match Proxy.Httpwire.decode_response (Proxy.Httpwire.serve lookup "junk") with
-  | Proxy.Httpwire.Bad_request_400, _ -> ()
-  | _ -> fail "expected 400"
-
-let test_http_malformed () =
-  List.iter
-    (fun bad ->
-      match Proxy.Httpwire.decode_response bad with
-      | _ -> fail ("accepted: " ^ String.escaped bad)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      "";
-      "DVM/1.0 200\r\n\r\n";
-      "DVM/1.0 999\r\nContent-Length: 0\r\n\r\n";
-      "DVM/1.0 200\r\nContent-Length: 5\r\n\r\nab";
-      "HTTP/1.1 200\r\nContent-Length: 0\r\n\r\n";
-    ]
-
-let test_http_separator_enforced () =
-  (* Regression: the decoder used to take the body as "4 bytes past
-     the last header CRLF" without checking that those bytes were the
-     blank-line separator, silently swallowing garbage framing. *)
-  List.iter
-    (fun bad ->
-      match Proxy.Httpwire.decode_response bad with
-      | _ -> fail ("accepted garbage framing: " ^ String.escaped bad)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      (* garbage where the blank line belongs; body length matches *)
-      "DVM/1.0 200\r\nContent-Length: 2\r\nXXab";
-      (* duplicate header instead of the separator *)
-      "DVM/1.0 200\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab";
-      (* unknown header in place of Content-Length *)
-      "DVM/1.0 200\r\nX-Frame: 1\r\n\r\n";
-      (* LF-only separator *)
-      "DVM/1.0 200\r\nContent-Length: 2\r\n\nab";
-    ]
-
-let test_http_truncation_boundaries () =
-  let full =
-    Proxy.Httpwire.encode_response ~status:Proxy.Httpwire.Ok_200 ~body:"body"
-  in
-  (match Proxy.Httpwire.decode_response full with
-  | Proxy.Httpwire.Ok_200, "body" -> ()
-  | _ -> fail "full response must parse");
-  (* every proper prefix — cut in the status line, the header, the
-     separator or the body — must be rejected, never misparsed *)
-  for len = 0 to String.length full - 1 do
-    match Proxy.Httpwire.decode_response (String.sub full 0 len) with
-    | _ -> fail (Printf.sprintf "accepted truncation at byte %d" len)
-    | exception Proxy.Httpwire.Bad_message _ -> ()
-  done
+  check Alcotest.string "request decodes" "jlex/Main" (decode_cls req)
 
 let test_http_request_framing_enforced () =
   (* Regression: the request decoder used to take everything up to the
      first "\r" as the request line and ignore the rest, accepting
-     truncated framing and trailing garbage that the response decoder
-     rejects. Both directions must demand the full "\r\n\r\n". *)
+     truncated framing and trailing garbage. A request must end in the
+     full "\r\n\r\n". *)
   List.iter
     (fun bad ->
-      match Proxy.Httpwire.decode_request bad with
+      match Proxy.Httpwire.decode_request_full bad with
       | _ -> fail ("accepted bad request framing: " ^ String.escaped bad)
       | exception Proxy.Httpwire.Bad_message _ -> ())
     [
@@ -471,33 +409,15 @@ let arbitrary_cls =
     ~print:(fun s -> s)
     (string_size ~gen:cls_char (int_range 1 40))
 
-(* Bodies are arbitrary bytes — rewritten class files are binary. *)
-let arbitrary_body =
-  QCheck.make
-    ~print:String.escaped
-    QCheck.Gen.(string_size ~gen:char (int_range 0 80))
-
-let arbitrary_status =
-  QCheck.make
-    (QCheck.Gen.oneofl
-       [ Proxy.Httpwire.Ok_200; Proxy.Httpwire.Not_found_404;
-         Proxy.Httpwire.Bad_request_400; Proxy.Httpwire.Overloaded_503 ])
-
 let request_rejected data =
-  match Proxy.Httpwire.decode_request data with
-  | _ -> false
-  | exception Proxy.Httpwire.Bad_message _ -> true
-
-let response_rejected data =
-  match Proxy.Httpwire.decode_response data with
+  match Proxy.Httpwire.decode_request_full data with
   | _ -> false
   | exception Proxy.Httpwire.Bad_message _ -> true
 
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"request roundtrip" ~count:300 arbitrary_cls
     (fun cls ->
-      String.equal cls
-        (Proxy.Httpwire.decode_request (Proxy.Httpwire.encode_request ~cls ())))
+      String.equal cls (decode_cls (Proxy.Httpwire.encode_request ~cls ())))
 
 let prop_request_truncation =
   QCheck.Test.make ~name:"request rejects every truncation" ~count:100
@@ -515,50 +435,20 @@ let prop_request_trailing_garbage =
     (fun (cls, junk) ->
       request_rejected (Proxy.Httpwire.encode_request ~cls () ^ junk))
 
-let prop_response_roundtrip =
-  QCheck.Test.make ~name:"response roundtrip" ~count:300
-    QCheck.(pair arbitrary_status arbitrary_body)
-    (fun (status, body) ->
-      let status', body' =
-        Proxy.Httpwire.decode_response
-          (Proxy.Httpwire.encode_response ~status ~body)
-      in
-      status = status' && String.equal body body')
-
-let prop_response_truncation =
-  QCheck.Test.make ~name:"response rejects every truncation" ~count:100
-    QCheck.(pair arbitrary_status arbitrary_body)
-    (fun (status, body) ->
-      let full = Proxy.Httpwire.encode_response ~status ~body in
-      let ok = ref true in
-      for len = 0 to String.length full - 1 do
-        if not (response_rejected (String.sub full 0 len)) then ok := false
-      done;
-      !ok)
-
-let prop_response_trailing_garbage =
-  QCheck.Test.make ~name:"response rejects trailing garbage" ~count:100
-    QCheck.(
-      triple arbitrary_status arbitrary_body
-        (string_gen_of_size Gen.(int_range 1 20) Gen.char))
-    (fun (status, body, junk) ->
-      response_rejected (Proxy.Httpwire.encode_response ~status ~body ^ junk))
-
 (* --- Wire protocol: deadline propagation. --- *)
 
 let test_http_deadline_roundtrip () =
   let raw = Proxy.Httpwire.encode_request ~deadline_us:1_234_567L ~cls:"A/b" () in
-  let cls, deadline = Proxy.Httpwire.decode_request_deadline raw in
+  let cls, deadline = decode_cls_deadline raw in
   check Alcotest.string "class name survives" "A/b" cls;
   check (Alcotest.option Alcotest.int64) "deadline survives" (Some 1_234_567L)
     deadline;
-  (* plain decode still accepts the header and ignores it *)
+  (* the class alone still decodes past the header *)
   check Alcotest.string "plain decode ignores the header" "A/b"
-    (Proxy.Httpwire.decode_request raw);
+    (decode_cls raw);
   (* no header -> no deadline *)
   let cls, deadline =
-    Proxy.Httpwire.decode_request_deadline
-      (Proxy.Httpwire.encode_request ~cls:"A/b" ())
+    decode_cls_deadline (Proxy.Httpwire.encode_request ~cls:"A/b" ())
   in
   check Alcotest.string "bare request decodes" "A/b" cls;
   check (Alcotest.option Alcotest.int64) "bare request has no deadline" None
@@ -567,7 +457,7 @@ let test_http_deadline_roundtrip () =
 let test_http_deadline_malformed () =
   List.iter
     (fun data ->
-      match Proxy.Httpwire.decode_request_deadline data with
+      match Proxy.Httpwire.decode_request_full data with
       | _ -> fail ("accepted: " ^ String.escaped data)
       | exception Proxy.Httpwire.Bad_message _ -> ())
     [
@@ -604,23 +494,10 @@ let test_http_strict_decimal_headers () =
       "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: 1_0\r\n\r\n";
       "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: 0b101\r\n\r\n";
     ];
-  List.iter
-    (fun data ->
-      match Proxy.Httpwire.decode_response data with
-      | _ -> fail ("accepted: " ^ String.escaped data)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      "DVM/1.0 200\r\nContent-Length: 0x2\r\n\r\nab";
-      "DVM/1.0 200\r\nContent-Length: 1_000\r\n\r\n" ^ String.make 1000 'x';
-      "DVM/1.0 200\r\nContent-Length: 0b10\r\n\r\nab";
-    ];
-  (* plain decimals still parse on both sides *)
+  (* plain decimals still parse *)
   let req = "GET /A DVM/1.0\r\nDeadline-Us: 16\r\n\r\n" in
   check (Alcotest.option Alcotest.int64) "plain decimal deadline" (Some 16L)
-    (snd (Proxy.Httpwire.decode_request_deadline req));
-  match Proxy.Httpwire.decode_response "DVM/1.0 200\r\nContent-Length: 2\r\n\r\nab" with
-  | Proxy.Httpwire.Ok_200, "ab" -> ()
-  | _ -> fail "plain decimal content-length must parse"
+    (snd (decode_cls_deadline req))
 
 (* Non-decimal renderings of a number that [Int64.of_string] would
    happily accept: every one must bounce off the wire parsers. *)
@@ -656,10 +533,7 @@ let prop_numeric_headers_reject_nondecimal =
       && request_rejected
            (Printf.sprintf
               "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: %s\r\n\r\n"
-              spelling)
-      && response_rejected
-           (Printf.sprintf "DVM/1.0 200\r\nContent-Length: %s\r\n\r\n%s" spelling
-              (String.make (min n 80) 'x')))
+              spelling))
 
 let prop_request_deadline_roundtrip =
   QCheck.Test.make ~name:"request+deadline roundtrip" ~count:300
@@ -667,8 +541,7 @@ let prop_request_deadline_roundtrip =
     (fun (cls, deadline) ->
       let deadline_us = Option.map Int64.of_int deadline in
       let cls', deadline' =
-        Proxy.Httpwire.decode_request_deadline
-          (Proxy.Httpwire.encode_request ?deadline_us ~cls ())
+        decode_cls_deadline (Proxy.Httpwire.encode_request ?deadline_us ~cls ())
       in
       String.equal cls cls' && deadline_us = deadline')
 
@@ -746,10 +619,9 @@ let prop_request_trace_roundtrip =
       && deadline_us = req.Proxy.Httpwire.rq_deadline_us
       && Option.map fst trace = req.Proxy.Httpwire.rq_trace_id
       && Option.map snd trace = req.Proxy.Httpwire.rq_parent_span
-      (* the legacy decoder ignores the new headers *)
+      (* the class alone decodes past the new headers *)
       && String.equal cls
-           (Proxy.Httpwire.decode_request
-              (Proxy.Httpwire.encode_request ?deadline_us ?trace ~cls ())))
+           (decode_cls (Proxy.Httpwire.encode_request ?deadline_us ?trace ~cls ())))
 
 let prop_request_trace_garbage =
   (* Arbitrary bytes in header position never crash the decoder: it
@@ -1291,7 +1163,7 @@ let test_admission_queue_shed () =
   | _ -> fail "freed slot was not reusable"
 
 let test_admission_ewma_tracks_cost () =
-  let a = Proxy.Admission.create ~initial_cost_us:50_000 () in
+  let a = Proxy.Admission.create () in
   check Alcotest.int64 "initial estimate" 50_000L
     (Proxy.Admission.estimate_us a);
   (* a run of slow misses pulls the estimate up *)
@@ -1532,8 +1404,8 @@ let test_single_flight_coalesces () =
 
 let test_single_flight_crash_fails_all_waiters () =
   (* A crash mid-flight settles the whole flight as failed: the leader
-     and every joined waiter fail through their own [on_fail], and the
-     in-flight entry is dropped so a post-restart retry starts fresh. *)
+     and every joined waiter reply [Unavailable], and the in-flight
+     entry is dropped so a post-restart retry starts fresh. *)
   let engine = Simnet.Engine.create () in
   let proxy =
     Proxy.create engine
@@ -1543,9 +1415,9 @@ let test_single_flight_crash_fails_all_waiters () =
   in
   let served = ref 0 and failed = ref 0 in
   let issue () =
-    Proxy.request proxy ~cls:"Hello"
-      ~on_fail:(fun () -> incr failed)
-      (fun _ -> incr served)
+    Proxy.request proxy ~cls:"Hello" (function
+      | Proxy.Unavailable -> incr failed
+      | Proxy.Bytes _ | Proxy.Not_found | Proxy.Overloaded -> incr served)
   in
   issue ();
   issue ();
@@ -1565,6 +1437,52 @@ let test_single_flight_crash_fails_all_waiters () =
       match r with Proxy.Bytes _ -> ok := true | _ -> ());
   Simnet.Engine.run engine;
   check Alcotest.bool "retry after restart served" true !ok
+
+(* Every reply a standalone request gets, in order. *)
+let replies_of proxy ~cls =
+  let got = ref [] in
+  Proxy.request proxy ~cls (fun r -> got := r :: !got);
+  got
+
+let test_crashed_host_replies_unavailable () =
+  (* Regression: without a failure hook, a request to a down host
+     never completed. It now replies [Unavailable], once. *)
+  let engine = Simnet.Engine.create () in
+  let proxy =
+    Proxy.create engine ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> Simnet.Engine.ms 100)
+      ~filters:(filters ()) ()
+  in
+  Simnet.Host.crash proxy.Proxy.host;
+  let got = replies_of proxy ~cls:"Hello" in
+  Simnet.Engine.run engine;
+  match !got with
+  | [ Proxy.Unavailable ] -> ()
+  | rs -> fail (Printf.sprintf "expected one Unavailable, got %d replies" (List.length rs))
+
+let test_crash_mid_cache_hit_replies_unavailable () =
+  (* Regression: a host crash while a cache hit occupied the CPU
+     dropped the request without a reply. *)
+  let engine = Simnet.Engine.create () in
+  let proxy =
+    Proxy.create engine ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> Simnet.Engine.ms 100)
+      ~filters:(filters ()) ()
+  in
+  (match Proxy.request_sync proxy ~cls:"Hello" with
+  | Proxy.Bytes _ -> ()
+  | _ -> fail "warm-up not served");
+  let hits = proxy.Proxy.cache.Proxy.Cache.hits in
+  let got = replies_of proxy ~cls:"Hello" in
+  (* a hit holds the CPU for 2 ms; crash halfway through *)
+  Simnet.Engine.schedule engine ~delay:1_000L (fun () ->
+      Simnet.Host.crash proxy.Proxy.host);
+  Simnet.Engine.run engine;
+  check Alcotest.int "the request was a cache hit" (hits + 1)
+    proxy.Proxy.cache.Proxy.Cache.hits;
+  match !got with
+  | [ Proxy.Unavailable ] -> ()
+  | rs -> fail (Printf.sprintf "expected one Unavailable, got %d replies" (List.length rs))
 
 let test_single_flight_respects_policy_version () =
   (* Regression: the in-flight table was keyed by class alone, so a
@@ -1704,12 +1622,6 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_http_roundtrip;
-          Alcotest.test_case "serve" `Quick test_http_serve;
-          Alcotest.test_case "malformed" `Quick test_http_malformed;
-          Alcotest.test_case "separator enforced" `Quick
-            test_http_separator_enforced;
-          Alcotest.test_case "truncation boundaries" `Quick
-            test_http_truncation_boundaries;
           Alcotest.test_case "request framing enforced" `Quick
             test_http_request_framing_enforced;
           Alcotest.test_case "deadline roundtrip" `Quick
@@ -1734,9 +1646,6 @@ let () =
             prop_request_deadline_roundtrip;
             prop_request_trace_roundtrip;
             prop_request_trace_garbage;
-            prop_response_roundtrip;
-            prop_response_truncation;
-            prop_response_trailing_garbage;
             prop_numeric_headers_reject_nondecimal;
           ] );
       ( "breaker",
@@ -1771,6 +1680,10 @@ let () =
           Alcotest.test_case "audit trail" `Quick test_audit_trail;
           Alcotest.test_case "cache-hit audit timing" `Quick
             test_cache_hit_audit_timing;
+          Alcotest.test_case "crashed host replies Unavailable once" `Quick
+            test_crashed_host_replies_unavailable;
+          Alcotest.test_case "crash mid cache hit replies Unavailable once"
+            `Quick test_crash_mid_cache_hit_replies_unavailable;
         ] );
       ( "single-flight",
         [

@@ -121,7 +121,7 @@ let test_host_cpu_factor () =
 
 let test_memory_pressure_slows () =
   let e = Simnet.Engine.create () in
-  let h = Simnet.Host.create ~mem_capacity:1000 ~thrash_factor:10.0 e ~name:"h" in
+  let h = Simnet.Host.create ~mem_capacity:1000 e ~name:"h" in
   let base = Simnet.Host.effective_cost h ~cost_us:100L in
   Simnet.Host.allocate h 2000;
   (* 2x over-committed *)
