@@ -5,20 +5,14 @@
    RTVerifier link checks, the enforcement manager, the monitoring
    natives). *)
 
-type architecture =
-  | Monolithic
-  | Dvm_client
-
 type t = {
   vm : Jvm.Vmstate.t;
-  architecture : architecture;
   (* DVM dynamic components (present on DVM clients). *)
   rt_verifier : Verifier.Rt_verifier.stats option;
   enforcement : Security.Enforcement.t option;
   profiler : Monitor.Profiler.t option;
   (* Monolithic local-service accounting. *)
   mutable local_verify_checks : int;
-  mutable local_verify_errors : int;
 }
 
 (* Telemetry around the client's window onto the network: each class
@@ -388,8 +382,6 @@ let monolithic_verify_hook client provider =
     | Verifier.Static_verifier.Rejected (errors, stats) ->
       client.local_verify_checks <-
         client.local_verify_checks + stats.Verifier.Static_verifier.sv_static_checks;
-      client.local_verify_errors <-
-        client.local_verify_errors + List.length errors;
       raise
         (Jvm.Classreg.Load_rejected
            {
@@ -421,12 +413,10 @@ let create_monolithic ?(policy = Security.Policy.empty) ?oracle_provider
   let client =
     {
       vm;
-      architecture = Monolithic;
       rt_verifier = None;
       enforcement = None;
       profiler = None;
       local_verify_checks = 0;
-      local_verify_errors = 0;
     }
   in
   (* The verifier's environment lookups resolve against the raw origin
@@ -450,12 +440,10 @@ let create_dvm ?console ?(session = 0) ?security_server ?(sid = "default")
   let profiler = Monitor.Profiler.install vm ?console ~session () in
   {
     vm;
-    architecture = Dvm_client;
     rt_verifier = Some rt;
     enforcement;
     profiler = Some profiler;
     local_verify_checks = 0;
-    local_verify_errors = 0;
   }
 
 let run_main client entry =

@@ -6,16 +6,12 @@
     runtime plus the dynamic service components: RTVerifier link
     checks, the enforcement manager, the monitoring natives). *)
 
-type architecture = Monolithic | Dvm_client
-
 type t = {
   vm : Jvm.Vmstate.t;
-  architecture : architecture;
   rt_verifier : Verifier.Rt_verifier.stats option;
   enforcement : Security.Enforcement.t option;
   profiler : Monitor.Profiler.t option;
   mutable local_verify_checks : int;
-  mutable local_verify_errors : int;
 }
 
 (** {1 Overload-aware farm sessions}

@@ -18,17 +18,11 @@ let architecture_name = function
   | Dvm { cached = true } -> "DVM cached"
 
 type result = {
-  r_app : string;
-  r_arch : architecture;
   r_wall_us : int64;
-  r_client_us : int64; (* execution + client-resident service work *)
   r_proxy_us : int64;
-  r_transfer_us : int64;
-  r_bytes_fetched : int;
   r_static_checks : int;
   r_dynamic_checks : int;
   r_enforcement_checks : int;
-  r_audit_events : int;
   r_output : string;
   r_decisions : (string * bool) list;
       (* enforcement (permission, verdict) sequence, in order *)
@@ -120,17 +114,11 @@ let run_arch ?elide ~policy ~arch (app : Workloads.Appgen.app) : result =
       Int64.add (Client.client_time_us client) (Int64.add audit_equiv parse_us)
     in
     {
-      r_app = app.Workloads.Appgen.spec.Workloads.Appgen.name;
-      r_arch = arch;
       r_wall_us = Int64.add client_us (Int64.of_int !transfer_us);
-      r_client_us = client_us;
       r_proxy_us = 0L;
-      r_transfer_us = Int64.of_int !transfer_us;
-      r_bytes_fetched = !bytes;
       r_static_checks = client.Client.local_verify_checks;
       r_dynamic_checks = 0;
       r_enforcement_checks = 0;
-      r_audit_events = client.Client.vm.Jvm.Vmstate.invocations;
       r_output = output;
       r_decisions = [];
     }
@@ -218,20 +206,14 @@ let run_arch ?elide ~policy ~arch (app : Workloads.Appgen.app) : result =
       | None -> 0
     in
     {
-      r_app = app.Workloads.Appgen.spec.Workloads.Appgen.name;
-      r_arch = arch;
       r_wall_us =
         Int64.add client_us (Int64.add proxy_us (Int64.of_int !transfer_us));
-      r_client_us = client_us;
       r_proxy_us = proxy_us;
-      r_transfer_us = Int64.of_int !transfer_us;
-      r_bytes_fetched = !bytes;
       r_static_checks =
         services.verifier_counters
           .Verifier.Static_verifier.total_static_checks;
       r_dynamic_checks = dynamic_checks;
       r_enforcement_checks = enforcement_checks;
-      r_audit_events = Monitor.Audit.count (Monitor.Console.audit console);
       r_output = output;
       r_decisions =
         (match client.Client.enforcement with

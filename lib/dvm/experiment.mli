@@ -9,17 +9,11 @@
 type architecture = Monolithic | Dvm of { cached : bool }
 
 type result = {
-  r_app : string;
-  r_arch : architecture;
   r_wall_us : int64;
-  r_client_us : int64;  (** execution + client-resident service work *)
   r_proxy_us : int64;
-  r_transfer_us : int64;
-  r_bytes_fetched : int;
   r_static_checks : int;
   r_dynamic_checks : int;
   r_enforcement_checks : int;
-  r_audit_events : int;
   r_output : string;
   r_decisions : (string * bool) list;
       (** enforcement (permission, verdict) sequence, in order; empty

@@ -8,7 +8,6 @@ type compiled = {
   arch : Arch.t;
   ir : Ir.meth;
   allocation : Regalloc.result;
-  est_cost : float; (* static per-pass cost estimate, cost units *)
   kernel : bool; (* directly executable by Exec *)
 }
 
@@ -84,7 +83,6 @@ let compile_method ?(elide = true) t arch (cf : Bytecode.Classfile.t)
             arch;
             ir;
             allocation;
-            est_cost = Ir.static_cost arch ir.Ir.code;
             kernel = Exec.supported ir;
           }
       | exception Translate.Unsupported reason ->

@@ -10,7 +10,6 @@ type compiled = {
   arch : Arch.t;
   ir : Ir.meth;
   allocation : Regalloc.result;
-  est_cost : float;  (** static per-pass cost estimate, cost units *)
   kernel : bool;  (** directly executable by {!Exec} *)
 }
 

@@ -11,7 +11,6 @@
    statistics, and the sweep set are real and tested. *)
 
 type stats = {
-  traced_roots : int;
   live_objects : int;
   live_arrays : int;
   collected_objects : int;
@@ -95,7 +94,6 @@ let collect ?(extra_roots = []) (vm : Vmstate.t) : stats =
   heap.Heap.arrays_allocated <- !live_arrays;
   heap.Heap.bytes_allocated <- live_bytes;
   {
-    traced_roots = List.length roots;
     live_objects = !live_objects;
     live_arrays = !live_arrays;
     collected_objects;

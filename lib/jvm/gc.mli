@@ -8,7 +8,6 @@
     and sweep set are real. *)
 
 type stats = {
-  traced_roots : int;
   live_objects : int;
   live_arrays : int;
   collected_objects : int;

@@ -3,11 +3,11 @@
    ring. Re-exported here so users write [Proxy.request],
    [Proxy.Farm.create], [Proxy.Cache.find] and so on. *)
 
-module Cache = Cache
+module Cache = Serve_core.Cache
 module Pipeline = Pipeline
 module Httpwire = Httpwire
 module Breaker = Breaker
-module Admission = Admission
+module Admission = Serve_core.Admission
 
 include Node
 

@@ -11,7 +11,7 @@
     here; {!Farm} shards class keys across several nodes by consistent
     hashing and fails over along the ring — the replication of §2/§5. *)
 
-module Cache : module type of Cache
+module Cache = Serve_core.Cache
 module Pipeline : module type of Pipeline
 module Httpwire : module type of Httpwire
 
@@ -19,11 +19,11 @@ module Breaker : module type of Breaker
 (** Per-shard circuit breaker (closed/open/half-open with hysteresis)
     consulted by {!Farm} before routing. *)
 
-module Admission : module type of Admission
+module Admission = Serve_core.Admission
 (** Deadline-aware admission control: each node sheds requests whose
     remaining budget cannot cover estimated service cost. *)
 
-type reply = Node.reply =
+type reply = Serve_core.reply =
   | Bytes of string
   | Not_found
   | Unavailable
@@ -35,16 +35,10 @@ type reply = Node.reply =
 
 type origin = string -> string option
 
-type waiter = Node.waiter
-(** A request that joined an in-flight single-flight run: its
-    completion callback, fired with the leader's reply when the
-    leader's pipeline run settles. *)
-
 type t = Node.t = {
   engine : Simnet.Engine.t;
   host : Simnet.Host.t;
   cache : Cache.t;  (** the shard's own L1 *)
-  l2 : Cache.t option;  (** optional shared tier, one instance per farm *)
   mutable filters : Rewrite.Filter.t list;
   mutable policy_version : int;
       (** security-policy version this shard rewrites under; stamped
@@ -62,14 +56,19 @@ type t = Node.t = {
   signer : Dsig.Sign.key option;
   memo : Pipeline.Memo.t option;  (** optional host-CPU outcome memo *)
   audit : Monitor.Audit.t option;
-  inflight : (string * int, waiter list ref) Hashtbl.t;
-      (** (class, policy version) with a pipeline run in flight → the
-          joined requests' callbacks, newest first. The version is in
-          the key, as in L1 and L2: a request arriving after a bump
-          leads its own run, not one under the revoked stack. *)
+  core : Serve_core.t;
+      (** the serve decision over [cache], the shared L2 and
+          [admission]: its [flights] table maps each (class, policy
+          version) with a pipeline run in flight to that flight — its
+          leader, the request ids that joined it, and the host epoch it
+          started in. The version is in the key, as in L1 and L2: a
+          request arriving after a bump leads its own run, not one
+          under the revoked stack. *)
+  parked : (int, reply -> unit) Hashtbl.t;
+      (** the continuations of requests that joined a flight, by
+          request id, until the flight settles *)
   admission : Admission.t;
   mutable requests : int;
-  mutable rejections : int;
   mutable bytes_served : int;
   mutable origin_fetches : int;
   mutable pipeline_runs : int;  (** full parse/rewrite/generate passes *)
@@ -113,7 +112,12 @@ val request :
 (** Simulated-time request; the callback fires exactly once: with the
     response when it is ready for the client's wire, or [Unavailable]
     — after a zero-delay hop if the host is down or the fence refuses,
-    at the crash if the host crashes with the request in flight.
+    when the abandoned CPU job would have finished if the host crashes
+    under it, and after a zero-delay hop when the origin's bytes
+    arrive if the host crashed during the fetch.
+
+    The serve decision is {!Serve_core}'s [step]; this is its simnet
+    shell, which performs each step's effects in the order returned.
 
     [trace] nests this hop under the caller's distributed trace: a
     per-shard span, reason events for sheds / coalesce joins / L2
@@ -129,8 +133,12 @@ val request :
     version) key leads and runs the pipeline; concurrent requests for
     the same key join it (counter [coalesced]) and settle — success or
     failure — with the leader, even if the node bumps its version
-    meanwhile. A crash mid-flight replies [Unavailable] to every joined
-    request at once: the leader first, then the joiners in join order. *)
+    meanwhile. No flight outlives a crash: from the first request or
+    completion under the host's new epoch, a request leads a fresh
+    flight, and a flight that the crash caught replies [Unavailable] to
+    every joined request at once, the leader first, then the joiners
+    in join order, without running the pipeline if its bytes had not
+    arrived. *)
 
 val request_sync : t -> cls:string -> reply
 (** {!request} run to completion: it drains the node's engine

@@ -16,9 +16,4 @@ let reject ~filter ~cls reason = raise (Rejected { filter; cls; reason })
 
 let apply t cls = t.transform cls
 
-let run_stack filters cls = List.fold_left (fun c f -> apply f c) cls filters
-
-let stack ~name filters =
-  { name; transform = (fun cls -> run_stack filters cls) }
-
 let identity = { name = "identity"; transform = Fun.id }

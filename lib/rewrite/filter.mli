@@ -21,6 +21,4 @@ val make :
 val reject : filter:string -> cls:string -> string -> 'a
 
 val apply : t -> Bytecode.Classfile.t -> Bytecode.Classfile.t
-val run_stack : t list -> Bytecode.Classfile.t -> Bytecode.Classfile.t
-val stack : name:string -> t list -> t
 val identity : t

@@ -26,7 +26,6 @@ type counters = {
   mutable checks_elided : int;
   mutable checks_hoisted : int;
   mutable methods_instrumented : int;
-  mutable classes_processed : int;
 }
 
 let fresh_counters () =
@@ -35,7 +34,6 @@ let fresh_counters () =
     checks_elided = 0;
     checks_hoisted = 0;
     methods_instrumented = 0;
-    classes_processed = 0;
   }
 
 (* A resource-aware check is only possible when the protected call's
@@ -399,7 +397,6 @@ let method_entries (plan : decision) (layout : Rewrite.Patch.layout) :
 
 let rewrite_class ?(counters = fresh_counters ()) ?(elide = true) ?certs policy
     (cf : CF.t) : CF.t =
-  counters.classes_processed <- counters.classes_processed + 1;
   let pool = CP.Builder.of_pool cf.CF.pool in
   let method_certs = ref [] in
   let methods =

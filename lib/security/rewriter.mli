@@ -17,7 +17,6 @@ type counters = {
   mutable checks_elided : int;  (** sites proven redundant and dropped *)
   mutable checks_hoisted : int;  (** preheader checks added by hoisting *)
   mutable methods_instrumented : int;
-  mutable classes_processed : int;
 }
 
 val fresh_counters : unit -> counters

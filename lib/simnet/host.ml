@@ -12,13 +12,11 @@ type t = {
   mutable mem_used : int;
   mutable busy_until : Engine.time;
   mutable cpu_busy : Engine.time; (* total busy µs, for utilization *)
-  mutable jobs : int;
   (* Availability: a crashed host refuses new work and abandons work
      in flight. The epoch ticks on every crash so completions
      scheduled before it can tell they were lost. *)
   mutable up : bool;
   mutable epoch : int;
-  mutable crashes : int;
 }
 
 (* Penalty multiplier applied to work while memory is over-committed. *)
@@ -34,10 +32,8 @@ let create ?(cpu_factor = 1.0) ?(mem_capacity = 64 * 1024 * 1024) engine
     mem_used = 0;
     busy_until = 0L;
     cpu_busy = 0L;
-    jobs = 0;
     up = true;
     epoch = 0;
-    crashes = 0;
   }
 
 let is_up t = t.up
@@ -45,8 +41,7 @@ let is_up t = t.up
 let crash t =
   if t.up then begin
     t.up <- false;
-    t.epoch <- t.epoch + 1;
-    t.crashes <- t.crashes + 1
+    t.epoch <- t.epoch + 1
   end
 
 (* Restart after a crash: queued work is gone (the epoch already
@@ -98,7 +93,6 @@ let compute t ?on_fail ~cost_us k =
     let finish = Int64.add start cost in
     t.busy_until <- finish;
     t.cpu_busy <- Int64.add t.cpu_busy cost;
-    t.jobs <- t.jobs + 1;
     Engine.schedule_at t.engine finish (fun () ->
         if t.up && t.epoch = epoch then k ()
         else match on_fail with Some f -> f () | None -> ())

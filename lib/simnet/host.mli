@@ -13,10 +13,8 @@ type t = {
   mutable mem_used : int;
   mutable busy_until : Engine.time;
   mutable cpu_busy : Engine.time;
-  mutable jobs : int;
   mutable up : bool;
   mutable epoch : int;  (** ticks on every crash *)
-  mutable crashes : int;
 }
 
 val create :

@@ -88,9 +88,5 @@ let transfer t ?on_drop ~bytes k =
       k
   | None -> Engine.schedule_at t.engine arrival k
 
-(* The pure-math variant used by closed-form startup models. *)
-let transfer_time_us ~bandwidth_bps ~latency_us ~bytes =
-  latency_us + int_of_float (Float.of_int bytes *. 8.0 *. 1_000_000.0 /. Float.of_int bandwidth_bps)
-
 (* Common link presets from the paper's evaluation. *)
 let ethernet_10mb engine = create engine ~name:"ethernet" ~bandwidth_bps:10_000_000 ~latency:(Engine.us 500)

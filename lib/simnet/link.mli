@@ -52,7 +52,4 @@ val transfer : t -> ?on_drop:(unit -> unit) -> bytes:int -> (unit -> unit) -> un
     "link drop occupies wire" times the loss by. Counter:
     [simnet.drops]. *)
 
-val transfer_time_us : bandwidth_bps:int -> latency_us:int -> bytes:int -> int
-(** Closed-form single-transfer time for analytic startup models. *)
-
 val ethernet_10mb : Engine.t -> t

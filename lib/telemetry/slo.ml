@@ -28,7 +28,6 @@ type t = {
   buckets : bucket array;
   mutable total_requests : int;
   mutable total_fresh : int;
-  mutable total_fresh_bytes : int;
   mutable total_stale : int;
   mutable total_failed : int;
   mutable total_sheds : int;
@@ -51,7 +50,6 @@ let create ?(window_s = 10) ?(objective = 0.99) () =
           });
     total_requests = 0;
     total_fresh = 0;
-    total_fresh_bytes = 0;
     total_stale = 0;
     total_failed = 0;
     total_sheds = 0;
@@ -79,8 +77,7 @@ let record t ~now_us outcome =
   | Fresh bytes ->
     b.b_fresh <- b.b_fresh + 1;
     b.b_fresh_bytes <- b.b_fresh_bytes + bytes;
-    t.total_fresh <- t.total_fresh + 1;
-    t.total_fresh_bytes <- t.total_fresh_bytes + bytes
+    t.total_fresh <- t.total_fresh + 1
   | Stale ->
     b.b_stale <- b.b_stale + 1;
     t.total_stale <- t.total_stale + 1

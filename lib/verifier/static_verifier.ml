@@ -15,14 +15,13 @@ module D = Bytecode.Descriptor
 type stats = {
   sv_static_checks : int; (* checks performed at the server *)
   sv_deferred : int; (* runtime check calls injected *)
-  sv_guarded_methods : int;
 }
 
 type outcome =
   | Verified of Bytecode.Classfile.t * stats
   | Rejected of Verror.t list * stats
 
-let zero_stats = { sv_static_checks = 0; sv_deferred = 0; sv_guarded_methods = 0 }
+let zero_stats = { sv_static_checks = 0; sv_deferred = 0 }
 
 (* Guard-field name for a method: unique per (name, descriptor) and
    legal as a field name. *)
@@ -90,11 +89,10 @@ let guarded_prologue pool ~cls_name ~field checks =
   [ getf; I.If_z (I.Ne, len) ] @ body @ [ I.Iconst 1l; putf ]
 
 let rewrite_with_assumptions (cf : CF.t) (asms : Assumptions.t) :
-    CF.t * int * int =
+    CF.t * int =
   let pool = CP.Builder.of_pool cf.CF.pool in
   let new_fields = ref [] in
   let deferred = ref 0 in
-  let guarded = ref 0 in
   let class_wide = Assumptions.class_wide asms in
   (* The pool builder is append-only and interning, so guard prologues
      are patched in first and every refit runs against one final pool
@@ -113,7 +111,6 @@ let rewrite_with_assumptions (cf : CF.t) (asms : Assumptions.t) :
           if checks = [] then Either.Left m
           else begin
             deferred := !deferred + List.length checks;
-            incr guarded;
             let block =
               if is_clinit then
                 (* <clinit> runs exactly once; no guard needed. *)
@@ -197,8 +194,7 @@ let rewrite_with_assumptions (cf : CF.t) (asms : Assumptions.t) :
       fields = cf.CF.fields @ List.rev !new_fields;
       pool = final_pool;
     },
-    !deferred,
-    !guarded )
+    !deferred )
 
 (* Class-wide environment assumptions: the superclass chain and
    interfaces must exist (and remain superclasses) on the client. *)
@@ -246,14 +242,9 @@ let verify ~oracle (cf : CF.t) : outcome =
       Rejected (errors, { zero_stats with sv_static_checks = static_checks })
     | [] ->
       collect_class_assumptions oracle cf asms;
-      let rewritten, deferred, guarded = rewrite_with_assumptions cf asms in
+      let rewritten, deferred = rewrite_with_assumptions cf asms in
       Verified
-        ( rewritten,
-          {
-            sv_static_checks = static_checks;
-            sv_deferred = deferred;
-            sv_guarded_methods = guarded;
-          } )
+        (rewritten, { sv_static_checks = static_checks; sv_deferred = deferred })
   end
 
 (* The service as a proxy filter: rejection becomes a Filter.Rejected,
@@ -262,7 +253,6 @@ let verify ~oracle (cf : CF.t) : outcome =
    console reads them). *)
 type counters = {
   mutable total_static_checks : int;
-  mutable total_deferred : int;
   mutable classes_verified : int;
   mutable classes_rejected : int;
 }
@@ -270,7 +260,6 @@ type counters = {
 let fresh_counters () =
   {
     total_static_checks = 0;
-    total_deferred = 0;
     classes_verified = 0;
     classes_rejected = 0;
   }
@@ -281,7 +270,6 @@ let filter ?(counters = fresh_counters ()) ~oracle () =
       | Verified (cf', stats) ->
         counters.total_static_checks <-
           counters.total_static_checks + stats.sv_static_checks;
-        counters.total_deferred <- counters.total_deferred + stats.sv_deferred;
         counters.classes_verified <- counters.classes_verified + 1;
         if Telemetry.Global.on () then begin
           Telemetry.Global.add "verifier.static_checks"

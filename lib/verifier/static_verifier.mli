@@ -10,7 +10,6 @@
 type stats = {
   sv_static_checks : int;  (** checks performed at the server *)
   sv_deferred : int;  (** runtime check calls injected *)
-  sv_guarded_methods : int;
 }
 
 type outcome =
@@ -23,7 +22,6 @@ val verify : oracle:Oracle.t -> Bytecode.Classfile.t -> outcome
     administration console. *)
 type counters = {
   mutable total_static_checks : int;
-  mutable total_deferred : int;
   mutable classes_verified : int;
   mutable classes_rejected : int;
 }

@@ -7,10 +7,11 @@
    every state. Two bounds: every schedule of at most 7 actions, and
    every schedule of at most 60 actions that departs from the
    fault-free order at most twice. A violation fails with its shortest
-   schedule and the reason events each step emitted. The regression
-   schedules at the end replay, against the real core, the
-   counterexamples of bugs the explorer catches, and two hand-built
-   schedules for bugs past its bounds. *)
+   schedule and the reason events each step emitted; the search itself
+   is [Explore]'s, shared with [test_serve]. The regression schedules
+   at the end replay, against the real core, the counterexamples of
+   bugs the explorer catches, and two hand-built schedules for bugs
+   past its bounds. *)
 
 module C = Control_core
 
@@ -37,6 +38,8 @@ type world = {
   crashes : int; (* crashes left in the budget *)
   dups : int; (* duplicate deliveries left in the budget *)
   ghost : (int * C.entry) list; (* index -> entry seen committed there *)
+  clash : (int * int * C.entry * C.entry) option;
+      (* an index seen committed as two entries: member, index, both *)
 }
 
 type action =
@@ -183,7 +186,7 @@ let msg_to_string = function
 
 (* Take one action: the successor world, a line describing the action
    and the reason events it caused. *)
-let perform w a =
+let act w a =
   let w = copy w in
   let deliver f =
     Printf.sprintf "m%d->m%d %s" f.src f.dst (msg_to_string f.msg)
@@ -260,10 +263,10 @@ let observe w =
           g m.C.m_log)
       w.ghost w.core.C.members
   in
-  ({ w with ghost = List.sort compare ghost }, !clash)
+  { w with ghost = List.sort compare ghost; clash = !clash }
 
 (* The first of the five properties the world breaks, if any. *)
-let violation w clash =
+let violation w =
   let c = w.core and live = live w and now = w.now in
   let members = Array.to_list c.C.members in
   let leaders = C.leased_leaders c ~live ~now in
@@ -294,7 +297,7 @@ let violation w clash =
                   (str p) l))
           leaders);
       (fun () ->
-        Option.bind clash (fun (m, idx, e, e') ->
+        Option.bind w.clash (fun (m, idx, e, e') ->
             some
               "state-machine safety: index %d committed as %s, then as %s at \
                m%d"
@@ -355,115 +358,21 @@ let default w =
       @ List.mapi (fun i b -> (b.at, Fire_backstop i)) w.backstops)
     |> Option.map snd
 
-exception Counterexample of string * action list
+let perform w a =
+  let w, label, notes = act w a in
+  (observe w, label, notes)
 
-type report = {
-  states : int;
-  coverage : (string, int) Hashtbl.t; (* reason events seen, by kind *)
-}
+module S = Explore.Make (struct
+  type nonrec world = world
+  type nonrec action = action
 
-(* Depth-first over every schedule of at most [depth] actions from
-   [w0] of which at most [deviations] depart from the fault-free
-   order. Each state remembers the (actions, deviations) budgets it
-   was expanded with; a state reached again with no more of either is
-   skipped, so every state within the bounds is checked. States key on
-   62 bits of the fingerprint. *)
-let explore ~depth ~deviations w0 =
-  let seen = Hashtbl.create 65536 in
-  let coverage = Hashtbl.create 16 in
-  let tally notes =
-    List.iter
-      (fun n ->
-        let kind = List.nth (String.split_on_char ' ' n) 1 in
-        Hashtbl.replace coverage kind
-          (1 + Option.value ~default:0 (Hashtbl.find_opt coverage kind)))
-      notes
-  in
-  let rec visit w path left devs =
-    let usual = default w in
-    List.iter
-      (fun a ->
-        let devs =
-          min (left - 1) (if Some a = usual then devs else devs - 1)
-        in
-        if devs >= 0 then begin
-          let w', _, notes = perform w a in
-          let w', clash = observe w' in
-          let key = Int64.to_int (String.get_int64_le (fingerprint w') 0) in
-          let known = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-          let left = left - 1 in
-          if not (List.exists (fun (l, d) -> l >= left && d >= devs) known)
-          then begin
-            if known = [] then tally notes;
-            Hashtbl.replace seen key
-              ((left, devs)
-              :: List.filter (fun (l, d) -> l > left || d > devs) known);
-            (match violation w' clash with
-            | Some reason ->
-              raise (Counterexample (reason, List.rev (a :: path)))
-            | None -> ());
-            if left > 0 then visit w' (a :: path) left devs
-          end
-        end)
-      (actions w)
-  in
-  if depth > 0 then visit w0 [] depth deviations;
-  { states = Hashtbl.length seen; coverage }
-
-(* Replay a schedule, printing each action and its reason events. *)
-let replay w0 schedule =
-  List.fold_left
-    (fun w a ->
-      let w, label, notes = perform w a in
-      let w, clash = observe w in
-      Printf.printf "  %8Ld  %s\n" w.now label;
-      List.iter (Printf.printf "            %s\n") notes;
-      (match violation w clash with
-      | Some reason -> Printf.printf "  VIOLATION  %s\n" reason
-      | None -> ());
-      w)
-    w0 schedule
-
-(* A counterexample found depth-first need not be the shortest: find
-   the fewest deviations that still reach a violation, then the fewest
-   actions. *)
-let shortest ~depth ~deviations w0 =
-  let fails ~depth ~deviations =
-    match explore ~depth ~deviations w0 with
-    | _ -> None
-    | exception Counterexample (reason, schedule) -> Some (reason, schedule)
-  in
-  let k =
-    List.find
-      (fun k -> fails ~depth ~deviations:k <> None)
-      (List.init (deviations + 1) Fun.id)
-  in
-  Option.get
-    (List.find_map
-       (fun d -> fails ~depth:d ~deviations:k)
-       (List.init depth (fun d -> d + 1)))
-
-let search ~name ~depth ~deviations w0 =
-  let t0 = Unix.gettimeofday () in
-  match explore ~depth ~deviations w0 with
-  | r ->
-    Printf.printf
-      "%s: depth %d, deviations %d, %d distinct states, %.1f s\n  %s\n%!" name
-      depth deviations r.states
-      (Unix.gettimeofday () -. t0)
-      (String.concat " "
-         (List.sort compare
-            (Hashtbl.fold
-               (fun k n acc -> Printf.sprintf "%s=%d" k n :: acc)
-               r.coverage [])));
-    r
-  | exception Counterexample _ ->
-    let reason, schedule = shortest ~depth ~deviations w0 in
-    Printf.printf "%s: counterexample in %d steps — %s\n" name
-      (List.length schedule) reason;
-    ignore (replay w0 schedule : world);
-    Printf.printf "%!";
-    Alcotest.failf "%s: %s" name reason
+  let actions = actions
+  let default = default
+  let perform = perform
+  let violation = violation
+  let fingerprint = fingerprint
+  let now w = w.now
+end)
 
 (* --- the starts --- *)
 
@@ -490,6 +399,7 @@ let cold () =
     crashes = 1;
     dups = 1;
     ghost = [];
+    clash = None;
   }
 
 (* Deliver every message in flight, oldest first, until none is left. *)
@@ -498,7 +408,7 @@ let rec settle w =
   | [] -> w
   | _ ->
     let w, _, _ = perform w (Deliver 0) in
-    settle (fst (observe w))
+    settle w
 
 (* Member 0's fault-free bootstrap: leader at term 1, its lease held
    and acked by both followers, nothing proposed yet. From here the
@@ -508,24 +418,17 @@ let bootstrapped () =
   let w, _, _ = perform (cold ()) (Fire 0) in
   settle w
 
-(* The bound reaches these reason events. *)
-let reaches r kinds =
-  List.iter
-    (fun kind ->
-      check Alcotest.bool (kind ^ " reached") true (Hashtbl.mem r.coverage kind))
-    kinds
-
 let test_cold () =
-  reaches
-    (search ~name:"cold start" ~depth:7 ~deviations:7 (cold ()))
+  S.reaches
+    (S.search ~name:"cold start" ~depth:7 ~deviations:7 (cold ()))
     [ "control.election_win"; "control.stepdown"; "control.lease_grant" ]
 
 let test_bootstrapped () =
   let w0 = bootstrapped () in
   check (Alcotest.option Alcotest.int) "member 0 holds the lease" (Some 0)
     (C.leased_leader w0.core ~live:(live w0) ~now:w0.now);
-  reaches
-    (search ~name:"bootstrapped" ~depth:7 ~deviations:7 w0)
+  S.reaches
+    (S.search ~name:"bootstrapped" ~depth:7 ~deviations:7 w0)
     [
       "control.snapshot_compact";
       "control.snapshot_install";
@@ -537,8 +440,8 @@ let test_bootstrapped () =
    after a leader falls silent, lost and re-driven proposals, fence
    commits and catch-up from a snapshot, seconds into a run. *)
 let test_long () =
-  reaches
-    (search ~name:"long runs" ~depth:60 ~deviations:2 (cold ()))
+  S.reaches
+    (S.search ~name:"long runs" ~depth:60 ~deviations:2 (cold ()))
     [
       "control.snapshot_compact";
       "control.snapshot_install";
@@ -571,8 +474,7 @@ let index_of p l =
 let replay_steps w0 steps =
   let one w a =
     let w, label, _ = perform w a in
-    let w, clash = observe w in
-    (match violation w clash with
+    (match violation w with
     | Some reason -> Alcotest.failf "after %s: %s" label reason
     | None -> ());
     w

@@ -1396,7 +1396,7 @@ let test_single_flight_coalesces () =
   check Alcotest.int "one origin fetch" 1 proxy.Proxy.origin_fetches;
   check Alcotest.int "two joined the leader" 2 proxy.Proxy.coalesced;
   check Alcotest.int "inflight table drained" 0
-    (Hashtbl.length proxy.Proxy.inflight);
+    (Hashtbl.length proxy.Proxy.core.Serve_core.flights);
   (* a later request is an ordinary cache hit, not a new flight *)
   Proxy.request proxy ~cls:"Hello" (fun _ -> ());
   Simnet.Engine.run engine;
@@ -1429,7 +1429,7 @@ let test_single_flight_crash_fails_all_waiters () =
   check Alcotest.int "nothing served" 0 !served;
   check Alcotest.int "leader and waiter both failed" 2 !failed;
   check Alcotest.int "inflight entry dropped" 0
-    (Hashtbl.length proxy.Proxy.inflight);
+    (Hashtbl.length proxy.Proxy.core.Serve_core.flights);
   (* after restart, a retry is a fresh flight and succeeds *)
   Simnet.Host.restart proxy.Proxy.host;
   let ok = ref false in
@@ -1512,7 +1512,7 @@ let test_single_flight_respects_policy_version () =
   (* the v1 run is on the CPU at 100.5 ms when the node applies v2 *)
   Simnet.Engine.schedule engine ~delay:100_500L (fun () ->
       check Alcotest.int "v1 run in flight" 1
-        (Hashtbl.length proxy.Proxy.inflight);
+        (Hashtbl.length proxy.Proxy.core.Serve_core.flights);
       proxy.Proxy.filters <- v2;
       proxy.Proxy.policy_version <- 2;
       issue 2);
@@ -1568,6 +1568,139 @@ let test_shared_l2_rewarm () =
   | _ -> fail "shard b did not rewarm");
   check Alcotest.int "rewarm came from the L2" 2 b.Proxy.l2_hits;
   check Alcotest.int "still no pipeline run on b" 0 b.Proxy.pipeline_runs
+
+(* Filters that stamp the class with their name, and the bytes a
+   [policy_version] run of them serves. *)
+let marked name =
+  [
+    Rewrite.Filter.make ~name (fun cf ->
+        { cf with CF.fields = B.field name "I" :: cf.CF.fields });
+  ]
+
+let rewritten filters policy_version =
+  (Proxy.Pipeline.run ~policy_version filters
+     (Bytecode.Encode.class_to_bytes hello))
+    .Proxy.Pipeline.out_bytes
+
+let one_reply what got =
+  match !got with
+  | [ r ] -> r
+  | rs -> fail (Printf.sprintf "%s: %d replies" what (List.length rs))
+
+let test_single_flight_down_at_arrival () =
+  (* Regression: the origin fetch is an engine delay, not CPU work, so
+     nothing checked the host when the bytes arrived: a host that went
+     down during the fetch still ran the pipeline, and only then failed
+     the flight. It now fails the flight after one zero-delay hop. *)
+  let engine = Simnet.Engine.create () in
+  let proxy =
+    Proxy.create engine
+      ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> Simnet.Engine.ms 100)
+      ~filters:(filters ()) ()
+  in
+  let got = replies_of proxy ~cls:"Hello" in
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 50) (fun () ->
+      Simnet.Host.crash proxy.Proxy.host);
+  Simnet.Engine.run engine;
+  check Alcotest.int "no pipeline run for a dead flight" 0
+    proxy.Proxy.pipeline_runs;
+  check Alcotest.bool "failed when the bytes arrived" true
+    (Simnet.Engine.now engine > 100_000L);
+  (match one_reply "leader" got with
+  | Proxy.Unavailable -> ()
+  | _ -> fail "leader not failed");
+  check Alcotest.int "admission balanced" 0
+    (Proxy.Admission.inflight proxy.Proxy.admission)
+
+let test_single_flight_crash_restart_in_fetch () =
+  (* Regression: a crash and a restart that both fell inside one origin
+     fetch let the pre-crash flight serve after the restart. After a
+     cold restart (L1 gone, base policy, as the control-plane chaos run
+     restarts a shard) that served the request admitted under version 2
+     bytes rewritten under the revoked version 1; after a warm one, a
+     post-restart request joined the dead flight. *)
+  let engine = Simnet.Engine.create () in
+  let v1 = marked "v1" and v2 = marked "v2" in
+  let proxy =
+    Proxy.create engine
+      ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> Simnet.Engine.ms 100)
+      ~filters:v2 ()
+  in
+  proxy.Proxy.policy_version <- 2;
+  let pre = replies_of proxy ~cls:"Hello" in
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 30) (fun () ->
+      Simnet.Host.crash proxy.Proxy.host);
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 60) (fun () ->
+      Simnet.Host.restart proxy.Proxy.host;
+      Proxy.Cache.clear proxy.Proxy.cache;
+      proxy.Proxy.filters <- v1;
+      proxy.Proxy.policy_version <- 1);
+  Simnet.Engine.run engine;
+  (match one_reply "cold: pre-crash request" pre with
+  | Proxy.Unavailable -> ()
+  | Proxy.Bytes b when String.equal b (rewritten v1 1) ->
+    fail "cold: revoked-version bytes served to a v2 request"
+  | _ -> fail "cold: pre-crash request not failed");
+  check Alcotest.int "cold: no pipeline run" 0 proxy.Proxy.pipeline_runs;
+  (* Warm: same version across the restart. *)
+  let pre = replies_of proxy ~cls:"Hello" in
+  let post = ref (ref []) in
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 30) (fun () ->
+      Simnet.Host.crash proxy.Proxy.host);
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 60) (fun () ->
+      Simnet.Host.restart proxy.Proxy.host);
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 70) (fun () ->
+      post := replies_of proxy ~cls:"Hello");
+  Simnet.Engine.run engine;
+  (match one_reply "warm: pre-crash request" pre with
+  | Proxy.Unavailable -> ()
+  | _ -> fail "warm: the pre-crash flight served after the restart");
+  (match one_reply "warm: post-restart request" !post with
+  | Proxy.Bytes b -> check Alcotest.string "warm: fresh v1 run" (rewritten v1 1) b
+  | _ -> fail "warm: post-restart request not served");
+  check Alcotest.int "warm: the post-restart request led its own flight" 0
+    proxy.Proxy.coalesced;
+  check Alcotest.int "warm: one pipeline run, for it" 1
+    proxy.Proxy.pipeline_runs
+
+let test_l2_rewarm_keeps_version () =
+  (* Regression: an L2 hit rewarmed the L1 under the node's version
+     when the transfer finished, not the version the L2 entry matched.
+     A bump during the transfer relabelled version-1 bytes as version
+     2, and the next request served them from the L1. *)
+  let engine = Simnet.Engine.create () in
+  let l2 = Proxy.Cache.create ~capacity:(1024 * 1024) in
+  let v1 = marked "v1" and v2 = marked "v2" in
+  let mk name =
+    let p =
+      Proxy.create engine ~host_name:name ~l2
+        ~origin:(origin_for [ hello ])
+        ~origin_latency:(fun _ -> 0L)
+        ~filters:v1 ()
+    in
+    p.Proxy.policy_version <- 1;
+    p
+  in
+  let a = mk "shard-a" and b = mk "shard-b" in
+  (match Proxy.request_sync a ~cls:"Hello" with
+  | Proxy.Bytes _ -> ()
+  | _ -> fail "shard a did not serve");
+  let during = replies_of b ~cls:"Hello" in
+  (* the transfer holds b's CPU for at least the 1.5 ms lookup *)
+  Simnet.Engine.schedule engine ~delay:(Simnet.Engine.ms 1) (fun () ->
+      b.Proxy.filters <- v2;
+      b.Proxy.policy_version <- 2);
+  Simnet.Engine.run engine;
+  (match one_reply "admitted under v1" during with
+  | Proxy.Bytes x -> check Alcotest.string "v1 bytes from the L2" (rewritten v1 1) x
+  | _ -> fail "L2 hit not served");
+  check Alcotest.int "it was an L2 hit" 1 b.Proxy.l2_hits;
+  match Proxy.request_sync b ~cls:"Hello" with
+  | Proxy.Bytes x ->
+    check Alcotest.string "a v2 request is served v2 bytes" (rewritten v2 2) x
+  | _ -> fail "v2 request not served"
 
 let test_audit_trail () =
   let engine = Simnet.Engine.create () in
@@ -1694,5 +1827,11 @@ let () =
           Alcotest.test_case "keyed by policy version" `Quick
             test_single_flight_respects_policy_version;
           Alcotest.test_case "shared L2 rewarm" `Quick test_shared_l2_rewarm;
+          Alcotest.test_case "down host at arrival runs no pipeline" `Quick
+            test_single_flight_down_at_arrival;
+          Alcotest.test_case "no flight outlives a crash and restart" `Quick
+            test_single_flight_crash_restart_in_fetch;
+          Alcotest.test_case "L2 rewarm keeps the entry's version" `Quick
+            test_l2_rewarm_keeps_version;
         ] );
     ]

@@ -229,26 +229,6 @@ let test_instrument_method_entry_exit () =
   check (Alcotest.list Alcotest.string) "enter/exit seen" [ "enter"; "exit" ]
     (List.rev !hits)
 
-let test_filter_stacking () =
-  let tag name =
-    Rewrite.Filter.make ~name (fun cf ->
-        Bytecode.Classfile.with_attribute cf ("tag." ^ name) "1")
-  in
-  let out =
-    Rewrite.Filter.run_stack [ tag "a"; tag "b"; tag "c" ] subject
-  in
-  List.iter
-    (fun n ->
-      check Alcotest.bool ("tag " ^ n) true
-        (CF.find_attribute out ("tag." ^ n) <> None))
-    [ "a"; "b"; "c" ];
-  (* A stacked filter behaves like the composition. *)
-  let stacked = Rewrite.Filter.stack ~name:"all" [ tag "a"; tag "b" ] in
-  let out2 = Rewrite.Filter.apply stacked subject in
-  check Alcotest.bool "stacked = composed" true
-    (CF.find_attribute out2 "tag.a" <> None
-    && CF.find_attribute out2 "tag.b" <> None)
-
 (* Property: random straight-line insertions into a verified method
    leave it verifiable and semantics-preserving. *)
 let prop_random_insertions =
@@ -547,7 +527,6 @@ let () =
           Alcotest.test_case "stack walk = reference on random bodies" `Quick
             test_walk_matches_reference_on_random_bodies;
         ] );
-      ("filter", [ Alcotest.test_case "stacking" `Quick test_filter_stacking ]);
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_random_insertions ] );
     ]

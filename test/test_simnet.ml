@@ -96,11 +96,6 @@ let test_link_serializes () =
   check (Alcotest.list Alcotest.int64) "arrivals" [ 1500L; 2500L ]
     (List.rev !arrivals)
 
-let test_closed_form_matches () =
-  check Alcotest.int "closed form" 1500
-    (Simnet.Link.transfer_time_us ~bandwidth_bps:10_000_000 ~latency_us:500
-       ~bytes:1250)
-
 let test_host_compute_serializes () =
   let e = Simnet.Engine.create () in
   let h = Simnet.Host.create e ~name:"h" in
@@ -615,7 +610,6 @@ let () =
         [
           Alcotest.test_case "bandwidth math" `Quick test_link_bandwidth_math;
           Alcotest.test_case "serializes" `Quick test_link_serializes;
-          Alcotest.test_case "closed form" `Quick test_closed_form_matches;
         ] );
       ( "host",
         [

@@ -13,10 +13,17 @@ untraced. NAME "all" runs N pairs of each workload BENCHMARK.json
 lists, one workload after another, from the same two builds.
 
 For each end-to-end metric in BENCHMARK.json it prints, per workload,
-the median and quartiles of both sides, the ratio of the medians, the
+the median and quartiles of both sides, each side's spread (the
+interquartile range over the median), the ratio of the medians, the
 pairs the working tree won, tied and lost, whether the medians differ
 by more than the base's interquartile range, and WORSE when the working
 tree's median is worse than the base's by more than the metric's bound.
+UNRESOLVED marks a metric whose base spread exceeds its bound, unless
+every working-tree run beats every base run: its runs are too spread to
+tell a change within the bound from noise.
+
+Every run's metrics are written, one JSON line per run as it finishes,
+to _build/perf-pairs/<workload>-seed<N>.jsonl in this checkout.
 
 Both binaries run with the same argv[0]: perfbench's peak_heap_mb moves
 with the length of argv[0], and the two checkouts' paths differ.
@@ -74,6 +81,11 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def spread(q1, med, q3):
+    """The interquartile range as a fraction of the median."""
+    return (q3 - q1) / abs(med) if med else 0.0
+
+
 def worse_by(metric, base, new):
     """How much worse [new] is than [base], as a fraction of [base]."""
     if base == new:
@@ -87,7 +99,7 @@ def worse_by(metric, base, new):
 def report(metrics, base_runs, new_runs):
     flagged = []
     print(f"{'metric':<14}{'base median [q1, q3]':>32}"
-          f"{'new median [q1, q3]':>32}{'new/base':>10}"
+          f"{'new median [q1, q3]':>32}{'spread b/n':>14}{'new/base':>10}"
           f"{'won/tied/lost':>15}{'> base IQR':>12}")
     for metric in metrics:
         name = metric["name"]
@@ -107,11 +119,18 @@ def report(metrics, base_runs, new_runs):
         ratio = f"{nmed / bmed:.3f}" if bmed else "-"
         beyond = "yes" if abs(nmed - bmed) > bq3 - bq1 else "no"
         worse = worse_by(metric, bmed, nmed) > metric["bound"]
+        bspread, nspread = spread(bq1, bmed, bq3), spread(nq1, nmed, nq3)
+        # Every working-tree run better than every base run.
+        clear = all(worse_by(metric, x, y) < 0 for x in b for y in n)
+        unresolved = bspread > metric["bound"] and not clear
         print(f"{name:<14}"
               f"{f'{fmt(bmed)} [{fmt(bq1)}, {fmt(bq3)}]':>32}"
               f"{f'{fmt(nmed)} [{fmt(nq1)}, {fmt(nq3)}]':>32}"
+              f"{f'{bspread:.3f}/{nspread:.3f}':>14}"
               f"{ratio:>10}{f'{won}/{tied}/{lost}':>15}{beyond:>12}"
-              + (f"  WORSE (bound {metric['bound']})" if worse else ""))
+              + (f"  WORSE (bound {metric['bound']})" if worse else "")
+              + (f"  UNRESOLVED (base spread > bound {metric['bound']})"
+                 if unresolved else ""))
         if worse:
             flagged.append(name)
     return flagged
@@ -151,18 +170,28 @@ def main():
         extract(a.base, base_root)
         build(base_root)
         build(ROOT)
+        log_dir = os.path.join(ROOT, "_build", "perf-pairs")
+        os.makedirs(log_dir, exist_ok=True)
         for workload in workloads:
             args = ["--workload", workload, "--seed", a.seed,
                     "--seconds", a.seconds, "--trace", "0"]
             base_runs, new_runs = [], []
+            log = open(os.path.join(log_dir, f"{workload}-seed{a.seed}.jsonl"),
+                       "w")
             for i in range(a.pairs):
-                order = [(base_root, base_runs), (ROOT, new_runs)]
-                for root, runs in order if i % 2 == 0 else reversed(order):
+                order = [(base_root, base_runs, "base"),
+                         (ROOT, new_runs, "new")]
+                for root, runs, side in (order if i % 2 == 0
+                                         else reversed(order)):
                     runs.append(run(root, args))
+                    log.write(json.dumps({"pair": i, "side": side,
+                                          "metrics": runs[-1]}) + "\n")
+                    log.flush()
                 print(f"{workload}: pair {i + 1}/{a.pairs} done",
                       file=sys.stderr)
             print(f"{workload}, seed {a.seed}, {a.seconds} s, {a.pairs} "
                   f"alternating pairs: base {a.base} vs the working tree")
+            log.close()
             flagged += [f"{workload} {name}"
                         for name in report(metrics, base_runs, new_runs)]
             sys.stdout.flush()
