@@ -1,4 +1,4 @@
-.PHONY: all build test lint exports-check certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest perf-pairs check clean
+.PHONY: all build test lint exports-check loc certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest perf-pairs check clean
 
 all: build
 
@@ -20,6 +20,11 @@ lint:
 # test/; the script names each export nothing uses.
 exports-check:
 	python3 tools/exports_check.py
+
+# Code lines in lib/, per directory: .ml plus .mli, comments and blank
+# lines excluded, strings kept — the count the simplicity criteria use.
+loc:
+	python3 tools/loc.py
 
 # Certified-rewriting smoke: rewrite the full bundled workloads with
 # certificate emission on and translation-validate every class from its

@@ -223,11 +223,9 @@ let run (cfg : config) : outcome =
       Float.of_int clients.Client.Session.tl_bytes_served
       /. Float.max 1e-9 (Simnet.Engine.to_sec horizon);
     co_breaker_trips =
-      (let n = ref 0 in
-       for i = 0 to cfg.ch_shards - 1 do
-         n := !n + Proxy.Breaker.trips (Proxy.Farm.breaker farm i)
-       done;
-       !n);
+      Array.fold_left
+        (fun n b -> n + Proxy.Breaker.trips b)
+        0 farm.Proxy.Farm.breakers;
     co_tail_served = !tail_served;
     co_digests = Scaling.served_digests served;
     co_fault_trace = Simnet.Fault.trace plan;

@@ -36,38 +36,28 @@ let traced_provider (provider : Jvm.Classreg.provider) : Jvm.Classreg.provider
 
 (* --- Overload-aware farm sessions. ---
 
-   The simulated-time client side of the overload-control story. Every
-   fetch carries an absolute deadline (now + budget), propagated to
-   the farm through the Httpwire Deadline-Us header so shard admission
-   control can shed against it; the session enforces the same deadline
-   on its own side — a response that lands late is dropped, never
-   delivered, so "no successful response outlives its deadline" holds
-   by construction (a counter records any would-be violation).
-
-   Retries and hedges draw from one session-wide token pool: a hedge
-   is a speculative retry against the next shard in ring order, taken
-   when the first attempt is slow rather than failed, and the pool
-   caps the total extra load one session can push onto a struggling
-   farm. First response wins; the loser's delivery is discarded by the
-   settled flag. When the whole farm is unavailable (every shard down
-   or breaker-barred) the session browns out: it serves the stale
-   bytes it last saw for the class's archive key, counted apart from
-   fresh serves. *)
+   The simulated-time client side of the overload-control story, as a
+   shell over [Fetch_core]: the core decides each fetch's deadline,
+   hedge, retries and brown-out, and the edge's walk; this shell owns
+   the engine, the wire, the client's link, the counters, tracing and
+   the SLO feed, and performs each step's effects in the order the core
+   returned them. Every fetch carries an absolute deadline (now +
+   budget), propagated to the farm through the Httpwire Deadline-Us
+   header so shard admission control can shed against it. *)
 
 module Session = struct
-  type served = Fresh of string | Stale of string | Failed
+  module F = Fetch_core
+
+  type served = F.served = Fresh of string | Stale of string | Failed
 
   type t = {
     engine : Simnet.Engine.t;
     farm : Proxy.Farm.t;
-    budget_us : int64; (* per-fetch deadline budget *)
-    hedge_after_us : int64 option; (* hedge delay; None disables hedging *)
+    core : F.session; (* budget, hedge delay, token pool, stale archive *)
     advertise_deadline : bool; (* carry Deadline-Us on the wire? *)
-    tokens : int ref; (* session-wide retry+hedge pool *)
     deliver : bytes:int -> (unit -> unit) -> unit; (* client-side wire *)
     slo : Telemetry.Slo.t option; (* per-outcome SLO feed *)
     stale_key : string -> string;
-    stale : (string, string) Hashtbl.t; (* archive key -> last fresh bytes *)
     mutable fetches : int;
     mutable served : int;
     mutable bytes_served : int;
@@ -80,237 +70,155 @@ module Session = struct
     mutable deadline_violations : int; (* must stay 0: late serves *)
   }
 
-  (* The pause before re-sending a shed request. *)
-  let retry_backoff_us = 50_000L
-
   let create ?(budget_us = 2_000_000L) ?hedge_after_us
       ?(advertise_deadline = true) ?(retry_budget = max_int)
       ?(deliver = fun ~bytes:_ k -> k ()) ?slo ?(stale_key = fun cls -> cls)
       engine farm =
-    {
-      engine;
-      farm;
-      budget_us;
-      hedge_after_us;
-      advertise_deadline;
-      tokens = ref retry_budget;
-      deliver;
-      slo;
-      stale_key;
-      stale = Hashtbl.create 64;
-      fetches = 0;
-      served = 0;
-      bytes_served = 0;
-      stale_served = 0;
-      hedges = 0;
-      hedge_wins = 0;
-      retries = 0;
-      overloaded_seen = 0;
-      failed = 0;
-      deadline_violations = 0;
-    }
+    { engine; farm; core = F.session ~budget_us ?hedge_after_us ~tokens:retry_budget ();
+      advertise_deadline; deliver; slo; stale_key;
+      fetches = 0; served = 0; bytes_served = 0; stale_served = 0; hedges = 0;
+      hedge_wins = 0; retries = 0; overloaded_seen = 0; failed = 0;
+      deadline_violations = 0 }
 
-  (* Spend one token from the session pool; [false] means the pool is
-     dry and the caller must not add load. *)
-  let take_token t =
-    if !(t.tokens) > 0 then begin
-      decr t.tokens;
-      true
-    end
-    else false
+  (* One fetch as its shell's closures see it. *)
+  type fetch = {
+    s : t;
+    f : F.fetch;
+    cls : string;
+    k : served -> unit;
+    root : Telemetry.Trace.span; (* the client span, the trace's root *)
+    rctx : Telemetry.Trace.ctx;
+    mutable timers : Simnet.Engine.timer list; (* deadline and hedge *)
+  }
+
+  (* A step of the fetch: its start, a timer, a delivery, a hop before
+     the edge. Its attempts' steps at the edge are [Proxy.Farm]'s,
+     which hands on the effects that are not the edge's. *)
+  let rec on_fetch sf input =
+    let farm = sf.s.farm in
+    perform sf
+      (F.step farm.Proxy.Farm.breakers ~now:(Simnet.Engine.now sf.s.engine)
+         ~up:farm.Proxy.Farm.up input)
+
+  and perform sf = function
+    | [] -> ()
+    | out :: rest ->
+      effect sf out;
+      perform sf rest
+
+  (* The session's effects, in the order the core returned them. *)
+  and effect sf = function
+    | F.Arm (F.Retry, delay) ->
+      sf.s.retries <- sf.s.retries + 1;
+      Simnet.Engine.schedule sf.s.engine ~delay (fun () ->
+          on_fetch sf (F.Fired (sf.f, F.Retry)))
+    | F.Arm (timer, delay) ->
+      sf.timers <-
+        Simnet.Engine.timer sf.s.engine ~delay (fun () ->
+            on_fetch sf (F.Fired (sf.f, timer)))
+        :: sf.timers
+    | F.Dispatch a -> dispatch sf a
+    | F.Deliver (a, b) ->
+      sf.s.deliver ~bytes:(String.length b) (fun () ->
+          on_fetch sf (F.Delivered (a, b)))
+    | F.Shed ->
+      sf.s.overloaded_seen <- sf.s.overloaded_seen + 1;
+      Option.iter
+        (fun slo -> Telemetry.Slo.note_shed slo ~now_us:(Simnet.Engine.now sf.s.engine))
+        sf.s.slo
+    | F.Late ->
+      (* The deadline timer settles the fetch; this records that a
+         serve would have violated the deadline had the drop been
+         missing. *)
+      sf.s.deadline_violations <- sf.s.deadline_violations + 1
+    | F.Expired ->
+      Telemetry.Trace.event sf.rctx ~node:"client"
+        ~kind:"client.deadline_expired"
+        (Printf.sprintf "class %s: budget %Ldus exhausted" sf.cls
+           sf.s.core.F.budget_us)
+    | F.Won ->
+      sf.s.hedge_wins <- sf.s.hedge_wins + 1;
+      Telemetry.Global.incr "client.hedge_wins";
+      Telemetry.Trace.event sf.rctx ~node:"client" ~kind:"client.hedge_win"
+        (Printf.sprintf "class %s: hedged request beat the primary" sf.cls)
+    | F.Cancel -> List.iter (Simnet.Engine.cancel sf.s.engine) sf.timers
+    | F.Settle served -> finish sf served
+    | F.Skip _ | F.Trip _ | F.Failover _ | F.Send _ | F.No_shard | F.Answer _ -> ()
+
+  (* Put an attempt on the wire. The deadline rides it: encode the
+     request with its Deadline-Us header and decode it back at the farm
+     edge — what a real proxy would parse off the socket. A session
+     that does not advertise it still enforces the deadline on its own
+     side, but the shards cannot shed for it — the no-overload-control
+     baseline. *)
+  and dispatch sf a =
+    let s = sf.s in
+    if a.F.hedged then begin
+      s.hedges <- s.hedges + 1;
+      Telemetry.Global.incr "client.hedges";
+      Telemetry.Trace.event sf.rctx ~node:"client" ~kind:"client.hedge"
+        (Printf.sprintf "class %s: racing ring-offset 1 after %Ldus" sf.cls
+           (Option.value ~default:0L s.core.F.hedge_after_us))
+    end;
+    let raw =
+      Proxy.Httpwire.encode_request
+        ?deadline_us:(if s.advertise_deadline then Some sf.f.F.deadline else None)
+        ?trace:(Telemetry.Trace.wire sf.rctx) ~cls:sf.cls ()
+    in
+    match Proxy.Httpwire.decode_request_full raw with
+    | exception Proxy.Httpwire.Bad_message _ ->
+      (* A name the request line cannot carry (a space, a line break,
+         nothing at all): no shard will ever see it, so the attempt
+         fails after one hop, like an unavailable farm. *)
+      Simnet.Engine.schedule s.engine ~delay:0L (fun () -> on_fetch sf (F.Hop a))
+    | { Proxy.Httpwire.rq_cls = cls; rq_deadline_us = deadline; rq_trace_id; rq_parent_span } ->
+      (* The edge rebuilds the context from the decoded headers, not
+         from session state — the wire is the source of truth. *)
+      Proxy.Farm.route s.farm ~cls ~deadline
+        ~trace:(Telemetry.Trace.of_wire ~trace_id:rq_trace_id ~parent_span:rq_parent_span)
+        a effect sf
+
+  and finish sf served =
+    let s = sf.s in
+    let now = Simnet.Engine.now s.engine in
+    (match served with
+    | Fresh b ->
+      s.served <- s.served + 1;
+      s.bytes_served <- s.bytes_served + String.length b;
+      Telemetry.Global.observe "client.request_us"
+        (Int64.sub now (Int64.sub sf.f.F.deadline s.core.F.budget_us))
+    | Stale _ ->
+      s.stale_served <- s.stale_served + 1;
+      Telemetry.Global.incr "client.stale_served";
+      Telemetry.Trace.event sf.rctx ~node:"client" ~kind:"client.serve_stale"
+        (Printf.sprintf "class %s browned out to archived bytes" sf.cls)
+    | Failed -> s.failed <- s.failed + 1);
+    Telemetry.Trace.finish sf.root;
+    (match s.slo with
+    | None -> ()
+    | Some slo ->
+      Telemetry.Slo.record slo ~now_us:now
+        (match served with
+        | Fresh b -> Telemetry.Slo.Fresh (String.length b)
+        | Stale _ -> Telemetry.Slo.Stale
+        | Failed -> Telemetry.Slo.Failed));
+    sf.k served
 
   let fetch t ~cls k =
     t.fetches <- t.fetches + 1;
-    let deadline = Int64.add (Simnet.Engine.now t.engine) t.budget_us in
+    let f = F.fetch t.core ~key:(t.stale_key cls) ~now:(Simnet.Engine.now t.engine) in
     (* Mint the distributed trace here: the session is where a request
        is born, so the client span is the root every hop nests under. *)
     let root =
       if not (Telemetry.Trace.enabled ()) then Telemetry.Trace.null_span
       else
         Telemetry.Trace.root ~node:"client"
-          ~args:
-            [ ("class", cls); ("deadline_us", Int64.to_string deadline) ]
+          ~args:[ ("class", cls); ("deadline_us", Int64.to_string f.F.deadline) ]
           "client.fetch"
     in
-    let rctx = Telemetry.Trace.ctx_of root in
-    let settled = ref false in
-    (* The deadline and hedge timers. Settling cancels both, so a
-       settled fetch leaves neither queued and each fires only on a
-       fetch still open. *)
-    let timers = ref [] in
-    let finish outcome =
-      if not !settled then begin
-        settled := true;
-        List.iter (Simnet.Engine.cancel t.engine) !timers;
-        (match outcome with
-        | Fresh b ->
-          t.served <- t.served + 1;
-          t.bytes_served <- t.bytes_served + String.length b;
-          Telemetry.Global.observe "client.request_us"
-            (Int64.sub (Simnet.Engine.now t.engine)
-               (Int64.sub deadline t.budget_us))
-        | Stale _ ->
-          t.stale_served <- t.stale_served + 1;
-          Telemetry.Global.incr "client.stale_served";
-          Telemetry.Trace.event rctx ~node:"client" ~kind:"client.serve_stale"
-            (Printf.sprintf "class %s browned out to archived bytes" cls)
-        | Failed -> t.failed <- t.failed + 1);
-        Telemetry.Trace.finish root;
-        (match t.slo with
-        | None -> ()
-        | Some s ->
-          Telemetry.Slo.record s ~now_us:(Simnet.Engine.now t.engine)
-            (match outcome with
-            | Fresh b -> Telemetry.Slo.Fresh (String.length b)
-            | Stale _ -> Telemetry.Slo.Stale
-            | Failed -> Telemetry.Slo.Failed));
-        k outcome
-      end
-    in
-    let brownout_or k_miss =
-      match Hashtbl.find_opt t.stale (t.stale_key cls) with
-      | Some b -> finish (Stale b)
-      | None -> k_miss ()
-    in
-    (* Attempts still in flight (primary, hedge, scheduled retries).
-       A failed racer settles the fetch only when it was the last one
-       standing — otherwise the other racer keeps its chance. *)
-    let pending = ref 0 in
-    let one_down () =
-      pending := !pending - 1;
-      if !pending = 0 then brownout_or (fun () -> finish Failed)
-    in
-    let rec attempt ~hedged () =
-      if !settled then ()
-      else begin
-        incr pending;
-        (* The deadline rides the wire: encode the request with its
-           Deadline-Us header and decode it back at the farm edge —
-           what a real proxy would parse off the socket. A session
-           that does not advertise it still enforces the deadline on
-           its own side, but the shards cannot shed for it — the
-           no-overload-control baseline. *)
-        let raw =
-          Proxy.Httpwire.encode_request
-            ?deadline_us:(if t.advertise_deadline then Some deadline else None)
-            ?trace:(Telemetry.Trace.wire rctx) ~cls ()
-        in
-        match Proxy.Httpwire.decode_request_full raw with
-        | exception Proxy.Httpwire.Bad_message _ ->
-          (* A name the request line cannot carry (a space, a line
-             break, nothing at all): no shard will ever see it, so the
-             attempt fails after one hop, like an unavailable farm. *)
-          Simnet.Engine.schedule t.engine ~delay:0L one_down
-        | req ->
-          let cls = req.Proxy.Httpwire.rq_cls in
-          let deadline = req.Proxy.Httpwire.rq_deadline_us in
-          (* The edge rebuilds the context from the decoded headers, not
-             from session state — the wire is the source of truth. *)
-          let wctx =
-            Telemetry.Trace.of_wire ~trace_id:req.Proxy.Httpwire.rq_trace_id
-              ~parent_span:req.Proxy.Httpwire.rq_parent_span
-          in
-          let offset = if hedged then 1 else 0 in
-          Proxy.Farm.request ?deadline ~offset ~trace:wctx t.farm ~cls
-            (fun reply ->
-              if !settled then ()
-              else
-                match reply with
-                | Proxy.Bytes b ->
-                  t.deliver ~bytes:(String.length b) (fun () ->
-                      if not !settled then begin
-                        let now = Simnet.Engine.now t.engine in
-                        match deadline with
-                        | Some d when Int64.compare now d > 0 ->
-                          (* Late: never delivered. The deadline timer
-                             settles the fetch; this records that a
-                             serve would have violated the deadline had
-                             the drop been missing. *)
-                          t.deadline_violations <- t.deadline_violations + 1;
-                          pending := !pending - 1
-                        | _ ->
-                          if hedged then begin
-                            t.hedge_wins <- t.hedge_wins + 1;
-                            Telemetry.Global.incr "client.hedge_wins";
-                            Telemetry.Trace.event rctx ~node:"client"
-                              ~kind:"client.hedge_win"
-                              (Printf.sprintf
-                               "class %s: hedged request beat the primary" cls)
-                          end;
-                          Hashtbl.replace t.stale (t.stale_key cls) b;
-                          finish (Fresh b)
-                      end)
-                | Proxy.Not_found ->
-                  (* Definitive: the class does not exist anywhere, so
-                     the racers would only confirm it. *)
-                  finish Failed
-                | Proxy.Overloaded ->
-                  (* The shard shed us: retry after a backoff iff the
-                     session still has tokens and the deadline can still
-                     be met. Never failover sideways — that amplifies. *)
-                  t.overloaded_seen <- t.overloaded_seen + 1;
-                  (match t.slo with
-                  | Some s ->
-                    Telemetry.Slo.note_shed s
-                      ~now_us:(Simnet.Engine.now t.engine)
-                  | None -> ());
-                  let retry_at =
-                    Int64.add (Simnet.Engine.now t.engine) retry_backoff_us
-                  in
-                  let in_budget =
-                    match deadline with
-                    | Some d -> Int64.compare retry_at d < 0
-                    | None -> true
-                  in
-                  if in_budget && take_token t then begin
-                    t.retries <- t.retries + 1;
-                    pending := !pending - 1;
-                    Simnet.Engine.schedule t.engine ~delay:retry_backoff_us
-                      (fun () ->
-                        if !settled then ()
-                        else if !pending > 0 then
-                          (* The other racer is still live; don't stack
-                             a third copy of the work on the farm. *)
-                          ()
-                        else attempt ~hedged:false ())
-                  end
-                  else one_down ()
-                | Proxy.Unavailable ->
-                  (* Every candidate down or breaker-barred. *)
-                  one_down ())
-      end
-    in
-    (* Deadline enforcement, client side: at expiry the fetch settles
-       (browning out if it can) and any response still in flight is
-       dropped on arrival by the settled flag. *)
-    let deadline_timer =
-      Simnet.Engine.timer t.engine ~delay:t.budget_us (fun () ->
-          Telemetry.Trace.event rctx ~node:"client"
-            ~kind:"client.deadline_expired"
-            (Printf.sprintf "class %s: budget %Ldus exhausted" cls t.budget_us);
-          brownout_or (fun () -> finish Failed))
-    in
-    timers := [ deadline_timer ];
-    (* Tail-latency hedge: if the first attempt has neither settled
-       nor failed after the hedge delay, race a second request against
-       the next shard in ring order — spending a token, so hedging
-       cannot amplify an overload either. *)
-    (match t.hedge_after_us with
-    | None -> ()
-    | Some h ->
-      let hedge_timer =
-        Simnet.Engine.timer t.engine ~delay:h (fun () ->
-            if take_token t then begin
-              t.hedges <- t.hedges + 1;
-              Telemetry.Global.incr "client.hedges";
-              Telemetry.Trace.event rctx ~node:"client" ~kind:"client.hedge"
-                (Printf.sprintf "class %s: racing ring-offset 1 after %Ldus"
-                   cls h);
-              attempt ~hedged:true ()
-            end)
-      in
-      timers := [ hedge_timer; deadline_timer ]);
-    attempt ~hedged:false ()
+    on_fetch
+      { s = t; f; cls; k; root; rctx = Telemetry.Trace.ctx_of root; timers = [] }
+      (F.Start f)
 
   (* A client population's counters, summed. *)
   type tally = {

@@ -19,26 +19,24 @@ type t = {
     The simulated-time client side of overload control: deadlines on
     the wire, session-wide retry/hedge token budgets, tail-latency
     hedging against the next shard in ring order, and serve-stale
-    brownout when the farm is unavailable. *)
+    brownout when the farm is unavailable. The decisions are
+    {!Fetch_core}'s; a session is its simnet shell. *)
 module Session : sig
-  type served =
-    | Fresh of string  (** served inside its deadline *)
-    | Stale of string
-        (** brownout: the archive's last fresh bytes for this key,
-            counted apart from fresh serves *)
-    | Failed
+  (** A fetch's outcome: [Fresh] bytes served inside its deadline;
+      [Stale], a brownout to the archive's last fresh bytes for its
+      key, counted apart from fresh serves; or [Failed]. *)
+  type served = Fetch_core.served = Fresh of string | Stale of string | Failed
 
   type t = {
     engine : Simnet.Engine.t;
     farm : Proxy.Farm.t;
-    budget_us : int64;  (** per-fetch deadline budget *)
-    hedge_after_us : int64 option;  (** hedge delay; [None] disables *)
+    core : Fetch_core.session;
+        (** deadline budget, hedge delay, retry+hedge token pool and
+            stale archive *)
     advertise_deadline : bool;  (** carry [Deadline-Us] on the wire? *)
-    tokens : int ref;  (** session-wide retry+hedge pool *)
     deliver : bytes:int -> (unit -> unit) -> unit;  (** client-side wire *)
     slo : Telemetry.Slo.t option;  (** per-outcome SLO feed *)
     stale_key : string -> string;
-    stale : (string, string) Hashtbl.t;
     mutable fetches : int;
     mutable served : int;
     mutable bytes_served : int;
@@ -75,7 +73,7 @@ module Session : sig
       no-overload-control baseline. [stale_key] maps a class name to
       its stale-archive key (e.g. the applet prefix), so unique
       per-request names still brown out to the applet's last good
-      bytes. *)
+      bytes; it is applied once, when the fetch starts. *)
 
   val fetch : t -> cls:string -> (served -> unit) -> unit
   (** One deadline-bound fetch. When {!Telemetry.Trace} is enabled the
@@ -97,7 +95,9 @@ module Session : sig
       the loser is discarded on arrival. Settling cancels the deadline
       and hedge timers ({!Simnet.Engine.cancel}), so a settled fetch
       leaves neither queued; replies still in flight land and are
-      dropped. *)
+      dropped. The fetch's state is one record per fetch and one per
+      attempt at the edge; every reply, delivery or timer that lands
+      on a settled fetch is a no-op. *)
 
   (** A client population's counters, summed over its sessions; each
       [tl_x] is the sum of the sessions' [x]. *)

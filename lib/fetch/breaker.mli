@@ -28,7 +28,9 @@ val create :
 (** Defaults: 3 consecutive or 4-in-10s failures trip; 500 ms cooldown
     doubling to a 4 s cap; 2 probe successes close. Every farm uses the
     defaults; the settings are there for [test_proxy]'s breaker group,
-    whose "breaker matches its reference model" property sweeps them. *)
+    whose "breaker matches its reference model" property sweeps them,
+    and for [test_fetch]'s explorer, whose breakers trip on one failure
+    and cool down in 40 ms so that small scopes reach skips and probes. *)
 
 val allow : t -> now:int64 -> bool
 (** May traffic be sent now? [true] in Closed, [false] in Open.

@@ -88,47 +88,3 @@ let filter_kind t kind =
 let pp_event ppf ev =
   Format.fprintf ppf "#%d t=%Ldus s=%d %s %s" ev.ev_seq ev.ev_time
     ev.ev_session ev.ev_kind ev.ev_detail
-
-(* Serialize the log for shipment to (or archival at) the console
-   host; import re-verifies every seal, so a log tampered with in
-   transit is refused. *)
-exception Corrupt_log of string
-
-let to_bytes t =
-  let w = Bytecode.Io.Writer.create () in
-  Bytecode.Io.Writer.u4 w t.count;
-  List.iter
-    (fun ev ->
-      Bytecode.Io.Writer.u4 w ev.ev_seq;
-      Bytecode.Io.Writer.u4 w (Int64.to_int ev.ev_time);
-      Bytecode.Io.Writer.u4 w ev.ev_session;
-      Bytecode.Io.Writer.str w ev.ev_kind;
-      Bytecode.Io.Writer.str w ev.ev_detail;
-      Bytecode.Io.Writer.str w ev.ev_chain)
-    (events t);
-  Bytecode.Io.Writer.contents w
-
-let of_bytes data =
-  let r = Bytecode.Io.Reader.of_string data in
-  try
-    let n = Bytecode.Io.Reader.u4 r in
-    let t = create () in
-    for _ = 1 to n do
-      let seq = Bytecode.Io.Reader.u4 r in
-      let time = Int64.of_int (Bytecode.Io.Reader.u4 r) in
-      let session = Bytecode.Io.Reader.u4 r in
-      let kind = Bytecode.Io.Reader.str r in
-      let detail = Bytecode.Io.Reader.str r in
-      let chain = Bytecode.Io.Reader.str r in
-      append t ~time ~session ~kind ~detail;
-      (* the recomputed seal must equal the transported one *)
-      match t.events with
-      | ev :: _ ->
-        if ev.ev_seq <> seq || not (String.equal ev.ev_chain chain) then
-          raise (Corrupt_log (Printf.sprintf "seal mismatch at event %d" seq))
-      | [] -> assert false
-    done;
-    if not (Bytecode.Io.Reader.at_end r) then
-      raise (Corrupt_log "trailing bytes");
-    t
-  with Bytecode.Io.Truncated m -> raise (Corrupt_log m)

@@ -25,13 +25,9 @@ val events : t -> event list
 val verify_chain : t -> bool
 val count : t -> int
 val filter_kind : t -> string -> event list
+(** The events of one kind, oldest first. Only tests read it: besides
+    its own ("filter by kind"), five assertions in [test_monitor]
+    ("handshake", twice in "audit to console") and [test_proxy]
+    ("audit trail", "cache-hit audit timing"). *)
+
 val pp_event : Format.formatter -> event -> unit
-
-exception Corrupt_log of string
-
-val to_bytes : t -> string
-(** Serialize for shipment to the console host. *)
-
-val of_bytes : string -> t
-(** Import, re-verifying every seal.
-    @raise Corrupt_log on tampering or truncation. *)

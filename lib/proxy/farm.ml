@@ -9,6 +9,16 @@
    preference order consistent hashing gives for free — driven by a
    shard's [Unavailable] reply.
 
+   This module is the edge's simnet shell. The walk, the breakers and
+   the failover decisions are [Fetch_core]'s; this module owns the
+   ring, the shards, the counters, the routing spans and reason
+   events, and performs each step's effects in the order the core
+   returned them. A bare [request] is answered to its caller; the
+   client session routes its attempts through [route] instead, so one
+   step carries a shard's reply through the edge and on into the
+   fetch, and the edge hands the session the effects that are not its
+   own.
+
    The ring's virtual nodes do not balance ownership. FNV-1a over the
    labels "shard-%d#%d" puts one shard's 64 points next to each other,
    so each shard holds one or two runs of the ring. Over 100 000 keys
@@ -23,17 +33,19 @@
    because the pipeline is pure, the bytes a class rewrites to are
    identical no matter which shard served it. *)
 
+module F = Fetch_core
+
 type t = {
   engine : Simnet.Engine.t;
   shards : Node.t array;
   ring : (int * int) array; (* (point, shard index), sorted by point *)
   prefs : int list array;
   (* per ring slot: the distinct shards met walking clockwise from it *)
-  breakers : Breaker.t array; (* per-shard circuit breaker, ruling routing *)
+  breakers : F.Breaker.t array; (* per-shard circuit breaker, ruling routing *)
+  up : int -> bool; (* is the shard's host up? what the core reads *)
   mutable requests : int;
   mutable failovers : int; (* requests served by a non-owner shard *)
   mutable unavailable : int; (* requests no shard could serve *)
-  mutable overloaded : int; (* requests a shard shed at admission *)
   mutable breaker_skips : int; (* dispatch candidates skipped open-breaker *)
 }
 
@@ -83,11 +95,11 @@ let create ?(vnodes = 64) engine shards =
     shards;
     ring;
     prefs;
-    breakers = Array.init n (fun _ -> Breaker.create ());
+    breakers = Array.init n (fun _ -> F.Breaker.create ());
+    up = (fun s -> Simnet.Host.is_up shards.(s).Node.host);
     requests = 0;
     failovers = 0;
     unavailable = 0;
-    overloaded = 0;
     breaker_skips = 0;
   }
 
@@ -108,103 +120,94 @@ let owner t key = snd t.ring.(ring_position t key)
    failover preference order for that key. *)
 let preference_order t key = t.prefs.(ring_position t key)
 
-let breaker t i = t.breakers.(i)
-
 (* Farm-wide aggregates over the per-shard counters. *)
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 let pipeline_runs t = sum (fun s -> s.Node.pipeline_runs) t
 let coalesced t = sum (fun s -> s.Node.coalesced) t
 let l2_hits t = sum (fun s -> s.Node.l2_hits) t
 
-(* Drop the first [n] elements (shorter than the list). *)
-let rec drop n = function
-  | rest when n <= 0 -> rest
-  | [] -> []
-  | _ :: rest -> drop (n - 1) rest
-
 (* The edge's name in distributed traces — the routing tier is one
    logical hop in front of the shards. *)
-let edge = "edge"
+let edge_node = "edge"
 
-let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
+(* One request at the edge as its shell's closures see it: the class
+   and deadline it reached the edge with, its routing span, the core's
+   attempt, and whoever routed it with the function that performs the
+   effects that are not the edge's. *)
+type 'o route = {
+  farm : t;
+  cls : string;
+  deadline : int64 option;
+  span : Telemetry.Trace.span;
+  ctx : Telemetry.Trace.ctx;
+  attempt : F.attempt;
+  owner : 'o;
+  perform : 'o -> F.output -> unit;
+}
+
+let rec resume r input =
+  perform r
+    (F.step r.farm.breakers ~now:(Simnet.Engine.now r.farm.engine) ~up:r.farm.up
+       input)
+
+and perform r = function
+  | [] -> ()
+  | out :: rest ->
+    edge r out;
+    perform r rest
+
+(* The edge's effects: counters and reason events, the call to a shard,
+   the hop when no shard is live, closing the routing span on the
+   answer. Every other effect, the answer included, is the owner's. *)
+and edge r = function
+  | F.Skip s ->
+    r.farm.breaker_skips <- r.farm.breaker_skips + 1;
+    Telemetry.Global.incr "farm.breaker_skips";
+    Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"farm.breaker_skip"
+      (Printf.sprintf "shard %d skipped: breaker open" s)
+  | F.Trip (s, why) ->
+    (* A breaker trip is a routing decision worth explaining: attach it
+       to the request whose failure tipped the window. *)
+    Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"breaker.trip"
+      (Printf.sprintf "shard %d breaker opened (%s)" s why)
+  | F.Failover s ->
+    r.farm.failovers <- r.farm.failovers + 1;
+    Telemetry.Global.incr "farm.failovers";
+    Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"farm.failover"
+      (Printf.sprintf "class %s rerouted to shard %d" r.cls s)
+  | F.Send s ->
+    Node.request r.farm.shards.(s) ?deadline:r.deadline ~trace:r.ctx ~cls:r.cls
+      (fun reply -> resume r (F.Replied (r.attempt, reply)))
+  | F.No_shard ->
+    r.farm.unavailable <- r.farm.unavailable + 1;
+    Telemetry.Global.incr "farm.unavailable";
+    Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"farm.unavailable"
+      (Printf.sprintf "class %s: no live shard on the ring" r.cls);
+    Simnet.Engine.schedule r.farm.engine ~delay:0L (fun () ->
+        resume r (F.Hop r.attempt))
+  | F.Answer _ as out ->
+    Telemetry.Trace.finish r.span;
+    r.perform r.owner out
+  | out -> r.perform r.owner out
+
+let route t ~cls ~deadline ~trace attempt perform owner =
   t.requests <- t.requests + 1;
-  let sp =
+  let span =
     if not (Telemetry.Trace.live trace) then Telemetry.Trace.null_span
     else
-      Telemetry.Trace.start trace ~node:edge
+      Telemetry.Trace.start trace ~node:edge_node
         ~args:
           (("class", cls)
-          :: (if offset > 0 then [ ("hedge_offset", string_of_int offset) ]
-              else []))
+          :: (if attempt.F.hedged then [ ("hedge_offset", "1") ] else []))
         "farm.route"
   in
-  let tctx = Telemetry.Trace.ctx_of sp in
-  let k reply =
-    Telemetry.Trace.finish sp;
-    k reply
-  in
-  (* A breaker trip is a routing decision worth explaining: attach it
-     to the request whose failure tipped the window. *)
-  let record_failure_traced ~shard b ~now ~why =
-    let before = Breaker.trips b in
-    Breaker.record_failure b ~now;
-    if Breaker.trips b > before then
-      Telemetry.Trace.event tctx ~node:edge ~kind:"breaker.trip"
-        (Printf.sprintf "shard %d breaker opened (%s)" shard why)
-  in
-  (* Walk the key's preference order; a shard whose breaker is open is
-     skipped without even probing its host, a shard down at dispatch
-     (or replying [Unavailable]: crashed in flight, or fenced) feeds its
-     breaker a failure and hands the request to the next distinct live
-     shard on the ring. [offset] starts the walk [offset] places past
-     the owner — how a hedged request targets the next shard in ring
-     order without re-deriving the ring. An [Overloaded] reply
-     propagates to the caller with {e no} failover and no breaker
-     failure: shedding is the shard protecting itself, and bouncing
-     the same work to its neighbours would amplify the overload. *)
-  let rec dispatch ~first = function
-    | [] ->
-      t.unavailable <- t.unavailable + 1;
-      Telemetry.Global.incr "farm.unavailable";
-      Telemetry.Trace.event tctx ~node:edge ~kind:"farm.unavailable"
-        (Printf.sprintf "class %s: no live shard on the ring" cls);
-      Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Node.Unavailable)
-    | s :: rest ->
-      let p = t.shards.(s) in
-      let b = t.breakers.(s) in
-      if not (Breaker.allow b ~now:(Simnet.Engine.now t.engine)) then begin
-        t.breaker_skips <- t.breaker_skips + 1;
-        Telemetry.Global.incr "farm.breaker_skips";
-        Telemetry.Trace.event tctx ~node:edge ~kind:"farm.breaker_skip"
-          (Printf.sprintf "shard %d skipped: breaker open" s);
-        dispatch ~first rest
-      end
-      else if not (Simnet.Host.is_up p.Node.host) then begin
-        record_failure_traced ~shard:s b
-          ~now:(Simnet.Engine.now t.engine)
-          ~why:"down at dispatch";
-        dispatch ~first:false rest
-      end
-      else begin
-        if not first then begin
-          t.failovers <- t.failovers + 1;
-          Telemetry.Global.incr "farm.failovers";
-          Telemetry.Trace.event tctx ~node:edge ~kind:"farm.failover"
-            (Printf.sprintf "class %s rerouted to shard %d" cls s)
-        end;
-        Node.request p ?deadline ~trace:tctx ~cls (fun reply ->
-            match reply with
-            | Node.Unavailable ->
-              record_failure_traced ~shard:s b
-                ~now:(Simnet.Engine.now t.engine)
-                ~why:"crashed in flight";
-              dispatch ~first:false rest
-            | Node.Bytes _ | Node.Not_found ->
-              Breaker.record_success b ~now:(Simnet.Engine.now t.engine);
-              k reply
-            | Node.Overloaded ->
-              t.overloaded <- t.overloaded + 1;
-              k reply)
-      end
-  in
-  dispatch ~first:(offset = 0) (drop offset (preference_order t cls))
+  let ctx = Telemetry.Trace.ctx_of span in
+  resume
+    { farm = t; cls; deadline; span; ctx; attempt; owner; perform }
+    (F.Route (attempt, preference_order t cls))
+
+(* A bare request's owner is its continuation, which takes the answer. *)
+let answer k = function F.Answer reply -> k reply | _ -> ()
+
+let request t ~cls k =
+  route t ~cls ~deadline:None ~trace:Telemetry.Trace.none (F.bare ()) answer k

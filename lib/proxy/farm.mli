@@ -14,11 +14,12 @@ type t = {
   prefs : int list array;
       (** per ring slot, the distinct shards clockwise from it: the
           slot's failover order, built once at {!create} *)
-  breakers : Breaker.t array;  (** per-shard circuit breaker, ruling routing *)
+  breakers : Fetch_core.Breaker.t array;
+      (** per-shard circuit breaker, ruling routing *)
+  up : int -> bool;  (** is the shard's host up? what the core reads *)
   mutable requests : int;
   mutable failovers : int;  (** requests served by a non-owner shard *)
   mutable unavailable : int;  (** requests no shard could serve *)
-  mutable overloaded : int;  (** requests a shard shed at admission *)
   mutable breaker_skips : int;  (** dispatch candidates skipped open-breaker *)
 }
 
@@ -47,25 +48,31 @@ val preference_order : t -> string -> int list
 (** Distinct shards in ring order starting at the key's owner: the
     failover order {!request} walks. *)
 
-val breaker : t -> int -> Breaker.t
-
 val pipeline_runs : t -> int
 val coalesced : t -> int
 val l2_hits : t -> int
 
-val request :
-  ?deadline:int64 -> ?offset:int -> ?trace:Telemetry.Trace.ctx -> t ->
-  cls:string -> (Node.reply -> unit) -> unit
-(** [trace] nests the routing hop (an "edge" span, plus failover /
-    breaker / shed reason events) under the caller's distributed
-    trace. Route to the key's owner with ring-order failover; replies
+val request : t -> cls:string -> (Node.reply -> unit) -> unit
+(** A bare request, with no deadline and no trace: route to the key's
+    owner with ring-order failover, and pass the reply on. Replies
     [Unavailable] (after one simulated-time hop) when every candidate
     is down or breaker-barred. Open-breaker shards are skipped without
     probing; a shard down at dispatch, or one replying [Unavailable]
     (crashed in flight, or fenced), feeds its breaker a failure and
-    the walk moves on. [deadline] (absolute virtual µs) is
-    handed to the shard's admission control; an [Overloaded] shed
-    propagates with no failover — bouncing shed work to neighbours
-    would amplify the overload. [offset] starts the walk [offset]
-    places past the owner in the key's preference order — how a hedged
-    request targets the next shard in ring order. *)
+    the walk moves on. An [Overloaded] shed propagates with no
+    failover — bouncing shed work to neighbours would amplify the
+    overload. The decisions are {!Fetch_core.step}'s; this is its
+    shell. *)
+
+val route :
+  t -> cls:string -> deadline:int64 option -> trace:Telemetry.Trace.ctx ->
+  Fetch_core.attempt -> ('o -> Fetch_core.output -> unit) -> 'o -> unit
+(** [route t ~cls ~deadline ~trace attempt perform owner] is how the
+    client session routes each attempt, so that one core step takes a
+    shard's reply through the edge and on into the fetch. It counts the
+    request, opens its routing span under [trace] (with a
+    [hedge_offset] argument for a hedge) and steps the core with the
+    key's preference order. The edge performs its own effects and hands
+    every other one, in order, to [perform owner] — the [Answer] after
+    closing the span. [cls] and [deadline] are the request's as it
+    reached the edge; the deadline goes to shard admission. *)

@@ -105,50 +105,54 @@ let log t kind detail =
 let event t trace kind detail =
   Telemetry.Trace.event trace ~node:t.host.Simnet.Host.name ~kind detail
 
-(* One core step for the request [cls] whose continuation is [k];
-   [trace] is its span's context. *)
-let rec step t cls trace k input =
+(* One request as the shell's closures see it: the node, the class,
+   its span's context and its continuation. *)
+type req = { node : t; cls : string; trace : Telemetry.Trace.ctx; k : reply -> unit }
+
+(* One core step for the request [r]. *)
+let rec step ({ node = t; _ } as r) input =
   let h = t.host in
-  perform t cls trace k
+  perform r
     (C.step t.core ~now:(Simnet.Engine.now t.engine) ~up:(Simnet.Host.is_up h)
        ~epoch:h.Simnet.Host.epoch ~backlog:(Simnet.Host.backlog_us h)
        ~fence:(t.serving_allowed ()) ~version:t.policy_version input)
 
 (* Perform a step's effects in order. *)
-and perform t cls trace k = function
+and perform r = function
   | [] -> ()
   | out :: rest ->
-    perform_one t cls trace k out;
-    perform t cls trace k rest
+    perform_one r out;
+    perform r rest
 
-and perform_one t cls trace k = function
+and perform_one ({ node = t; cls; trace; k } as r) = function
   | C.Refuse why ->
-    refuse t cls trace why;
+    refuse r why;
     Simnet.Engine.schedule t.engine ~delay:0L (fun () ->
         k (match why with C.Shed _ -> Overloaded | C.Down | C.Fenced -> Unavailable))
   | C.Compute (cost, job) ->
     (match job with
-    | C.Missing _ -> () (* a lookup, not service CPU *)
     | C.Rewarm (_, bytes) ->
       t.l2_hits <- t.l2_hits + 1;
       if Telemetry.Global.on () then Telemetry.Global.incr "proxy.l2_hits";
       event t trace "proxy.l2_hit"
         (Printf.sprintf "class %s: %d bytes from shared tier" cls
-           (String.length bytes));
-      t.cpu_us <- Int64.add t.cpu_us cost
-    | C.Hit _ | C.Rewrite _ -> t.cpu_us <- Int64.add t.cpu_us cost);
+           (String.length bytes))
+    | C.Hit _ | C.Missing _ | C.Rewrite _ -> ());
+    t.cpu_us <- Int64.add t.cpu_us cost;
     Simnet.Host.compute t.host ~cost_us:cost
-      ~on_fail:(fun () -> step t cls trace k (C.Failed job))
+      ~on_fail:(fun () -> step r (C.Failed job))
       (fun () ->
         (* Stats and the audit record land at completion: the audit
-           timestamp must not lead the virtual clock. *)
+           timestamp must not lead the virtual clock. The closure holds
+           only the request and its job. *)
+        let { node = t; cls; _ } = r in
         (match job with
         | C.Hit (_, bytes) | C.Rewarm (_, bytes) ->
           t.bytes_served <- t.bytes_served + String.length bytes;
           log t (match job with C.Hit _ -> "proxy.cache_hit" | _ -> "proxy.l2_hit") cls
         | C.Missing _ -> log t "proxy.not_found" cls
         | C.Rewrite _ -> ());
-        step t cls trace k (C.Done job))
+        step r (C.Done job))
   | C.Join (id, joined) ->
     t.coalesced <- t.coalesced + 1;
     if Telemetry.Global.on () then Telemetry.Global.incr "proxy.coalesced";
@@ -157,7 +161,7 @@ and perform_one t cls trace k = function
     Hashtbl.replace t.parked id k
   | C.Fetch f -> (
     match t.origin cls with
-    | None -> step t cls trace k (C.Fetched (f, None))
+    | None -> step r (C.Fetched (f, None))
     | Some bytes ->
       t.origin_fetches <- t.origin_fetches + 1;
       Telemetry.Global.incr "proxy.origin_fetches";
@@ -165,11 +169,10 @@ and perform_one t cls trace k = function
         ~delay:
           (Int64.add (t.origin_latency cls)
              (C.transfer_us ~bps:origin_bandwidth_bps bytes))
-        (fun () -> step t cls trace k (C.Fetched (f, Some bytes))))
-  | C.Run (f, raw) -> transform t cls trace k f raw
+        (fun () -> step r (C.Fetched (f, Some bytes))))
+  | C.Run (f, raw) -> transform r f raw
   | C.Hop job ->
-    Simnet.Engine.schedule t.engine ~delay:0L (fun () ->
-        step t cls trace k (C.Failed job))
+    Simnet.Engine.schedule t.engine ~delay:0L (fun () -> step r (C.Failed job))
   | C.Reply reply -> k reply
   | C.Settle (reply, joined) -> (
     let deliver () =
@@ -192,7 +195,7 @@ and perform_one t cls trace k = function
 (* The reason a refusal leaves behind: the fence's counter and event,
    or the shed's arithmetic, so a trace explains the reply without
    correlating logs. *)
-and refuse t cls trace = function
+and refuse { node = t; cls; trace; _ } = function
   | C.Down -> ()
   | C.Fenced ->
     (* The shard's lease lapsed (partition) or it is replaying the log
@@ -221,7 +224,7 @@ and refuse t cls trace = function
    time — and hand its output to the core. The trace scope makes the
    pipeline's telemetry spans leaves of the request's distributed
    trace. The working state is held until the flight settles. *)
-and transform t cls trace k f raw =
+and transform ({ node = t; cls; trace; k } as r) f raw =
   let ws = working_set_factor * String.length raw in
   Simnet.Host.allocate t.host ws;
   t.pipeline_runs <- t.pipeline_runs + 1;
@@ -252,7 +255,7 @@ and transform t cls trace k f raw =
     | Not_found | Unavailable | Overloaded -> ());
     k reply
   in
-  step t cls trace k
+  step { r with k }
     (C.Ran (f, out, o.Pipeline.out_version,
             Int64.add (Pipeline.total_cost o) sign_cost))
 
@@ -270,16 +273,16 @@ let request ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
       (Int64.of_float (1000.0 *. Simnet.Host.mem_pressure t.host))
   end;
   let input = C.Request { id = t.requests; cls; deadline } in
-  if not (Telemetry.Trace.live trace) then step t cls Telemetry.Trace.none k input
+  if not (Telemetry.Trace.live trace) then
+    step { node = t; cls; trace = Telemetry.Trace.none; k } input
   else
     let sp =
       Telemetry.Trace.start trace ~node:t.host.Simnet.Host.name
         ~args:[ ("class", cls) ] "proxy.request"
     in
-    step t cls (Telemetry.Trace.ctx_of sp)
-      (fun reply ->
-        Telemetry.Trace.finish sp;
-        k reply)
+    step
+      { node = t; cls; trace = Telemetry.Trace.ctx_of sp;
+        k = (fun reply -> Telemetry.Trace.finish sp; k reply) }
       input
 
 (* Synchronous entry for callers outside a simulation (unit tests, the

@@ -6,7 +6,7 @@
 module Cache = Serve_core.Cache
 module Pipeline = Pipeline
 module Httpwire = Httpwire
-module Breaker = Breaker
+module Breaker = Fetch_core.Breaker
 module Admission = Serve_core.Admission
 
 include Node

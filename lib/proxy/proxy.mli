@@ -15,9 +15,9 @@ module Cache = Serve_core.Cache
 module Pipeline : module type of Pipeline
 module Httpwire : module type of Httpwire
 
-module Breaker : module type of Breaker
+module Breaker = Fetch_core.Breaker
 (** Per-shard circuit breaker (closed/open/half-open with hysteresis)
-    consulted by {!Farm} before routing. *)
+    consulted by the farm edge's core before routing. *)
 
 module Admission = Serve_core.Admission
 (** Deadline-aware admission control: each node sheds requests whose
@@ -155,7 +155,9 @@ val provider : t -> Jvm.Classreg.provider
 
 module Farm : module type of Farm
 (** Sharded proxy farm: consistent-hash routing over independent
-    shards, ring-order failover, farm-wide counter aggregation. *)
+    shards, ring-order failover, farm-wide counter aggregation. The
+    farm is the edge's simnet shell: the walk, the breakers and the
+    failover decisions are {!Fetch_core.step}'s. *)
 
 module Control : module type of Control
 (** The farm's control plane: a leader-based replication log with

@@ -1,9 +1,10 @@
 (* Explicit-state search, shared by the explorers of the protocol cores
-   ([test_control] over [Control_core], [test_serve] over
-   [Serve_core]). A model names its actions, its fault-free order, a
-   transition and the properties every state must keep; [Make] visits
-   every state within a bound, skipping states it has already seen,
-   and on a violation prints the shortest schedule that reaches one. *)
+   ([test_control] over [Control_core], [test_serve] over [Serve_core],
+   [test_fetch] over [Fetch_core]). A model names its actions, its
+   fault-free order, a transition and the properties every state must
+   keep; [Make] visits every state within a bound, skipping states it
+   has already seen, and on a violation prints the shortest schedule
+   that reaches one. *)
 
 module type MODEL = sig
   type world

@@ -418,7 +418,7 @@ let test_flapping_replica_stabilizes () =
   check Alcotest.bool "after repeated flaps routing keeps off the owner" false
     u4;
   check Alcotest.bool "breaker tripped" true
-    (Proxy.Breaker.trips (Proxy.Farm.breaker farm owner) > 0);
+    (Proxy.Breaker.trips farm.Proxy.Farm.breakers.(owner) > 0);
   (* routing honours the open breaker: the owner is skipped without
      being touched, even though its host is up right now *)
   let before = pool.(owner).Proxy.requests in
@@ -445,7 +445,7 @@ let test_flapping_replica_stabilizes () =
   check Alcotest.int "owner serves again after rehabilitation" (before + 1)
     pool.(owner).Proxy.requests;
   check Alcotest.bool "breaker closed again" true
-    (Proxy.Breaker.state (Proxy.Farm.breaker farm owner)
+    (Proxy.Breaker.state farm.Proxy.Farm.breakers.(owner)
        ~now:(Simnet.Engine.now engine)
     = Proxy.Breaker.Closed)
 

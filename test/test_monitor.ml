@@ -52,24 +52,6 @@ let test_audit_filter_kind () =
   check Alcotest.int "kind filter" 2
     (List.length (Monitor.Audit.filter_kind log "a"))
 
-let test_audit_serialization () =
-  let log = Monitor.Audit.create () in
-  for i = 1 to 10 do
-    Monitor.Audit.append log ~time:(Int64.of_int i) ~session:i ~kind:"k"
-      ~detail:(string_of_int i)
-  done;
-  let bytes = Monitor.Audit.to_bytes log in
-  let back = Monitor.Audit.of_bytes bytes in
-  check Alcotest.int "count survives" 10 (Monitor.Audit.count back);
-  check Alcotest.bool "chain survives" true (Monitor.Audit.verify_chain back);
-  (* tamper with one byte in the payload region: import refuses *)
-  let b = Bytes.of_string bytes in
-  Bytes.set b (Bytes.length b / 2)
-    (Char.chr (Char.code (Bytes.get b (Bytes.length b / 2)) lxor 1));
-  match Monitor.Audit.of_bytes (Bytes.to_string b) with
-  | _ -> fail "tampered log accepted"
-  | exception Monitor.Audit.Corrupt_log _ -> ()
-
 (* --- Console. --- *)
 
 let test_handshake_assigns_sessions () =
@@ -337,7 +319,6 @@ let () =
           Alcotest.test_case "chain verifies" `Quick test_audit_chain_verifies;
           Alcotest.test_case "tamper detected" `Quick test_audit_tamper_detected;
           Alcotest.test_case "filter by kind" `Quick test_audit_filter_kind;
-          Alcotest.test_case "serialize/import" `Quick test_audit_serialization;
         ] );
       ( "console",
         [

@@ -1244,6 +1244,23 @@ let test_request_sync_and_cache () =
   | Proxy.Not_found -> ()
   | Proxy.Bytes _ | Proxy.Unavailable | Proxy.Overloaded -> fail "phantom class"
 
+let test_missing_class_charges_cpu () =
+  (* Answering [Not_found] runs the missing-class lookup on the node's
+     CPU, and [cpu_us] counts that job like every other one. *)
+  let engine = Simnet.Engine.create () in
+  let proxy =
+    Proxy.create engine ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> 0L)
+      ~filters:(filters ()) ()
+  in
+  (match Proxy.request_sync proxy ~cls:"Nowhere" with
+  | Proxy.Not_found -> ()
+  | Proxy.Bytes _ | Proxy.Unavailable | Proxy.Overloaded -> fail "phantom class");
+  check Alcotest.int64 "the lookup's CPU counted" Serve_core.missing_us
+    proxy.Proxy.cpu_us;
+  check Alcotest.int64 "as long as the host ran it"
+    proxy.Proxy.host.Simnet.Host.cpu_busy proxy.Proxy.cpu_us
+
 let test_request_sync_is_simulated_path () =
   (* [request_sync] is [request] run to completion: it obeys the fence
      and the host's state, and charges what [request] charges,
@@ -1805,6 +1822,8 @@ let () =
       ( "requests",
         [
           Alcotest.test_case "sync + cache" `Quick test_request_sync_and_cache;
+          Alcotest.test_case "missing class charges its CPU" `Quick
+            test_missing_class_charges_cpu;
           Alcotest.test_case "sync is the simulated path" `Quick
             test_request_sync_is_simulated_path;
           Alcotest.test_case "async timing" `Quick test_request_async_timing;
