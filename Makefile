@@ -74,10 +74,16 @@ control-smoke:
 # client span, the edge routing span and the explaining reason event.
 # dvmctl exits nonzero if either trace is missing; the exports (Chrome
 # trace + JSON + flight-recorder dump) land under _build/trace-smoke/.
+# The last four lines run the telemetry registry's readers on jlex —
+# the Chrome trace and the metrics snapshot — and parse both as JSON.
 trace-smoke:
 	mkdir -p _build/trace-smoke
 	dune exec bin/dvmctl.exe -- flight --out _build/trace-smoke/flight
 	dune exec bin/dvmctl.exe -- slo --json
+	dune exec bin/dvmctl.exe -- trace jlex --out _build/trace-smoke/jlex.trace.json
+	python3 -m json.tool _build/trace-smoke/jlex.trace.json > /dev/null
+	dune exec bin/dvmctl.exe -- metrics jlex --json > _build/trace-smoke/jlex.metrics.json
+	python3 -m json.tool _build/trace-smoke/jlex.metrics.json > /dev/null
 
 # Perf trajectory pin: the bench perf phase re-runs the seeded phases
 # that write BENCH_<phase>.json, exits non-zero if any served byte,

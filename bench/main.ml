@@ -54,12 +54,11 @@ let write_bench ?(hists = true) ~wall_ms name =
   (* Every event the phase scheduled was processed, cancelled or is
      still queued on some engine; a phase whose counts do not add up
      has lost events somewhere, and fails. *)
-  let reg = Telemetry.default in
-  let count = Telemetry.counter_value reg in
+  let count = Telemetry.counter_value in
   let scheduled = count "simnet.events.scheduled"
   and processed = count "simnet.events.processed"
   and cancelled = count "simnet.events.cancelled"
-  and queued = Telemetry.gauge_value reg "simnet.queue.depth" in
+  and queued = Telemetry.gauge_value "simnet.queue.depth" in
   if scheduled <> Int64.add processed (Int64.add cancelled queued) then begin
     Printf.eprintf
       "%s: %Ld simnet events scheduled, but %Ld processed + %Ld cancelled + \
@@ -87,7 +86,7 @@ let write_bench ?(hists = true) ~wall_ms name =
     \  \"metrics\": %s\n\
      }\n"
     name wall_ms summary
-    (if hists then Telemetry.metrics_json Telemetry.default
+    (if hists then Telemetry.metrics_json ()
      else begin
        (* Phases with host-clock spans have wall-time histograms
           that drift run to run; pin only the deterministic counters
@@ -96,8 +95,8 @@ let write_bench ?(hists = true) ~wall_ms name =
          Printf.sprintf "\"%s\":%Ld" (Telemetry.Flight.esc k) v
        in
        Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"histograms\":[]}"
-         (String.concat "," (List.map kv (Telemetry.counters Telemetry.default)))
-         (String.concat "," (List.map kv (Telemetry.gauges Telemetry.default)))
+         (String.concat "," (List.map kv (Telemetry.counters ())))
+         (String.concat "," (List.map kv (Telemetry.gauges ())))
      end);
   close_out oc;
   Printf.printf "\n--- %s: wrote %s ---\n" name path
@@ -109,23 +108,23 @@ let write_bench ?(hists = true) ~wall_ms name =
 let with_phase ?(json = false) ?(hists = true) name f =
   if not telemetry_wanted then f ()
   else begin
-    Telemetry.reset Telemetry.default;
-    Telemetry.enable Telemetry.default;
+    Telemetry.reset ();
+    Telemetry.enable ();
     bench_summary := [];
     let t0 = Unix.gettimeofday () in
     Fun.protect
       ~finally:(fun () ->
         Printf.printf "\n--- %s: telemetry ---\n%s" name
-          (Telemetry.metrics_snapshot Telemetry.default);
+          (Telemetry.metrics_snapshot ());
         if json then begin
           Printf.printf "\n--- %s: histograms (json) ---\n%s\n" name
-            (Telemetry.histograms_json Telemetry.default);
+            (Telemetry.histograms_json ());
           let wall_ms =
             int_of_float ((Unix.gettimeofday () -. t0) *. 1000.0)
           in
           write_bench ~hists ~wall_ms name
         end;
-        Telemetry.disable Telemetry.default)
+        Telemetry.disable ())
       f
   end
 

@@ -466,34 +466,32 @@ let run_traced_workload app_name =
     Printf.eprintf "workload failed: %s\n" (Jvm.Interp.describe_throwable e))
 
 let with_telemetry f =
-  let reg = Telemetry.default in
-  Telemetry.reset reg;
-  Telemetry.enable reg;
-  Fun.protect ~finally:(fun () -> Telemetry.disable reg) f;
-  reg
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable f
 
 let trace app_name out_path =
-  let reg = with_telemetry (fun () -> run_traced_workload app_name) in
-  (try write_file out_path (Telemetry.chrome_trace reg)
+  with_telemetry (fun () -> run_traced_workload app_name);
+  (try write_file out_path (Telemetry.chrome_trace ())
    with Sys_error msg ->
      Printf.eprintf "cannot write trace: %s\n" msg;
      exit 2);
   let cats =
     List.sort_uniq String.compare
-      (List.map (fun sp -> sp.Telemetry.sp_cat) (Telemetry.spans reg))
+      (List.map (fun sp -> sp.Telemetry.sp_cat) (Telemetry.spans ()))
   in
   Printf.printf
     "wrote %s: %d spans across subsystems [%s], %d counters\n\
      (open in https://ui.perfetto.dev or chrome://tracing)\n"
-    out_path (Telemetry.span_count reg)
+    out_path (Telemetry.span_count ())
     (String.concat ", " cats)
-    (List.length (Telemetry.counters reg));
+    (List.length (Telemetry.counters ()));
   0
 
 let metrics app_name json =
-  let reg = with_telemetry (fun () -> run_traced_workload app_name) in
-  if json then print_endline (Telemetry.metrics_json reg)
-  else print_string (Telemetry.metrics_snapshot reg);
+  with_telemetry (fun () -> run_traced_workload app_name);
+  if json then print_endline (Telemetry.metrics_json ())
+  else print_string (Telemetry.metrics_snapshot ());
   0
 
 (* --- flight / slo: distributed tracing and the SLO monitor over a

@@ -23,12 +23,12 @@ type facts = {
 }
 
 let record_solve iterations =
-  Telemetry.Global.add "analysis.solver_iterations" (Int64.of_int iterations)
+  Telemetry.add "analysis.solver_iterations" (Int64.of_int iterations)
 
 let build pool ~cls (m : CF.meth) (code : CF.code) : facts =
   let cfg = Cfg.of_code code in
-  Telemetry.Global.incr "analysis.methods";
-  Telemetry.Global.add "analysis.blocks"
+  Telemetry.incr "analysis.methods";
+  Telemetry.add "analysis.blocks"
     (Int64.of_int (Cfg.block_count cfg));
   let is_static = CF.has_flag m.CF.m_flags CF.Static in
   let param_slots =

@@ -335,7 +335,7 @@ let apply_entry c m e =
   let v, keys = join (m.m_version, m.m_invals) e in
   m.m_version <- v;
   m.m_invals <- keys;
-  Telemetry.Global.incr "control.applies"
+  Telemetry.incr "control.applies"
 
 (* Replay a snapshot's folded effects: the version bound, then every
    pending invalidation. All effects are idempotent joins, so
@@ -491,7 +491,7 @@ let commit_rec c m r =
       if v > st.committed_version then st.committed_version <- v
     | Invalidate _ -> ());
     advance_commit_prefix c m;
-    Telemetry.Global.incr "control.commits";
+    Telemetry.incr "control.commits";
     maybe_compact c m
   end
 
@@ -598,7 +598,7 @@ let rec deliver c p msg =
   | Append_reply { p_term; p_from; p_applied; p_echo } ->
     if p_term > p.m_term then step_down c p ~term:p_term
     else if p.m_role = Leader && p_term = p.m_term then begin
-      Telemetry.Global.incr "control.acks";
+      Telemetry.incr "control.acks";
       if Int64.compare p_echo p.m_acked_send.(p_from) >= 0 then begin
         let was = leased c p in
         p.m_acked_send.(p_from) <- p_echo;
@@ -649,7 +649,7 @@ and on_append c p (a : append) =
     maybe_compact c p;
     if p.m_needs_resync && p.m_applied >= a.a_last then begin
       p.m_needs_resync <- false;
-      Telemetry.Global.incr "control.resyncs";
+      Telemetry.incr "control.resyncs";
       note c p "control.resync"
         (Printf.sprintf "caught up through %d" p.m_applied)
     end;
@@ -684,7 +684,7 @@ and broadcast c m =
           if base < m.m_snap.s_index then (Some m.m_snap, m.m_snap.s_index)
           else (None, base)
         in
-        Telemetry.Global.incr "control.heartbeats";
+        Telemetry.incr "control.heartbeats";
         send c m p.m_id
           (Append
              {
@@ -811,7 +811,7 @@ let propose c m e =
     | Set_version v -> if v > st.version then st.version <- v
     | Invalidate _ -> ());
     if idx > st.next_index then st.next_index <- idx;
-    Telemetry.Global.incr "control.proposals";
+    Telemetry.incr "control.proposals";
     arm c m st.next_id;
     advance_commits c m
   end
@@ -834,7 +834,7 @@ let restart c m =
   m.m_applied <- last_index m;
   m.m_commit_index <- min m.m_commit_index m.m_applied;
   m.m_needs_resync <- c.st.next_index > 0;
-  Telemetry.Global.incr "control.restarts"
+  Telemetry.incr "control.restarts"
 
 let step t ~live ~now id input =
   let c = { st = t; live; now; out = [] } in

@@ -91,15 +91,15 @@ let run ?slo ?(seed = default_seed) ?(crash = false) ~loss_pct ~replicas () =
           | Client.Session.Stale _ | Client.Session.Failed ->
             if n >= max_attempts then begin
               incr degraded;
-              Telemetry.Global.incr "client.degraded";
+              Telemetry.incr "client.degraded";
               slo_record Telemetry.Slo.Failed (Simnet.Engine.now engine);
               fetch_next rest
             end
             else begin
               incr retries;
-              Telemetry.Global.incr "client.retries";
+              Telemetry.incr "client.retries";
               let b = backoff_us ~attempt:n in
-              Telemetry.Global.observe "client.retry_backoff_us"
+              Telemetry.observe "client.retry_backoff_us"
                 (Int64.of_int b);
               Simnet.Engine.schedule engine ~delay:(Int64.of_int b) (fun () ->
                   attempt (n + 1))

@@ -49,10 +49,9 @@ let summarize_reasons reasons =
     if rest = [] then head
     else Printf.sprintf "%s (+%d more)" head (List.length rest)
 
-(* The pipeline gate: look up the class's certificate in the store the
+(* The certifier: look up the class's certificate in the store the
    rewriter filled and re-prove it against the transformed image. *)
-let gate ~policy ~certs : Proxy.Pipeline.gate =
- fun cf ->
+let gate ~policy ~certs cf =
   let cert = Analysis.Certificate.find certs cf.CF.name in
   match Security.Certifier.certify policy ?cert cf with
   | Ok _ -> None

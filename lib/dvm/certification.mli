@@ -12,9 +12,12 @@ val covering_policy : Workloads.Appgen.app -> Security.Policy.t
 val gate :
   policy:Security.Policy.t ->
   certs:Analysis.Certificate.store ->
-  Proxy.Pipeline.gate
-(** Post-rewrite pipeline gate: re-proves the transformed class
-    against its certificate from the store the rewriter filled. *)
+  Bytecode.Classfile.t ->
+  string option
+(** Post-rewrite certification: re-proves the transformed class
+    against its certificate from the store the rewriter filled; [Some
+    reason] refuses it. A pipeline runs it as a filter after the
+    security rewriter. *)
 
 type report = {
   rp_apps : int;

@@ -22,14 +22,14 @@ type t = {
 let traced_provider (provider : Jvm.Classreg.provider) : Jvm.Classreg.provider
     =
  fun name ->
-  if not (Telemetry.Global.on ()) then provider name
+  if not (Telemetry.enabled ()) then provider name
   else
-    Telemetry.Global.with_span ~cat:"client" ~args:[ ("class", name) ]
+    Telemetry.with_span ~cat:"client" ~args:[ ("class", name) ]
       ~observe_hist:"client.fetch_us" "client.fetch" (fun () ->
-        Telemetry.Global.incr "client.fetches";
+        Telemetry.incr "client.fetches";
         match provider name with
         | Some b as r ->
-          Telemetry.Global.add "client.bytes_fetched"
+          Telemetry.add "client.bytes_fetched"
             (Int64.of_int (String.length b));
           r
         | None -> None)
@@ -138,7 +138,7 @@ module Session = struct
            sf.s.core.F.budget_us)
     | F.Won ->
       sf.s.hedge_wins <- sf.s.hedge_wins + 1;
-      Telemetry.Global.incr "client.hedge_wins";
+      Telemetry.incr "client.hedge_wins";
       Telemetry.Trace.event sf.rctx ~node:"client" ~kind:"client.hedge_win"
         (Printf.sprintf "class %s: hedged request beat the primary" sf.cls)
     | F.Cancel -> List.iter (Simnet.Engine.cancel sf.s.engine) sf.timers
@@ -155,7 +155,7 @@ module Session = struct
     let s = sf.s in
     if a.F.hedged then begin
       s.hedges <- s.hedges + 1;
-      Telemetry.Global.incr "client.hedges";
+      Telemetry.incr "client.hedges";
       Telemetry.Trace.event sf.rctx ~node:"client" ~kind:"client.hedge"
         (Printf.sprintf "class %s: racing ring-offset 1 after %Ldus" sf.cls
            (Option.value ~default:0L s.core.F.hedge_after_us))
@@ -185,11 +185,11 @@ module Session = struct
     | Fresh b ->
       s.served <- s.served + 1;
       s.bytes_served <- s.bytes_served + String.length b;
-      Telemetry.Global.observe "client.request_us"
+      Telemetry.observe "client.request_us"
         (Int64.sub now (Int64.sub sf.f.F.deadline s.core.F.budget_us))
     | Stale _ ->
       s.stale_served <- s.stale_served + 1;
-      Telemetry.Global.incr "client.stale_served";
+      Telemetry.incr "client.stale_served";
       Telemetry.Trace.event sf.rctx ~node:"client" ~kind:"client.serve_stale"
         (Printf.sprintf "class %s browned out to archived bytes" sf.cls)
     | Failed -> s.failed <- s.failed + 1);
@@ -355,16 +355,16 @@ let create_dvm ?console ?(session = 0) ?security_server ?(sid = "default")
   }
 
 let run_main client entry =
-  if not (Telemetry.Global.on ()) then Jvm.Interp.run_main client.vm entry
+  if not (Telemetry.enabled ()) then Jvm.Interp.run_main client.vm entry
   else
-    Telemetry.Global.with_span ~cat:"client" ~args:[ ("entry", entry) ]
+    Telemetry.with_span ~cat:"client" ~args:[ ("entry", entry) ]
       "client.run" (fun () ->
         let invocations0 = client.vm.Jvm.Vmstate.invocations in
         let instrs0 = client.vm.Jvm.Vmstate.instr_count in
         let r = Jvm.Interp.run_main client.vm entry in
-        Telemetry.Global.add "jvm.methods_invoked"
+        Telemetry.add "jvm.methods_invoked"
           (Int64.of_int (client.vm.Jvm.Vmstate.invocations - invocations0));
-        Telemetry.Global.add "jvm.bytecodes_executed"
+        Telemetry.add "jvm.bytecodes_executed"
           (Int64.of_int (client.vm.Jvm.Vmstate.instr_count - instrs0));
         r)
 

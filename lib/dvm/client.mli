@@ -85,7 +85,8 @@ module Session : sig
       edge; shard admission sheds against it, and the client drops any
       response that lands past it. [Overloaded] replies are retried
       (with backoff) only while the token pool and the remaining
-      budget allow; [Unavailable] — every shard down or
+      budget allow; a queued retry keeps its fetch open, so a failing
+      hedge does not settle it first. [Unavailable] — every shard down or
       breaker-barred — browns out to the stale archive, as does
       deadline expiry. A class name the request line cannot carry (a
       space, a line break, the empty name) never reaches the farm: its

@@ -222,7 +222,7 @@ let run_arch ?elide ~policy ~arch (app : Workloads.Appgen.app) : result =
     }
 
 let run ?(policy = standard_policy) ?elide ~arch app =
-  Telemetry.Global.with_span ~cat:"experiment"
+  Telemetry.with_span ~cat:"experiment"
     ~args:
       [
         ("app", app.Workloads.Appgen.spec.Workloads.Appgen.name);

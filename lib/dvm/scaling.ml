@@ -217,7 +217,7 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
                   incr completed;
                   slo_record (Telemetry.Slo.Fresh (String.length b)) now;
                   let lat = Int64.sub now started in
-                  Telemetry.Global.observe "client.request_us" lat;
+                  Telemetry.observe "client.request_us" lat;
                   Simnet.Engine.record engine
                     (Printf.sprintf "serve %s -> c%d" name id);
                   note_served served applet_key b;

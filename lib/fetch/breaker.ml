@@ -109,7 +109,7 @@ let trip t ~now =
   t.probe_successes <- 0;
   t.probe_inflight <- 0;
   t.trips <- t.trips + 1;
-  Telemetry.Global.incr "breaker.trips"
+  Telemetry.incr "breaker.trips"
 
 let record_failure t ~now =
   refresh t ~now;

@@ -20,13 +20,15 @@
    against the next shard in ring order, taken when the first attempt
    is slow rather than failed, and the pool caps the extra load one
    session can push onto a struggling farm. The first delivery wins;
-   a loser's lands on a settled fetch and is dropped. A failed attempt
-   settles the fetch only when no other attempt is live. An
-   [Overloaded] reply is retried after a backoff, iff a token is left
-   and the retry would still start before the deadline; a retry that
-   fires while another attempt is live is dropped, its token spent. A
-   fetch that fails browns out to the bytes last served fresh for its
-   archive key, if any — except on [Not_found], which is definitive.
+   a loser's lands on a settled fetch and is dropped. An [Overloaded]
+   reply is retried after a backoff, iff a token is left and the retry
+   would still start before the deadline; the queued retry counts as
+   one of the fetch's live attempts until it fires, and one that fires
+   while another attempt is live is dropped, its token spent. A failed
+   attempt settles the fetch only when no other attempt is live, a
+   queued retry included. A fetch that fails browns out to the bytes
+   last served fresh for its archive key, if any — except on
+   [Not_found], which is definitive.
 
    The edge walks the key's shards in ring order. A shard whose breaker
    is open is skipped without probing its host; a shard down at
@@ -53,7 +55,7 @@ type fetch = {
   session : session;
   key : string; (* its archive key *)
   deadline : int64; (* absolute *)
-  mutable live : int; (* attempts not yet failed or dropped late *)
+  mutable live : int; (* unfailed attempts, a queued retry among them *)
   mutable settled : bool;
 }
 
@@ -160,7 +162,7 @@ let answer ~now a r =
       (* Retry after the backoff iff it starts in time and a token is
          left; never fail over sideways. *)
       if Int64.compare (Int64.add now retry_backoff_us) f.deadline < 0 && take_token f.session
-      then (f.live <- f.live - 1; [ Shed; Arm (Retry, retry_backoff_us) ])
+      then [ Shed; Arm (Retry, retry_backoff_us) ]
       else Shed :: one_down f
     | Unavailable -> one_down f))
   | Some _ | None -> [ Answer r ]
@@ -190,7 +192,8 @@ let step breakers ~now ~up = function
   | Fired (f, Hedge) ->
     if take_token f.session then [ attempt f ~hedged:true ] else []
   | Fired (f, Retry) ->
-    (* Another attempt still live: don't stack a third copy of the
-       work on the farm. *)
+    (* The retry stops counting as live; if another attempt still is,
+       don't stack a third copy of the work on the farm. *)
+    f.live <- f.live - 1;
     if f.live > 0 then [] else [ attempt f ~hedged:false ]
   | Hop a -> answer ~now a Unavailable

@@ -72,10 +72,10 @@ let compile_method ?(elide = true) t arch (cf : Bytecode.Classfile.t)
           Int64.add t.compile_cost_us (compile_cost_us_of ir);
         t.guards_emitted <- t.guards_emitted + stats.Translate.emitted;
         t.guards_elided <- t.guards_elided + stats.Translate.elided;
-        if Telemetry.Global.on () then begin
-          Telemetry.Global.add "jit.guards_emitted"
+        if Telemetry.enabled () then begin
+          Telemetry.add "jit.guards_emitted"
             (Int64.of_int stats.Translate.emitted);
-          Telemetry.Global.add "jit.guards_elided"
+          Telemetry.add "jit.guards_elided"
             (Int64.of_int stats.Translate.elided)
         end;
         Compiled

@@ -109,7 +109,7 @@ let lookup t name =
   | Some l -> l
   | None -> (
     match
-      Telemetry.Global.with_span ~cat:"jvm" ~args:[ ("class", name) ]
+      Telemetry.with_span ~cat:"jvm" ~args:[ ("class", name) ]
         ~observe_hist:"jvm.class_load_us" "jvm.class_load" (fun () ->
           t.provider name)
     with
@@ -136,9 +136,9 @@ let lookup t name =
       t.classes_fetched <- t.classes_fetched + 1;
       t.bytes_fetched <- t.bytes_fetched + String.length bytes;
       t.load_order <- name :: t.load_order;
-      if Telemetry.Global.on () then begin
-        Telemetry.Global.incr "jvm.classes_loaded";
-        Telemetry.Global.add "jvm.bytes_fetched"
+      if Telemetry.enabled () then begin
+        Telemetry.incr "jvm.classes_loaded";
+        Telemetry.add "jvm.bytes_fetched"
           (Int64.of_int (String.length bytes))
       end;
       l)

@@ -70,7 +70,7 @@ let live t id = Simnet.Host.is_up t.rigs.(id).host
    trace (through it the flight recorder) when the control root span
    is live, directly on the flight recorder otherwise. *)
 let note t member kind detail =
-  Telemetry.Global.incr kind;
+  Telemetry.incr kind;
   let key = (kind, member) in
   Hashtbl.replace t.notes key
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.notes key));

@@ -162,7 +162,7 @@ and perform r = function
 and edge r = function
   | F.Skip s ->
     r.farm.breaker_skips <- r.farm.breaker_skips + 1;
-    Telemetry.Global.incr "farm.breaker_skips";
+    Telemetry.incr "farm.breaker_skips";
     Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"farm.breaker_skip"
       (Printf.sprintf "shard %d skipped: breaker open" s)
   | F.Trip (s, why) ->
@@ -172,7 +172,7 @@ and edge r = function
       (Printf.sprintf "shard %d breaker opened (%s)" s why)
   | F.Failover s ->
     r.farm.failovers <- r.farm.failovers + 1;
-    Telemetry.Global.incr "farm.failovers";
+    Telemetry.incr "farm.failovers";
     Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"farm.failover"
       (Printf.sprintf "class %s rerouted to shard %d" r.cls s)
   | F.Send s ->
@@ -180,7 +180,7 @@ and edge r = function
       (fun reply -> resume r (F.Replied (r.attempt, reply)))
   | F.No_shard ->
     r.farm.unavailable <- r.farm.unavailable + 1;
-    Telemetry.Global.incr "farm.unavailable";
+    Telemetry.incr "farm.unavailable";
     Telemetry.Trace.event r.ctx ~node:edge_node ~kind:"farm.unavailable"
       (Printf.sprintf "class %s: no live shard on the ring" r.cls);
     Simnet.Engine.schedule r.farm.engine ~delay:0L (fun () ->

@@ -133,7 +133,7 @@ and perform_one ({ node = t; cls; trace; k } as r) = function
     (match job with
     | C.Rewarm (_, bytes) ->
       t.l2_hits <- t.l2_hits + 1;
-      if Telemetry.Global.on () then Telemetry.Global.incr "proxy.l2_hits";
+      if Telemetry.enabled () then Telemetry.incr "proxy.l2_hits";
       event t trace "proxy.l2_hit"
         (Printf.sprintf "class %s: %d bytes from shared tier" cls
            (String.length bytes))
@@ -155,7 +155,7 @@ and perform_one ({ node = t; cls; trace; k } as r) = function
         step r (C.Done job))
   | C.Join (id, joined) ->
     t.coalesced <- t.coalesced + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "proxy.coalesced";
+    if Telemetry.enabled () then Telemetry.incr "proxy.coalesced";
     event t trace "proxy.coalesce.join"
       (Printf.sprintf "class %s: joined %d in flight" cls joined);
     Hashtbl.replace t.parked id k
@@ -164,7 +164,7 @@ and perform_one ({ node = t; cls; trace; k } as r) = function
     | None -> step r (C.Fetched (f, None))
     | Some bytes ->
       t.origin_fetches <- t.origin_fetches + 1;
-      Telemetry.Global.incr "proxy.origin_fetches";
+      Telemetry.incr "proxy.origin_fetches";
       Simnet.Engine.schedule t.engine
         ~delay:
           (Int64.add (t.origin_latency cls)
@@ -186,8 +186,8 @@ and perform_one ({ node = t; cls; trace; k } as r) = function
     in
     (* A failure fans out without a span. *)
     match reply with
-    | Bytes _ when joined <> [] && Telemetry.Global.on () ->
-      Telemetry.Global.with_span ~cat:"proxy"
+    | Bytes _ when joined <> [] && Telemetry.enabled () ->
+      Telemetry.with_span ~cat:"proxy"
         ~args:[ ("class", cls); ("waiters", string_of_int (List.length joined)) ]
         "proxy.coalesce.fanout" deliver
     | Bytes _ | Not_found | Unavailable | Overloaded -> deliver ())
@@ -203,7 +203,7 @@ and refuse { node = t; cls; trace; _ } = function
        under a revoked policy. The reason event mirrors the counter
        1:1; off-trace the line still reaches the recorder. *)
     t.fenced_rejects <- t.fenced_rejects + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "control.fenced_rejects";
+    if Telemetry.enabled () then Telemetry.incr "control.fenced_rejects";
     if Telemetry.Trace.live trace then
       event t trace "control.fenced_rejects"
         (Printf.sprintf "class %s: shard fenced, failing over" cls)
@@ -212,7 +212,7 @@ and refuse { node = t; cls; trace; _ } = function
         ~node:t.host.Simnet.Host.name
         (Printf.sprintf "control.fenced_rejects class %s: shard fenced" cls)
   | C.Shed (verdict, est_us, deadline) ->
-    if Telemetry.Global.on () then Telemetry.Global.incr "proxy.overloaded";
+    if Telemetry.enabled () then Telemetry.incr "proxy.overloaded";
     event t trace
       (if verdict = C.Admission.Shed_queue then "admission.shed_queue"
        else "admission.shed_deadline")
@@ -230,7 +230,7 @@ and transform ({ node = t; cls; trace; k } as r) f raw =
   t.pipeline_runs <- t.pipeline_runs + 1;
   let o =
     Telemetry.Trace.scope trace ~node:t.host.Simnet.Host.name (fun () ->
-        Telemetry.Global.with_span ~cat:"proxy" ~args:[ ("class", cls) ]
+        Telemetry.with_span ~cat:"proxy" ~args:[ ("class", cls) ]
           "proxy.transform" (fun () ->
             Pipeline.run ~policy_version:t.policy_version ?memo:t.memo
               ?signer:t.signer t.filters raw))
@@ -242,7 +242,7 @@ and transform ({ node = t; cls; trace; k } as r) f raw =
     | Some _ -> Int64.of_int (Dsig.Sign.sign_cost_us ~bytes:(String.length out))
   in
   if Int64.compare sign_cost 0L > 0 then
-    Telemetry.Global.observe "pipeline.sign_us" sign_cost;
+    Telemetry.observe "pipeline.sign_us" sign_cost;
   let k reply =
     Simnet.Host.release t.host ws;
     (match reply with
@@ -267,9 +267,9 @@ and transform ({ node = t; cls; trace; k } as r) f raw =
    over on. *)
 let request ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
   t.requests <- t.requests + 1;
-  if Telemetry.Global.on () then begin
-    Telemetry.Global.incr "proxy.requests";
-    Telemetry.Global.set_gauge "proxy.mem_pressure_x1000"
+  if Telemetry.enabled () then begin
+    Telemetry.incr "proxy.requests";
+    Telemetry.set_gauge "proxy.mem_pressure_x1000"
       (Int64.of_float (1000.0 *. Simnet.Host.mem_pressure t.host))
   end;
   let input = C.Request { id = t.requests; cls; deadline } in

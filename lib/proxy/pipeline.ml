@@ -46,55 +46,35 @@ let transform_cost_of cf =
    the registry's enabled flag. *)
 
 let record_outcome (o : outcome) =
-  if Telemetry.Global.on () then begin
-    Telemetry.Global.incr "pipeline.classes";
-    Telemetry.Global.observe "pipeline.parse_us" o.parse_cost;
-    Telemetry.Global.observe "pipeline.transform_us" o.transform_cost;
-    Telemetry.Global.observe "pipeline.generate_us" o.generate_cost;
+  if Telemetry.enabled () then begin
+    Telemetry.incr "pipeline.classes";
+    Telemetry.observe "pipeline.parse_us" o.parse_cost;
+    Telemetry.observe "pipeline.transform_us" o.transform_cost;
+    Telemetry.observe "pipeline.generate_us" o.generate_cost;
     match o.rejected with
     | Some (filter, _) ->
-      Telemetry.Global.incr "pipeline.rejections";
-      Telemetry.Global.incr ("pipeline.reject." ^ filter)
+      Telemetry.incr "pipeline.rejections";
+      Telemetry.incr ("pipeline.reject." ^ filter)
     | None -> ()
   end
 
 let apply_filter f cf =
-  if not (Telemetry.Global.on ()) then Rewrite.Filter.apply f cf
+  if not (Telemetry.enabled ()) then Rewrite.Filter.apply f cf
   else
-    Telemetry.Global.with_span ~cat:"pipeline"
+    Telemetry.with_span ~cat:"pipeline"
       ~args:[ ("class", cf.Bytecode.Classfile.name) ]
       ("pipeline.filter:" ^ f.Rewrite.Filter.name)
       (fun () -> Rewrite.Filter.apply f cf)
 
 let parse_traced bytes =
-  Telemetry.Global.with_span ~cat:"pipeline" "pipeline.parse" (fun () ->
+  Telemetry.with_span ~cat:"pipeline" "pipeline.parse" (fun () ->
       Bytecode.Decode.class_of_bytes bytes)
 
 let generate_traced cf =
-  Telemetry.Global.with_span ~cat:"pipeline" "pipeline.generate" (fun () ->
+  Telemetry.with_span ~cat:"pipeline" "pipeline.generate" (fun () ->
       Bytecode.Encode.class_to_bytes cf)
 
-(* Post-transform admission gate: runs over the fully transformed
-   class, [Some reason] rejects it exactly like a filter rejection
-   (§3.1 error-propagation replacement). The translation-validating
-   certifier plugs in here — the pipeline itself stays agnostic about
-   what the gate proves. *)
-type gate = Bytecode.Classfile.t -> string option
-
-let apply_gate g cf =
-  Telemetry.Global.with_span ~cat:"pipeline"
-    ~args:[ ("class", cf.Bytecode.Classfile.name) ]
-    "pipeline.certify"
-    (fun () ->
-      match g cf with
-      | None ->
-        Telemetry.Global.incr "certify.ok";
-        None
-      | Some reason ->
-        Telemetry.Global.incr "certify.fail";
-        Some reason)
-
-let run_uncached ?(policy_version = 0) ?signer ?gate filters (bytes : string) :
+let run_uncached ?(policy_version = 0) ?signer filters (bytes : string) :
     outcome =
   let parse_cost = parse_cost_of bytes in
   let transform_cost = ref 0L in
@@ -102,7 +82,7 @@ let run_uncached ?(policy_version = 0) ?signer ?gate filters (bytes : string) :
     match signer with
     | None -> cf
     | Some key ->
-      Telemetry.Global.with_span ~cat:"pipeline" "pipeline.sign" (fun () ->
+      Telemetry.with_span ~cat:"pipeline" "pipeline.sign" (fun () ->
           Dsig.Sign.sign key cf)
   in
   let finish ?rejected out =
@@ -145,18 +125,15 @@ let run_uncached ?(policy_version = 0) ?signer ?gate filters (bytes : string) :
     | exception Rewrite.Filter.Rejected { filter; cls; reason } ->
       reject ~filter ~name:cls reason
     | transformed -> (
-      let name = transformed.Bytecode.Classfile.name in
-      match Option.bind gate (fun g -> apply_gate g transformed) with
-      | Some reason -> reject ~filter:"certify" ~name reason
-      | None -> (
-        match generate_traced (sign transformed) with
-        | out -> finish out
-        | exception Bytecode.Io.Overflow reason ->
-          (* A filter inflated the class past a classfile encoding
-             limit (a 16-bit length or index field): the replacement's
-             message names the oversized field, instead of a truncated
-             or silently-masked image. *)
-          reject ~filter:"encode" ~name reason)))
+      match generate_traced (sign transformed) with
+      | out -> finish out
+      | exception Bytecode.Io.Overflow reason ->
+        (* A filter inflated the class past a classfile encoding limit
+           (a 16-bit length or index field): the replacement's message
+           names the oversized field, instead of a truncated or
+           silently-masked image. *)
+        reject ~filter:"encode" ~name:transformed.Bytecode.Classfile.name
+          reason))
 
 (* --- Host-CPU memoization. ---
 
@@ -196,7 +173,6 @@ module Memo = struct
        bytes. *)
     mutable key_filters : Rewrite.Filter.t list option;
     mutable key_signer : Dsig.Sign.key option option;
-    mutable key_gate : gate option option;
   }
 
   (* Stop inserting past this many entries. *)
@@ -209,46 +185,38 @@ module Memo = struct
       misses = 0;
       key_filters = None;
       key_signer = None;
-      key_gate = None;
     }
 
   let hits t = t.hits
   let misses t = t.misses
 
-  (* Physical equality is the right notion for all three: filter lists
-     are built once per experiment and shared across the pool, and a
-     signer key or gate closure is a value the caller threads around,
-     not something reconstructed per request. *)
-  let matches t filters signer gate =
+  (* Physical equality is the right notion for both: filter lists are
+     built once per experiment and shared across the pool, and a signer
+     key is a value the caller threads around, not something
+     reconstructed per request. *)
+  let matches t filters signer =
     (match t.key_filters with None -> true | Some fs -> fs == filters)
-    && (match t.key_signer with
+    && match t.key_signer with
        | None -> true
        | Some None -> signer = None
        | Some (Some k) -> (
-         match signer with Some k' -> k == k' | None -> false))
-    && match t.key_gate with
-       | None -> true
-       | Some None -> gate = None
-       | Some (Some g) -> (
-         match gate with Some g' -> g == g' | None -> false)
+         match signer with Some k' -> k == k' | None -> false)
 
-  let pin t filters signer gate =
+  let pin t filters signer =
     if t.key_filters = None then begin
       t.key_filters <- Some filters;
-      t.key_signer <- Some signer;
-      t.key_gate <- Some gate
+      t.key_signer <- Some signer
     end
 end
 
-let run ?(policy_version = 0) ?memo ?signer ?gate filters (bytes : string) :
-    outcome =
+let run ?(policy_version = 0) ?memo ?signer filters (bytes : string) : outcome =
   match memo with
-  | None -> run_uncached ~policy_version ?signer ?gate filters bytes
-  | Some m when not (Memo.matches m filters signer gate) ->
-    run_uncached ~policy_version ?signer ?gate filters bytes
+  | None -> run_uncached ~policy_version ?signer filters bytes
+  | Some m when not (Memo.matches m filters signer) ->
+    run_uncached ~policy_version ?signer filters bytes
   | Some m -> (
-    Memo.pin m filters signer gate;
-    let live = Telemetry.Global.on () in
+    Memo.pin m filters signer;
+    let live = Telemetry.enabled () in
     (* The memo key carries the policy version alongside the bytes:
        two versions whose filter stacks happen to be shared physically
        must still never serve each other's outcomes. *)
@@ -257,14 +225,14 @@ let run ?(policy_version = 0) ?memo ?signer ?gate filters (bytes : string) :
     | Some e when e.Memo.me_telemetry = live ->
       m.Memo.hits <- m.Memo.hits + 1;
       (match e.Memo.me_tape with
-      | Some tape -> Telemetry.replay Telemetry.default tape
+      | Some tape -> Telemetry.replay tape
       | None -> ());
       e.Memo.me_outcome
     | _ ->
       m.Memo.misses <- m.Memo.misses + 1;
       let o, tape =
-        Telemetry.capture Telemetry.default (fun () ->
-            run_uncached ~policy_version ?signer ?gate filters bytes)
+        Telemetry.capture (fun () ->
+            run_uncached ~policy_version ?signer filters bytes)
       in
       (match tape with
       | Some _ when Hashtbl.length m.Memo.tbl < Memo.cap ->

@@ -23,13 +23,6 @@ val digest : outcome -> string
 (** MD5 of [out_bytes] — the pipeline is pure, so the same input class
     digests identically no matter which proxy shard ran it. *)
 
-type gate = Bytecode.Classfile.t -> string option
-(** Post-transform admission gate: runs over the fully transformed
-    class; [Some reason] rejects it exactly like a filter rejection
-    (filter name ["certify"], §3.1 replacement class, counters
-    [certify.ok]/[certify.fail] and a [pipeline.certify] span). The
-    translation-validating certifier plugs in here. *)
-
 (** Host-CPU memoization of pipeline outcomes.
 
     The pipeline is a pure function of its input, so load experiments
@@ -61,23 +54,22 @@ val run :
   ?policy_version:int ->
   ?memo:Memo.t ->
   ?signer:Dsig.Sign.key ->
-  ?gate:gate ->
   Rewrite.Filter.t list ->
   string ->
   outcome
 (** With [signer], every class returned is signed, §3.1 replacements
-    included — whether decode, a filter, the gate or encoding refused
-    the input. A memo pins itself to the first (filters, signer, gate)
-    triple it serves — all compared physically — and falls back to
-    real runs for any other. [policy_version] (default 0 = unversioned) is stamped
-    into [out_version] and keys the memo alongside the input bytes, so
+    included — whether decode, a filter or encoding refused the input.
+    A memo pins itself to the first (filters, signer) pair it serves —
+    both compared physically — and falls back to real runs for any
+    other. [policy_version] (default 0 = unversioned) is stamped into
+    [out_version] and keys the memo alongside the input bytes, so
     outcomes computed under different policy versions never alias.
-    No node passes a [gate] yet; [test_certify]'s "gate accepts
-    certified" and "gate rejection is error class" and [test_proxy]'s
-    "signing" check the certifier gate through it. *)
+    A caller that certifies appends the certifier
+    ([Dvm.Certification.gate]) as a filter, whose rejection is any
+    filter's. *)
 
 val run_parse_per_service : Rewrite.Filter.t list -> string -> outcome
 (** Ablation: re-parse and re-generate between every pair of services
     — one single-filter {!run} pass per service (unversioned, unsigned,
-    ungated, unmemoized), stopping at the first rejection. Same output
-    as {!run}, costs summed over the passes; [parses] counts them. *)
+    unmemoized), stopping at the first rejection. Same output as
+    {!run}, costs summed over the passes; [parses] counts them. *)

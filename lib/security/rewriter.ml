@@ -414,7 +414,7 @@ let rewrite_class ?(counters = fresh_counters ()) ?(elide = true) ?certs policy
             in
             counters.checks_elided <- counters.checks_elided + plan.elided;
             counters.checks_hoisted <- counters.checks_hoisted + plan.hoisted;
-            Telemetry.Global.add "security.checks_elided"
+            Telemetry.add "security.checks_elided"
               (Int64.of_int plan.elided);
             let insertions =
               List.map

@@ -51,14 +51,14 @@ let shed_deadline t = t.shed_deadline
 let admit t ~now ~deadline ~est_us =
   if t.inflight >= t.queue_limit then begin
     t.shed_queue <- t.shed_queue + 1;
-    Telemetry.Global.incr "admission.shed_queue";
+    Telemetry.incr "admission.shed_queue";
     Shed_queue
   end
   else
     match deadline with
     | Some d when Int64.compare (Int64.add now est_us) d > 0 ->
       t.shed_deadline <- t.shed_deadline + 1;
-      Telemetry.Global.incr "admission.shed_deadline";
+      Telemetry.incr "admission.shed_deadline";
       Shed_deadline
     | Some _ | None ->
       t.inflight <- t.inflight + 1;

@@ -61,9 +61,9 @@ let push_mru t e =
 (* Refresh the occupancy gauges wherever the population changes —
    stores, evictions and clears alike. *)
 let publish_gauges t =
-  if Telemetry.Global.on () then begin
-    Telemetry.Global.set_gauge "cache.bytes_used" (Int64.of_int t.used);
-    Telemetry.Global.set_gauge "cache.entries"
+  if Telemetry.enabled () then begin
+    Telemetry.set_gauge "cache.bytes_used" (Int64.of_int t.used);
+    Telemetry.set_gauge "cache.entries"
       (Int64.of_int (Hashtbl.length t.tbl))
   end
 
@@ -91,7 +91,7 @@ let find_raw t ~version key =
     detach t e;
     t.stale_drops <- t.stale_drops + 1;
     t.misses <- t.misses + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "cache.stale_drops";
+    if Telemetry.enabled () then Telemetry.incr "cache.stale_drops";
     publish_gauges t;
     None
   | None ->
@@ -104,19 +104,19 @@ let find ?(version = 0) t key =
        have gone to a real cache is one, and counting it keeps hit-ratio
        lines comparable between cache-off and cache-on bench runs. *)
     t.misses <- t.misses + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "cache.misses";
+    if Telemetry.enabled () then Telemetry.incr "cache.misses";
     None
   end
-  else if not (Telemetry.Global.on ()) then find_raw t ~version key
+  else if not (Telemetry.enabled ()) then find_raw t ~version key
   else
-    Telemetry.Global.with_span ~cat:"cache" ~args:[ ("class", key) ]
+    Telemetry.with_span ~cat:"cache" ~args:[ ("class", key) ]
       "cache.find" (fun () ->
         match find_raw t ~version key with
         | Some _ as hit ->
-          Telemetry.Global.incr "cache.hits";
+          Telemetry.incr "cache.hits";
           hit
         | None ->
-          Telemetry.Global.incr "cache.misses";
+          Telemetry.incr "cache.misses";
           None)
 
 (* Detach the LRU entry from the table, without deciding what the
@@ -139,14 +139,14 @@ let remove t key =
   | Some e ->
     detach t e;
     t.invalidations <- t.invalidations + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "cache.invalidations";
+    if Telemetry.enabled () then Telemetry.incr "cache.invalidations";
     publish_gauges t;
     true
 
 let evict_one t =
   if remove_lru t then begin
     t.evictions <- t.evictions + 1;
-    Telemetry.Global.incr "cache.evictions"
+    Telemetry.incr "cache.evictions"
   end
 
 let store ?(version = 0) t key bytes =
@@ -156,7 +156,7 @@ let store ?(version = 0) t key bytes =
        count the skip so bench output can tell "cache too small for
        this class" apart from ordinary churn. *)
     t.oversize_skips <- t.oversize_skips + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "cache.oversize_skips"
+    if Telemetry.enabled () then Telemetry.incr "cache.oversize_skips"
   end
   else begin
     Option.iter (detach t) (Hashtbl.find_opt t.tbl key);
@@ -170,7 +170,7 @@ let store ?(version = 0) t key bytes =
     Hashtbl.replace t.tbl key e;
     push_mru t e;
     t.used <- t.used + String.length bytes;
-    if Telemetry.Global.on () then Telemetry.Global.incr "cache.stores";
+    if Telemetry.enabled () then Telemetry.incr "cache.stores";
     publish_gauges t
   end
 
@@ -211,7 +211,7 @@ let drop_fraction t ~fraction =
   done;
   if !dropped > 0 then begin
     t.restart_drops <- t.restart_drops + !dropped;
-    if Telemetry.Global.on () then
-      Telemetry.Global.add "cache.restart_drops" (Int64.of_int !dropped)
+    if Telemetry.enabled () then
+      Telemetry.add "cache.restart_drops" (Int64.of_int !dropped)
   end;
   publish_gauges t

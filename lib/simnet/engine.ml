@@ -224,17 +224,14 @@ let report_depth t =
   let d = t.heap.Heap.size - t.reported_depth in
   if d <> 0 then begin
     t.reported_depth <- t.heap.Heap.size;
-    let reg = Telemetry.default in
-    Telemetry.set_gauge reg "simnet.queue.depth"
-      (Int64.add
-         (Telemetry.gauge_value reg "simnet.queue.depth")
-         (Int64.of_int d))
+    Telemetry.set_gauge "simnet.queue.depth"
+      (Int64.add (Telemetry.gauge_value "simnet.queue.depth") (Int64.of_int d))
   end
 
 (* Outside a run, an event counter and the queue-depth gauge are
    written at once; inside one they are batched. *)
 let note t counter =
-  Telemetry.Global.incr counter;
+  Telemetry.incr counter;
   report_depth t
 
 (* Queue [fn] at [at], an int, and return its slot; a time in the past
@@ -243,7 +240,7 @@ let push t at fn =
   let now = Int64.to_int t.now in
   let slot = Heap.push t.heap (if at < now then now else at) t.next_seq fn in
   t.next_seq <- t.next_seq + 1;
-  if Telemetry.Global.on () then
+  if Telemetry.enabled () then
     if t.in_run then t.sched_batch <- t.sched_batch + 1
     else note t "simnet.events.scheduled";
   slot
@@ -268,7 +265,7 @@ let cancel t { slot; seq } =
   let i = h.Heap.pos.(slot) in
   if i >= 0 && h.Heap.seqs.(i) = seq then begin
     ignore (Heap.remove h i : unit -> unit);
-    if Telemetry.Global.on () then
+    if Telemetry.enabled () then
       if t.in_run then t.cancel_batch <- t.cancel_batch + 1
       else note t "simnet.events.cancelled"
   end
@@ -279,16 +276,16 @@ let run_loop ?until t =
     t.in_run <- false;
     if
       (!processed > 0 || t.sched_batch > 0 || t.cancel_batch > 0)
-      && Telemetry.Global.on ()
+      && Telemetry.enabled ()
     then begin
       if t.sched_batch > 0 then
-        Telemetry.Global.add "simnet.events.scheduled"
+        Telemetry.add "simnet.events.scheduled"
           (Int64.of_int t.sched_batch);
       if !processed > 0 then
-        Telemetry.Global.add "simnet.events.processed"
+        Telemetry.add "simnet.events.processed"
           (Int64.of_int !processed);
       if t.cancel_batch > 0 then
-        Telemetry.Global.add "simnet.events.cancelled"
+        Telemetry.add "simnet.events.cancelled"
           (Int64.of_int t.cancel_batch);
       report_depth t
     end;
@@ -320,28 +317,27 @@ let run_loop ?until t =
             let fn = Heap.pop t.heap in
             t.now <- Int64.of_int at;
             t.events_processed <- t.events_processed + 1;
-            if Telemetry.Global.on () then incr processed;
+            if Telemetry.enabled () then incr processed;
             fn ()
           end
         end
       done)
 
 let run_inner ?until t =
-  if not (Telemetry.Global.on ()) then run_loop ?until t
+  if not (Telemetry.enabled ()) then run_loop ?until t
   else begin
     (* Expose the virtual clock to telemetry for the duration of the
        run, so spans opened inside event handlers carry simulated
        timestamps alongside wall-clock ones. *)
-    let reg = Telemetry.default in
-    let prev_sim = Telemetry.sim_clock reg in
-    Telemetry.set_sim_clock reg (Some (fun () -> t.now));
+    let prev_sim = Telemetry.sim_clock () in
+    Telemetry.set_sim_clock (Some (fun () -> t.now));
     let sim0 = t.now in
     let finish () =
-      Telemetry.Global.add "simnet.virtual_us" (Int64.sub t.now sim0);
-      Telemetry.set_sim_clock reg prev_sim
+      Telemetry.add "simnet.virtual_us" (Int64.sub t.now sim0);
+      Telemetry.set_sim_clock prev_sim
     in
     match
-      Telemetry.Global.with_span ~cat:"simnet" "simnet.run" (fun () ->
+      Telemetry.with_span ~cat:"simnet" "simnet.run" (fun () ->
           run_loop ?until t)
     with
     | () -> finish ()

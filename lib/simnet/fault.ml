@@ -75,7 +75,7 @@ let schedule_host_faults t (host : Host.t) ?on_restart ~schedule () =
             t.crashes <- t.crashes + 1;
             record t ~at:(Engine.now engine)
               (Printf.sprintf "crash %s" host.Host.name);
-            Telemetry.Global.incr "simnet.crashes"
+            Telemetry.incr "simnet.crashes"
           end);
       Engine.schedule_at engine (Int64.add crash_at down_for) (fun () ->
           if not host.Host.up then begin
@@ -83,7 +83,7 @@ let schedule_host_faults t (host : Host.t) ?on_restart ~schedule () =
             t.restarts <- t.restarts + 1;
             record t ~at:(Engine.now engine)
               (Printf.sprintf "restart %s" host.Host.name);
-            Telemetry.Global.incr "simnet.restarts";
+            Telemetry.incr "simnet.restarts";
             Option.iter (fun f -> f ()) on_restart
           end))
     schedule
@@ -99,7 +99,7 @@ let schedule_partition t engine ~what ~set ~schedule () =
       Engine.schedule_at engine start (fun () ->
           set true;
           record t ~at:(Engine.now engine) (Printf.sprintf "partition %s" what);
-          Telemetry.Global.incr "simnet.partitions");
+          Telemetry.incr "simnet.partitions");
       Engine.schedule_at engine (Int64.add start len) (fun () ->
           set false;
           record t ~at:(Engine.now engine) (Printf.sprintf "heal %s" what)))

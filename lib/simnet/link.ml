@@ -67,7 +67,7 @@ let transfer t ?on_drop ~bytes k =
        plan's random stream stays aligned with the unpartitioned run
        and digests outside the window are comparable. *)
     t.partition_drops <- t.partition_drops + 1;
-    Telemetry.Global.incr "simnet.partition_drops";
+    Telemetry.incr "simnet.partition_drops";
     match on_drop with
     | Some g -> Engine.schedule_at t.engine arrival g
     | None -> ()
@@ -78,7 +78,7 @@ let transfer t ?on_drop ~bytes k =
     t.drops <- t.drops + 1;
     Fault.count_drop f.plan ~at:now
       (Printf.sprintf "drop %s %dB" t.name bytes);
-    Telemetry.Global.incr "simnet.drops";
+    Telemetry.incr "simnet.drops";
     (match on_drop with
     | Some g -> Engine.schedule_at t.engine arrival g
     | None -> ())

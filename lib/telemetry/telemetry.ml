@@ -1,7 +1,7 @@
-(* System telemetry: spans, counters and latency histograms with a
-   global registry, a near-zero-cost disabled path, and two exporters —
-   a Chrome trace_event JSON stream (loadable in Perfetto / about:tracing)
-   and a plain-text metrics snapshot.
+(* System telemetry: the process's one registry of spans, counters
+   and latency histograms, a near-zero-cost disabled path, and two
+   exporters — a Chrome trace_event JSON stream (loadable in Perfetto /
+   about:tracing) and a plain-text metrics snapshot.
 
    Spans are keyed to two timelines at once: the wall clock (what the
    process actually spent) and, when a simulation is running, the
@@ -118,66 +118,48 @@ type op =
       o_name : string;
       o_cat : string;
       o_args : (string * string) list;
-      o_hist : bool; (* the original span carried ?observe_hist *)
     }
   | Op_span_close
 
 type tape = op list (* in execution order *)
 
-type t = {
-  mutable enabled : bool;
-  mutable wall_clock : clock;
-  mutable sim_clock : clock option;
-  counters : (string, int64 ref) Hashtbl.t;
-  gauges : (string, int64 ref) Hashtbl.t;
-  histograms : (string, hist) Hashtbl.t;
-  mutable spans : span list; (* completion order, newest first *)
-  mutable span_count : int;
-  mutable dropped : int;
-  max_spans : int;
-  mutable depth : int;
-  mutable next_id : int;
-  mutable tape_rev : op list ref option; (* active capture, ops newest first *)
-}
+(* --- The registry: one per process, disabled until [enable]. --- *)
+
+let max_spans = 200_000
 
 let wall_now () = Int64.of_float (Unix.gettimeofday () *. 1e6)
 
-let create ?(max_spans = 200_000) () =
-  {
-    enabled = false;
-    wall_clock = wall_now;
-    sim_clock = None;
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 32;
-    spans = [];
-    span_count = 0;
-    dropped = 0;
-    max_spans;
-    depth = 0;
-    next_id = 0;
-    tape_rev = None;
-  }
+let on = ref false
+let wall_clock = ref wall_now
+let sim : clock option ref = ref None
+let counter_tbl : (string, int64 ref) Hashtbl.t = Hashtbl.create 64
+let gauge_tbl : (string, int64 ref) Hashtbl.t = Hashtbl.create 16
+let hist_tbl : (string, hist) Hashtbl.t = Hashtbl.create 32
+let recorded : span list ref = ref [] (* completion order, newest first *)
+let recorded_count = ref 0
+let dropped = ref 0
+let depth = ref 0
+let next_id = ref 0
+(* The active capture, ops newest first. *)
+let tape_rev : op list ref option ref = ref None
 
-let default = create ()
+let enabled () = !on
+let enable () = on := true
+let disable () = on := false
 
-let enabled t = t.enabled
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
+let reset () =
+  Hashtbl.reset counter_tbl;
+  Hashtbl.reset gauge_tbl;
+  Hashtbl.reset hist_tbl;
+  recorded := [];
+  recorded_count := 0;
+  dropped := 0;
+  depth := 0;
+  next_id := 0
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms;
-  t.spans <- [];
-  t.span_count <- 0;
-  t.dropped <- 0;
-  t.depth <- 0;
-  t.next_id <- 0
-
-let set_wall_clock t c = t.wall_clock <- c
-let set_sim_clock t c = t.sim_clock <- c
-let sim_clock t = t.sim_clock
+let set_wall_clock c = wall_clock := c
+let set_sim_clock c = sim := c
+let sim_clock () = !sim
 
 (* --- Counters and gauges. --- *)
 
@@ -192,55 +174,54 @@ let cell tbl name =
 (* Record one op on the active capture, if any. Call sites only reach
    this when the registry is enabled, so a disabled registry captures
    an empty tape — matching the zero effects it performed. *)
-let tape_op t op =
-  match t.tape_rev with Some r -> r := op :: !r | None -> ()
+let tape_op op = match !tape_rev with Some r -> r := op :: !r | None -> ()
 
-let add t name by = if t.enabled then begin
-    let r = cell t.counters name in
+let add name by =
+  if !on then begin
+    let r = cell counter_tbl name in
     r := Int64.add !r by;
-    tape_op t (Op_add (name, by))
+    tape_op (Op_add (name, by))
   end
 
-let incr t name = add t name 1L
+let incr name = add name 1L
 
-let set_gauge t name v =
-  if t.enabled then begin
-    cell t.gauges name := v;
-    tape_op t (Op_set_gauge (name, v))
+let set_gauge name v =
+  if !on then begin
+    cell gauge_tbl name := v;
+    tape_op (Op_set_gauge (name, v))
   end
 
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0L
+let counter_value name =
+  match Hashtbl.find_opt counter_tbl name with Some r -> !r | None -> 0L
 
-let gauge_value t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0L
+let gauge_value name =
+  match Hashtbl.find_opt gauge_tbl name with Some r -> !r | None -> 0L
 
-let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
+let sorted tbl =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let gauges t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let counters () = sorted counter_tbl
+let gauges () = sorted gauge_tbl
 
 (* --- Histograms. --- *)
 
-let observe t name v =
-  if t.enabled then begin
+let observe name v =
+  if !on then begin
     let h =
-      match Hashtbl.find_opt t.histograms name with
+      match Hashtbl.find_opt hist_tbl name with
       | Some h -> h
       | None ->
         let h = hist_create () in
-        Hashtbl.replace t.histograms name h;
+        Hashtbl.replace hist_tbl name h;
         h
     in
     hist_observe h v;
-    tape_op t (Op_observe (name, v))
+    tape_op (Op_observe (name, v))
   end
 
-let histogram_stats t name =
-  match Hashtbl.find_opt t.histograms name with
+let histogram_stats name =
+  match Hashtbl.find_opt hist_tbl name with
   | None -> None
   | Some h ->
     Some
@@ -254,67 +235,40 @@ let histogram_stats t name =
         p99_us = hist_quantile h 0.99;
       }
 
-let histograms t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.histograms []
+let histograms () =
+  Hashtbl.fold (fun k _ acc -> k :: acc) hist_tbl []
   |> List.sort String.compare
-  |> List.filter_map (fun k ->
-         Option.map (fun s -> (k, s)) (histogram_stats t k))
+  |> List.filter_map (fun k -> Option.map (fun s -> (k, s)) (histogram_stats k))
 
 (* --- Spans. --- *)
 
-let record_span t sp =
-  if t.span_count >= t.max_spans then t.dropped <- t.dropped + 1
+let record_span sp =
+  if !recorded_count >= max_spans then Stdlib.incr dropped
   else begin
-    t.spans <- sp :: t.spans;
-    t.span_count <- t.span_count + 1
+    recorded := sp :: !recorded;
+    Stdlib.incr recorded_count
   end
 
-let with_span ?(cat = "app") ?(args = []) ?observe_hist t name f =
-  if not t.enabled then f ()
-  else if
-    (* Saturated span buffer, nothing else watching: the span would be
-       dropped on the floor anyway, so skip both clock reads and the
-       record allocation. Everything observable — the depth counter and
-       the dropped tally — still updates. *)
-    t.span_count >= t.max_spans && observe_hist = None && Trace.current () = None
-  then begin
-    tape_op t (Op_span_open { o_name = name; o_cat = cat; o_args = args; o_hist = false });
-    t.next_id <- t.next_id + 1;
-    let depth = t.depth in
-    t.depth <- depth + 1;
-    let finish () =
-      t.depth <- depth;
-      t.dropped <- t.dropped + 1;
-      tape_op t Op_span_close
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
+let with_span ?(cat = "app") ?(args = []) ?observe_hist name f =
+  if not !on then f ()
   else begin
-    tape_op t
-      (Op_span_open
-         { o_name = name; o_cat = cat; o_args = args; o_hist = observe_hist <> None });
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    let depth = t.depth in
-    t.depth <- depth + 1;
-    let wall_start = t.wall_clock () in
-    let sim_start = Option.map (fun c -> c ()) t.sim_clock in
+    tape_op (Op_span_open { o_name = name; o_cat = cat; o_args = args });
+    let id = !next_id in
+    next_id := id + 1;
+    let d = !depth in
+    depth := d + 1;
+    let wall_start = !wall_clock () in
+    let sim_start = Option.map (fun c -> c ()) !sim in
     let finish () =
-      t.depth <- depth;
-      let wall_end = t.wall_clock () in
-      let sim_end = Option.map (fun c -> c ()) t.sim_clock in
-      record_span t
+      depth := d;
+      let wall_end = !wall_clock () in
+      let sim_end = Option.map (fun c -> c ()) !sim in
+      record_span
         {
           sp_id = id;
           sp_name = name;
           sp_cat = cat;
-          sp_depth = depth;
+          sp_depth = d;
           sp_wall_start = wall_start;
           sp_wall_end = wall_end;
           sp_sim_start = sim_start;
@@ -327,8 +281,8 @@ let with_span ?(cat = "app") ?(args = []) ?observe_hist t name f =
       (match observe_hist with
       | Some hname -> (
         match (sim_start, sim_end) with
-        | Some s0, Some s1 -> observe t hname (Int64.sub s1 s0)
-        | _ -> observe t hname (Int64.sub wall_end wall_start))
+        | Some s0, Some s1 -> observe hname (Int64.sub s1 s0)
+        | _ -> observe hname (Int64.sub wall_end wall_start))
       | None -> ());
       (* If a distributed-trace scope is ambient, the span doubles as a
          leaf of that request's cross-node tree (sim timestamps when
@@ -342,7 +296,7 @@ let with_span ?(cat = "app") ?(args = []) ?observe_hist t name f =
           | _ -> (wall_start, wall_end)
         in
         Trace.leaf ~args:(("cat", cat) :: args) ~name ~start_us:t0 ~end_us:t1 ());
-      tape_op t Op_span_close
+      tape_op Op_span_close
     in
     match f () with
     | v ->
@@ -355,123 +309,44 @@ let with_span ?(cat = "app") ?(args = []) ?observe_hist t name f =
 
 (* --- Capture and replay. --- *)
 
-let capture t f =
-  match t.tape_rev with
+let capture f =
+  match !tape_rev with
   | Some _ ->
     (* A capture is already active: the outer capture owns the ops.
        The inner caller gets no tape, so it cannot memoize a partial
        recording. *)
     (f (), None)
-  | None ->
+  | None -> (
     let r = ref [] in
-    t.tape_rev <- Some r;
-    let finish () = t.tape_rev <- None in
-    (match f () with
+    tape_rev := Some r;
+    match f () with
     | v ->
-      finish ();
+      tape_rev := None;
       (v, Some (List.rev !r))
     | exception e ->
-      finish ();
+      tape_rev := None;
       raise e)
 
-type replay_frame =
-  | Rf_saturated of int (* saved depth *)
-  | Rf_live of {
-      rf_id : int;
-      rf_depth : int;
-      rf_name : string;
-      rf_cat : string;
-      rf_args : (string * string) list;
-      rf_wall_start : int64;
-      rf_sim_start : int64 option;
-    }
+(* Re-perform ops up to the close of the innermost open bracket, and
+   return the ops after it. A bracket re-runs [with_span] over the ops
+   it encloses, so a replayed span is what a re-run's would be: a
+   fresh id, live clocks, the buffer cap and the ambient trace scope.
+   Its [?observe_hist] observation is already on the tape, as the
+   [Op_observe] just before its close. *)
+let rec play = function
+  | [] -> []
+  | Op_span_close :: rest -> rest
+  | Op_add (n, v) :: rest -> add n v; play rest
+  | Op_set_gauge (n, v) :: rest -> set_gauge n v; play rest
+  | Op_observe (n, v) :: rest -> observe n v; play rest
+  | Op_span_open { o_name; o_cat; o_args } :: rest ->
+    play (with_span ~cat:o_cat ~args:o_args o_name (fun () -> play rest))
 
-let replay t tape =
-  if t.enabled then begin
-    let stack = ref [] in
-    List.iter
-      (fun op ->
-        match op with
-        | Op_add (n, v) -> add t n v
-        | Op_set_gauge (n, v) -> set_gauge t n v
-        | Op_observe (n, v) -> observe t n v
-        | Op_span_open ({ o_name; o_cat; o_args; o_hist } as o) ->
-          tape_op t (Op_span_open o);
-          (* Mirror with_span's entry decision against the *live*
-             registry state, so a replayed span saturates (or not)
-             exactly as a re-run would. *)
-          if
-            t.span_count >= t.max_spans && (not o_hist)
-            && Trace.current () = None
-          then begin
-            t.next_id <- t.next_id + 1;
-            let depth = t.depth in
-            t.depth <- depth + 1;
-            stack := Rf_saturated depth :: !stack
-          end
-          else begin
-            let id = t.next_id in
-            t.next_id <- id + 1;
-            let depth = t.depth in
-            t.depth <- depth + 1;
-            stack :=
-              Rf_live
-                {
-                  rf_id = id;
-                  rf_depth = depth;
-                  rf_name = o_name;
-                  rf_cat = o_cat;
-                  rf_args = o_args;
-                  rf_wall_start = t.wall_clock ();
-                  rf_sim_start = Option.map (fun c -> c ()) t.sim_clock;
-                }
-              :: !stack
-          end
-        | Op_span_close -> (
-          tape_op t Op_span_close;
-          match !stack with
-          | [] -> () (* unbalanced tape; nothing sensible to close *)
-          | Rf_saturated depth :: rest ->
-            stack := rest;
-            t.depth <- depth;
-            t.dropped <- t.dropped + 1
-          | Rf_live f :: rest ->
-            stack := rest;
-            t.depth <- f.rf_depth;
-            let wall_end = t.wall_clock () in
-            let sim_end = Option.map (fun c -> c ()) t.sim_clock in
-            record_span t
-              {
-                sp_id = f.rf_id;
-                sp_name = f.rf_name;
-                sp_cat = f.rf_cat;
-                sp_depth = f.rf_depth;
-                sp_wall_start = f.rf_wall_start;
-                sp_wall_end = wall_end;
-                sp_sim_start = f.rf_sim_start;
-                sp_sim_end = sim_end;
-                sp_args = f.rf_args;
-              };
-            (* The captured span's ?observe_hist observation replays as
-               its own Op_observe; only the distributed-trace leaf is
-               re-emitted live, under whatever scope is ambient now. *)
-            (match Trace.current () with
-            | None -> ()
-            | Some _ ->
-              let t0, t1 =
-                match (f.rf_sim_start, sim_end) with
-                | Some s0, Some s1 -> (s0, s1)
-                | _ -> (f.rf_wall_start, wall_end)
-              in
-              Trace.leaf
-                ~args:(("cat", f.rf_cat) :: f.rf_args)
-                ~name:f.rf_name ~start_us:t0 ~end_us:t1 ())))
-      tape
-  end
+let replay tape = ignore (play tape : tape)
 
-let spans t = List.rev t.spans
-let span_count t = t.span_count
-let dropped_spans t = t.dropped
+let spans () = List.rev !recorded
+let span_count () = !recorded_count
+let dropped_spans () = !dropped
 
 (* --- Chrome trace_event exporter. ---
 
@@ -490,14 +365,14 @@ let json_args args =
          args)
   ^ "}"
 
-let chrome_trace t =
+let chrome_trace () =
   let events = ref [] in
   let emit e = events := e :: !events in
   emit
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"wall clock\"}}";
   emit
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"name\":\"simulated time\"}}";
-  let all = spans t in
+  let all = spans () in
   (* Rebase wall timestamps so the trace starts near t=0. *)
   let base =
     List.fold_left
@@ -543,14 +418,14 @@ let chrome_trace t =
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%Ld,\"pid\":1,\"tid\":1,\"args\":{\"value\":%Ld}}"
            (Flight.esc name) !last_ts v))
-    (counters t);
+    (counters ());
   "[\n" ^ String.concat ",\n" (List.rev !events) ^ "\n]\n"
 
 (* JSON fragment of the latency histograms: [{"name":...,"count":...,
    "p50_us":...,...}, ...]. Benches embed this in their JSON output so
    tail latency is machine-readable alongside throughput. *)
-let histograms_json t =
-  let hs = histograms t in
+let histograms_json () =
+  let hs = histograms () in
   "["
   ^ String.concat ","
       (List.map
@@ -565,35 +440,35 @@ let histograms_json t =
 (* Full machine-readable snapshot: counters, gauges and histograms as
    one JSON object — `dvmctl metrics --json` and the BENCH_*.json
    writer share this. *)
-let metrics_json t =
+let metrics_json () =
   let b = Buffer.create 1024 in
   let kv (k, v) = Printf.sprintf "\"%s\":%Ld" (Flight.esc k) v in
   Buffer.add_string b "{\"counters\":{";
-  Buffer.add_string b (String.concat "," (List.map kv (counters t)));
+  Buffer.add_string b (String.concat "," (List.map kv (counters ())));
   Buffer.add_string b "},\"gauges\":{";
-  Buffer.add_string b (String.concat "," (List.map kv (gauges t)));
+  Buffer.add_string b (String.concat "," (List.map kv (gauges ())));
   Buffer.add_string b "},\"histograms\":";
-  Buffer.add_string b (histograms_json t);
+  Buffer.add_string b (histograms_json ());
   Buffer.add_string b "}";
   Buffer.contents b
 
 (* --- Plain-text metrics snapshot. --- *)
 
-let metrics_snapshot t =
+let metrics_snapshot () =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "== telemetry snapshot ==\n";
-  let cs = counters t in
+  let cs = counters () in
   if cs <> [] then begin
     pf "counters:\n";
     List.iter (fun (k, v) -> pf "  %-44s %12Ld\n" k v) cs
   end;
-  let gs = gauges t in
+  let gs = gauges () in
   if gs <> [] then begin
     pf "gauges:\n";
     List.iter (fun (k, v) -> pf "  %-44s %12Ld\n" k v) gs
   end;
-  let hs = histograms t in
+  let hs = histograms () in
   if hs <> [] then begin
     pf "histograms (µs):\n";
     pf "  %-44s %8s %12s %8s %8s %8s %8s %8s\n" "" "count" "sum" "min" "p50"
@@ -604,24 +479,9 @@ let metrics_snapshot t =
           s.min_us s.p50_us s.p95_us s.p99_us s.max_us)
       hs
   end;
-  pf "spans: %d recorded%s\n" t.span_count
-    (if t.dropped > 0 then Printf.sprintf " (%d dropped)" t.dropped else "");
+  pf "spans: %d recorded%s\n" !recorded_count
+    (if !dropped > 0 then Printf.sprintf " (%d dropped)" !dropped else "");
   Buffer.contents b
-
-(* --- Shortcuts over the global default registry — what hot-path
-   instrumentation call sites use. Disabled cost: one call + one flag
-   check. --- *)
-
-module Global = struct
-  let on () = default.enabled
-  let incr name = incr default name
-  let add name by = add default name by
-  let set_gauge name v = set_gauge default name v
-  let observe name v = observe default name v
-
-  let with_span ?cat ?args ?observe_hist name f =
-    with_span ?cat ?args ?observe_hist default name f
-end
 
 (* Sibling modules of the wrapped library, re-exported so users write
    Telemetry.Trace / Telemetry.Flight / Telemetry.Slo. *)

@@ -74,14 +74,14 @@ let install vm =
   reg ~cls:class_name ~name:"checkClass" ~desc:desc_check_class
     (fun vm args ->
       stats.dynamic_checks <- stats.dynamic_checks + 1;
-      Telemetry.Global.incr "jvm.verifier.dynamic_checks";
+      Telemetry.incr "jvm.verifier.dynamic_checks";
       Jvm.Vmstate.add_cost vm check_cost;
       ignore (lookup_class vm stats (str vm 0 args));
       None);
   reg ~cls:class_name ~name:"checkSubclass" ~desc:desc_check_subclass
     (fun vm args ->
       stats.dynamic_checks <- stats.dynamic_checks + 1;
-      Telemetry.Global.incr "jvm.verifier.dynamic_checks";
+      Telemetry.incr "jvm.verifier.dynamic_checks";
       Jvm.Vmstate.add_cost vm check_cost;
       let sub = str vm 0 args and super = str vm 1 args in
       ignore (lookup_class vm stats sub);
@@ -92,7 +92,7 @@ let install vm =
   reg ~cls:class_name ~name:"checkField" ~desc:desc_check_member
     (fun vm args ->
       stats.dynamic_checks <- stats.dynamic_checks + 1;
-      Telemetry.Global.incr "jvm.verifier.dynamic_checks";
+      Telemetry.incr "jvm.verifier.dynamic_checks";
       Jvm.Vmstate.add_cost vm check_cost;
       let cls = str vm 0 args
       and name = str vm 1 args
@@ -113,7 +113,7 @@ let install vm =
   reg ~cls:class_name ~name:"checkMethod" ~desc:desc_check_member
     (fun vm args ->
       stats.dynamic_checks <- stats.dynamic_checks + 1;
-      Telemetry.Global.incr "jvm.verifier.dynamic_checks";
+      Telemetry.incr "jvm.verifier.dynamic_checks";
       Jvm.Vmstate.add_cost vm check_cost;
       let cls = str vm 0 args
       and name = str vm 1 args

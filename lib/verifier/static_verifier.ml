@@ -271,12 +271,12 @@ let filter ?(counters = fresh_counters ()) ~oracle () =
         counters.total_static_checks <-
           counters.total_static_checks + stats.sv_static_checks;
         counters.classes_verified <- counters.classes_verified + 1;
-        if Telemetry.Global.on () then begin
-          Telemetry.Global.add "verifier.static_checks"
+        if Telemetry.enabled () then begin
+          Telemetry.add "verifier.static_checks"
             (Int64.of_int stats.sv_static_checks);
-          Telemetry.Global.add "verifier.deferred_checks"
+          Telemetry.add "verifier.deferred_checks"
             (Int64.of_int stats.sv_deferred);
-          Telemetry.Global.incr "verifier.classes_verified"
+          Telemetry.incr "verifier.classes_verified"
         end;
         cf'
       | Rejected (errors, stats) ->

@@ -3,9 +3,9 @@
    targeted corruption (dropped checks, bypassing branch retargets,
    flipped first-trip guards, widened loop bounds, forged or re-aimed
    certificates) is killed by the static verifier or the certifier;
-   the pipeline gate turns a rejection into the §3.1 replacement
-   class; and the seeded mutation harness is deterministic with a
-   pinned kill rate. *)
+   the certifier, run as the pipeline's last filter, turns a rejection
+   into the §3.1 replacement class; and the seeded mutation harness is
+   deterministic with a pinned kill rate. *)
 
 module B = Bytecode.Builder
 module CF = Bytecode.Classfile
@@ -181,14 +181,25 @@ let test_all_candidates_killed () =
       [ Drop_check; Swap_branch; Widen_bound; Retarget_entry; Forge_support;
         Move_site ]
 
-(* --- The pipeline gate. --- *)
+(* --- The certifier as the pipeline's last filter. --- *)
+
+let certify_filter gate =
+  Rewrite.Filter.make ~name:"certify" (fun cf ->
+      match gate cf with
+      | None -> cf
+      | Some reason ->
+        Rewrite.Filter.reject ~filter:"certify" ~cls:cf.CF.name reason)
 
 let test_gate_accepts_certified () =
   let certs = Cert.create_store () in
-  let filters = [ Security.Rewriter.filter ~elide:true ~certs policy ] in
-  let gate = Dvm.Certification.gate ~policy ~certs in
+  let filters =
+    [
+      Security.Rewriter.filter ~elide:true ~certs policy;
+      certify_filter (Dvm.Certification.gate ~policy ~certs);
+    ]
+  in
   let out =
-    Proxy.Pipeline.run ~gate filters (Bytecode.Encode.class_to_bytes seq_cls)
+    Proxy.Pipeline.run filters (Bytecode.Encode.class_to_bytes seq_cls)
   in
   check Alcotest.bool "accepted" true (out.Proxy.Pipeline.rejected = None);
   let served = Bytecode.Decode.class_of_bytes out.Proxy.Pipeline.out_bytes in
@@ -196,17 +207,21 @@ let test_gate_accepts_certified () =
 
 let test_gate_rejection_is_error_class () =
   let certs = Cert.create_store () in
-  let filters = [ Security.Rewriter.filter ~elide:true ~certs policy ] in
-  (* A gate judging with an *empty* store sees the elisions but no
+  (* A certifier judging with an *empty* store sees the elisions but no
      certificates: §3.1 rejection. *)
   let empty = Cert.create_store () in
-  let gate = Dvm.Certification.gate ~policy ~certs:empty in
-  Telemetry.reset Telemetry.default;
-  Telemetry.enable Telemetry.default;
-  let out =
-    Proxy.Pipeline.run ~gate filters (Bytecode.Encode.class_to_bytes seq_cls)
+  let filters =
+    [
+      Security.Rewriter.filter ~elide:true ~certs policy;
+      certify_filter (Dvm.Certification.gate ~policy ~certs:empty);
+    ]
   in
-  Telemetry.disable Telemetry.default;
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let out =
+    Proxy.Pipeline.run filters (Bytecode.Encode.class_to_bytes seq_cls)
+  in
+  Telemetry.disable ();
   (match out.Proxy.Pipeline.rejected with
   | Some ("certify", reason) ->
     check Alcotest.bool "reason non-empty" true (String.length reason > 0)
@@ -217,8 +232,8 @@ let test_gate_rejection_is_error_class () =
     served.CF.name;
   check Alcotest.bool "replacement throws from <clinit>" true
     (CF.find_method served "<clinit>" "()V" <> None);
-  check Alcotest.int64 "certify.fail counted" 1L
-    (Telemetry.counter_value Telemetry.default "certify.fail")
+  check Alcotest.int64 "pipeline.reject.certify counted" 1L
+    (Telemetry.counter_value "pipeline.reject.certify")
 
 (* --- Workload sweep and the seeded mutation harness. --- *)
 

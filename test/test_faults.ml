@@ -235,15 +235,15 @@ let test_availability_accounting () =
 
 let counter name =
   Option.value ~default:0L
-    (List.assoc_opt name (Telemetry.counters Telemetry.default))
+    (List.assoc_opt name (Telemetry.counters ()))
 
 let test_availability_crash_recovery () =
   let one = Dvm.Availability.run ~crash:true ~loss_pct:0.0 ~replicas:1 () in
-  Telemetry.enable Telemetry.default;
+  Telemetry.enable ();
   let before = counter "farm.failovers" in
   let two =
     Fun.protect
-      ~finally:(fun () -> Telemetry.disable Telemetry.default)
+      ~finally:Telemetry.disable
       (fun () -> Dvm.Availability.run ~crash:true ~loss_pct:0.0 ~replicas:2 ())
   in
   (* One failover path: the farm counts every failover, under its own
@@ -252,7 +252,7 @@ let test_availability_crash_recovery () =
     (Int64.of_int two.Dvm.Availability.av_failovers)
     (Int64.sub (counter "farm.failovers") before);
   check Alcotest.bool "no proxy.failovers counter" false
-    (List.mem_assoc "proxy.failovers" (Telemetry.counters Telemetry.default));
+    (List.mem_assoc "proxy.failovers" (Telemetry.counters ()));
   check Alcotest.bool "a lone crashed proxy degrades classes" true
     (one.Dvm.Availability.av_degraded > 0);
   check Alcotest.int "a second replica recovers every class" 0

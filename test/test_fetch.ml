@@ -163,10 +163,12 @@ and settle w ~fi input served =
   | F.Failed ->
     if w.archive <> None && not fc.missing then
       break w "f%d failed while the archive held bytes for it" fi);
-  (* A racer that fails settles the fetch while its retry is queued. *)
+  (* 1. a failing racer never settles the fetch while its retry is
+     queued; [Not_found] is definitive *)
   match (input, served) with
+  | F.Replied (_, F.Not_found), _ -> ()
   | (F.Replied _ | F.Hop _), (F.Stale _ | F.Failed) when retry_queued w fi ->
-    note (Printf.sprintf "f%d" fi) "client.retry_orphaned"
+    break w "f%d settled by a failing racer while its retry was queued" fi
   | _ -> ()
 
 let remove i l = List.filteri (fun j _ -> j <> i) l
@@ -384,9 +386,8 @@ let start ?(fetches = 2) () =
     broke = None;
   }
 
-(* The bounds reach both retry behaviours the session keeps: a retry
-   dropped because the other racer is live, its token spent, and a
-   failing racer settling the fetch while its retry is queued. *)
+(* The bounds reach a retry dropped because the other racer is live,
+   its token spent. *)
 let test_one_fetch () =
   S.reaches
     (S.search ~name:"one fetch, every schedule" ~depth:60 ~deviations:60
@@ -395,20 +396,19 @@ let test_one_fetch () =
       "client.hedge"; "client.hedge_win"; "client.retry"; "client.shed";
       "client.deadline_expired"; "farm.failover"; "farm.breaker_skip";
       "farm.unavailable"; "breaker.trip"; "client.retry_dropped";
-      "client.retry_orphaned";
     ]
 
 let test_two_fetches () =
   S.reaches
     (S.search ~name:"two fetches, every schedule of 8 actions" ~depth:8 ~deviations:8
        (start ()))
-    [ "client.serve_stale"; "client.retry_dropped"; "client.retry_orphaned" ]
+    [ "client.serve_stale"; "client.retry_dropped" ]
 
 let test_long_runs () =
   S.reaches
     (S.search ~name:"two fetches, 6 departures from the fault-free order" ~depth:60
        ~deviations:6 (start ()))
-    [ "client.serve_stale"; "client.retry_dropped"; "client.retry_orphaned" ]
+    [ "client.serve_stale"; "client.retry_dropped" ]
 
 let () =
   Alcotest.run "fetch"

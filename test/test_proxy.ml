@@ -38,11 +38,10 @@ let test_cache_restart_drops_not_evictions () =
      so a restart's cold-cache drop inflated the capacity-eviction
      statistic (and republished the occupancy gauges once per dropped
      entry). Restart drops are their own counter. *)
-  let reg = Telemetry.default in
-  Telemetry.reset reg;
-  Telemetry.enable reg;
+  Telemetry.reset ();
+  Telemetry.enable ();
   Fun.protect
-    ~finally:(fun () -> Telemetry.disable reg)
+    ~finally:Telemetry.disable
     (fun () ->
       let c = Proxy.Cache.create ~capacity:1000 in
       Proxy.Cache.store c "a" (String.make 100 'a');
@@ -54,11 +53,11 @@ let test_cache_restart_drops_not_evictions () =
       check Alcotest.int "restart drops counted" 2 c.Proxy.Cache.restart_drops;
       check Alcotest.int "evictions not conflated" 0 c.Proxy.Cache.evictions;
       check Alcotest.int64 "restart_drops counter" 2L
-        (Telemetry.counter_value reg "cache.restart_drops");
+        (Telemetry.counter_value "cache.restart_drops");
       check Alcotest.int64 "no eviction counter noise" 0L
-        (Telemetry.counter_value reg "cache.evictions");
+        (Telemetry.counter_value "cache.evictions");
       check Alcotest.int64 "occupancy gauge refreshed" 200L
-        (Telemetry.gauge_value reg "cache.bytes_used");
+        (Telemetry.gauge_value "cache.bytes_used");
       (* LRU entries go first: the oldest two are gone *)
       check Alcotest.bool "lru dropped first" true
         (Proxy.Cache.find c "a" = None
@@ -223,9 +222,15 @@ let test_pipeline_signs () =
     B.class_ "Bad" [ B.meth ~flags:static "f" "()I" [ B.Add; B.Ireturn ] ]
   in
   let hello_bytes = Bytecode.Encode.class_to_bytes hello in
+  (* a certifier that refuses everything, run after the stack *)
+  let refuse_all =
+    Rewrite.Filter.make ~name:"certify" (fun cf ->
+        Rewrite.Filter.reject ~filter:"certify" ~cls:cf.CF.name "refused")
+  in
   List.iter
-    (fun (what, stage, gate, bytes) ->
-      let out = Proxy.Pipeline.run ~signer:key ?gate (filters ()) bytes in
+    (fun (what, stage, certify, bytes) ->
+      let stack = filters () @ if certify then [ refuse_all ] else [] in
+      let out = Proxy.Pipeline.run ~signer:key stack bytes in
       check
         Alcotest.(option string)
         (what ^ ": rejecting stage") stage
@@ -234,16 +239,13 @@ let test_pipeline_signs () =
       check Alcotest.bool (what ^ ": signature valid") true
         (Dsig.Sign.verify [ key ] cf = Dsig.Sign.Valid))
     [
-      ("accepted", None, None, hello_bytes);
-      ("undecodable", Some "decode", None, "garbage not a class");
+      ("accepted", None, false, hello_bytes);
+      ("undecodable", Some "decode", false, "garbage not a class");
       ( "verifier reject",
         Some "verifier",
-        None,
+        false,
         Bytecode.Encode.class_to_bytes bad );
-      ( "certify reject",
-        Some "certify",
-        Some (fun _ -> Some "refused"),
-        hello_bytes );
+      ("certify reject", Some "certify", true, hello_bytes);
     ]
 
 let test_pipeline_encode_overflow_rejects () =
@@ -302,31 +304,30 @@ let test_pipeline_memo_transparent () =
      telemetry (the hit replays the first run's tape). *)
   let bytes = Bytecode.Encode.class_to_bytes hello in
   let fs = filters () in
-  let reg = Telemetry.default in
   let snapshot () =
-    ( Telemetry.counters reg,
+    ( Telemetry.counters (),
       List.map
         (fun (k, (s : Telemetry.hist_stats)) -> (k, s.Telemetry.count, s.Telemetry.sum_us))
-        (Telemetry.histograms reg),
-      Telemetry.span_count reg )
+        (Telemetry.histograms ()),
+      Telemetry.span_count () )
   in
-  Telemetry.reset reg;
-  Telemetry.enable reg;
+  Telemetry.reset ();
+  Telemetry.enable ();
   (* Pin the duration histograms the way pinned benches do: with a sim
      clock attached, span durations are simulated time (zero for
      synchronous CPU work) rather than nondeterministic host time. *)
-  let saved_sim = Telemetry.sim_clock reg in
-  Telemetry.set_sim_clock reg (Some (fun () -> 0L));
+  let saved_sim = Telemetry.sim_clock () in
+  Telemetry.set_sim_clock (Some (fun () -> 0L));
   let plain1 = Proxy.Pipeline.run fs bytes in
   let plain2 = Proxy.Pipeline.run fs bytes in
   let reference = snapshot () in
-  Telemetry.reset reg;
+  Telemetry.reset ();
   let memo = Proxy.Pipeline.Memo.create () in
   let memo1 = Proxy.Pipeline.run ~memo fs bytes in
   let memo2 = Proxy.Pipeline.run ~memo fs bytes in
   let memoized = snapshot () in
-  Telemetry.set_sim_clock reg saved_sim;
-  Telemetry.disable reg;
+  Telemetry.set_sim_clock saved_sim;
+  Telemetry.disable ();
   check Alcotest.int "one miss" 1 (Proxy.Pipeline.Memo.misses memo);
   check Alcotest.int "one hit" 1 (Proxy.Pipeline.Memo.hits memo);
   check Alcotest.string "identical bytes (1st)" plain1.Proxy.Pipeline.out_bytes
@@ -1373,11 +1374,10 @@ let test_cache_hit_audit_timing () =
          (List.length evs))
 
 let test_cache_gauges_refresh_on_evict () =
-  let reg = Telemetry.default in
-  Telemetry.reset reg;
-  Telemetry.enable reg;
+  Telemetry.reset ();
+  Telemetry.enable ();
   Fun.protect
-    ~finally:(fun () -> Telemetry.disable reg)
+    ~finally:Telemetry.disable
     (fun () ->
       let c = Proxy.Cache.create ~capacity:100 in
       Proxy.Cache.store c "a" (String.make 40 'a');
@@ -1387,9 +1387,9 @@ let test_cache_gauges_refresh_on_evict () =
       Proxy.Cache.store c "c" (String.make 40 'c');
       check Alcotest.int "two entries" 2 (Proxy.Cache.size c);
       check Alcotest.int64 "bytes gauge tracks eviction" 80L
-        (Telemetry.gauge_value reg "cache.bytes_used");
+        (Telemetry.gauge_value "cache.bytes_used");
       check Alcotest.int64 "entries gauge tracks eviction" 2L
-        (Telemetry.gauge_value reg "cache.entries"))
+        (Telemetry.gauge_value "cache.entries"))
 
 let test_single_flight_coalesces () =
   let engine = Simnet.Engine.create () in

@@ -478,11 +478,10 @@ let test_cancel_across_grow () =
    the run stops: the three telemetry counts and the depth gauge add up,
    whether the cancels come from inside a run (batched) or outside. *)
 let test_event_count_identity () =
-  let reg = Telemetry.default in
-  Telemetry.reset reg;
-  Telemetry.enable reg;
+  Telemetry.reset ();
+  Telemetry.enable ();
   Fun.protect
-    ~finally:(fun () -> Telemetry.disable reg)
+    ~finally:Telemetry.disable
     (fun () ->
       let e = Simnet.Engine.create () in
       let hs =
@@ -499,11 +498,11 @@ let test_event_count_identity () =
             (Simnet.Engine.timer e ~delay:1000L ignore : Simnet.Engine.timer));
       Simnet.Engine.run ~until:250L e;
       Simnet.Engine.cancel e hs.(46);
-      let counter = Telemetry.counter_value reg in
+      let counter = Telemetry.counter_value in
       let scheduled = counter "simnet.events.scheduled"
       and processed = counter "simnet.events.processed"
       and cancelled = counter "simnet.events.cancelled"
-      and depth = Telemetry.gauge_value reg "simnet.queue.depth" in
+      and depth = Telemetry.gauge_value "simnet.queue.depth" in
       check Alcotest.int64 "scheduled" 52L scheduled;
       check Alcotest.int64 "cancelled" 14L cancelled;
       check Alcotest.int64 "processed"
@@ -516,11 +515,10 @@ let test_event_count_identity () =
    closes over a phase that runs several engines — and stays closed
    when an earlier engine is driven again after a later one ran. *)
 let test_event_count_identity_engines () =
-  let reg = Telemetry.default in
-  Telemetry.reset reg;
-  Telemetry.enable reg;
+  Telemetry.reset ();
+  Telemetry.enable ();
   Fun.protect
-    ~finally:(fun () -> Telemetry.disable reg)
+    ~finally:Telemetry.disable
     (fun () ->
       let queue e n =
         for i = 1 to n do
@@ -533,14 +531,14 @@ let test_event_count_identity_engines () =
       queue b 7;
       Simnet.Engine.run ~until:15L b;
       Simnet.Engine.run ~until:35L a;
-      let counter = Telemetry.counter_value reg in
+      let counter = Telemetry.counter_value in
       check Alcotest.int64 "queued on both engines" 8L
-        (Telemetry.gauge_value reg "simnet.queue.depth");
+        (Telemetry.gauge_value "simnet.queue.depth");
       check Alcotest.int64 "scheduled = processed + cancelled + depth"
         (counter "simnet.events.scheduled")
         (Int64.add (counter "simnet.events.processed")
            (Int64.add (counter "simnet.events.cancelled")
-              (Telemetry.gauge_value reg "simnet.queue.depth"))))
+              (Telemetry.gauge_value "simnet.queue.depth"))))
 
 (* A fired event's closure is dropped from the queue: a value only it
    captures becomes garbage. *)

@@ -1,11 +1,16 @@
 (* Tests for the telemetry registry: span nesting and ordering, counter
-   and histogram arithmetic, the Chrome trace exporter's JSON escaping,
-   and the disabled-mode no-op contract. *)
+   and histogram arithmetic, capture/replay against real re-runs, the
+   Chrome trace exporter's JSON escaping, and the disabled-mode no-op
+   contract. The registry is the module, one per process, so each case
+   starts by resetting it. *)
 
 let check = Alcotest.check
 
-(* A deterministic wall clock: each registry under test gets its own
-   counter that advances a fixed step per reading. *)
+(* Read before any test runs: the registry starts disabled. *)
+let enabled_at_start = Telemetry.enabled ()
+
+(* A deterministic wall clock: each test gets its own counter that
+   advances a fixed step per reading. *)
 let fake_clock ?(step = 10L) () =
   let now = ref 0L in
   fun () ->
@@ -13,36 +18,38 @@ let fake_clock ?(step = 10L) () =
     now := Int64.add !now step;
     t
 
+(* Each test starts from an empty, enabled registry on a fresh fake
+   wall clock and no sim clock. *)
 let fresh () =
-  let t = Telemetry.create () in
-  Telemetry.set_wall_clock t (fake_clock ());
-  Telemetry.enable t;
-  t
+  Telemetry.reset ();
+  Telemetry.set_wall_clock (fake_clock ());
+  Telemetry.set_sim_clock None;
+  Telemetry.enable ()
 
 let test_counters () =
-  let t = fresh () in
-  Telemetry.incr t "a";
-  Telemetry.incr t "a";
-  Telemetry.add t "a" 40L;
-  Telemetry.incr t "b";
-  check Alcotest.int64 "a" 42L (Telemetry.counter_value t "a");
-  check Alcotest.int64 "b" 1L (Telemetry.counter_value t "b");
-  check Alcotest.int64 "absent" 0L (Telemetry.counter_value t "zzz");
+  fresh ();
+  Telemetry.incr "a";
+  Telemetry.incr "a";
+  Telemetry.add "a" 40L;
+  Telemetry.incr "b";
+  check Alcotest.int64 "a" 42L (Telemetry.counter_value "a");
+  check Alcotest.int64 "b" 1L (Telemetry.counter_value "b");
+  check Alcotest.int64 "absent" 0L (Telemetry.counter_value "zzz");
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64))
     "sorted"
     [ ("a", 42L); ("b", 1L) ]
-    (Telemetry.counters t);
-  Telemetry.set_gauge t "g" 7L;
-  Telemetry.set_gauge t "g" 3L;
-  check Alcotest.int64 "gauge keeps last" 3L (Telemetry.gauge_value t "g");
-  Telemetry.reset t;
-  check Alcotest.int64 "reset" 0L (Telemetry.counter_value t "a")
+    (Telemetry.counters ());
+  Telemetry.set_gauge "g" 7L;
+  Telemetry.set_gauge "g" 3L;
+  check Alcotest.int64 "gauge keeps last" 3L (Telemetry.gauge_value "g");
+  Telemetry.reset ();
+  check Alcotest.int64 "reset" 0L (Telemetry.counter_value "a")
 
 let test_histogram () =
-  let t = fresh () in
-  List.iter (Telemetry.observe t "h") [ 1L; 2L; 4L; 100L ];
-  match Telemetry.histogram_stats t "h" with
+  fresh ();
+  List.iter (Telemetry.observe "h") [ 1L; 2L; 4L; 100L ];
+  match Telemetry.histogram_stats "h" with
   | None -> Alcotest.fail "histogram missing"
   | Some s ->
     check Alcotest.int "count" 4 s.Telemetry.count;
@@ -57,15 +64,15 @@ let test_histogram () =
       (s.Telemetry.p95_us >= 100L && s.Telemetry.p95_us <= 128L)
 
 let test_span_nesting () =
-  let t = fresh () in
+  fresh ();
   let r =
-    Telemetry.with_span t "outer" (fun () ->
-        Telemetry.with_span t ~cat:"sub" "inner" (fun () -> ());
+    Telemetry.with_span "outer" (fun () ->
+        Telemetry.with_span ~cat:"sub" "inner" (fun () -> ());
         17)
   in
   check Alcotest.int "thunk value" 17 r;
   (* Completion order: inner closes first. *)
-  match Telemetry.spans t with
+  match Telemetry.spans () with
   | [ inner; outer ] ->
     check Alcotest.string "inner name" "inner" inner.Telemetry.sp_name;
     check Alcotest.string "outer name" "outer" outer.Telemetry.sp_name;
@@ -78,21 +85,21 @@ let test_span_nesting () =
   | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
 
 let test_span_on_exception () =
-  let t = fresh () in
+  fresh ();
   (try
-     Telemetry.with_span t "boom" (fun () -> failwith "no")
+     Telemetry.with_span "boom" (fun () -> failwith "no")
    with Failure _ -> ());
-  check Alcotest.int "span recorded despite raise" 1 (Telemetry.span_count t);
+  check Alcotest.int "span recorded despite raise" 1 (Telemetry.span_count ());
   (* Depth must unwind so later spans are top-level again. *)
-  Telemetry.with_span t "after" (fun () -> ());
-  match List.rev (Telemetry.spans t) with
+  Telemetry.with_span "after" (fun () -> ());
+  match List.rev (Telemetry.spans ()) with
   | after :: _ -> check Alcotest.int "depth unwound" 0 after.Telemetry.sp_depth
   | [] -> Alcotest.fail "no spans"
 
 let test_span_observe_hist () =
-  let t = fresh () in
-  Telemetry.with_span t ~observe_hist:"lat" "work" (fun () -> ());
-  match Telemetry.histogram_stats t "lat" with
+  fresh ();
+  Telemetry.with_span ~observe_hist:"lat" "work" (fun () -> ());
+  match Telemetry.histogram_stats "lat" with
   | Some s -> check Alcotest.int "one observation" 1 s.Telemetry.count
   | None -> Alcotest.fail "observe_hist did not record"
 
@@ -100,31 +107,31 @@ let test_span_observe_hist_sim () =
   (* Regression: with a sim clock attached, [observe_hist] must record
      the simulated duration, not the (nondeterministic) wall one —
      otherwise seeded benches stop being byte-reproducible. *)
-  let t = fresh () in
+  fresh ();
   let sim = ref 1000L in
-  Telemetry.set_sim_clock t (Some (fun () -> !sim));
-  Telemetry.with_span t ~observe_hist:"lat" "work" (fun () -> sim := 4000L);
-  (match Telemetry.histogram_stats t "lat" with
+  Telemetry.set_sim_clock (Some (fun () -> !sim));
+  Telemetry.with_span ~observe_hist:"lat" "work" (fun () -> sim := 4000L);
+  (match Telemetry.histogram_stats "lat" with
   | Some s ->
     check Alcotest.int64 "sim duration observed" 3000L s.Telemetry.sum_us
   | None -> Alcotest.fail "observe_hist did not record");
   (* detached again: falls back to the wall clock (fake: 10us/reading) *)
-  Telemetry.set_sim_clock t None;
-  Telemetry.with_span t ~observe_hist:"wall_lat" "work" (fun () -> ());
-  match Telemetry.histogram_stats t "wall_lat" with
+  Telemetry.set_sim_clock None;
+  Telemetry.with_span ~observe_hist:"wall_lat" "work" (fun () -> ());
+  match Telemetry.histogram_stats "wall_lat" with
   | Some s ->
     check Alcotest.bool "wall fallback nonzero" true
       (Int64.compare s.Telemetry.sum_us 0L > 0)
   | None -> Alcotest.fail "wall fallback did not record"
 
 let test_sim_clock () =
-  let t = fresh () in
+  fresh ();
   let sim = ref 1000L in
-  Telemetry.set_sim_clock t (Some (fun () -> !sim));
-  Telemetry.with_span t "simmed" (fun () -> sim := 2500L);
-  Telemetry.set_sim_clock t None;
-  Telemetry.with_span t "unsimmed" (fun () -> ());
-  match Telemetry.spans t with
+  Telemetry.set_sim_clock (Some (fun () -> !sim));
+  Telemetry.with_span "simmed" (fun () -> sim := 2500L);
+  Telemetry.set_sim_clock None;
+  Telemetry.with_span "unsimmed" (fun () -> ());
+  match Telemetry.spans () with
   | [ simmed; unsimmed ] ->
     check
       (Alcotest.option Alcotest.int64)
@@ -144,11 +151,11 @@ let test_json_escape () =
   check Alcotest.string "control" {|\u0001|} (Telemetry.Flight.esc "\x01")
 
 let test_chrome_trace_valid () =
-  let t = fresh () in
-  Telemetry.with_span t ~cat:"c1" ~args:[ ("k", "v\"with\nnasties") ]
+  fresh ();
+  Telemetry.with_span ~cat:"c1" ~args:[ ("k", "v\"with\nnasties") ]
     "sp\"an" (fun () -> ());
-  Telemetry.incr t "hits";
-  let s = Telemetry.chrome_trace t in
+  Telemetry.incr "hits";
+  let s = Telemetry.chrome_trace () in
   (* Structurally valid JSON array: balanced brackets/braces and every
      quote escaped. A tiny tokenizer beats trusting eyeballs. *)
   let depth = ref 0 and in_str = ref false and esc = ref false in
@@ -177,11 +184,11 @@ let test_chrome_trace_valid () =
   check Alcotest.bool "escaped name survives" true (contains {|sp\"an|})
 
 let test_metrics_json_valid () =
-  let t = fresh () in
-  Telemetry.incr t "hits";
-  Telemetry.set_gauge t "depth" 7L;
-  List.iter (Telemetry.observe t "lat\"ency") [ 3L; 9L ];
-  let s = Telemetry.metrics_json t in
+  fresh ();
+  Telemetry.incr "hits";
+  Telemetry.set_gauge "depth" 7L;
+  List.iter (Telemetry.observe "lat\"ency") [ 3L; 9L ];
+  let s = Telemetry.metrics_json () in
   (* Same tokenizer as the Chrome-trace check: balanced structure,
      every quote closed. *)
   let depth = ref 0 and in_str = ref false and esc = ref false in
@@ -213,27 +220,30 @@ let test_metrics_json_valid () =
   check Alcotest.bool "histogram name escaped" true (contains {|lat\"ency|})
 
 let test_disabled_noop () =
-  let t = Telemetry.create () in
-  check Alcotest.bool "disabled by default" false (Telemetry.enabled t);
-  Telemetry.incr t "c";
-  Telemetry.observe t "h" 5L;
-  Telemetry.set_gauge t "g" 5L;
-  let r = Telemetry.with_span t "s" (fun () -> 99) in
+  check Alcotest.bool "disabled by default" false enabled_at_start;
+  Telemetry.reset ();
+  Telemetry.disable ();
+  Telemetry.incr "c";
+  Telemetry.observe "h" 5L;
+  Telemetry.set_gauge "g" 5L;
+  let r = Telemetry.with_span "s" (fun () -> 99) in
   check Alcotest.int "thunk still runs" 99 r;
-  check Alcotest.int "no spans" 0 (Telemetry.span_count t);
-  check Alcotest.int64 "no counters" 0L (Telemetry.counter_value t "c");
+  check Alcotest.int "no spans" 0 (Telemetry.span_count ());
+  check Alcotest.int64 "no counters" 0L (Telemetry.counter_value "c");
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64)) "no gauges"
-    [] (Telemetry.gauges t);
-  check Alcotest.bool "no histograms" true (Telemetry.histograms t = [])
+    [] (Telemetry.gauges ());
+  check Alcotest.bool "no histograms" true (Telemetry.histograms () = [])
+
+let fill n =
+  for _ = 1 to n do
+    Telemetry.with_span "fill" (fun () -> ())
+  done
 
 let test_span_cap () =
-  let t = Telemetry.create ~max_spans:3 () in
-  Telemetry.enable t;
-  for i = 1 to 5 do
-    Telemetry.with_span t (Printf.sprintf "s%d" i) (fun () -> ())
-  done;
-  check Alcotest.int "capped" 3 (Telemetry.span_count t);
-  check Alcotest.int "dropped counted" 2 (Telemetry.dropped_spans t)
+  fresh ();
+  fill (Telemetry.max_spans + 2);
+  check Alcotest.int "capped" Telemetry.max_spans (Telemetry.span_count ());
+  check Alcotest.int "dropped counted" 2 (Telemetry.dropped_spans ())
 
 (* --- Quantile accuracy property. ---
 
@@ -260,11 +270,11 @@ let arbitrary_samples =
 let prop_hist_quantile_bounds =
   QCheck.Test.make ~name:"hist quantile within log2 bound of exact"
     ~count:300 arbitrary_samples (fun vs ->
-      let t = fresh () in
-      List.iter (Telemetry.observe t "h") vs;
+      fresh ();
+      List.iter (Telemetry.observe "h") vs;
       let sorted = Array.of_list vs in
       Array.sort Int64.compare sorted;
-      match Telemetry.histogram_stats t "h" with
+      match Telemetry.histogram_stats "h" with
       | None -> false
       | Some s ->
         let within q reported =
@@ -288,56 +298,126 @@ let prop_hist_quantile_bounds =
 (* --- Capture/replay. --- *)
 
 let test_capture_replay () =
-  let t = fresh () in
-  Telemetry.set_sim_clock t (Some (fake_clock ~step:0L ()));
+  fresh ();
+  Telemetry.set_sim_clock (Some (fake_clock ~step:0L ()));
   let work () =
-    Telemetry.incr t "work.count";
-    Telemetry.with_span ~cat:"test" ~observe_hist:"work.us" t "work"
+    Telemetry.incr "work.count";
+    Telemetry.with_span ~cat:"test" ~observe_hist:"work.us" "work"
       (fun () ->
-        Telemetry.add t "work.inner" 5L;
-        Telemetry.observe t "work.len" 17L;
-        Telemetry.set_gauge t "work.gauge" 3L;
+        Telemetry.add "work.inner" 5L;
+        Telemetry.observe "work.len" 17L;
+        Telemetry.set_gauge "work.gauge" 3L;
         42)
   in
-  let v, tape = Telemetry.capture t work in
+  let v, tape = Telemetry.capture work in
   check Alcotest.int "captured result" 42 v;
   let tape = match tape with Some tp -> tp | None -> Alcotest.fail "no tape" in
-  let spans_before = Telemetry.span_count t in
-  Telemetry.replay t tape;
-  Telemetry.replay t tape;
+  let spans_before = Telemetry.span_count () in
+  Telemetry.replay tape;
+  Telemetry.replay tape;
   (* three logical executions: counters, histograms and spans all agree *)
-  check Alcotest.int64 "counter x3" 3L (Telemetry.counter_value t "work.count");
+  check Alcotest.int64 "counter x3" 3L (Telemetry.counter_value "work.count");
   check Alcotest.int64 "inner counter x3" 15L
-    (Telemetry.counter_value t "work.inner");
+    (Telemetry.counter_value "work.inner");
   check Alcotest.int64 "gauge keeps value" 3L
-    (Telemetry.gauge_value t "work.gauge");
-  (match Telemetry.histogram_stats t "work.len" with
+    (Telemetry.gauge_value "work.gauge");
+  (match Telemetry.histogram_stats "work.len" with
   | Some s ->
     check Alcotest.int "observations x3" 3 s.Telemetry.count;
     check Alcotest.int64 "sum x3" 51L s.Telemetry.sum_us
   | None -> Alcotest.fail "work.len histogram missing");
-  (match Telemetry.histogram_stats t "work.us" with
+  (match Telemetry.histogram_stats "work.us" with
   | Some s -> check Alcotest.int "span hist x3" 3 s.Telemetry.count
   | None -> Alcotest.fail "work.us histogram missing");
   check Alcotest.int "replay records spans" (spans_before + 2)
-    (Telemetry.span_count t);
+    (Telemetry.span_count ());
   (* replayed spans get fresh ids *)
   let ids =
-    List.map (fun sp -> sp.Telemetry.sp_id) (Telemetry.spans t)
+    List.map (fun sp -> sp.Telemetry.sp_id) (Telemetry.spans ())
   in
   check Alcotest.int "ids distinct" (List.length ids)
     (List.length (List.sort_uniq compare ids));
   (* a nested capture yields no tape (the outer capture owns the ops) *)
   let _, inner =
-    fst (Telemetry.capture t (fun () -> Telemetry.capture t work))
+    fst (Telemetry.capture (fun () -> Telemetry.capture work))
   in
   check Alcotest.bool "nested capture refuses" true (inner = None);
   (* replay on a disabled registry is a no-op *)
-  Telemetry.disable t;
-  Telemetry.replay t tape;
-  Telemetry.enable t;
+  Telemetry.disable ();
+  Telemetry.replay tape;
+  Telemetry.enable ();
   check Alcotest.int64 "disabled replay no-op" 4L
-    (Telemetry.counter_value t "work.count")
+    (Telemetry.counter_value "work.count")
+
+(* A span carrying [observe_hist], captured with no trace ambient and
+   replayed under a trace scope, leaves what a re-run there leaves: the
+   same counters, histograms, spans and trace leaves. *)
+let test_replay_under_trace () =
+  fresh ();
+  Telemetry.set_sim_clock (Some (fake_clock ~step:0L ()));
+  let work () =
+    Telemetry.with_span ~cat:"test" ~observe_hist:"work.us" "work" (fun () ->
+        Telemetry.incr "work.count";
+        Telemetry.with_span "inner" (fun () -> ()))
+  in
+  let tape = Option.get (snd (Telemetry.capture work)) in
+  let in_scope f =
+    Telemetry.reset ();
+    Telemetry.Trace.reset ();
+    Telemetry.Trace.enable ();
+    let root = Telemetry.Trace.root ~node:"client" "request" in
+    Telemetry.Trace.scope (Telemetry.Trace.ctx_of root) ~node:"proxy" f;
+    Telemetry.Trace.finish root;
+    Telemetry.Trace.disable ();
+    ( Telemetry.counters (),
+      List.map
+        (fun (k, s) -> (k, s.Telemetry.count, s.Telemetry.sum_us))
+        (Telemetry.histograms ()),
+      Telemetry.span_count (),
+      Telemetry.Trace.span_count () )
+  in
+  let c, h, n, leaves = in_scope work in
+  let c', h', n', leaves' = in_scope (fun () -> Telemetry.replay tape) in
+  check
+    Alcotest.(list (pair string int64))
+    "counters" c c';
+  check Alcotest.(list (triple string int int64)) "histograms" h h';
+  check Alcotest.int "histogram observed" 1
+    (List.length (List.filter (fun (k, _, _) -> k = "work.us") h'));
+  check Alcotest.int "spans" n n';
+  check Alcotest.int "re-run: the root and two leaves" 3 leaves;
+  check Alcotest.int "trace leaves" leaves leaves'
+
+(* Into a span buffer one short of full, and then into the full one, a
+   replay records and drops what a re-run does. *)
+let test_replay_full_buffer () =
+  fresh ();
+  let work () =
+    Telemetry.with_span "outer" (fun () ->
+        Telemetry.with_span ~observe_hist:"inner.us" "inner" (fun () ->
+            Telemetry.incr "work.count"))
+  in
+  let tape = Option.get (snd (Telemetry.capture work)) in
+  let deltas f =
+    Telemetry.reset ();
+    fill (Telemetry.max_spans - 1);
+    let once () =
+      let n = Telemetry.span_count () and d = Telemetry.dropped_spans () in
+      f ();
+      (Telemetry.span_count () - n, Telemetry.dropped_spans () - d)
+    in
+    let first = once () in
+    let second = once () in
+    [ first; second ]
+  in
+  let rerun = deltas work in
+  check
+    Alcotest.(list (pair int int))
+    "re-runs: the last slot, then none" [ (1, 1); (0, 2) ] rerun;
+  check
+    Alcotest.(list (pair int int))
+    "replays: as the re-runs" rerun
+    (deltas (fun () -> Telemetry.replay tape))
 
 let () =
   Alcotest.run "telemetry"
@@ -349,7 +429,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_hist_quantile_bounds;
         ] );
       ( "replay",
-        [ Alcotest.test_case "capture/replay parity" `Quick test_capture_replay ] );
+        [
+          Alcotest.test_case "capture/replay parity" `Quick test_capture_replay;
+          Alcotest.test_case "replay under a trace scope" `Quick
+            test_replay_under_trace;
+          Alcotest.test_case "replay into a full buffer" `Quick
+            test_replay_full_buffer;
+        ] );
       ( "spans",
         [
           Alcotest.test_case "nesting and ordering" `Quick test_span_nesting;

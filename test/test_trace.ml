@@ -220,10 +220,10 @@ let chaos_cfg =
   { Dvm.Chaos.default_config with Dvm.Chaos.ch_duration_s = 16; ch_trace = true }
 
 let run_traced_chaos () =
-  Telemetry.reset Telemetry.default;
-  Telemetry.enable Telemetry.default;
+  Telemetry.reset ();
+  Telemetry.enable ();
   Fun.protect
-    ~finally:(fun () -> Telemetry.disable Telemetry.default)
+    ~finally:Telemetry.disable
     (fun () -> Dvm.Chaos.run chaos_cfg)
 
 (* Reason-event kind <-> telemetry counter, 1:1. A decision that bumps
@@ -256,9 +256,7 @@ let test_completeness () =
   List.iter
     (fun (kind, counter) ->
       let ev = Option.value ~default:0 (List.assoc_opt kind kinds) in
-      let c =
-        Int64.to_int (Telemetry.counter_value Telemetry.default counter)
-      in
+      let c = Int64.to_int (Telemetry.counter_value counter) in
       check Alcotest.int
         (Printf.sprintf "%s events = %s counter" kind counter)
         c ev)
@@ -323,11 +321,11 @@ let control_pairs =
   ]
 
 let test_control_completeness () =
-  Telemetry.reset Telemetry.default;
-  Telemetry.enable Telemetry.default;
+  Telemetry.reset ();
+  Telemetry.enable ();
   let o =
     Fun.protect
-      ~finally:(fun () -> Telemetry.disable Telemetry.default)
+      ~finally:Telemetry.disable
       (fun () ->
         Dvm.Chaos.run_control
           {
@@ -351,9 +349,7 @@ let test_control_completeness () =
   List.iter
     (fun kind ->
       let ev = Option.value ~default:0 (List.assoc_opt kind kinds) in
-      let c =
-        Int64.to_int (Telemetry.counter_value Telemetry.default kind)
-      in
+      let c = Int64.to_int (Telemetry.counter_value kind) in
       check Alcotest.bool (kind ^ " occurred") true (c > 0);
       check Alcotest.int (kind ^ " events = counter") c ev)
     control_pairs;
