@@ -1,4 +1,4 @@
-.PHONY: all build test lint exports-check loc certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare perfbench-selftest perf-pairs check clean
+.PHONY: all build test lint exports-check loc certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke examples-smoke perf-compare perfbench-selftest perf-pairs check clean
 
 all: build
 
@@ -85,6 +85,15 @@ trace-smoke:
 	dune exec bin/dvmctl.exe -- metrics jlex --json > _build/trace-smoke/jlex.metrics.json
 	python3 -m json.tool _build/trace-smoke/jlex.metrics.json > /dev/null
 
+# Examples smoke: run every program under examples/. Each is a short
+# deterministic end-to-end drive of the public API and exits nonzero
+# (an uncaught exception or a failwith) when what it shows stops
+# working.
+EXAMPLES = quickstart secure_intranet mobile_code fleet_admin trace_service
+
+examples-smoke:
+	for e in $(EXAMPLES); do dune exec examples/$$e.exe > /dev/null || exit 1; done
+
 # Perf trajectory pin: the bench perf phase re-runs the seeded phases
 # that write BENCH_<phase>.json, exits non-zero if any served byte,
 # digest or metric drifts from the committed baselines, and prints
@@ -138,6 +147,7 @@ check:
 	$(MAKE) chaos-smoke
 	$(MAKE) control-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) examples-smoke
 	$(MAKE) perf-compare
 	$(MAKE) perfbench-selftest
 	@if git ls-files | grep -q '^_build/'; then \

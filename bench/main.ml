@@ -17,15 +17,6 @@ let subsection title = Printf.printf "\n--- %s ---\n" title
 
 let s_of_us us = Int64.to_float us /. 1_000_000.0
 
-(* Each benchmark phase runs with telemetry enabled and emits a metrics
-   snapshot next to its results, so a figure's numbers come with the
-   counters and latency distributions that produced them. Set
-   DVM_TELEMETRY=0 to opt out (e.g. when shaving wall-clock noise). *)
-let telemetry_wanted =
-  match Sys.getenv_opt "DVM_TELEMETRY" with
-  | Some ("0" | "false" | "off") -> false
-  | _ -> true
-
 (* --- BENCH_<phase>.json: the committed perf trajectory. ---
 
    The json phases push their headline numbers (throughput, tail
@@ -101,32 +92,30 @@ let write_bench ?(hists = true) ~wall_ms name =
   close_out oc;
   Printf.printf "\n--- %s: wrote %s ---\n" name path
 
-(* [json] additionally emits the phase's latency histograms as one
-   JSON line (name, count, p50/p95/p99, ...) for machine consumers,
-   and writes the BENCH_<phase>.json baseline — the load/fault phases
-   where tail latency is the result. *)
+(* Each benchmark phase runs with telemetry enabled and emits a metrics
+   snapshot next to its results, so a figure's numbers come with the
+   counters and latency distributions that produced them. [json]
+   additionally emits the phase's latency histograms as one JSON line
+   (name, count, p50/p95/p99, ...) for machine consumers, and writes
+   the BENCH_<phase>.json baseline — the load/fault phases where tail
+   latency is the result. *)
 let with_phase ?(json = false) ?(hists = true) name f =
-  if not telemetry_wanted then f ()
-  else begin
-    Telemetry.reset ();
-    Telemetry.enable ();
-    bench_summary := [];
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        Printf.printf "\n--- %s: telemetry ---\n%s" name
-          (Telemetry.metrics_snapshot ());
-        if json then begin
-          Printf.printf "\n--- %s: histograms (json) ---\n%s\n" name
-            (Telemetry.histograms_json ());
-          let wall_ms =
-            int_of_float ((Unix.gettimeofday () -. t0) *. 1000.0)
-          in
-          write_bench ~hists ~wall_ms name
-        end;
-        Telemetry.disable ())
-      f
-  end
+  Telemetry.reset ();
+  Telemetry.enable ();
+  bench_summary := [];
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      Printf.printf "\n--- %s: telemetry ---\n%s" name
+        (Telemetry.metrics_snapshot ());
+      if json then begin
+        Printf.printf "\n--- %s: histograms (json) ---\n%s\n" name
+          (Telemetry.histograms_json ());
+        let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.0) in
+        write_bench ~hists ~wall_ms name
+      end;
+      Telemetry.disable ())
+    f
 
 (* --- Figure 5: benchmark description table. --- *)
 

@@ -6,7 +6,7 @@
 
    A single client fetches every class of jlex (small build)
    sequentially through the farm. Each attempt is one Client.Session
-   fetch whose deadline, kept off the wire, is the per-attempt timeout;
+   fetch whose deadline, kept from the farm, is the per-attempt timeout;
    between attempts the client backs off exponentially — the retry
    loop whose cost this experiment measures. A class whose attempts run
    out degrades and the client moves on. Everything is driven by one

@@ -21,10 +21,11 @@
       returns to at least half the fault-free run's.
 
    [spike_comparison] is the acceptance experiment: the same spiked
-   run with the overload controls on (deadlines on the wire, admission
-   shedding, breakers, hedging, retry budget) and off (deadline kept
-   client-side only, so the farm works on doomed requests), compared
-   by goodput — bytes served inside their deadlines per second. *)
+   run with the overload controls on (deadlines advertised to the farm,
+   admission shedding, breakers, hedging, retry budget) and off
+   (deadline kept client-side only, so the farm works on doomed
+   requests), compared by goodput — bytes served inside their
+   deadlines per second. *)
 
 type config = {
   ch_seed : int;

@@ -92,10 +92,10 @@ type comparison = {
 
 val spike_comparison : config -> comparison
 (** The acceptance experiment: the same spiked run with overload
-    controls on ([ch_control = true]: deadlines on the wire, admission
-    shedding, breakers, hedging, retry budget) and off (deadline kept
-    client-side only, so shards burn CPU on doomed requests), compared
-    by goodput. *)
+    controls on ([ch_control = true]: deadlines advertised to the farm,
+    admission shedding, breakers, hedging, retry budget) and off
+    (deadline kept client-side only, so shards burn CPU on doomed
+    requests), compared by goodput. *)
 
 val print_outcome : ?label:string -> outcome -> unit
 

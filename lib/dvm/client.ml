@@ -39,11 +39,11 @@ let traced_provider (provider : Jvm.Classreg.provider) : Jvm.Classreg.provider
    The simulated-time client side of the overload-control story, as a
    shell over [Fetch_core]: the core decides each fetch's deadline,
    hedge, retries and brown-out, and the edge's walk; this shell owns
-   the engine, the wire, the client's link, the counters, tracing and
-   the SLO feed, and performs each step's effects in the order the core
+   the engine, the client's link, the counters, tracing and the SLO
+   feed, and performs each step's effects in the order the core
    returned them. Every fetch carries an absolute deadline (now +
-   budget), propagated to the farm through the Httpwire Deadline-Us
-   header so shard admission control can shed against it. *)
+   budget), handed to the farm edge with each attempt so shard
+   admission control can shed against it. *)
 
 module Session = struct
   module F = Fetch_core
@@ -54,7 +54,7 @@ module Session = struct
     engine : Simnet.Engine.t;
     farm : Proxy.Farm.t;
     core : F.session; (* budget, hedge delay, token pool, stale archive *)
-    advertise_deadline : bool; (* carry Deadline-Us on the wire? *)
+    advertise_deadline : bool; (* hand the deadline to the farm? *)
     deliver : bytes:int -> (unit -> unit) -> unit; (* client-side wire *)
     slo : Telemetry.Slo.t option; (* per-outcome SLO feed *)
     stale_key : string -> string;
@@ -91,9 +91,9 @@ module Session = struct
     mutable timers : Simnet.Engine.timer list; (* deadline and hedge *)
   }
 
-  (* A step of the fetch: its start, a timer, a delivery, a hop before
-     the edge. Its attempts' steps at the edge are [Proxy.Farm]'s,
-     which hands on the effects that are not the edge's. *)
+  (* A step of the fetch: its start, a timer, a delivery. Its attempts'
+     steps at the edge are [Proxy.Farm]'s, which hands on the effects
+     that are not the edge's. *)
   let rec on_fetch sf input =
     let farm = sf.s.farm in
     perform sf
@@ -145,12 +145,10 @@ module Session = struct
     | F.Settle served -> finish sf served
     | F.Skip _ | F.Trip _ | F.Failover _ | F.Send _ | F.No_shard | F.Answer _ -> ()
 
-  (* Put an attempt on the wire. The deadline rides it: encode the
-     request with its Deadline-Us header and decode it back at the farm
-     edge — what a real proxy would parse off the socket. A session
-     that does not advertise it still enforces the deadline on its own
-     side, but the shards cannot shed for it — the no-overload-control
-     baseline. *)
+  (* Route an attempt through the farm edge. The deadline and the
+     trace context travel with it; a session that does not advertise
+     the deadline still enforces it on its own side, but the shards
+     cannot shed for it — the no-overload-control baseline. *)
   and dispatch sf a =
     let s = sf.s in
     if a.F.hedged then begin
@@ -160,23 +158,9 @@ module Session = struct
         (Printf.sprintf "class %s: racing ring-offset 1 after %Ldus" sf.cls
            (Option.value ~default:0L s.core.F.hedge_after_us))
     end;
-    let raw =
-      Proxy.Httpwire.encode_request
-        ?deadline_us:(if s.advertise_deadline then Some sf.f.F.deadline else None)
-        ?trace:(Telemetry.Trace.wire sf.rctx) ~cls:sf.cls ()
-    in
-    match Proxy.Httpwire.decode_request_full raw with
-    | exception Proxy.Httpwire.Bad_message _ ->
-      (* A name the request line cannot carry (a space, a line break,
-         nothing at all): no shard will ever see it, so the attempt
-         fails after one hop, like an unavailable farm. *)
-      Simnet.Engine.schedule s.engine ~delay:0L (fun () -> on_fetch sf (F.Hop a))
-    | { Proxy.Httpwire.rq_cls = cls; rq_deadline_us = deadline; rq_trace_id; rq_parent_span } ->
-      (* The edge rebuilds the context from the decoded headers, not
-         from session state — the wire is the source of truth. *)
-      Proxy.Farm.route s.farm ~cls ~deadline
-        ~trace:(Telemetry.Trace.of_wire ~trace_id:rq_trace_id ~parent_span:rq_parent_span)
-        a effect sf
+    Proxy.Farm.route s.farm ~cls:sf.cls
+      ~deadline:(if s.advertise_deadline then Some sf.f.F.deadline else None)
+      ~trace:sf.rctx a effect sf
 
   and finish sf served =
     let s = sf.s in

@@ -16,10 +16,10 @@ type t = {
 
 (** {1 Overload-aware farm sessions}
 
-    The simulated-time client side of overload control: deadlines on
-    the wire, session-wide retry/hedge token budgets, tail-latency
-    hedging against the next shard in ring order, and serve-stale
-    brownout when the farm is unavailable. The decisions are
+    The simulated-time client side of overload control: deadlines
+    handed to the farm, session-wide retry/hedge token budgets,
+    tail-latency hedging against the next shard in ring order, and
+    serve-stale brownout when the farm is unavailable. The decisions are
     {!Fetch_core}'s; a session is its simnet shell. *)
 module Session : sig
   (** A fetch's outcome: [Fresh] bytes served inside its deadline;
@@ -33,7 +33,7 @@ module Session : sig
     core : Fetch_core.session;
         (** deadline budget, hedge delay, retry+hedge token pool and
             stale archive *)
-    advertise_deadline : bool;  (** carry [Deadline-Us] on the wire? *)
+    advertise_deadline : bool;  (** hand the deadline to the farm? *)
     deliver : bytes:int -> (unit -> unit) -> unit;  (** client-side wire *)
     slo : Telemetry.Slo.t option;  (** per-outcome SLO feed *)
     stale_key : string -> string;
@@ -64,8 +64,8 @@ module Session : sig
     Proxy.Farm.t ->
     t
   (** Defaults: 2 s deadline budget, no hedging, deadline advertised
-      on the wire, unbounded token pool,
-      immediate delivery, no SLO feed, identity archive key. [slo]
+      to the farm, unbounded token pool, immediate delivery, no SLO
+      feed, identity archive key. [slo]
       receives one outcome per settled fetch (fresh/stale/failed,
       plus shed notes). [advertise_deadline:
       false] keeps client-side deadline enforcement but hides the
@@ -78,20 +78,17 @@ module Session : sig
   val fetch : t -> cls:string -> (served -> unit) -> unit
   (** One deadline-bound fetch. When {!Telemetry.Trace} is enabled the
       fetch mints a distributed trace: the client span is the root,
-      the context rides the wire as [Trace-Id]/[Parent-Span-Id], and
-      hedges, hedge wins, serve-stale brownouts and deadline expiry
-      attach reason events. The deadline (now + budget) is encoded
-      into the request's [Deadline-Us] header and decoded at the farm
-      edge; shard admission sheds against it, and the client drops any
-      response that lands past it. [Overloaded] replies are retried
-      (with backoff) only while the token pool and the remaining
-      budget allow; a queued retry keeps its fetch open, so a failing
-      hedge does not settle it first. [Unavailable] — every shard down or
-      breaker-barred — browns out to the stale archive, as does
-      deadline expiry. A class name the request line cannot carry (a
-      space, a line break, the empty name) never reaches the farm: its
-      attempt fails after a zero-delay hop, like an unavailable farm,
-      instead of raising out of [fetch]. The hedge, when enabled, races a second request
+      each attempt hands its context to the farm edge, and hedges,
+      hedge wins, serve-stale brownouts and deadline expiry attach
+      reason events. Each attempt also hands the farm edge the
+      deadline (now + budget; {!Proxy.Farm.route}) when the session
+      advertises it; shard admission sheds against it, and the client
+      drops any response that lands past it. [Overloaded] replies are
+      retried (with backoff) only while the token pool and the
+      remaining budget allow; a queued retry keeps its fetch open, so
+      a failing hedge does not settle it first. [Unavailable] — every
+      shard down or breaker-barred — browns out to the stale archive,
+      as does deadline expiry. The hedge, when enabled, races a second request
       at ring offset 1 after [hedge_after_us]; first response wins and
       the loser is discarded on arrival. Settling cancels the deadline
       and hedge timers ({!Simnet.Engine.cancel}), so a settled fetch

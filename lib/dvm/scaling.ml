@@ -21,7 +21,9 @@ let think_time = Simnet.Engine.sec 9
 (* Workload plumbing shared by the single-proxy and farm experiments:
    realized applet bodies (real class bytes the pipeline can decode,
    verify and rewrite), the origin serving them and the per-class WAN
-   latency. Request names are "a<k>/<uniq>": serve body k. *)
+   latency. Request names are "a<k>/<uniq>": serve body k mod
+   applet_count. The origin has nothing for any other name, and its WAN
+   latency is 2 s. *)
 let applet_workload ~applet_count ~seed =
   let pop = Workloads.Applets.population ~n:applet_count ~seed () in
   let applets = Array.of_list pop in
@@ -30,18 +32,23 @@ let applet_workload ~applet_count ~seed =
       (fun ap -> Bytecode.Encode.class_to_bytes (Workloads.Applets.realize ap))
       applets
   in
-  let origin name =
+  (* The body a name asks for: [Some (k mod n)] when the part before
+     its first '/' is 'a' and then a non-negative decimal [k]. *)
+  let index name =
     match String.index_opt name '/' with
-    | Some i ->
-      let k = int_of_string (String.sub name 1 (i - 1)) in
-      Some bodies.(k mod Array.length bodies)
-    | None -> None
+    | Some i when i > 1 && name.[0] = 'a' ->
+      let digits = String.sub name 1 (i - 1) in
+      if String.for_all (fun c -> c >= '0' && c <= '9') digits then
+        Option.map
+          (fun k -> k mod Array.length bodies)
+          (int_of_string_opt digits)
+      else None
+    | _ -> None
   in
+  let origin name = Option.map (Array.get bodies) (index name) in
   let origin_latency name =
-    match String.index_opt name '/' with
-    | Some i ->
-      let k = int_of_string (String.sub name 1 (i - 1)) in
-      Int64.of_int applets.(k mod Array.length applets).Workloads.Applets.ap_wan_latency_us
+    match index name with
+    | Some k -> Int64.of_int applets.(k).Workloads.Applets.ap_wan_latency_us
     | None -> Simnet.Engine.ms 2000
   in
   (origin, origin_latency)

@@ -10,7 +10,9 @@ val applet_workload :
   (string -> string option) * (string -> Simnet.Engine.time)
 (** The workload plumbing shared with the farm and chaos experiments:
     [(origin, origin_latency)] over realized applet bodies. Request
-    names are ["a<k>/<uniq>"]: serve body [k]. *)
+    names are ["a<k>/<uniq>"], [k] a non-negative decimal: serve body
+    [k mod applet_count]. The origin has nothing for any other name,
+    and its latency is then 2 s. *)
 
 val filters_for : Security.Policy.t -> Rewrite.Filter.t list
 (** The standard pipeline — static verification, security rewriting

@@ -2,9 +2,9 @@
    deadline, hedge, retries and brown-out — and the farm edge's ring
    walk, breakers and failover.
 
-   The core knows nothing of the engine, the wire, the shards or the
-   client's link. Its state is plain data — no closures, no simnet
-   values — so a test can copy and hash it, and it moves only through
+   The core knows nothing of the engine, the shards or the client's
+   link. Its state is plain data — no closures, no simnet values — so
+   a test can copy and hash it, and it moves only through
    [step]: the caller passes one input (a new fetch, a request reaching
    the edge, a shard's reply, a finished delivery, a fired timer or a
    zero-delay hop) and what it reads off the simulation (now, which
@@ -79,11 +79,11 @@ type input =
   | Fired of fetch * timer
   | Hop of attempt
       (* after a zero-delay hop, the attempt failed unanswered: no live
-         shard, or a name the wire cannot carry *)
+         shard *)
 
 type output =
   | Arm of timer * int64 (* a timer for the fetch, after a delay *)
-  | Dispatch of attempt (* put it on the wire and route it; a hedged one is a hedge *)
+  | Dispatch of attempt (* route it through the edge; a hedged one is a hedge *)
   | Skip of int (* the shard's breaker refused the request *)
   | Trip of int * string (* a failure, and why, opened the shard's breaker *)
   | Failover of int (* the shard it goes to next is not its first choice *)

@@ -5,7 +5,6 @@
 
 module Cache = Serve_core.Cache
 module Pipeline = Pipeline
-module Httpwire = Httpwire
 module Breaker = Fetch_core.Breaker
 module Admission = Serve_core.Admission
 

@@ -13,7 +13,6 @@
 
 module Cache = Serve_core.Cache
 module Pipeline : module type of Pipeline
-module Httpwire : module type of Httpwire
 
 module Breaker = Fetch_core.Breaker
 (** Per-shard circuit breaker (closed/open/half-open with hysteresis)

@@ -286,7 +286,7 @@ let with_span ?(cat = "app") ?(args = []) ?observe_hist name f =
       | None -> ());
       (* If a distributed-trace scope is ambient, the span doubles as a
          leaf of that request's cross-node tree (sim timestamps when
-         available, so it lines up with the wire spans). *)
+         available, so it lines up with the request's other spans). *)
       (match Trace.current () with
       | None -> ()
       | Some _ ->

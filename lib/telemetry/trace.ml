@@ -1,13 +1,12 @@
 (* Distributed request tracing.
 
    One trace per client request: the client session mints a root
-   context, the context rides the wire as Trace-Id/Parent-Span-Id
-   headers, and every hop (farm edge, shard node, pipeline leaf) opens
-   a child span under the parent it decoded.  Decisions — sheds,
-   breaker trips, hedges, failovers, coalesce joins, serve-stale — are
-   attached as reason {e events} on the owning span, so a trace answers
-   "why did this request end the way it did", not just "where did the
-   time go".
+   context, hands it to the farm edge with each attempt, and every hop
+   (farm edge, shard node, pipeline leaf) opens a child span under the
+   parent it was handed.  Decisions — sheds, breaker trips, hedges,
+   failovers, coalesce joins, serve-stale — are attached as reason
+   {e events} on the owning span, so a trace answers "why did this
+   request end the way it did", not just "where did the time go".
 
    The collector is a process-wide flat store (spans + events tagged
    with a trace id); the tree structure lives in parent pointers.  All
@@ -177,16 +176,6 @@ let leaf ?(args = []) ~name ~start_us ~end_us () =
     ignore
       (alloc ~trace:ctx.tr ~parent:ctx.sp ~node ~args ~start_us ~end_us name)
   | _ -> ()
-
-(* Wire helpers: what Httpwire carries. *)
-let wire ctx = if live ctx then Some (ctx.tr, ctx.sp) else None
-
-let of_wire ~trace_id ~parent_span =
-  if not !enabled_flag then none
-  else
-    match trace_id with
-    | None -> none
-    | Some tr -> { tr; sp = Option.value ~default:0 parent_span }
 
 (* Queries. *)
 let spans () = List.rev !spans_rev

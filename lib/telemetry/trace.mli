@@ -1,12 +1,12 @@
 (** Distributed request tracing.
 
     A {e trace} is one client request's causal span tree across
-    simulated hosts: the client session mints a root context, the
-    context crosses the wire as [Trace-Id]/[Parent-Span-Id] headers,
-    and each hop opens child spans under the parent it decoded.
-    Decision points attach structured {e reason events} (admission
-    sheds, breaker trips, hedges, failovers, coalesce joins,
-    serve-stale) to the owning span.
+    simulated hosts: the client session mints a root context and hands
+    it to the farm edge with each attempt, and each hop opens child
+    spans under the parent it was handed. Decision points attach
+    structured {e reason events} (admission sheds, breaker trips,
+    hedges, failovers, coalesce joins, serve-stale) to the owning
+    span.
 
     The collector is process-global and disabled by default; a null
     context short-circuits every operation, so instrumentation stays in
@@ -72,15 +72,6 @@ val leaf :
   name:string -> start_us:int64 -> end_us:int64 -> unit -> unit
 (** Attach an already-timed span (a [Telemetry.with_span] completion)
     as a closed leaf under the ambient scope, if any. *)
-
-(** {1 Wire} *)
-
-val wire : ctx -> (int64 * int) option
-(** What to put in the request headers; [None] when the ctx is dead. *)
-
-val of_wire : trace_id:int64 option -> parent_span:int option -> ctx
-(** Rebuild a context from decoded headers; absent headers (an old
-    peer) yield {!none}. *)
 
 (** {1 Inspecting} *)
 

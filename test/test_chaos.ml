@@ -203,11 +203,11 @@ let test_hedge_wins_on_slow_owner () =
     (Int64.compare (Simnet.Engine.now engine) 500_000L < 0
     || session.Dvm.Client.Session.served = 1)
 
-let test_unframeable_name_fails_once () =
-  (* A class name the request line cannot carry — a space, a line
-     break, nothing — never reaches the farm. The fetch settles Failed
-     exactly once, raising nothing to the caller; the deadline and
-     hedge timers armed before it find it settled. *)
+let test_every_name_is_one_fetch () =
+  (* A class name is a key, whatever its characters: a space, a line
+     break, nothing at all. Each fetch reaches the farm once and
+     settles Fresh exactly once, raising nothing to the caller; the
+     hedge timer armed before it finds it settled. *)
   List.iter
     (fun cls ->
       let engine = Simnet.Engine.create () in
@@ -220,15 +220,17 @@ let test_unframeable_name_fails_once () =
       Simnet.Engine.run engine;
       let what = Printf.sprintf "%S" cls in
       (match !got with
-      | [ Dvm.Client.Session.Failed ] -> ()
+      | [ Dvm.Client.Session.Fresh b ] ->
+        check Alcotest.string (what ^ ": the body's bytes")
+          (Lazy.force served_body) b
       | l ->
-        Alcotest.failf "%s: %d outcomes, want one Failed" what
+        Alcotest.failf "%s: %d outcomes, want one Fresh" what
           (List.length l));
-      check Alcotest.int (what ^ ": one failure counted") 1
-        session.Dvm.Client.Session.failed;
+      check Alcotest.int (what ^ ": one serve counted") 1
+        session.Dvm.Client.Session.served;
       check Alcotest.int (what ^ ": no hedge") 0
         session.Dvm.Client.Session.hedges;
-      check Alcotest.int (what ^ ": the farm saw nothing") 0
+      check Alcotest.int (what ^ ": the farm saw it once") 1
         farm.Proxy.Farm.requests)
     [ "a b"; "x\r\nY"; "" ]
 
@@ -419,8 +421,8 @@ let () =
             test_brownout_serves_stale;
           Alcotest.test_case "hedge wins on slow owner" `Quick
             test_hedge_wins_on_slow_owner;
-          Alcotest.test_case "unframeable name fails once" `Quick
-            test_unframeable_name_fails_once;
+          Alcotest.test_case "every name is one fetch" `Quick
+            test_every_name_is_one_fetch;
           Alcotest.test_case "settled fetch leaves nothing queued" `Quick
             test_settled_fetch_leaves_nothing_queued;
         ] );

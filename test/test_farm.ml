@@ -305,6 +305,44 @@ let test_zero_applets_rejected () =
          Dvm.Chaos.run_control
            { Dvm.Chaos.default_control_config with Dvm.Chaos.cc_applets = 0 }))
 
+let test_names_outside_the_applet_scheme () =
+  (* The applet origin serves "a<k>/..." names only. Any other name —
+     another letter, a negative index, no '/' at all — has no body and
+     the 2 s no-slash latency: each fetch of one settles Failed once,
+     and the run drains instead of raising out of [Engine.run]. *)
+  let origin, origin_latency =
+    Dvm.Scaling.applet_workload ~applet_count:4 ~seed:7
+  in
+  let engine = Simnet.Engine.create () in
+  let pool =
+    Array.init 2 (fun i ->
+        Proxy.create engine ~host_name:(Dvm.Scaling.shard_name i) ~origin
+          ~origin_latency ~filters:[] ())
+  in
+  let session =
+    Dvm.Client.Session.create engine (Proxy.Farm.create engine pool)
+  in
+  let names = [ "b/x"; "a-1/x"; "nope" ] in
+  let got = ref [] in
+  List.iter
+    (fun cls ->
+      check Alcotest.bool (cls ^ ": no body") true (origin cls = None);
+      check Alcotest.int64 (cls ^ ": no-slash latency") (Simnet.Engine.ms 2000)
+        (origin_latency cls);
+      Dvm.Client.Session.fetch session ~cls (fun r -> got := (cls, r) :: !got))
+    names;
+  Simnet.Engine.run engine;
+  List.iter
+    (fun cls ->
+      match List.filter (fun (n, _) -> String.equal n cls) !got with
+      | [ (_, Dvm.Client.Session.Failed) ] -> ()
+      | l ->
+        Alcotest.failf "%s: %d outcomes, want one Failed" cls (List.length l))
+    names;
+  check Alcotest.int "three failures counted" 3
+    session.Dvm.Client.Session.failed;
+  check Alcotest.bool "a5/x is body 1" true (origin "a5/x" = origin "a1/y")
+
 (* --- The client population loop, on a bare engine. --- *)
 
 (* Runs [population] and logs every fetch as (time, id, iter, applet);
@@ -999,6 +1037,8 @@ let () =
             test_coalescing_under_shared_load;
           Alcotest.test_case "zero applets rejected" `Quick
             test_zero_applets_rejected;
+          Alcotest.test_case "names outside the applet scheme" `Quick
+            test_names_outside_the_applet_scheme;
         ] );
       ( "population",
         [

@@ -354,543 +354,6 @@ let test_pipeline_memo_transparent () =
   check Alcotest.bool "other stack really ran" true
     (String.equal other.Proxy.Pipeline.out_bytes bytes)
 
-(* --- Wire protocol. --- *)
-
-(* The class name and the deadline a request carries, as the farm edge
-   decodes them. *)
-let decode_cls raw =
-  (Proxy.Httpwire.decode_request_full raw).Proxy.Httpwire.rq_cls
-
-let decode_cls_deadline raw =
-  let r = Proxy.Httpwire.decode_request_full raw in
-  (r.Proxy.Httpwire.rq_cls, r.Proxy.Httpwire.rq_deadline_us)
-
-let test_http_roundtrip () =
-  let req = Proxy.Httpwire.encode_request ~cls:"jlex/Main" () in
-  check Alcotest.string "request decodes" "jlex/Main" (decode_cls req)
-
-let test_http_request_framing_enforced () =
-  (* Regression: the request decoder used to take everything up to the
-     first "\r" as the request line and ignore the rest, accepting
-     truncated framing and trailing garbage. A request must end in the
-     full "\r\n\r\n". *)
-  List.iter
-    (fun bad ->
-      match Proxy.Httpwire.decode_request_full bad with
-      | _ -> fail ("accepted bad request framing: " ^ String.escaped bad)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      (* truncated after the request line CRLF *)
-      "GET /A DVM/1.0\r\n";
-      (* a lone CR where the separator belongs *)
-      "GET /A DVM/1.0\rxx\n";
-      (* LF-only separator *)
-      "GET /A DVM/1.0\n\n";
-      (* trailing garbage after a well-formed request *)
-      "GET /A DVM/1.0\r\n\r\nGET /B DVM/1.0\r\n\r\n";
-      "GET /A DVM/1.0\r\n\r\nx";
-    ]
-
-(* --- Wire protocol: property tests. --- *)
-
-(* Class names as they appear on the wire: resource-path characters,
-   no whitespace or CR/LF (those are framing, not payload). *)
-let arbitrary_cls =
-  let open QCheck.Gen in
-  let cls_char =
-    oneof
-      [
-        char_range 'a' 'z';
-        char_range 'A' 'Z';
-        char_range '0' '9';
-        oneofl [ '/'; '$'; '_'; '-'; '.' ];
-      ]
-  in
-  QCheck.make
-    ~print:(fun s -> s)
-    (string_size ~gen:cls_char (int_range 1 40))
-
-let request_rejected data =
-  match Proxy.Httpwire.decode_request_full data with
-  | _ -> false
-  | exception Proxy.Httpwire.Bad_message _ -> true
-
-let prop_request_roundtrip =
-  QCheck.Test.make ~name:"request roundtrip" ~count:300 arbitrary_cls
-    (fun cls ->
-      String.equal cls (decode_cls (Proxy.Httpwire.encode_request ~cls ())))
-
-let prop_request_truncation =
-  QCheck.Test.make ~name:"request rejects every truncation" ~count:100
-    arbitrary_cls (fun cls ->
-      let full = Proxy.Httpwire.encode_request ~cls () in
-      let ok = ref true in
-      for len = 0 to String.length full - 1 do
-        if not (request_rejected (String.sub full 0 len)) then ok := false
-      done;
-      !ok)
-
-let prop_request_trailing_garbage =
-  QCheck.Test.make ~name:"request rejects trailing garbage" ~count:100
-    QCheck.(pair arbitrary_cls (string_gen_of_size Gen.(int_range 1 20) Gen.char))
-    (fun (cls, junk) ->
-      request_rejected (Proxy.Httpwire.encode_request ~cls () ^ junk))
-
-(* --- Wire protocol: deadline propagation. --- *)
-
-let test_http_deadline_roundtrip () =
-  let raw = Proxy.Httpwire.encode_request ~deadline_us:1_234_567L ~cls:"A/b" () in
-  let cls, deadline = decode_cls_deadline raw in
-  check Alcotest.string "class name survives" "A/b" cls;
-  check (Alcotest.option Alcotest.int64) "deadline survives" (Some 1_234_567L)
-    deadline;
-  (* the class alone still decodes past the header *)
-  check Alcotest.string "plain decode ignores the header" "A/b"
-    (decode_cls raw);
-  (* no header -> no deadline *)
-  let cls, deadline =
-    decode_cls_deadline (Proxy.Httpwire.encode_request ~cls:"A/b" ())
-  in
-  check Alcotest.string "bare request decodes" "A/b" cls;
-  check (Alcotest.option Alcotest.int64) "bare request has no deadline" None
-    deadline
-
-let test_http_deadline_malformed () =
-  List.iter
-    (fun data ->
-      match Proxy.Httpwire.decode_request_full data with
-      | _ -> fail ("accepted: " ^ String.escaped data)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      (* unknown header *)
-      "GET /A DVM/1.0\r\nX-Custom: 1\r\n\r\n";
-      (* duplicate deadline *)
-      "GET /A DVM/1.0\r\nDeadline-Us: 1\r\nDeadline-Us: 2\r\n\r\n";
-      (* non-numeric / negative *)
-      "GET /A DVM/1.0\r\nDeadline-Us: soon\r\n\r\n";
-      "GET /A DVM/1.0\r\nDeadline-Us: -5\r\n\r\n";
-      (* missing blank line *)
-      "GET /A DVM/1.0\r\nDeadline-Us: 1\r\n";
-    ]
-
-let test_http_strict_decimal_headers () =
-  (* Regression: numeric headers were parsed with [of_string_opt],
-     which accepts OCaml integer literal syntax — radix prefixes and
-     underscore separators. "Deadline-Us: 0x10" parsed as 16, so two
-     spellings of one request hashed and cached differently, and a
-     client could smuggle a surprising deadline past a log reviewer.
-     Wire numerics must be plain decimal digits, nothing else. *)
-  List.iter
-    (fun data ->
-      match Proxy.Httpwire.decode_request_full data with
-      | _ -> fail ("accepted: " ^ String.escaped data)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      "GET /A DVM/1.0\r\nDeadline-Us: 0x10\r\n\r\n";
-      "GET /A DVM/1.0\r\nDeadline-Us: 1_000\r\n\r\n";
-      "GET /A DVM/1.0\r\nDeadline-Us: 0b101\r\n\r\n";
-      "GET /A DVM/1.0\r\nDeadline-Us: 0o17\r\n\r\n";
-      "GET /A DVM/1.0\r\nDeadline-Us: +5\r\n\r\n";
-      "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: 0x7\r\n\r\n";
-      "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: 1_0\r\n\r\n";
-      "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: 0b101\r\n\r\n";
-    ];
-  (* plain decimals still parse *)
-  let req = "GET /A DVM/1.0\r\nDeadline-Us: 16\r\n\r\n" in
-  check (Alcotest.option Alcotest.int64) "plain decimal deadline" (Some 16L)
-    (snd (decode_cls_deadline req))
-
-(* Non-decimal renderings of a number that [Int64.of_string] would
-   happily accept: every one must bounce off the wire parsers. *)
-let arbitrary_nondecimal =
-  QCheck.make
-    ~print:(fun (s, _) -> s)
-    QCheck.Gen.(
-      let* n = int_range 0 0xFFFF in
-      let* render =
-        oneofl
-          [
-            (fun n -> Printf.sprintf "0x%x" n);
-            (fun n -> Printf.sprintf "0X%X" n);
-            (fun n -> Printf.sprintf "0o%o" n);
-            (fun n -> Printf.sprintf "0u%u" n);
-            (fun n ->
-              (* decimal with an underscore separator *)
-              let s = string_of_int n in
-              if String.length s < 2 then "0_" ^ s
-              else String.sub s 0 1 ^ "_" ^ String.sub s 1 (String.length s - 1));
-          ]
-      in
-      return (render n, n))
-
-let prop_numeric_headers_reject_nondecimal =
-  QCheck.Test.make ~name:"numeric headers reject non-decimal spellings"
-    ~count:200 arbitrary_nondecimal (fun (spelling, n) ->
-      (* sanity: the spelling really is the OCaml-literal form of n,
-         i.e. the old lenient parser would have accepted it *)
-      Int64.of_string_opt spelling = Some (Int64.of_int n)
-      && request_rejected
-           (Printf.sprintf "GET /A DVM/1.0\r\nDeadline-Us: %s\r\n\r\n" spelling)
-      && request_rejected
-           (Printf.sprintf
-              "GET /A DVM/1.0\r\nTrace-Id: 00000000000000ab\r\nParent-Span-Id: %s\r\n\r\n"
-              spelling))
-
-let prop_request_deadline_roundtrip =
-  QCheck.Test.make ~name:"request+deadline roundtrip" ~count:300
-    QCheck.(pair arbitrary_cls (option (int_bound 1_000_000_000)))
-    (fun (cls, deadline) ->
-      let deadline_us = Option.map Int64.of_int deadline in
-      let cls', deadline' =
-        decode_cls_deadline (Proxy.Httpwire.encode_request ?deadline_us ~cls ())
-      in
-      String.equal cls cls' && deadline_us = deadline')
-
-(* --- Wire protocol: distributed-trace headers. --- *)
-
-let test_http_trace_absent () =
-  (* Requests from peers that predate tracing carry no headers and
-     must keep decoding — with a null context, not an error. *)
-  let req =
-    Proxy.Httpwire.decode_request_full (Proxy.Httpwire.encode_request ~cls:"A/b" ())
-  in
-  check Alcotest.string "class survives" "A/b" req.Proxy.Httpwire.rq_cls;
-  check Alcotest.bool "no trace id" true (req.Proxy.Httpwire.rq_trace_id = None);
-  check
-    (Alcotest.option Alcotest.int)
-    "no parent span" None req.Proxy.Httpwire.rq_parent_span;
-  (* deadline-only requests keep working too *)
-  let req =
-    Proxy.Httpwire.decode_request_full
-      (Proxy.Httpwire.encode_request ~deadline_us:9L ~cls:"A/b" ())
-  in
-  check
-    (Alcotest.option Alcotest.int64)
-    "deadline still decodes" (Some 9L) req.Proxy.Httpwire.rq_deadline_us;
-  check Alcotest.bool "still no trace" true
-    (req.Proxy.Httpwire.rq_trace_id = None)
-
-let test_http_trace_malformed () =
-  List.iter
-    (fun data ->
-      match Proxy.Httpwire.decode_request_full data with
-      | _ -> fail ("accepted: " ^ String.escaped data)
-      | exception Proxy.Httpwire.Bad_message _ -> ())
-    [
-      (* wrong width (15 and 17 hex digits) *)
-      "GET /A DVM/1.0\r\nTrace-Id: 00000000000000f\r\n\r\n";
-      "GET /A DVM/1.0\r\nTrace-Id: 00000000000000f00\r\n\r\n";
-      (* non-hex, uppercase, and the reserved all-zero id *)
-      "GET /A DVM/1.0\r\nTrace-Id: 000000000000zzzz\r\n\r\n";
-      "GET /A DVM/1.0\r\nTrace-Id: 00000000000000FF\r\n\r\n";
-      "GET /A DVM/1.0\r\nTrace-Id: 0000000000000000\r\n\r\n";
-      (* duplicate header *)
-      "GET /A DVM/1.0\r\n\
-       Trace-Id: 00000000000000ff\r\n\
-       Trace-Id: 00000000000000ff\r\n\r\n";
-      (* parent span: non-numeric, negative, duplicate *)
-      "GET /A DVM/1.0\r\n\
-       Trace-Id: 00000000000000ff\r\nParent-Span-Id: x\r\n\r\n";
-      "GET /A DVM/1.0\r\n\
-       Trace-Id: 00000000000000ff\r\nParent-Span-Id: -1\r\n\r\n";
-      "GET /A DVM/1.0\r\n\
-       Trace-Id: 00000000000000ff\r\n\
-       Parent-Span-Id: 1\r\nParent-Span-Id: 2\r\n\r\n";
-      (* a parent span with no trace to hang it on *)
-      "GET /A DVM/1.0\r\nParent-Span-Id: 3\r\n\r\n";
-    ]
-
-let prop_request_trace_roundtrip =
-  QCheck.Test.make ~name:"request+trace roundtrip" ~count:300
-    QCheck.(
-      triple arbitrary_cls
-        (option (int_bound 1_000_000_000))
-        (option (pair (int_bound 1_000_000) (int_bound 100_000))))
-    (fun (cls, deadline, trace) ->
-      let deadline_us = Option.map Int64.of_int deadline in
-      (* ids as the client would mint them: nonzero trace, nonneg span *)
-      let trace =
-        Option.map (fun (tr, sp) -> (Int64.of_int (tr + 1), sp)) trace
-      in
-      let req =
-        Proxy.Httpwire.decode_request_full
-          (Proxy.Httpwire.encode_request ?deadline_us ?trace ~cls ())
-      in
-      String.equal cls req.Proxy.Httpwire.rq_cls
-      && deadline_us = req.Proxy.Httpwire.rq_deadline_us
-      && Option.map fst trace = req.Proxy.Httpwire.rq_trace_id
-      && Option.map snd trace = req.Proxy.Httpwire.rq_parent_span
-      (* the class alone decodes past the new headers *)
-      && String.equal cls
-           (decode_cls (Proxy.Httpwire.encode_request ?deadline_us ?trace ~cls ())))
-
-let prop_request_trace_garbage =
-  (* Arbitrary bytes in header position never crash the decoder: it
-     either returns a request or raises Bad_message, nothing else. *)
-  QCheck.Test.make ~name:"trace headers reject garbage without crashing"
-    ~count:300
-    QCheck.(
-      pair arbitrary_cls (string_gen_of_size Gen.(int_range 0 30) Gen.char))
-    (fun (cls, junk) ->
-      let data =
-        Printf.sprintf "GET /%s DVM/1.0\r\nTrace-Id: %s\r\n\r\n" cls junk
-      in
-      match Proxy.Httpwire.decode_request_full data with
-      | req -> req.Proxy.Httpwire.rq_trace_id <> Some 0L
-      | exception Proxy.Httpwire.Bad_message _ -> true)
-
-(* --- The request codec against the one it replaced. --- *)
-
-(* The Printf-based encoder and the split-and-trim decoder the wire
-   used before it framed requests in place, kept verbatim as the
-   reference: same bytes, same records, same rejection texts. *)
-module Ref_wire = struct
-  open Proxy.Httpwire
-
-  let fail fmt = Format.kasprintf (fun s -> raise (Bad_message s)) fmt
-
-  let crlf = "\r\n"
-
-  let is_decimal s =
-    String.length s > 0
-    && String.for_all (function '0' .. '9' -> true | _ -> false) s
-
-  let decimal_int64_opt s = if is_decimal s then Int64.of_string_opt s else None
-  let decimal_int_opt s = if is_decimal s then int_of_string_opt s else None
-
-  let encode_request ?deadline_us ?trace ~cls () =
-    let b = Buffer.create 64 in
-    Buffer.add_string b (Printf.sprintf "GET /%s DVM/1.0%s" cls crlf);
-    (match deadline_us with
-    | Some d -> Buffer.add_string b (Printf.sprintf "Deadline-Us: %Ld%s" d crlf)
-    | None -> ());
-    (match trace with
-    | Some (tid, parent) ->
-      Buffer.add_string b (Printf.sprintf "Trace-Id: %016Lx%s" tid crlf);
-      Buffer.add_string b (Printf.sprintf "Parent-Span-Id: %d%s" parent crlf)
-    | None -> ());
-    Buffer.add_string b crlf;
-    Buffer.contents b
-
-  let decode_request_full (data : string) : request =
-    match String.index_opt data '\r' with
-    | None -> fail "no request line terminator"
-    | Some eol ->
-      if eol + 2 > String.length data || data.[eol + 1] <> '\n' then
-        fail "missing blank-line terminator after request line";
-      let cls =
-        let line = String.sub data 0 eol in
-        match String.split_on_char ' ' line with
-        | [ "GET"; path; "DVM/1.0" ] ->
-          if String.length path < 2 || path.[0] <> '/' then
-            fail "bad request path %S" path
-          else String.sub path 1 (String.length path - 1)
-        | _ -> fail "malformed request line %S" line
-      in
-      let deadline = ref None and trace_id = ref None and parent = ref None in
-      let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
-      let set_once r name v =
-        match !r with
-        | Some _ -> fail "repeated header %s" name
-        | None -> r := Some v
-      in
-      let header line =
-        match String.index_opt line ':' with
-        | None -> fail "malformed request header %S" line
-        | Some c -> (
-          let name = String.sub line 0 c in
-          let v = String.trim (String.sub line (c + 1) (String.length line - c - 1)) in
-          match name with
-          | "Deadline-Us" -> (
-            match decimal_int64_opt v with
-            | Some d -> set_once deadline name d
-            | None -> fail "bad deadline %S" v)
-          | "Trace-Id" ->
-            if String.length v <> 16 || not (String.for_all is_hex v) then
-              fail "bad trace id %S" v;
-            let id =
-              match Int64.of_string_opt ("0x" ^ v) with
-              | Some id -> id
-              | None -> fail "bad trace id %S" v
-            in
-            if Int64.equal id 0L then fail "bad trace id %S" v;
-            set_once trace_id name id
-          | "Parent-Span-Id" -> (
-            match decimal_int_opt v with
-            | Some p -> set_once parent name p
-            | None -> fail "bad parent span id %S" v)
-          | _ -> fail "unknown request header %S" line)
-      in
-      let rec headers from =
-        if from + 2 > String.length data then
-          fail "missing blank-line terminator after request line"
-        else if data.[from] = '\r' && data.[from + 1] = '\n' then begin
-          if String.length data <> from + 2 then
-            fail "trailing garbage after request (%d extra bytes)"
-              (String.length data - from - 2)
-        end
-        else begin
-          let heol =
-            let rec go i =
-              if i + 1 >= String.length data then
-                fail "missing blank-line terminator after request line"
-              else if data.[i] = '\r' && data.[i + 1] = '\n' then i
-              else go (i + 1)
-            in
-            go from
-          in
-          header (String.sub data from (heol - from));
-          headers (heol + 2)
-        end
-      in
-      headers (eol + 2);
-      if !parent <> None && !trace_id = None then
-        fail "Parent-Span-Id without Trace-Id";
-      {
-        rq_cls = cls;
-        rq_deadline_us = !deadline;
-        rq_trace_id = !trace_id;
-        rq_parent_span = !parent;
-      }
-end
-
-(* Inputs that reach every branch of the request codec: class names
-   with spaces, line breaks, colons or nothing at all; deadlines over
-   all of int64; trace ids with the high bit set; header values padded
-   with everything [String.trim] strips. *)
-let name_chars = "abcdefXYZ0189/$_.-"
-let odd_chars = " \r\n:\t"
-let wire_bytes = "\r\n: \t\012-_x0123456789abcdefABCDEF/GETDVM."
-
-let pick st a = a.(Random.State.int st (Array.length a))
-
-let gen_byte st =
-  if Random.State.int st 4 = 0 then Char.chr (Random.State.int st 256)
-  else wire_bytes.[Random.State.int st (String.length wire_bytes)]
-
-let gen_cls st =
-  if Random.State.int st 16 = 0 then ""
-  else
-    String.init
-      (1 + Random.State.int st 16)
-      (fun _ ->
-        if Random.State.int st 12 = 0 then
-          odd_chars.[Random.State.int st (String.length odd_chars)]
-        else name_chars.[Random.State.int st (String.length name_chars)])
-
-let gen_deadline st =
-  match Random.State.int st 8 with
-  | 0 -> None
-  | 1 -> Some 0L
-  | 2 -> Some (Int64.neg (Random.State.int64 st 1_000_000_000L))
-  | 3 -> Some (Random.State.bits64 st)
-  | 4 ->
-    (* nineteen digits *)
-    Some
-      (Int64.add 1_000_000_000_000_000_000L
-         (Random.State.int64 st 8_000_000_000_000_000_000L))
-  | 5 ->
-    Some
-      (pick st
-         [| Int64.max_int; Int64.min_int; Int64.pred Int64.max_int; 1L; -1L |])
-  | _ -> Some (Random.State.int64 st 100_000_000_000L)
-
-let gen_trace st =
-  if Random.State.int st 3 = 0 then None
-  else
-    let tid =
-      match Random.State.int st 5 with
-      | 0 -> Int64.logor Int64.min_int (Random.State.bits64 st)
-      | 1 -> Int64.of_int (Random.State.int st 256)
-      | _ -> Random.State.bits64 st
-    in
-    let parent =
-      match Random.State.int st 5 with
-      | 0 -> pick st [| 0; max_int; min_int; -1 |]
-      | 1 -> -Random.State.int st 1000
-      | 2 -> Random.State.bits st
-      | _ -> (Random.State.bits st lsl 31) lor Random.State.bits st
-    in
-    Some (tid, parent)
-
-let gen_from st chars len =
-  String.init len (fun _ -> chars.[Random.State.int st (String.length chars)])
-
-let gen_value st =
-  match Random.State.int st 7 with
-  | 0 -> gen_from st "0123456789" (1 + Random.State.int st 22)
-  | 1 -> gen_from st "0123456789abcdef" 16
-  | 2 -> gen_from st "09afAF" (15 + Random.State.int st 3)
-  | 3 ->
-    (* non-decimal, zero, and both sides of the 2^63 and 2^62 bounds *)
-    pick st
-      [|
-        ""; "-5"; "0x10"; "1_000"; "+7"; "0000000000000000";
-        "9223372036854775807"; "9223372036854775808";
-        "4611686018427387903"; "4611686018427387904";
-      |]
-  | _ -> String.init (Random.State.int st 8) (fun _ -> gen_byte st)
-
-let gen_header st =
-  let pad () =
-    pick st [| ""; ""; " "; "  "; "\t"; " \012"; "\r"; "\n "; " \t\r" |]
-  in
-  let name =
-    pick st
-      [| "Deadline-Us"; "Trace-Id"; "Parent-Span-Id"; "deadline-us"; "X"; "";
-         "Trace-Id "; "Trace-Id:" |]
-  in
-  name ^ ":" ^ pad () ^ gen_value st ^ pad () ^ "\r\n"
-
-(* A random string: bytes, or the pieces of a request in random
-   order and number. *)
-let gen_junk st =
-  if Random.State.bool st then
-    String.init (Random.State.int st 40) (fun _ -> gen_byte st)
-  else
-    String.concat ""
-      (List.init (Random.State.int st 4) (fun _ -> gen_header st)
-      |> List.cons ("GET /" ^ gen_cls st ^ " DVM/1.0\r\n")
-      |> fun l -> l @ [ pick st [| "\r\n"; "\r\n"; ""; "\r"; "\r\nX" |] ])
-
-let mutate st s =
-  if s = "" then s
-  else begin
-    let b = Bytes.of_string s in
-    for _ = 1 to 1 + Random.State.int st 4 do
-      Bytes.set b (Random.State.int st (Bytes.length b)) (gen_byte st)
-    done;
-    Bytes.to_string b
-  end
-
-let test_http_request_codec_matches_reference () =
-  let st = Random.State.make [| 20261017 |] in
-  let outcome decode data =
-    match decode data with
-    | r -> Ok r
-    | exception Proxy.Httpwire.Bad_message m -> Error m
-  in
-  let same what data =
-    let want = outcome Ref_wire.decode_request_full data in
-    if outcome Proxy.Httpwire.decode_request_full data <> want then
-      Alcotest.failf "%s %S: decode differs from the reference (%s)" what data
-        (match want with Ok _ -> "accepted" | Error m -> m)
-  in
-  for _ = 1 to 200_000 do
-    let cls = gen_cls st
-    and deadline_us = gen_deadline st
-    and trace = gen_trace st in
-    let raw = Proxy.Httpwire.encode_request ?deadline_us ?trace ~cls () in
-    let want = Ref_wire.encode_request ?deadline_us ?trace ~cls () in
-    if not (String.equal raw want) then
-      Alcotest.failf "encode %S: %S, reference %S" cls raw want;
-    same "as written" raw;
-    same "mutated" (mutate st raw);
-    same "truncated"
-      (String.sub raw 0 (Random.State.int st (String.length raw + 1)));
-    same "random" (gen_junk st)
-  done
-
 (* --- Circuit breaker. --- *)
 
 let test_breaker_consecutive_trip () =
@@ -1735,6 +1198,71 @@ let test_audit_trail () =
     (List.length (Monitor.Audit.filter_kind audit "proxy.serve") = 1);
   check Alcotest.bool "chain ok" true (Monitor.Audit.verify_chain audit)
 
+(* --- Request context. ---
+
+   A request's deadline and trace context reach the node as values,
+   with no framing between caller and node: the node opens its span
+   under the context it is handed, and records nothing under one that
+   tracing has gone off for since it was minted. *)
+
+module Trace = Telemetry.Trace
+
+let with_tracing f =
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+    f
+
+let served_hello ?trace () =
+  let engine = Simnet.Engine.create () in
+  let proxy =
+    Proxy.create engine ~origin:(origin_for [ hello ])
+      ~origin_latency:(fun _ -> 0L)
+      ~filters:(filters ()) ()
+  in
+  let got = ref [] in
+  Proxy.request proxy ?trace ~cls:"Hello" (fun r -> got := r :: !got);
+  Simnet.Engine.run engine;
+  match !got with
+  | [ Proxy.Bytes _ ] -> ()
+  | _ -> fail "Hello was not served exactly once"
+
+let test_trace_ctx_nests_node_span () =
+  with_tracing (fun () ->
+      let root = Trace.root ~node:"client" "fetch" in
+      let ctx = Trace.ctx_of root in
+      served_hello ~trace:ctx ();
+      Trace.finish root;
+      match Trace.trace_ids () with
+      | [ tr ] -> (
+        let spans = Trace.spans_of tr in
+        match
+          ( List.filter (fun s -> s.Trace.s_parent = 0) spans,
+            List.filter (fun s -> s.Trace.s_name = "proxy.request") spans )
+        with
+        | [ r ], [ n ] ->
+          check Alcotest.int "node span under the caller's root" r.Trace.s_id
+            n.Trace.s_parent;
+          check Alcotest.bool "node span closed" true
+            (Int64.compare n.Trace.s_end 0L >= 0)
+        | rs, ns ->
+          Alcotest.failf "expected 1 root and 1 node span, got %d and %d"
+            (List.length rs) (List.length ns))
+      | l -> Alcotest.failf "expected 1 trace, got %d" (List.length l))
+
+let test_trace_off_in_flight_records_nothing () =
+  with_tracing (fun () ->
+      let root = Trace.root ~node:"client" "fetch" in
+      let ctx = Trace.ctx_of root in
+      Trace.disable ();
+      check Alcotest.bool "ctx dead once tracing is off" false (Trace.live ctx);
+      served_hello ~trace:ctx ();
+      check Alcotest.int "no span beyond the root" 1 (Trace.span_count ());
+      check Alcotest.int "no event" 0 (Trace.event_count ()))
+
 let () =
   Alcotest.run "proxy"
     [
@@ -1769,35 +1297,6 @@ let () =
           Alcotest.test_case "memo transparent" `Quick
             test_pipeline_memo_transparent;
         ] );
-      ( "wire",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_http_roundtrip;
-          Alcotest.test_case "request framing enforced" `Quick
-            test_http_request_framing_enforced;
-          Alcotest.test_case "deadline roundtrip" `Quick
-            test_http_deadline_roundtrip;
-          Alcotest.test_case "deadline malformed" `Quick
-            test_http_deadline_malformed;
-          Alcotest.test_case "strict decimal headers" `Quick
-            test_http_strict_decimal_headers;
-          Alcotest.test_case "trace headers absent" `Quick
-            test_http_trace_absent;
-          Alcotest.test_case "trace headers malformed" `Quick
-            test_http_trace_malformed;
-          Alcotest.test_case "codec matches reference" `Quick
-            test_http_request_codec_matches_reference;
-        ] );
-      ( "wire-properties",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_request_roundtrip;
-            prop_request_truncation;
-            prop_request_trailing_garbage;
-            prop_request_deadline_roundtrip;
-            prop_request_trace_roundtrip;
-            prop_request_trace_garbage;
-            prop_numeric_headers_reject_nondecimal;
-          ] );
       ( "breaker",
         [
           Alcotest.test_case "consecutive trip" `Quick
@@ -1852,5 +1351,12 @@ let () =
             test_single_flight_crash_restart_in_fetch;
           Alcotest.test_case "L2 rewarm keeps the entry's version" `Quick
             test_l2_rewarm_keeps_version;
+        ] );
+      ( "request-context",
+        [
+          Alcotest.test_case "trace ctx nests the node's span" `Quick
+            test_trace_ctx_nests_node_span;
+          Alcotest.test_case "tracing off in flight records nothing" `Quick
+            test_trace_off_in_flight_records_nothing;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for the distributed-trace collector and its satellites: span
-   trees and wire context propagation, export well-formedness, the
+   trees and context propagation, export well-formedness, the
    flight-recorder ring, the SLO monitor's window arithmetic, and the
    completeness contract — in a seeded chaos run, every overload
    decision counted by telemetry appears exactly once as a trace
@@ -86,24 +86,6 @@ let test_tree_basics () =
           (contains txt "fetch" && contains txt "route");
         check Alcotest.bool "render flags events" true (contains txt "!")
       | l -> Alcotest.failf "expected 1 trace, got %d" (List.length l))
-
-let test_wire_roundtrip () =
-  with_tracing (fun _ ->
-      let root = Trace.root ~node:"client" "fetch" in
-      let ctx = Trace.ctx_of root in
-      (match Trace.wire ctx with
-      | None -> Alcotest.fail "live ctx has no wire form"
-      | Some (tr, sp) ->
-        let ctx' = Trace.of_wire ~trace_id:(Some tr) ~parent_span:(Some sp) in
-        check Alcotest.bool "rebuilt ctx live" true (Trace.live ctx');
-        let child = Trace.start ctx' ~node:"edge" "route" in
-        Trace.finish child;
-        check Alcotest.int "child landed in the same trace" 2
-          (List.length (Trace.spans_of tr)));
-      check Alcotest.bool "absent headers give the null ctx" false
-        (Trace.live (Trace.of_wire ~trace_id:None ~parent_span:None));
-      check Alcotest.bool "null ctx has no wire form" true
-        (Trace.wire Trace.none = None))
 
 let test_disabled_noop () =
   Trace.reset ();
@@ -392,8 +374,6 @@ let () =
       ( "collector",
         [
           Alcotest.test_case "span tree basics" `Quick test_tree_basics;
-          Alcotest.test_case "wire context roundtrip" `Quick
-            test_wire_roundtrip;
           Alcotest.test_case "disabled and null-ctx no-ops" `Quick
             test_disabled_noop;
           Alcotest.test_case "exports well-formed" `Quick
