@@ -1,4 +1,4 @@
-.PHONY: all build test lint exports-check loc certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke examples-smoke perf-compare perfbench-selftest perf-pairs check clean
+.PHONY: all build test lint exports-check loc certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke examples-smoke perf-compare perfbench-selftest perf-pairs profile check clean
 
 all: build
 
@@ -134,6 +134,17 @@ SECS ?= 10
 perf-pairs:
 	python3 tools/perf_pairs.py --base $(BASE) --pairs $(PAIRS) \
 	  --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECS)
+
+# Sampling profile of one perfbench workload, kept out of [check]:
+# builds tools/profile/sampler.c as an LD_PRELOAD library (SIGPROF every
+# 300 us on a CLOCK_MONOTONIC timer; each sample is the interrupted pc
+# and its backtrace), runs WORKLOAD untraced at SEED for SECS, and prints
+# the exclusive, inclusive and caller shares of the samples under the
+# workload's run, its correctness check left out. The samples and the
+# process's memory map land in _build/profile/.
+profile:
+	python3 tools/profile/profile.py --workload $(WORKLOAD) --seed $(SEED) \
+	  --seconds $(SECS)
 
 # The gate a PR must pass: everything builds, every test is green, and
 # no build artifacts are tracked or dirtying the tree.

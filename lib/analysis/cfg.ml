@@ -37,6 +37,35 @@ type t = {
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
+(* Mark each of [ts], the targets of instruction [idx], a leader,
+   range-checking it first. *)
+let rec mark_targets leader n idx = function
+  | [] -> ()
+  | t :: ts ->
+    if t < 0 || t >= n then
+      malformed "branch target @%d out of range at instruction %d" t idx;
+    leader.(t) <- true;
+    mark_targets leader n idx ts
+
+let rec has_edge v kind = function
+  | [] -> false
+  | (v', k') :: rest -> (v' = v && k' = kind) || has_edge v kind rest
+
+(* Edges are consed and reversed once all are in, which keeps
+   insertion order: edge order decides the solver's join order. *)
+let add_edge blocks u v kind =
+  let bu = blocks.(u) in
+  if not (has_edge v kind bu.succs) then begin
+    bu.succs <- (v, kind) :: bu.succs;
+    blocks.(v).preds <- (u, kind) :: blocks.(v).preds
+  end
+
+let rec add_branch_edges blocks block_of u = function
+  | [] -> ()
+  | t :: ts ->
+    add_edge blocks u block_of.(t) Branch;
+    add_branch_edges blocks block_of u ts
+
 let of_code (code : CF.code) : t =
   let instrs = code.CF.instrs in
   let n = Array.length instrs in
@@ -44,23 +73,21 @@ let of_code (code : CF.code) : t =
   (* Leaders: entry, branch targets, fall-throughs of branching
      instructions, and handler boundaries (so exception edges start and
      stop on block boundaries). Targets are range-checked as they are
-     marked. *)
+     marked, in instruction order, so the first bad target is the one
+     reported, and falling off the end is found at the last
+     instruction, after its own targets. *)
   let leader = Array.make n false in
   leader.(0) <- true;
-  Array.iteri
-    (fun idx ins ->
-      let ts = I.targets ins in
-      List.iter
-        (fun t ->
-          if t < 0 || t >= n then
-            malformed "branch target @%d out of range at instruction %d" t idx;
-          leader.(t) <- true)
-        ts;
-      let term = I.is_terminator ins in
-      if (not term) && idx = n - 1 then
-        malformed "control falls off the end of the code array";
-      if (ts <> [] || term) && idx + 1 < n then leader.(idx + 1) <- true)
-    instrs;
+  for idx = 0 to n - 1 do
+    let ins = instrs.(idx) in
+    let ts = I.targets ins in
+    mark_targets leader n idx ts;
+    let term = I.is_terminator ins in
+    if (not term) && idx = n - 1 then
+      malformed "control falls off the end of the code array";
+    let branches = match ts with [] -> term | _ :: _ -> true in
+    if branches && idx + 1 < n then leader.(idx + 1) <- true
+  done;
   List.iter
     (fun h ->
       if
@@ -77,11 +104,10 @@ let of_code (code : CF.code) : t =
     code.CF.handlers;
   let block_of = Array.make n 0 in
   let nblocks = ref 0 in
-  Array.iteri
-    (fun idx l ->
-      if l then incr nblocks;
-      block_of.(idx) <- !nblocks - 1)
-    leader;
+  for idx = 0 to n - 1 do
+    if leader.(idx) then incr nblocks;
+    block_of.(idx) <- !nblocks - 1
+  done;
   let blocks =
     Array.make !nblocks { id = 0; first = 0; last = 0; succs = []; preds = [] }
   in
@@ -94,37 +120,27 @@ let of_code (code : CF.code) : t =
       last := first - 1
     end
   done;
-  (* Edges are consed and reversed once all are in, which keeps
-     insertion order: edge order decides the solver's join order. *)
-  let add_edge u v kind =
-    let bu = blocks.(u) in
-    if not (List.exists (fun (v', k') -> v' = v && k' = kind) bu.succs)
-    then begin
-      bu.succs <- (v, kind) :: bu.succs;
-      blocks.(v).preds <- (u, kind) :: blocks.(v).preds
-    end
-  in
-  Array.iter
-    (fun b ->
-      let ins = instrs.(b.last) in
-      List.iter (fun t -> add_edge b.id block_of.(t) Branch) (I.targets ins);
-      if (not (I.is_terminator ins)) && b.last + 1 < n then
-        add_edge b.id block_of.(b.last + 1) Fall)
-    blocks;
+  for id = 0 to Array.length blocks - 1 do
+    let b = blocks.(id) in
+    let ins = instrs.(b.last) in
+    add_branch_edges blocks block_of id (I.targets ins);
+    if (not (I.is_terminator ins)) && b.last + 1 < n then
+      add_edge blocks id block_of.(b.last + 1) Fall
+  done;
   (* A handler's range starts and ends on block boundaries, so the
      blocks it covers are a contiguous run of ids. *)
   List.iter
     (fun h ->
       let target = block_of.(h.CF.h_target) in
       for b = block_of.(h.CF.h_start) to block_of.(h.CF.h_end - 1) do
-        add_edge b target Exn
+        add_edge blocks b target Exn
       done)
     code.CF.handlers;
-  Array.iter
-    (fun b ->
-      b.succs <- List.rev b.succs;
-      b.preds <- List.rev b.preds)
-    blocks;
+  for id = 0 to Array.length blocks - 1 do
+    let b = blocks.(id) in
+    b.succs <- List.rev b.succs;
+    b.preds <- List.rev b.preds
+  done;
   (* Reachability and reverse postorder from the entry block, over all
      edge kinds. *)
   let reachable = Array.make (Array.length blocks) false in

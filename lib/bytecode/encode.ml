@@ -157,16 +157,21 @@ let encode_instr w off i =
     Io.Writer.i4 w low;
     Io.Writer.u4 w off.(default);
     Io.Writer.u4 w (Array.length targets);
-    Array.iter (fun t -> Io.Writer.u4 w off.(t)) targets
+    for j = 0 to Array.length targets - 1 do
+      Io.Writer.u4 w off.(targets.(j))
+    done
 
 let encode_code w (code : Classfile.code) =
-  let off = offsets code.instrs in
+  let instrs = code.instrs in
+  let off = offsets instrs in
   Io.Writer.u2 w code.max_stack;
   Io.Writer.u2 w code.max_locals;
   (* [offsets] already knows the body size (its final slot), so the
      body streams straight into [w] — no staging buffer, no copy. *)
-  Io.Writer.u4 w off.(Array.length code.instrs);
-  Array.iter (encode_instr w off) code.instrs;
+  Io.Writer.u4 w off.(Array.length instrs);
+  for i = 0 to Array.length instrs - 1 do
+    encode_instr w off instrs.(i)
+  done;
   Io.Writer.u2 w (List.length code.handlers);
   List.iter
     (fun h ->
@@ -201,7 +206,9 @@ let class_to_bytes (cls : Classfile.t) =
   Io.Writer.u2 w version_minor;
   Io.Writer.u2 w version_major;
   Io.Writer.u2 w (Cp.size cls.pool);
-  Array.iteri (fun i e -> if i > 0 then encode_cp_entry w e) cls.pool;
+  for i = 1 to Array.length cls.pool - 1 do
+    encode_cp_entry w cls.pool.(i)
+  done;
   Io.Writer.u2 w (Classfile.access_to_u16 cls.c_flags);
   Io.Writer.str w cls.name;
   (match cls.super with

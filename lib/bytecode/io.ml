@@ -17,18 +17,14 @@ module Writer = struct
   let overflow what v =
     raise (Overflow (Printf.sprintf "%s: value %d exceeds 16 bits" what v))
 
+  (* One [Buffer] call per number: the encoder writes every count,
+     index and offset through these. [u4] writes the low 32 bits. *)
   let u2 b v =
     if v < 0 || v > 0xffff then overflow "u2" v;
-    u1 b (v lsr 8);
-    u1 b (v land 0xff)
+    Buffer.add_uint16_be b v
 
-  let u4 b v =
-    u1 b ((v lsr 24) land 0xff);
-    u1 b ((v lsr 16) land 0xff);
-    u1 b ((v lsr 8) land 0xff);
-    u1 b (v land 0xff)
-
-  let i4 b (v : int32) = u4 b (Int32.to_int v land 0xffffffff)
+  let u4 b v = Buffer.add_int32_be b (Int32.of_int v)
+  let i4 b (v : int32) = Buffer.add_int32_be b v
 
   let i2 b v =
     (* two's-complement 16-bit *)

@@ -25,17 +25,39 @@ type t = {
   resources : (string * sid) list; (* resource-name prefix -> domain *)
   operations : operation list;
   principals : (string * sid) list; (* class-name prefix -> domain *)
+  by_class : index;
 }
 
-let empty =
+(* [operations] grouped by [op_class], each group in list order. The
+   rewriter and the certifier ask [operations_for] about every invoke
+   of every method, so it looks up one class instead of filtering the
+   whole map; every constructor below rebuilds it, and the record is
+   private so that no policy exists without it. *)
+and index = (string, operation list) Hashtbl.t
+
+let index operations =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun op ->
+      let group = Option.value ~default:[] (Hashtbl.find_opt tbl op.op_class) in
+      Hashtbl.replace tbl op.op_class (op :: group))
+    (List.rev operations);
+  tbl
+
+let make ~default_allow ~rules ~resources ~operations ~principals =
   {
     version = 1;
-    default_allow = false;
-    rules = [];
-    resources = [];
-    operations = [];
-    principals = [];
+    default_allow;
+    rules;
+    resources;
+    operations;
+    principals;
+    by_class = index operations;
   }
+
+let empty =
+  make ~default_allow:false ~rules:[] ~resources:[] ~operations:[]
+    ~principals:[]
 
 (* Access matrix lookup: the most specific (first matching) rule wins;
    otherwise the policy default applies. *)
@@ -71,11 +93,12 @@ let domain_of_class t cls =
   |> Option.map snd
 
 let operations_for t ~cls ~meth =
-  List.filter
-    (fun op ->
-      String.equal op.op_class cls
-      && (String.equal op.op_method "*" || String.equal op.op_method meth))
-    t.operations
+  match Hashtbl.find_opt t.by_class cls with
+  | None -> []
+  | Some group ->
+    List.filter
+      (fun op -> String.equal op.op_method "*" || String.equal op.op_method meth)
+      group
 
 (* Rules visible to one domain — what the enforcement manager downloads
    on its first check (Figure 9's "download" column). *)
@@ -101,7 +124,8 @@ let with_rule t ~sid ~permission ~allow =
    rewritten under the old version are textually different — exactly
    the case the farm's control plane must invalidate across shards. *)
 let with_operation t op =
-  { t with version = t.version + 1; operations = op :: t.operations }
+  let operations = op :: t.operations in
+  { t with version = t.version + 1; operations; by_class = index operations }
 
 let pp ppf t =
   Format.fprintf ppf "policy v%d (default %s)@\n" t.version

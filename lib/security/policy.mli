@@ -19,14 +19,27 @@ type operation = {
 
 type rule = { rule_sid : sid; rule_permission : permission; rule_allow : bool }
 
-type t = {
+type t = private {
   version : int;
   default_allow : bool;
   rules : rule list;
   resources : (string * sid) list;  (** resource-name prefix → domain *)
   operations : operation list;
   principals : (string * sid) list;  (** class-name prefix → domain *)
+  by_class : index;  (** [operations] by class, for {!operations_for} *)
 }
+
+and index
+(** Built by every constructor below, so no policy exists without it. *)
+
+val make :
+  default_allow:bool ->
+  rules:rule list ->
+  resources:(string * sid) list ->
+  operations:operation list ->
+  principals:(string * sid) list ->
+  t
+(** A version-1 policy. *)
 
 val empty : t
 
@@ -44,6 +57,8 @@ val resource_permission :
 
 val domain_of_class : t -> string -> sid option
 val operations_for : t -> cls:string -> meth:string -> operation list
+(** The operations on [cls] whose method is [meth] or ["*"], in
+    [operations] order: one lookup in [by_class]. *)
 
 val slice_for_domain : t -> sid -> rule list
 (** What an enforcement manager downloads on its first check. *)

@@ -257,11 +257,6 @@ let parse (src : string) : Policy.t =
           (attr child "classprefix", attr child "domain") :: !principals
       | t -> fail "unexpected <%s> inside <policy>" t)
     root.children;
-  {
-    Policy.version = 1;
-    default_allow;
-    rules = List.rev !rules;
-    resources = List.rev !resources;
-    operations = List.rev !operations;
-    principals = List.rev !principals;
-  }
+  Policy.make ~default_allow ~rules:(List.rev !rules)
+    ~resources:(List.rev !resources) ~operations:(List.rev !operations)
+    ~principals:(List.rev !principals)

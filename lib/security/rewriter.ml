@@ -47,30 +47,35 @@ let last_param_is_string desc =
     | _ -> false)
   | exception Bytecode.Descriptor.Bad_descriptor _ -> false
 
+(* Cons the site of each operation that covers the call at [idx],
+   whose descriptor is [desc], onto [sites]. *)
+let rec add_sites idx desc sites = function
+  | [] -> sites
+  | op :: ops ->
+    let with_resource =
+      op.Policy.op_resource_arg && last_param_is_string desc
+    in
+    add_sites idx desc ((idx, op.Policy.op_permission, with_resource) :: sites) ops
+
 (* Find the call sites in a method that the operation map covers, with
    the permission each requires and whether the resource name is
    available on the stack. *)
 let protected_sites policy pool (code : CF.code) =
+  let instrs = code.CF.instrs in
   let sites = ref [] in
-  Array.iteri
-    (fun idx insn ->
-      match insn with
-      | I.Invokevirtual k | I.Invokestatic k | I.Invokespecial k
-      | I.Invokeinterface k -> (
-        match CP.get_methodref pool k with
-        | mr ->
-          List.iter
-            (fun op ->
-              let with_resource =
-                op.Policy.op_resource_arg
-                && last_param_is_string mr.CP.ref_desc
-              in
-              sites := (idx, op.Policy.op_permission, with_resource) :: !sites)
+  for idx = 0 to Array.length instrs - 1 do
+    match instrs.(idx) with
+    | I.Invokevirtual k | I.Invokestatic k | I.Invokespecial k
+    | I.Invokeinterface k -> (
+      match CP.get_methodref pool k with
+      | mr ->
+        sites :=
+          add_sites idx mr.CP.ref_desc !sites
             (Policy.operations_for policy ~cls:mr.CP.ref_class
                ~meth:mr.CP.ref_name)
-        | exception (CP.Invalid_index _ | CP.Wrong_kind _) -> ())
-      | _ -> ())
-    code.CF.instrs;
+      | exception (CP.Invalid_index _ | CP.Wrong_kind _) -> ())
+    | _ -> ()
+  done;
   List.rev !sites
 
 let check_block pool permission ~with_resource =

@@ -110,21 +110,43 @@ let test_cfg_exception_edges () =
   check Alcotest.bool "handler reachable via the exn edge" true
     cfg.A.Cfg.reachable.(handler_block)
 
+(* The message is pinned as well as the exception: the leader scan
+   checks targets in instruction order (a switch's default first) and
+   finds a fall off the end at the last instruction, after that
+   instruction's own targets. *)
 let test_cfg_malformed () =
-  let raises code =
-    match A.Cfg.of_code code with
-    | _ -> fail "expected Malformed"
-    | exception A.Cfg.Malformed _ -> ()
+  let raises msg instrs =
+    match
+      A.Cfg.of_code { CF.max_stack = 1; max_locals = 1; instrs; handlers = [] }
+    with
+    | _ -> fail ("expected Malformed: " ^ msg)
+    | exception A.Cfg.Malformed m -> check Alcotest.string msg msg m
   in
-  raises
-    { CF.max_stack = 1; max_locals = 1; instrs = [| I.Goto 99 |]; handlers = [] };
-  raises
-    {
-      CF.max_stack = 1;
-      max_locals = 1;
-      instrs = [| I.Iconst 1l |];
-      handlers = [];
-    }
+  let off_end = "control falls off the end of the code array" in
+  raises "branch target @99 out of range at instruction 0" [| I.Goto 99 |];
+  raises off_end [| I.Iconst 1l |];
+  raises "branch target @50 out of range at instruction 1"
+    [| I.Nop; I.If_z (I.Eq, 50); I.Goto 70; I.Return |];
+  raises "branch target @-1 out of range at instruction 0"
+    [| I.Goto (-1); I.If_z (I.Eq, 9); I.Return |];
+  raises "branch target @9 out of range at instruction 0"
+    [|
+      I.Tableswitch { low = 0l; targets = [| 1; 7 |]; default = 9 };
+      I.Return;
+    |];
+  raises "branch target @7 out of range at instruction 0"
+    [|
+      I.Tableswitch { low = 0l; targets = [| 1; 7; 8 |]; default = 1 };
+      I.Return;
+    |];
+  (* falling off the end is reported at the last instruction: after
+     every earlier instruction's targets and the last one's own *)
+  raises "branch target @5 out of range at instruction 0"
+    [| I.Goto 5; I.Iconst 1l |];
+  raises "branch target @4 out of range at instruction 1"
+    [| I.Iconst 1l; I.If_z (I.Eq, 4) |];
+  raises off_end [| I.Iconst 1l; I.If_z (I.Eq, 0) |];
+  raises off_end [| I.Goto 1; I.Nop |]
 
 (* ------------------------------------------------------------------ *)
 (* Dominators and loops                                                *)

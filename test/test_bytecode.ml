@@ -373,19 +373,24 @@ let test_size_accounting () =
    0xff] per byte, silently corrupting any class whose pool, table or
    string outgrew a 16-bit field. They must raise [Overflow] instead. *)
 
-let expect_overflow what f =
+let expect_overflow what ~msg f =
   match f () with
   | () -> fail (what ^ ": expected Overflow")
-  | exception Bytecode.Io.Overflow _ -> ()
+  | exception Bytecode.Io.Overflow m -> check Alcotest.string what msg m
 
 let test_writer_overflow () =
   let module W = Bytecode.Io.Writer in
-  expect_overflow "u2 65536" (fun () -> W.u2 (W.create ()) 65536);
-  expect_overflow "u2 negative" (fun () -> W.u2 (W.create ()) (-1));
-  expect_overflow "i2 32768" (fun () -> W.i2 (W.create ()) 32768);
-  expect_overflow "i2 -32769" (fun () -> W.i2 (W.create ()) (-32769));
+  expect_overflow "u2 65536" ~msg:"u2: value 65536 exceeds 16 bits" (fun () ->
+      W.u2 (W.create ()) 65536);
+  expect_overflow "u2 negative" ~msg:"u2: value -1 exceeds 16 bits" (fun () ->
+      W.u2 (W.create ()) (-1));
+  expect_overflow "i2 32768" ~msg:"i2: value 32768 exceeds 16 bits" (fun () ->
+      W.i2 (W.create ()) 32768);
+  expect_overflow "i2 -32769" ~msg:"i2: value -32769 exceeds 16 bits"
+    (fun () -> W.i2 (W.create ()) (-32769));
   (* a length-prefixed string over 64 KiB - 1 *)
-  expect_overflow "str 65536 bytes" (fun () ->
+  expect_overflow "str 65536 bytes"
+    ~msg:"str: string length 65536 exceeds 65535" (fun () ->
       W.str (W.create ()) (String.make 65536 'x'));
   (* boundary values still encode *)
   let w = W.create () in
@@ -395,6 +400,93 @@ let test_writer_overflow () =
   W.str w (String.make 65535 'x');
   check Alcotest.int "boundary bytes" (2 + 2 + 2 + 2 + 65535)
     (String.length (W.contents w))
+
+(* A byte-at-a-time writer, one [Buffer.add_char] per byte: the
+   reference the word-wide writes must match byte for byte. *)
+module Bytewise = struct
+  let u1 b v = Buffer.add_char b (Char.chr (v land 0xff))
+
+  let u2 b v =
+    u1 b (v lsr 8);
+    u1 b (v land 0xff)
+
+  let u4 b v =
+    u1 b ((v lsr 24) land 0xff);
+    u1 b ((v lsr 16) land 0xff);
+    u1 b ((v lsr 8) land 0xff);
+    u1 b (v land 0xff)
+
+  let i4 b (v : int32) = u4 b (Int32.to_int v land 0xffffffff)
+  let i2 b v = u2 b (v land 0xffff)
+end
+
+type write = U1 of int | U2 of int | U4 of int | I4 of int32 | I2 of int
+
+let write_both ops =
+  let module W = Bytecode.Io.Writer in
+  let w = W.create () and r = Buffer.create 16 in
+  List.iter
+    (function
+      | U1 v ->
+        W.u1 w v;
+        Bytewise.u1 r v
+      | U2 v ->
+        W.u2 w v;
+        Bytewise.u2 r v
+      | U4 v ->
+        W.u4 w v;
+        Bytewise.u4 r v
+      | I4 v ->
+        W.i4 w v;
+        Bytewise.i4 r v
+      | I2 v ->
+        W.i2 w v;
+        Bytewise.i2 r v)
+    ops;
+  (W.contents w, Buffer.contents r)
+
+let test_writer_bytewise () =
+  let words =
+    [ 0; 0xff; 0x100; 0xffff; 0x10000; 0x7fffffff; 0x80000000; 0xcafebabe;
+      0xffffffff; 0x1_0000_0001; -1; Int32.to_int Int32.min_int; max_int;
+      min_int ]
+  in
+  let ops =
+    List.map (fun v -> U1 v) words
+    @ List.map (fun v -> U2 v) [ 0; 0xff; 0x100; 0x7fff; 0x8000; 0xffff ]
+    @ List.map (fun v -> U4 v) words
+    @ List.map
+        (fun v -> I4 v)
+        [ 0l; 0xffl; 0xffffl; Int32.max_int; Int32.min_int; 0xcafebabel; -1l ]
+    @ List.map (fun v -> I2 v) [ -32768; -1; 0; 0xff; 32767 ]
+  in
+  (* Each value alone, then all in one buffer past its first resize. *)
+  List.iter
+    (fun op ->
+      let word, bytewise = write_both [ op ] in
+      check Alcotest.string "one value" bytewise word)
+    ops;
+  let word, bytewise = write_both (ops @ ops @ ops @ ops @ ops) in
+  check Alcotest.bool "past the first resize" true (String.length word > 256);
+  check Alcotest.string "one buffer" bytewise word
+
+let prop_writer_bytewise =
+  let open QCheck in
+  let op =
+    oneof
+      [
+        map (fun v -> U1 v) int;
+        map (fun v -> U2 v) (int_range 0 0xffff);
+        map (fun v -> U4 v) int;
+        map (fun v -> I4 v) int32;
+        map (fun v -> I2 v) (int_range (-32768) 32767);
+      ]
+  in
+  Test.make ~name:"word-wide writes match byte-wise" ~count:300
+    (list op)
+    (fun ops ->
+      let word, bytewise = write_both ops in
+      String.equal word bytewise)
 
 let test_encode_overwide_table () =
   (* A method whose locals outgrow the u2 max_locals field: the encoder
@@ -413,8 +505,8 @@ let test_encode_overwide_table () =
           cls.CF.methods;
     }
   in
-  expect_overflow "max_locals 70000" (fun () ->
-      ignore (Enc.class_to_bytes cls))
+  expect_overflow "max_locals 70000" ~msg:"u2: value 70000 exceeds 16 bits"
+    (fun () -> ignore (Enc.class_to_bytes cls))
 
 (* --- Reader slice boundaries. ---
 
@@ -600,6 +692,9 @@ let () =
       ( "io",
         [
           Alcotest.test_case "writer overflow" `Quick test_writer_overflow;
+          Alcotest.test_case "writer matches byte-wise" `Quick
+            test_writer_bytewise;
+          QCheck_alcotest.to_alcotest prop_writer_bytewise;
           Alcotest.test_case "over-wide table" `Quick
             test_encode_overwide_table;
           Alcotest.test_case "reader slice boundaries" `Quick

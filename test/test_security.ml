@@ -39,11 +39,9 @@ let test_with_rule_overrides () =
 
 let test_resource_and_principal_maps () =
   let p =
-    {
-      P.empty with
-      P.resources = [ ("/tmp/", "scratch"); ("/", "rootfs") ];
-      principals = [ ("applet/", "applets"); ("", "users") ];
-    }
+    P.make ~default_allow:false ~rules:[] ~operations:[]
+      ~resources:[ ("/tmp/", "scratch"); ("/", "rootfs") ]
+      ~principals:[ ("applet/", "applets"); ("", "users") ]
   in
   check (Alcotest.option Alcotest.string) "longest listed prefix first"
     (Some "scratch")
@@ -54,6 +52,80 @@ let test_resource_and_principal_maps () =
     (P.domain_of_class p "applet/Game");
   check (Alcotest.option Alcotest.string) "default principal" (Some "users")
     (P.domain_of_class p "corp/App")
+
+(* Property: [operations_for] answers from the class index exactly what
+   a filter over the whole operation map answers, in the same order,
+   on policies built by [make] and then changed by chains of
+   [with_operation] and [with_rule] (a [with_rule] copy keeps the
+   index it was given). The classes include ones with several
+   operations, ones with none and names no operation mentions. *)
+let reference_operations_for p ~cls ~meth =
+  List.filter
+    (fun op ->
+      String.equal op.P.op_class cls
+      && (String.equal op.P.op_method "*" || String.equal op.P.op_method meth))
+    p.P.operations
+
+type policy_step = Add_op of P.operation | Add_rule of int * bool
+
+let prop_operations_for_matches_filter =
+  let classes = [| "a/A"; "a/B"; "b/C"; "b/D" |]
+  and methods = [| "*"; "open"; "read"; "close" |] in
+  let gen_op =
+    QCheck.Gen.(
+      map
+        (fun (((c, m), perm), res) ->
+          {
+            P.op_permission = Printf.sprintf "p%d" perm;
+            op_class = classes.(c);
+            op_method = methods.(m);
+            op_resource_arg = res;
+          })
+        (pair (pair (pair (int_bound 2) (int_bound 3)) (int_bound 5)) bool))
+  in
+  let gen_step =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, map (fun op -> Add_op op) gen_op);
+          (1, map (fun (r, a) -> Add_rule (r, a)) (pair (int_bound 3) bool));
+        ])
+  in
+  let print (ops, steps) =
+    Printf.sprintf "%d operations then %d steps" (List.length ops)
+      (List.length steps)
+  in
+  QCheck.Test.make ~name:"operations_for matches a filter" ~count:300
+    (QCheck.make ~print
+       QCheck.Gen.(pair (list_size (int_bound 12) gen_op) (list_size (int_bound 6) gen_step)))
+    (fun (ops, steps) ->
+      let agrees p =
+        Array.for_all
+          (fun cls ->
+            Array.for_all
+              (fun meth ->
+                P.operations_for p ~cls ~meth
+                = reference_operations_for p ~cls ~meth)
+              (Array.append methods [| "write" |]))
+          (Array.append classes [| "c/E" |])
+      in
+      let p =
+        P.make ~default_allow:false ~rules:[] ~resources:[] ~operations:ops
+          ~principals:[]
+      in
+      agrees p
+      && snd
+           (List.fold_left
+              (fun (p, ok) step ->
+                let p =
+                  match step with
+                  | Add_op op -> P.with_operation p op
+                  | Add_rule (r, allow) ->
+                    P.with_rule p ~sid:"s" ~permission:(Printf.sprintf "p%d" r)
+                      ~allow
+                in
+                (p, ok && agrees p))
+              (p, true) steps))
 
 (* --- XML policy language. --- *)
 
@@ -416,6 +488,7 @@ let () =
           Alcotest.test_case "rule override" `Quick test_with_rule_overrides;
           Alcotest.test_case "resource/principal maps" `Quick
             test_resource_and_principal_maps;
+          QCheck_alcotest.to_alcotest prop_operations_for_matches_filter;
         ] );
       ( "xml",
         [
